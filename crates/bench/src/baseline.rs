@@ -20,7 +20,7 @@ use sg_core::time::{SimDuration, SimTime};
 use sg_live::{run_live_with_stats, LiveOpts};
 use sg_sim::app::ConnModel;
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
-use sg_sim::runner::{SimBuffers, Simulation};
+use sg_sim::runner::Simulation;
 use sg_telemetry::profile::{LiveProfiler, ProfilePhase};
 use sg_telemetry::{
     AggConfig, AggRuntime, LatencyDigest, MetricId, MetricSample, MetricsRegistry, RingSink,
@@ -117,8 +117,8 @@ impl TelemetrySink for NullSink {
     fn emit(&self, _event: TelemetryEvent) {}
 }
 
-/// One simulated CHAIN surge trial per iteration, fresh allocations —
-/// the figure harness's unit of work before this PR.
+/// One simulated CHAIN surge trial per iteration — the figure
+/// harness's unit of work.
 fn bench_sim_trial(mode: BenchMode) -> ScenarioStats {
     let scenario = BenchScenario::chain_surge();
     let factory = SurgeGuardFactory::full();
@@ -134,36 +134,6 @@ fn bench_sim_trial(mode: BenchMode) -> ScenarioStats {
         }
     }
     summarize("sim_trial", "ms", samples)
-}
-
-/// Same trial with the recycled-allocation path (`run_reusing` + shared
-/// arrival schedule) — the harness's unit of work after this PR.
-fn bench_sim_trial_reuse(mode: BenchMode) -> ScenarioStats {
-    let scenario = BenchScenario::chain_surge();
-    let factory = SurgeGuardFactory::full();
-    let arrivals: Arc<[SimTime]> = scenario
-        .pattern
-        .arrivals(SimTime::ZERO, scenario.horizon)
-        .into();
-    let mut buffers = SimBuffers::new();
-    let (warmup, iters) = mode.heavy_iters();
-    let mut samples = Vec::with_capacity(iters);
-    for i in 0..warmup + iters {
-        let t0 = Instant::now();
-        let mut cfg = scenario.pw.cfg.clone();
-        cfg.end = scenario.horizon + SimDuration::from_millis(100);
-        cfg.measure_start = SimTime::from_secs(1);
-        cfg.seed = 1;
-        let r =
-            Simulation::new_shared(cfg, &factory, Arc::clone(&arrivals)).run_reusing(&mut buffers);
-        let dt = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(r.completed > 0);
-        buffers.recycle_points(r.points);
-        if i >= warmup {
-            samples.push(dt);
-        }
-    }
-    summarize("sim_trial_reuse", "ms", samples)
 }
 
 /// One 400 ms-horizon live (wall-clock) run per iteration: real worker
@@ -713,9 +683,8 @@ pub type ScenarioFn = fn(BenchMode) -> ScenarioStats;
 
 /// The pinned scenario set: stable names, fixed order. The names are the
 /// `--only` selectors and the keys of every `BENCH_*.json`.
-pub const SCENARIOS: [(&str, ScenarioFn); 21] = [
+pub const SCENARIOS: [(&str, ScenarioFn); 20] = [
     ("sim_trial", bench_sim_trial),
-    ("sim_trial_reuse", bench_sim_trial_reuse),
     ("live_smoke", bench_live_smoke),
     ("fr_hook", bench_fr_hook),
     ("fr_hook_profiled", bench_fr_hook_profiled),

@@ -5,11 +5,10 @@
 use crate::parallel;
 use serde::Serialize;
 use sg_core::time::{SimDuration, SimTime};
-use sg_loadgen::{AggregateReport, LatencyHistogram, RunReport, SpikePattern};
+use sg_loadgen::{AggregateReport, RunReport, SpikePattern};
 use sg_sim::controller::ControllerFactory;
-use sg_sim::runner::{RunResult, SimBuffers, Simulation};
+use sg_sim::runner::{RunResult, Simulation};
 use sg_workloads::PreparedWorkload;
-use std::sync::Arc;
 
 /// Experiment sizing: `quick` keeps the whole suite tractable on a
 /// laptop-class machine; `full` approaches the paper's protocol (longer
@@ -69,23 +68,6 @@ impl ExpProfile {
     }
 }
 
-/// Per-worker scratch reused across trials: the simulator's recycled
-/// allocations plus the report histogram. Contents are fully reset by
-/// each use; only capacity carries over.
-pub struct TrialScratch {
-    buffers: SimBuffers,
-    hist: LatencyHistogram,
-}
-
-impl Default for TrialScratch {
-    fn default() -> Self {
-        TrialScratch {
-            buffers: SimBuffers::new(),
-            hist: LatencyHistogram::with_default_resolution(),
-        }
-    }
-}
-
 /// Run one trial of `pw` under `factory` and `pattern`.
 pub fn run_one(
     pw: &PreparedWorkload,
@@ -117,46 +99,28 @@ pub fn run_one(
 }
 
 /// Run `profile.trials` independent trials in parallel and aggregate with
-/// the paper's trimmed-mean protocol.
-///
-/// The arrival schedule is seed-free, so it is computed once and shared
-/// across trials; each worker reuses one [`TrialScratch`] (event heap,
-/// invocation slab, histogram) for all trials it claims. Trial `i` runs
-/// with [`ExpProfile::trial_seed`], making the report set identical
-/// whatever the worker count.
+/// the paper's trimmed-mean protocol. Trial `i` runs with
+/// [`ExpProfile::trial_seed`], making the report set identical whatever
+/// the worker count.
 pub fn run_trials(
     pw: &PreparedWorkload,
     factory: &(dyn ControllerFactory + Sync),
     pattern: &SpikePattern,
     profile: &ExpProfile,
 ) -> AggregateReport {
-    let w_start = SimTime::ZERO + profile.warmup;
-    let w_end = w_start + profile.measure;
-    let arrivals: Arc<[SimTime]> = pattern.arrivals(SimTime::ZERO, w_end).into();
-    let reports: Vec<RunReport> = parallel::par_map_with(
-        (0..profile.trials).collect(),
-        TrialScratch::default,
-        |scratch, i| {
-            let mut cfg = pw.cfg.clone();
-            cfg.end = w_end + SimDuration::from_millis(200);
-            cfg.measure_start = w_start;
-            cfg.seed = profile.trial_seed(i);
-            cfg.trace_allocations = false;
-            let result = Simulation::new_shared(cfg, factory, Arc::clone(&arrivals))
-                .run_reusing(&mut scratch.buffers);
-            let report = RunReport::from_points_reusing(
-                &mut scratch.hist,
-                &result.points,
-                pw.qos,
-                w_start,
-                w_end,
-                result.avg_cores,
-                result.energy_j,
-            );
-            scratch.buffers.recycle_points(result.points);
-            report
-        },
-    );
+    let reports: Vec<RunReport> = parallel::par_map((0..profile.trials).collect(), |i| {
+        let seed = profile.trial_seed(i);
+        run_one(
+            pw,
+            factory,
+            pattern,
+            profile.warmup,
+            profile.measure,
+            seed,
+            false,
+        )
+        .0
+    });
     AggregateReport::from_reports(&reports)
 }
 

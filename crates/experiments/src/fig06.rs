@@ -54,7 +54,7 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
         cfg.end = SimTime::from_secs(5) + SimDuration::from_millis(200);
         cfg.measure_start = SimTime::from_secs(1);
         cfg.seed = profile.base_seed;
-        let r = Simulation::new_shared(cfg, &NoopFactory, std::sync::Arc::clone(&arrivals)).run();
+        let r = Simulation::new(cfg, &NoopFactory, std::sync::Arc::clone(&arrivals)).run();
         r.profile[idx].mean_exec_metric.as_nanos() as f64 / 1000.0
     });
 

@@ -4,7 +4,7 @@
 //! is an independent `(config, seed)` pure function, and every figure arm
 //! (controller × workload × sweep point) is independent of its siblings.
 //! This module fans both levels out over `std::thread::scope` workers with
-//! three properties the harness relies on:
+//! two properties the harness relies on:
 //!
 //! 1. **Deterministic assembly.** Results are written into a slot indexed
 //!    by the job's position in the input, so the output `Vec` is in input
@@ -18,10 +18,6 @@
 //!    thread-local flag makes any `par_map` issued from inside a worker
 //!    run inline, so the worker count stays bounded by [`threads`] instead
 //!    of multiplying per level.
-//! 3. **Per-worker scratch.** [`par_map_with`] gives every worker one
-//!    scratch value for its whole batch, which is how trial loops reuse
-//!    event-heap / invocation-slab / histogram allocations across trials
-//!    (see `sg_sim::SimBuffers`).
 //!
 //! The worker count comes from, in priority order: [`set_threads`], the
 //! `SG_EXP_THREADS` environment variable, then
@@ -84,25 +80,9 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    par_map_with(items, || (), |(), item| f(item))
-}
-
-/// [`par_map`] with per-worker scratch state: each worker calls `init`
-/// once and threads the value through every job it claims. The serial
-/// fallback uses a single scratch for the whole batch — identical to what
-/// one worker would see — so scratch reuse can never make parallel output
-/// diverge from serial output.
-pub fn par_map_with<S, T, R, Init, F>(items: Vec<T>, init: Init, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    Init: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
     let workers = threads().min(items.len());
     if workers <= 1 || in_worker() {
-        let mut scratch = init();
-        return items.into_iter().map(|t| f(&mut scratch, t)).collect();
+        return items.into_iter().map(f).collect();
     }
 
     // Job slots (taken exactly once via the shared cursor) and result
@@ -118,7 +98,6 @@ where
         for _ in 0..workers {
             s.spawn(|| {
                 IN_WORKER.with(|w| w.set(true));
-                let mut scratch = init();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= jobs.len() {
@@ -129,7 +108,7 @@ where
                         .expect("job slot poisoned")
                         .take()
                         .expect("job claimed twice");
-                    let r = f(&mut scratch, item);
+                    let r = f(item);
                     *results[i].lock().expect("result slot poisoned") = Some(r);
                 }
                 IN_WORKER.with(|w| w.set(false));
@@ -174,25 +153,6 @@ mod tests {
             inner.iter().sum::<usize>()
         });
         assert_eq!(out, vec![45, 55, 65, 75]);
-    }
-
-    #[test]
-    fn scratch_is_reused_within_a_worker() {
-        // Count init() calls: must be ≤ worker count, not per-item.
-        let inits = AtomicUsize::new(0);
-        let out = par_map_with(
-            (0..64).collect::<Vec<usize>>(),
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<usize>::new()
-            },
-            |scratch, i| {
-                scratch.push(i);
-                i
-            },
-        );
-        assert_eq!(out.len(), 64);
-        assert!(inits.load(Ordering::Relaxed) <= threads().max(1));
     }
 
     #[test]

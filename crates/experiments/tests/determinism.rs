@@ -60,7 +60,7 @@ fn span_streams(pw: &sg_workloads::PreparedWorkload, threads: usize) -> Vec<Stri
         cfg.seed = profile.trial_seed(i);
         cfg.end = horizon + SimDuration::from_millis(100);
         cfg.measure_start = SimTime::ZERO + profile.warmup;
-        let r = Simulation::new_shared(cfg, &factory, Arc::clone(&arrivals))
+        let r = Simulation::new(cfg, &factory, Arc::clone(&arrivals))
             .with_spans(Arc::clone(&sink) as SharedSink, SpanSampler::rate(1, 4, 7))
             .run();
         assert!(r.completed > 0);

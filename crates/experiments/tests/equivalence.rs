@@ -39,7 +39,7 @@ fn run_with_exports(
     let trace = VecSink::shared();
     let spans = VecSink::shared();
     let metrics = VecSink::shared();
-    let result = Simulation::new_shared(cfg, factory, arrivals)
+    let result = Simulation::new(cfg, factory, arrivals)
         .with_telemetry(Arc::clone(&trace) as SharedSink)
         .with_spans(Arc::clone(&spans) as SharedSink, SpanSampler::rate(1, 4, 7))
         .with_metrics(Arc::clone(&metrics) as SharedSink)

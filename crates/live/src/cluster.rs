@@ -1,12 +1,10 @@
-//! Shared allocation state and action application.
+//! Shared allocation state: the live substrate's side of the ledger.
 //!
-//! [`ClusterState`] is the live analogue of the simulator's allocation
-//! mirror: current per-container allocations, per-node core ledgers, the
-//! energy meter, and the optional allocation trace. Its `apply_*` methods
-//! reproduce `Simulation::apply_cores` / `apply_freq` / bandwidth clamping
-//! byte-for-byte in semantics (same-node checks, min/max clamp, node
-//! budget, clamp counting) so an unmodified controller sees identical
-//! enforcement on both substrates.
+//! Every controller action is *decided* by the substrate-blind
+//! [`AllocLedger`] the simulator also uses; [`ClusterState`] only makes
+//! the resulting [`Effect`]s real on this substrate — capacity gates, the
+//! energy meter, the egress-hint cells, the decision trace — so an
+//! unmodified controller sees identical enforcement on both.
 //!
 //! It is deliberately free of references to the request path so the
 //! FirstResponder runtime's apply closure can own an `Arc<ClusterState>`
@@ -14,49 +12,40 @@
 
 use crate::clock::LiveClock;
 use crate::throttle::CoreGate;
-use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
-use sg_core::ids::{ContainerId, NodeId};
+use sg_core::allocator::{ContainerAlloc, FreqTable};
+use sg_core::fault::FaultKind;
+use sg_core::ids::{ContainerId, NodeId, ServiceId};
 use sg_core::replica::ReplicaLayout;
+use sg_core::time::SimTime;
 use sg_sim::cluster::SimConfig;
+use sg_sim::controller::{ControlAction, NodeInit};
+use sg_sim::ledger::{AllocLedger, Effect, Ownership, ReplicaState};
 use sg_sim::power::EnergyMeter;
 use sg_sim::trace::AllocTrace;
-use sg_telemetry::{ActionOutcome, ReplicaPhase, SharedSink, TelemetryEvent};
+use sg_telemetry::{ActionOutcome, ReplicaPhase, SharedSink};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Replica lifecycle states, packed into per-slot atomics so the load
-/// balancer reads them lock-free. Writes happen while holding the alloc
-/// lock, keeping them consistent with the core ledger.
-pub const REPLICA_INACTIVE: u8 = 0;
-/// See [`REPLICA_INACTIVE`].
-pub const REPLICA_ACTIVE: u8 = 1;
-/// See [`REPLICA_INACTIVE`].
-pub const REPLICA_DRAINING: u8 = 2;
-
-/// Mutable allocation mirror, updated under one lock so cores/freq/budget
-/// stay mutually consistent.
-struct AllocState {
-    allocs: Vec<ContainerAlloc>,
-    /// Workload cores currently allocated per node.
-    node_alloc: Vec<u32>,
-    /// Current bandwidth cap per container, core-equivalents.
+/// Everything an effect touches that needs mutual exclusion: decisions
+/// and their application happen under this one lock, so cores, DVFS
+/// level, budget, gate rate and meter never disagree.
+struct Inner {
+    ledger: AllocLedger,
+    /// Current bandwidth cap per slot (the gate's rate needs it beside
+    /// cores and speedup on every change).
     bw_caps: Vec<Option<f64>>,
-}
-
-/// The energy meter demands monotonic timestamps, but live threads read
-/// the wall clock *before* taking this lock, so their reads can arrive
-/// out of order (by nanoseconds). Clamp to a high-water mark under the
-/// lock; the bias is far below the meter's reporting resolution.
-struct MeterCell {
     meter: EnergyMeter,
-    high_water: sg_core::time::SimTime,
+    /// The meter demands monotonic timestamps, but window reset and
+    /// finish are stamped with *planned* times that an applier's clock
+    /// read may already have passed; clamp to a high-water mark.
+    meter_high_water: SimTime,
+    trace: Option<AllocTrace>,
 }
 
-impl MeterCell {
-    fn clamp(&mut self, now: sg_core::time::SimTime) -> sg_core::time::SimTime {
-        let t = now.max(self.high_water);
-        self.high_water = t;
-        t
+impl Inner {
+    fn meter_time(&mut self, now: SimTime) -> SimTime {
+        self.meter_high_water = now.max(self.meter_high_water);
+        self.meter_high_water
     }
 }
 
@@ -64,28 +53,21 @@ impl MeterCell {
 /// the FirstResponder apply worker.
 pub struct ClusterState {
     clock: LiveClock,
-    constraints: AllocConstraints,
     freq_table: FreqTable,
     /// Service/replica ↔ slot mapping (one slot per container, replicas
     /// included).
     pub layout: ReplicaLayout,
-    /// Initial cores per service (the grant a freshly spawned replica
-    /// asks for).
-    initial_cores: Vec<u32>,
-    /// Lifecycle state per replica slot ([`REPLICA_ACTIVE`] etc.).
+    /// Ownership map and clamp counter, readable without `inner`'s lock.
+    owners: Arc<Ownership>,
+    /// Lock-free mirror of the ledger's per-slot [`ReplicaState`] for the
+    /// load balancer; written only while applying a lifecycle effect.
     replica_state: Vec<AtomicU8>,
-    /// Node of each container, dense by container id.
-    node_of: Vec<NodeId>,
-    alloc: Mutex<AllocState>,
+    inner: Mutex<Inner>,
     /// One capacity gate per container; workers run request work through
     /// these.
     pub gates: Vec<CoreGate>,
     /// Egress upscale hint per container (SetEgressHint target).
     pub hints: Vec<AtomicU8>,
-    meter: Mutex<MeterCell>,
-    trace: Mutex<Option<AllocTrace>>,
-    /// Actions clamped to fit constraints (diagnostics, mirrors the sim).
-    pub clamped: AtomicU64,
     /// Decision-trace sink for allocation-change events. On the live
     /// substrate this is the ring front-end, so emitting never blocks.
     sink: Option<SharedSink>,
@@ -95,97 +77,39 @@ impl ClusterState {
     /// Build from a validated config; gates start at the initial
     /// allocation and base frequency.
     pub fn new(cfg: &SimConfig, clock: LiveClock) -> Self {
-        let n = cfg.graph.len();
-        let layout = ReplicaLayout::new(n, cfg.max_replicas);
+        let ledger = AllocLedger::new(cfg);
+        let layout = *ledger.layout();
         let n_slots = layout.n_slots();
-        let base_speedup = cfg.freq_table.speedup(0);
-        let mut allocs = Vec::with_capacity(n_slots);
-        let mut node_alloc = vec![0u32; cfg.placement.nodes as usize];
-        let mut bw_caps = vec![None; n_slots];
-        let mut gates = Vec::with_capacity(n_slots);
-        let mut replica_state = Vec::with_capacity(n_slots);
-        let mut node_of = Vec::with_capacity(n_slots);
-        #[allow(clippy::needless_range_loop)] // one index drives parallel vecs
-        for slot in 0..n_slots {
-            let s = layout.service_of(slot).index();
-            let node = cfg.placement.node(sg_core::ids::ServiceId(s as u32));
-            let active = layout.replica_of(slot) < cfg.initial_replicas_of(s);
-            let cores = if active { cfg.initial_cores[s] } else { 0 };
-            allocs.push(ContainerAlloc {
-                id: ContainerId(slot as u32),
-                cores,
-                freq_level: 0,
-            });
-            node_alloc[node.index()] += cores;
-            if let Some(cap) = cfg.bw_caps.get(s).copied().flatten() {
-                bw_caps[slot] = Some(cap);
-            }
-            gates.push(CoreGate::new(cores, base_speedup, bw_caps[slot]));
-            replica_state.push(AtomicU8::new(if active {
-                REPLICA_ACTIVE
-            } else {
-                REPLICA_INACTIVE
-            }));
-            node_of.push(node);
-        }
-
         let now = clock.now();
         let mut meter = EnergyMeter::new(cfg.power, n_slots);
-        for (slot, a) in allocs.iter().enumerate() {
-            meter.set_state(now, slot, a.cores, cfg.freq_table.ghz(0));
+        let mut bw_caps = Vec::with_capacity(n_slots);
+        let mut gates = Vec::with_capacity(n_slots);
+        for slot in 0..n_slots {
+            let s = layout.service_of(slot).index();
+            let cores = ledger.alloc(slot).cores;
+            let bw = cfg.bw_caps.get(s).copied().flatten();
+            gates.push(CoreGate::new(cores, cfg.freq_table.speedup(0), bw));
+            bw_caps.push(bw);
+            meter.set_state(now, slot, cores, cfg.freq_table.ghz(0));
         }
-        let meter = MeterCell {
-            meter,
-            high_water: now,
-        };
-
         ClusterState {
             clock,
-            constraints: cfg.constraints,
             freq_table: cfg.freq_table.clone(),
             layout,
-            initial_cores: cfg.initial_cores.clone(),
-            replica_state,
-            node_of,
-            alloc: Mutex::new(AllocState {
-                allocs,
-                node_alloc,
-                bw_caps,
-            }),
+            owners: Arc::clone(ledger.owners()),
+            replica_state: (0..n_slots)
+                .map(|slot| AtomicU8::new(ledger.state(slot) as u8))
+                .collect(),
             gates,
             hints: (0..n_slots).map(|_| AtomicU8::new(0)).collect(),
-            meter: Mutex::new(meter),
-            trace: Mutex::new(cfg.trace_allocations.then(AllocTrace::new)),
-            clamped: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                ledger,
+                bw_caps,
+                meter,
+                meter_high_water: now,
+                trace: cfg.trace_allocations.then(AllocTrace::new),
+            }),
             sink: None,
-        }
-    }
-
-    /// Lifecycle state of a replica slot (lock-free read).
-    pub fn replica_state_of(&self, slot: usize) -> u8 {
-        self.replica_state[slot].load(Ordering::Acquire)
-    }
-
-    /// Active (non-draining) replicas of a service group.
-    pub fn active_replicas(&self, svc: sg_core::ids::ServiceId) -> u32 {
-        self.layout
-            .slots_of(svc)
-            .filter(|&slot| self.replica_state_of(slot) == REPLICA_ACTIVE)
-            .count() as u32
-    }
-
-    fn emit_replica_lifecycle(&self, slot: usize, phase: ReplicaPhase) {
-        if let Some(sink) = &self.sink {
-            let svc = self.layout.service_of(slot);
-            sink.emit(TelemetryEvent::ReplicaLifecycle {
-                at: self.clock.now(),
-                node: self.node_of[slot],
-                container: ContainerId(slot as u32),
-                service: ContainerId(svc.0),
-                replica: self.layout.replica_of(slot),
-                phase,
-                active: self.active_replicas(svc),
-            });
         }
     }
 
@@ -196,310 +120,173 @@ impl ClusterState {
         self
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("allocation state poisoned")
+    }
+
+    /// True when `slot` is in lifecycle state `state` (lock-free read).
+    pub fn replica_is(&self, slot: usize, state: ReplicaState) -> bool {
+        self.replica_state[slot].load(Ordering::SeqCst) == state as u8
+    }
+
+    /// Active (non-draining) replicas of a service group (lock-free).
+    pub fn active_replicas(&self, svc: ServiceId) -> u32 {
+        self.layout
+            .slots_of(svc)
+            .filter(|&slot| self.replica_is(slot, ReplicaState::Active))
+            .count() as u32
+    }
+
     /// Node a container runs on.
     pub fn node_of(&self, id: ContainerId) -> NodeId {
-        self.node_of[id.index()]
+        self.owners.node_of(id.index())
     }
 
     /// Snapshot of a container's current allocation.
     pub fn alloc_of(&self, id: ContainerId) -> ContainerAlloc {
-        self.alloc.lock().unwrap().allocs[id.index()]
+        self.lock().ledger.alloc(id.index())
+    }
+
+    /// Actions clamped or rejected so far.
+    pub fn clamped(&self) -> u64 {
+        self.owners.clamped()
+    }
+
+    /// What `node`'s controller learns at start-up.
+    pub fn node_init(&self, cfg: &SimConfig, node: NodeId) -> NodeInit {
+        NodeInit::for_node(cfg, &self.lock().ledger, node)
+    }
+
+    /// Slots a fault targets (see [`AllocLedger::fault_targets`]).
+    pub fn fault_targets(&self, kind: FaultKind) -> Vec<(usize, bool)> {
+        self.lock().ledger.fault_targets(kind)
     }
 
     /// Reset the energy meter's measurement window (once, at
     /// `measure_start`).
-    pub fn reset_meter_window(&self, at: sg_core::time::SimTime) {
-        let mut cell = self.meter.lock().unwrap();
-        let at = cell.clamp(at);
-        cell.meter.reset_window(at);
+    pub fn reset_meter_window(&self, at: SimTime) {
+        let mut inner = self.lock();
+        let at = inner.meter_time(at);
+        inner.meter.reset_window(at);
     }
 
     /// Finalize: average cores and energy over the measurement window,
     /// plus the recorded allocation trace.
-    pub fn finish(
-        &self,
-        end: sg_core::time::SimTime,
-        measure_start: sg_core::time::SimTime,
-    ) -> (f64, f64, Option<AllocTrace>) {
-        let mut cell = self.meter.lock().unwrap();
-        let end = cell.clamp(end);
-        let avg_cores = cell.meter.avg_cores(end, measure_start);
-        let energy_j = cell.meter.energy_joules(end);
-        (avg_cores, energy_j, self.trace.lock().unwrap().take())
+    pub fn finish(&self, end: SimTime, measure_start: SimTime) -> (f64, f64, Option<AllocTrace>) {
+        let mut inner = self.lock();
+        let end = inner.meter_time(end);
+        let avg_cores = inner.meter.avg_cores(end, measure_start);
+        let energy_j = inner.meter.energy_joules(end);
+        (avg_cores, energy_j, inner.trace.take())
     }
 
-    /// Record an allocation change in the decision trace, if enabled.
-    fn emit_alloc(
+    /// Decide `action` (issued by `from`'s controller) and apply its
+    /// state effects. What is left for the request path — handing a
+    /// deferred `SetFreq` to the FirstResponder ring, spawning workers
+    /// for a spawned replica — stays in `fx` for the caller. `inflight`
+    /// is the caller's per-slot in-flight ledger.
+    pub fn decide(
         &self,
-        now: sg_core::time::SimTime,
-        id: ContainerId,
-        cores: u32,
-        freq_level: u8,
-        freq_ghz: f64,
-    ) {
-        if let Some(sink) = &self.sink {
-            sink.emit(TelemetryEvent::Alloc {
-                at: now,
-                container: id,
-                cores,
-                freq_level,
-                freq_ghz,
-            });
+        from: NodeId,
+        action: ControlAction,
+        inflight: &[AtomicU64],
+        fx: &mut Vec<Effect>,
+    ) -> ActionOutcome {
+        if let ControlAction::SetFreq { id, level } = action {
+            // Packet-hook path: ownership is all a SetFreq needs, so it
+            // never waits on the allocation lock.
+            return self.owners.decide_freq(from, id, level, fx);
         }
-    }
-
-    /// `SetCores`, with the simulator's exact clamping rules: local-node
-    /// only, min/max clamp, and growth limited to the node's spare budget.
-    pub fn apply_cores(&self, from_node: NodeId, id: ContainerId, cores: u32) -> ActionOutcome {
-        let i = id.index();
-        if self.node_of[i] != from_node {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            return ActionOutcome::RejectedCrossNode;
-        }
-        if self.replica_state_of(i) == REPLICA_INACTIVE {
-            // A retired replica holds no cores; stale actions targeting it
-            // are clamped, not silently revived — same rule as the sim.
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            return ActionOutcome::Clamped;
-        }
-        let now = self.clock.now();
-        let mut a = self.alloc.lock().unwrap();
-        let cons = &self.constraints;
-        let mut target = cores.clamp(cons.min_cores, cons.max_cores);
-        let current = a.allocs[i].cores;
-        let mut outcome = ActionOutcome::Applied;
-        if target > current {
-            let spare = cons.total_cores - a.node_alloc[from_node.index()];
-            let grant = (target - current).min(spare);
-            if grant < target - current {
-                self.clamped.fetch_add(1, Ordering::Relaxed);
-                outcome = ActionOutcome::Clamped;
+        let mut inner = self.lock();
+        // A replica is provably idle only once the load balancer can no
+        // longer pick it, i.e. after its Draining effect is applied — so
+        // nothing retires inside the decision, only right after.
+        let outcome = inner.ledger.decide(from, action, |_| false, fx);
+        for &effect in fx.iter() {
+            self.apply(&mut inner, effect);
+            if let Effect::Replica {
+                slot,
+                phase: ReplicaPhase::Draining,
+                ..
+            } = effect
+            {
+                self.retire_if_idle(&mut inner, slot, &inflight[slot]);
             }
-            target = current + grant;
         }
-        if target == current {
-            return outcome;
-        }
-        a.node_alloc[from_node.index()] = a.node_alloc[from_node.index()] + target - current;
-        a.allocs[i].cores = target;
-        let level = a.allocs[i].freq_level;
-        let bw = a.bw_caps[i];
-        drop(a);
-
-        self.gates[i].set_capacity(target, self.freq_table.speedup(level), bw);
-        let ghz = self.freq_table.ghz(level);
-        {
-            let mut cell = self.meter.lock().unwrap();
-            let t = cell.clamp(now);
-            cell.meter.set_state(t, i, target, ghz);
-        }
-        if let Some(tr) = self.trace.lock().unwrap().as_mut() {
-            tr.record(now, id, target, ghz);
-        }
-        self.emit_alloc(now, id, target, level, ghz);
         outcome
     }
 
-    /// `SetReplicas`: activate or drain replicas of `id`'s service group,
-    /// with the simulator's exact semantics — node-local only, spawns
-    /// granted the service's initial cores clamped to the node's spare
-    /// budget, scale-in draining (never killing) the highest-numbered
-    /// replicas, primary never drained. Returns the outcome plus the slots
-    /// freshly activated from `Inactive` (the caller spawns their worker
-    /// threads). `inflight` is the caller's per-slot in-flight ledger, so
-    /// an idle drained replica retires immediately.
-    pub fn apply_replicas(
-        &self,
-        from_node: NodeId,
-        id: ContainerId,
-        replicas: u32,
-        inflight: &[AtomicU64],
-    ) -> (ActionOutcome, Vec<usize>) {
-        let svc = self.layout.service_of(id.index());
-        if self.node_of[self.layout.slot_of(svc, 0)] != from_node {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            return (ActionOutcome::RejectedCrossNode, Vec::new());
+    /// A deferred `SetFreq` lands (FirstResponder worker thread, after
+    /// the configured apply delay).
+    pub fn land_freq(&self, id: ContainerId, level: u8) {
+        let mut inner = self.lock();
+        if let Some(effect) = inner.ledger.land_freq(id, level) {
+            self.apply(&mut inner, effect);
         }
-        // Out-of-range counts clamp silently, like SetCores' min/max.
-        let target = replicas.clamp(1, self.layout.max_replicas);
-        let mut outcome = ActionOutcome::Applied;
-        let mut spawned = Vec::new();
-        let now = self.clock.now();
-        let mut a = self.alloc.lock().unwrap();
-        let mut active = self.active_replicas(svc);
-        let slots: Vec<usize> = self.layout.slots_of(svc).collect();
-        if target > active {
-            for &slot in &slots {
-                if active >= target {
-                    break;
-                }
-                match self.replica_state[slot].load(Ordering::Acquire) {
-                    REPLICA_ACTIVE => {}
-                    REPLICA_DRAINING => {
-                        // Un-drain: the replica still holds its cores.
-                        self.replica_state[slot].store(REPLICA_ACTIVE, Ordering::Release);
-                        active += 1;
-                        self.emit_replica_lifecycle(slot, ReplicaPhase::Spawned);
-                    }
-                    _ => {
-                        let cons = &self.constraints;
-                        let want =
-                            self.initial_cores[svc.index()].clamp(cons.min_cores, cons.max_cores);
-                        let spare = cons.total_cores - a.node_alloc[from_node.index()];
-                        if spare < cons.min_cores {
-                            // Not even a minimal replica fits.
-                            self.clamped.fetch_add(1, Ordering::Relaxed);
-                            outcome = ActionOutcome::Clamped;
-                            break;
-                        }
-                        let grant = want.min(spare);
-                        if grant < want {
-                            self.clamped.fetch_add(1, Ordering::Relaxed);
-                            outcome = ActionOutcome::Clamped;
-                        }
-                        a.node_alloc[from_node.index()] += grant;
-                        a.allocs[slot].cores = grant;
-                        a.allocs[slot].freq_level = 0;
-                        let bw = a.bw_caps[slot];
-                        self.gates[slot].set_capacity(grant, self.freq_table.speedup(0), bw);
-                        {
-                            let mut cell = self.meter.lock().unwrap();
-                            let t = cell.clamp(now);
-                            cell.meter.set_state(t, slot, grant, self.freq_table.ghz(0));
-                        }
-                        self.replica_state[slot].store(REPLICA_ACTIVE, Ordering::Release);
-                        active += 1;
-                        spawned.push(slot);
-                        self.emit_replica_lifecycle(slot, ReplicaPhase::Spawned);
-                    }
-                }
-            }
-        } else if target < active {
-            for &slot in slots.iter().rev() {
-                if active <= target || self.layout.replica_of(slot) == 0 {
-                    break;
-                }
-                if self.replica_state[slot].load(Ordering::Acquire) != REPLICA_ACTIVE {
-                    continue;
-                }
-                self.replica_state[slot].store(REPLICA_DRAINING, Ordering::Release);
-                active -= 1;
-                self.emit_replica_lifecycle(slot, ReplicaPhase::Draining);
-                if inflight[slot].load(Ordering::Acquire) == 0 {
-                    self.retire_locked(&mut a, now, slot);
-                }
-            }
-        }
-        (outcome, spawned)
     }
 
     /// Retire `slot` if it is draining and its in-flight count reached
     /// zero. Called by the request path after each in-flight decrement.
     pub fn try_retire(&self, slot: usize, inflight: &AtomicU64) {
-        if self.replica_state_of(slot) != REPLICA_DRAINING {
-            return;
+        if self.replica_is(slot, ReplicaState::Draining) {
+            self.retire_if_idle(&mut self.lock(), slot, inflight);
         }
+    }
+
+    /// Pairs with `LiveCluster::pick_replica`: the Draining store is
+    /// published before this load, and a pick increments `inflight`
+    /// before re-reading the state, so (all `SeqCst`) either the count
+    /// seen here includes the pick or the pick sees the slot is no longer
+    /// active and goes elsewhere.
+    fn retire_if_idle(&self, inner: &mut Inner, slot: usize, inflight: &AtomicU64) {
+        if inflight.load(Ordering::SeqCst) == 0 {
+            for effect in inner.ledger.retire(slot).into_iter().flatten() {
+                self.apply(inner, effect);
+            }
+        }
+    }
+
+    /// Make one ledger effect real. Runs under the allocation lock, so
+    /// the clock read is ordered with every other applier's.
+    fn apply(&self, inner: &mut Inner, effect: Effect) {
         let now = self.clock.now();
-        let mut a = self.alloc.lock().unwrap();
-        if self.replica_state[slot].load(Ordering::Acquire) == REPLICA_DRAINING
-            && inflight.load(Ordering::Acquire) == 0
-        {
-            self.retire_locked(&mut a, now, slot);
+        if let Some(sink) = &self.sink {
+            if let Some(event) = inner.ledger.effect_event(now, effect) {
+                sink.emit(event);
+            }
         }
-    }
-
-    /// Release a draining replica's cores back to the node budget. Caller
-    /// holds the alloc lock. No `Alloc` event is emitted — the lifecycle
-    /// event carries the transition, and the clamp audit only counts core
-    /// changes explained by landed actions.
-    fn retire_locked(&self, a: &mut AllocState, now: sg_core::time::SimTime, slot: usize) {
-        self.replica_state[slot].store(REPLICA_INACTIVE, Ordering::Release);
-        let cores = a.allocs[slot].cores;
-        a.node_alloc[self.node_of[slot].index()] -= cores;
-        a.allocs[slot].cores = 0;
-        a.allocs[slot].freq_level = 0;
-        let bw = a.bw_caps[slot];
-        self.gates[slot].set_capacity(0, self.freq_table.speedup(0), bw);
-        {
-            let mut cell = self.meter.lock().unwrap();
-            let t = cell.clamp(now);
-            cell.meter.set_state(t, slot, 0, self.freq_table.ghz(0));
+        match effect {
+            Effect::Alloc {
+                slot,
+                alloc,
+                record,
+            } => {
+                let speedup = self.freq_table.speedup(alloc.freq_level);
+                self.gates[slot].set_capacity(alloc.cores, speedup, inner.bw_caps[slot]);
+                let ghz = self.freq_table.ghz(alloc.freq_level);
+                let t = inner.meter_time(now);
+                inner.meter.set_state(t, slot, alloc.cores, ghz);
+                if let (true, Some(tr)) = (record, &mut inner.trace) {
+                    tr.record(now, alloc.id, alloc.cores, ghz);
+                }
+            }
+            Effect::Replica { slot, phase, .. } => {
+                let state = match phase {
+                    ReplicaPhase::Spawned => ReplicaState::Active,
+                    ReplicaPhase::Draining => ReplicaState::Draining,
+                    ReplicaPhase::Retired => ReplicaState::Inactive,
+                };
+                self.replica_state[slot].store(state as u8, Ordering::SeqCst);
+            }
+            Effect::Bandwidth { slot, cap } => {
+                inner.bw_caps[slot] = cap;
+                let alloc = inner.ledger.alloc(slot);
+                let speedup = self.freq_table.speedup(alloc.freq_level);
+                self.gates[slot].set_capacity(alloc.cores, speedup, cap);
+            }
+            Effect::EgressHint { slot, hops } => self.hints[slot].store(hops, Ordering::Relaxed),
+            Effect::DeferFreq { .. } => {}
         }
-        self.emit_replica_lifecycle(slot, ReplicaPhase::Retired);
-    }
-
-    /// `SetFreq`, applied by the FirstResponder worker thread after the
-    /// configured apply delay. Same-node only: DVFS is a per-node register
-    /// write, so an update whose `from_node` does not own the container is
-    /// rejected and counted, exactly as on the simulator substrate.
-    pub fn apply_freq(&self, from_node: NodeId, id: ContainerId, level: u8) -> ActionOutcome {
-        let i = id.index();
-        if self.node_of[i] != from_node {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            return ActionOutcome::RejectedCrossNode;
-        }
-        if self.replica_state_of(i) == REPLICA_INACTIVE {
-            // A frequency update landing after the replica retired: drop
-            // it (mirrors the sim discarding a stale FreqApply event).
-            return ActionOutcome::Applied;
-        }
-        let level = level.min(self.freq_table.max_level());
-        let now = self.clock.now();
-        let mut a = self.alloc.lock().unwrap();
-        if a.allocs[i].freq_level == level {
-            return ActionOutcome::Applied;
-        }
-        a.allocs[i].freq_level = level;
-        let cores = a.allocs[i].cores;
-        let bw = a.bw_caps[i];
-        drop(a);
-
-        self.gates[i].set_capacity(cores, self.freq_table.speedup(level), bw);
-        let ghz = self.freq_table.ghz(level);
-        {
-            let mut cell = self.meter.lock().unwrap();
-            let t = cell.clamp(now);
-            cell.meter.set_state(t, i, cores, ghz);
-        }
-        if let Some(tr) = self.trace.lock().unwrap().as_mut() {
-            tr.record(now, id, cores, ghz);
-        }
-        self.emit_alloc(now, id, cores, level, ghz);
-        ActionOutcome::Applied
-    }
-
-    /// `SetBandwidth` (same-node only; `units` is tenths of a
-    /// core-equivalent, 0 uncaps).
-    pub fn apply_bandwidth(&self, from_node: NodeId, id: ContainerId, units: u32) -> ActionOutcome {
-        let i = id.index();
-        if self.node_of[i] != from_node {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            return ActionOutcome::RejectedCrossNode;
-        }
-        let cap = if units == 0 {
-            None
-        } else {
-            Some(units as f64 / 10.0)
-        };
-        let mut a = self.alloc.lock().unwrap();
-        a.bw_caps[i] = cap;
-        let cores = a.allocs[i].cores;
-        let level = a.allocs[i].freq_level;
-        drop(a);
-        self.gates[i].set_capacity(cores, self.freq_table.speedup(level), cap);
-        ActionOutcome::Applied
-    }
-
-    /// `SetEgressHint` (same-node only: the hint is stamped by the local
-    /// container runtime, which only its own node configures).
-    pub fn apply_hint(&self, from_node: NodeId, id: ContainerId, hops: u8) -> ActionOutcome {
-        let i = id.index();
-        if self.node_of[i] != from_node {
-            self.clamped.fetch_add(1, Ordering::Relaxed);
-            return ActionOutcome::RejectedCrossNode;
-        }
-        self.hints[i].store(hops, Ordering::Relaxed);
-        ActionOutcome::Applied
     }
 
     /// Close all gates (shutdown).
@@ -513,6 +300,7 @@ impl ClusterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sg_core::allocator::AllocConstraints;
     use sg_core::time::SimDuration;
     use sg_sim::app::{linear_chain, ConnModel};
     use sg_sim::cluster::Placement;
@@ -536,68 +324,65 @@ mod tests {
         ClusterState::new(&cfg, LiveClock::start())
     }
 
+    fn decide(s: &ClusterState, from: u32, action: ControlAction) -> ActionOutcome {
+        let inflight = [AtomicU64::new(0), AtomicU64::new(0)];
+        s.decide(NodeId(from), action, &inflight, &mut Vec::new())
+    }
+
     #[test]
     fn cores_clamp_to_node_budget() {
         let s = state();
         // 4 allocated of 8; growing c0 to 10 clamps at max_cores (6),
         // which the spare budget (4) covers exactly → 6, no budget clamp.
-        s.apply_cores(NodeId(0), ContainerId(0), 10);
-        assert_eq!(s.alloc_of(ContainerId(0)).cores, 6);
-        assert_eq!(s.clamped.load(Ordering::Relaxed), 0);
+        let id = ContainerId(0);
+        decide(&s, 0, ControlAction::SetCores { id, cores: 10 });
+        assert_eq!(s.alloc_of(id).cores, 6);
+        assert_eq!(s.clamped(), 0);
         // Node is now full (8/8): any further growth is budget-clamped.
-        s.apply_cores(NodeId(0), ContainerId(1), 4);
-        assert_eq!(s.alloc_of(ContainerId(1)).cores, 2);
-        assert_eq!(s.clamped.load(Ordering::Relaxed), 1);
+        let id = ContainerId(1);
+        decide(&s, 0, ControlAction::SetCores { id, cores: 4 });
+        assert_eq!(s.alloc_of(id).cores, 2);
+        assert_eq!(s.clamped(), 1);
     }
 
     #[test]
     fn remote_actions_are_rejected() {
         let s = state();
+        let id = ContainerId(0);
         assert_eq!(
-            s.apply_cores(NodeId(1), ContainerId(0), 4),
+            decide(&s, 1, ControlAction::SetCores { id, cores: 4 }),
             ActionOutcome::RejectedCrossNode
         );
-        assert_eq!(s.alloc_of(ContainerId(0)).cores, 2);
-        assert_eq!(s.clamped.load(Ordering::Relaxed), 1);
+        assert_eq!(s.alloc_of(id).cores, 2);
+        assert_eq!(s.clamped(), 1);
     }
 
     #[test]
     fn remote_freq_and_hint_are_rejected() {
         let s = state();
-        assert_eq!(
-            s.apply_freq(NodeId(1), ContainerId(0), 8),
-            ActionOutcome::RejectedCrossNode
-        );
-        assert_eq!(s.alloc_of(ContainerId(0)).freq_level, 0, "freq unchanged");
-        assert_eq!(
-            s.apply_hint(NodeId(1), ContainerId(0), 3),
-            ActionOutcome::RejectedCrossNode
-        );
+        let id = ContainerId(0);
+        let freq = ControlAction::SetFreq { id, level: 1 };
+        let hint = ControlAction::SetEgressHint { id, hops: 3 };
+        let bandwidth = ControlAction::SetBandwidth { id, units: 10 };
+        for action in [freq, hint, bandwidth] {
+            assert_eq!(decide(&s, 1, action), ActionOutcome::RejectedCrossNode);
+        }
         assert_eq!(s.hints[0].load(Ordering::Relaxed), 0, "hint unchanged");
-        assert_eq!(
-            s.apply_bandwidth(NodeId(1), ContainerId(0), 10),
-            ActionOutcome::RejectedCrossNode
-        );
-        assert_eq!(s.clamped.load(Ordering::Relaxed), 3);
+        assert_eq!(s.clamped(), 3);
         // The same calls from the owning node land.
-        assert_eq!(
-            s.apply_freq(NodeId(0), ContainerId(0), 1),
-            ActionOutcome::Applied
-        );
-        assert_eq!(s.alloc_of(ContainerId(0)).freq_level, 1);
-        assert_eq!(
-            s.apply_hint(NodeId(0), ContainerId(0), 3),
-            ActionOutcome::Applied
-        );
+        assert_eq!(decide(&s, 0, freq), ActionOutcome::Deferred);
+        s.land_freq(id, 1);
+        assert_eq!(s.alloc_of(id).freq_level, 1);
+        assert_eq!(decide(&s, 0, hint), ActionOutcome::Applied);
         assert_eq!(s.hints[0].load(Ordering::Relaxed), 3);
-        assert_eq!(s.clamped.load(Ordering::Relaxed), 3, "no new clamps");
+        assert_eq!(s.clamped(), 3, "no new clamps");
     }
 
     #[test]
     fn freq_level_saturates_at_table_max() {
         let s = state();
-        s.apply_freq(NodeId(0), ContainerId(1), 250);
+        s.land_freq(ContainerId(1), 250);
         let lvl = s.alloc_of(ContainerId(1)).freq_level;
-        assert!(lvl > 0);
+        assert_eq!(lvl, s.freq_table.max_level());
     }
 }

@@ -321,8 +321,9 @@ pub fn two_node_cfg(end: SimTime) -> SimConfig {
 /// A controller that keeps trying to manage a container on the *other*
 /// node, through every actuator with a cross-node failure mode: `SetFreq`
 /// (the FirstResponder apply path), `SetEgressHint` (the runtime
-/// stamping path) and `SetReplicas` (the replica-group lifecycle path).
-/// Every emission is counted so the harness-side rejection count can be
+/// stamping path) and `SetReplicas` (the replica-group lifecycle path),
+/// plus a `SetCores` on a container id that does not exist. Every
+/// emission is counted so the harness-side rejection count can be
 /// compared exactly.
 struct CrossNodeMeddler {
     victim: ContainerId,
@@ -341,8 +342,9 @@ impl Controller for CrossNodeMeddler {
         if self.is_owner {
             return Vec::new();
         }
-        // Not my container: both substrates must refuse all three actions.
-        self.emitted.fetch_add(3, Ordering::Relaxed);
+        // Not my container — or, for the last one, nobody's: an id past
+        // every slot. Both substrates must refuse all four actions.
+        self.emitted.fetch_add(4, Ordering::Relaxed);
         vec![
             ControlAction::SetFreq {
                 id: self.victim,
@@ -355,6 +357,10 @@ impl Controller for CrossNodeMeddler {
             ControlAction::SetReplicas {
                 id: self.victim,
                 replicas: 2,
+            },
+            ControlAction::SetCores {
+                id: ContainerId(u32::MAX),
+                cores: 4,
             },
         ]
     }
@@ -397,8 +403,8 @@ impl ControllerFactory for CrossNodeMeddlerFactory {
 }
 
 /// Decentralization check (the ownership bugfix this PR enforces): every
-/// cross-node `SetFreq`/`SetEgressHint`/`SetReplicas` the meddler emitted
-/// must be rejected and counted — no more, no fewer — and none may reach
+/// cross-node `SetFreq`/`SetEgressHint`/`SetReplicas` (and the `SetCores`
+/// on a nonexistent id) the meddler emitted must be rejected and counted — no more, no fewer — and none may reach
 /// the FirstResponder boost counter or the victim's allocation.
 pub fn assert_cross_node_control_rejected(backend: Backend, result: &RunResult, emitted: u64) {
     let label = backend.label();

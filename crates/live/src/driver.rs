@@ -17,7 +17,8 @@ use sg_core::metrics::{MetricsWindow, WindowMetrics};
 use sg_core::time::{SimDuration, SimTime};
 use sg_sim::app::TaskGraph;
 use sg_sim::cluster::SimConfig;
-use sg_sim::controller::{ContainerInit, ControllerFactory, NodeInit};
+use sg_sim::controller::ControllerFactory;
+use sg_sim::ledger::ReplicaState;
 use sg_sim::network::Network;
 use sg_sim::runner::{ProfileStats, RunResult};
 use sg_telemetry::profile::{LiveProfiler, ProfileMark};
@@ -148,8 +149,6 @@ pub fn run_live_with_stats(
         "arrivals must be sorted"
     );
     let n = cfg.graph.len();
-    let layout = sg_core::replica::ReplicaLayout::new(n, cfg.max_replicas);
-    let n_slots = layout.n_slots();
     let clock = LiveClock::start();
     let wall_start = std::time::Instant::now();
 
@@ -225,52 +224,15 @@ pub fn run_live_with_stats(
         state = state.with_telemetry(Arc::clone(s));
     }
     let state = Arc::new(state);
+    let layout = state.layout;
+    let n_slots = layout.n_slots();
 
-    // Controllers: identical construction to `Simulation::new`, so the
-    // factory cannot tell which substrate it is wiring into.
+    // Controllers: wired through the same `NodeInit::for_node` as
+    // `Simulation::new`, so the factory cannot tell which substrate it
+    // is on.
     let mut controllers = Vec::with_capacity(cfg.placement.nodes as usize);
     for node in 0..cfg.placement.nodes {
-        let node = NodeId(node);
-        // One ContainerInit per initially ACTIVE replica slot,
-        // primary-first per service — identical to the sim's wiring.
-        let container_inits: Vec<ContainerInit> = cfg
-            .placement
-            .services_on(node)
-            .into_iter()
-            .flat_map(|s| {
-                layout
-                    .slots_of(s)
-                    .filter(|&slot| layout.replica_of(slot) < cfg.initial_replicas_of(s.index()))
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(move |slot| (s, slot))
-            })
-            .map(|(s, slot)| {
-                let local_downstream: Vec<ContainerId> = cfg
-                    .graph
-                    .children(s)
-                    .filter(|c| cfg.placement.node(*c) == node)
-                    .map(|c| ContainerId(c.0))
-                    .collect();
-                ContainerInit {
-                    id: ContainerId(slot as u32),
-                    service: s,
-                    name: cfg.graph.services[s.index()].name.clone(),
-                    params: cfg.params[s.index()],
-                    local_downstream,
-                    initial: state.alloc_of(ContainerId(slot as u32)),
-                }
-            })
-            .collect();
-        let mut controller = factory.make(NodeInit {
-            node,
-            containers: container_inits,
-            constraints: cfg.constraints,
-            freq_table: cfg.freq_table.clone(),
-            e2e_low_load: cfg.e2e_low_load,
-            max_container_id: n_slots - 1,
-            max_replicas: cfg.max_replicas,
-        });
+        let mut controller = factory.make(state.node_init(&cfg, NodeId(node)));
         if let Some(s) = &sink {
             controller.attach_telemetry(Arc::clone(s));
         }
@@ -285,7 +247,7 @@ pub fn run_live_with_stats(
         if !apply_delay.is_zero() {
             std::thread::sleep(std::time::Duration::from_nanos(apply_delay.as_nanos()));
         }
-        apply_state.apply_freq(update.from, update.container, update.level);
+        apply_state.land_freq(update.container, update.level);
     });
 
     let mut network = Network::new(cfg.network);
@@ -361,7 +323,7 @@ pub fn run_live_with_stats(
     // Workers for the initially active slots; later activations spawn
     // theirs on demand (LiveCluster::ensure_workers).
     for slot in 0..n_slots {
-        if cluster.state.replica_state_of(slot) == crate::cluster::REPLICA_ACTIVE {
+        if cluster.state.replica_is(slot, ReplicaState::Active) {
             cluster.ensure_workers(slot);
         }
     }
@@ -575,7 +537,7 @@ pub fn run_live_with_stats(
         profile,
         alloc_trace,
         peak_in_flight: cluster.peak_in_flight.load(Ordering::Relaxed),
-        clamped_actions: state.clamped.load(Ordering::Relaxed),
+        clamped_actions: state.clamped(),
         packet_freq_boosts: cluster.packet_freq_boosts.load(Ordering::Relaxed),
     };
     let ring_stats = ring_stats.unwrap_or_default();

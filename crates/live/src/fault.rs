@@ -28,38 +28,7 @@ use sg_core::time::SimTime;
 use sg_telemetry::TelemetryEvent;
 use std::sync::Arc;
 
-use crate::cluster::REPLICA_INACTIVE;
-
 impl LiveCluster {
-    /// Replica slots a crash/node-loss/straggler fault slows down —
-    /// the live mirror of the sim's `fault_slots`: inactive slots are
-    /// skipped, draining slots are included.
-    fn fault_slots(&self, kind: FaultKind) -> Vec<usize> {
-        let hit = |slot: usize| self.state.replica_state_of(slot) != REPLICA_INACTIVE;
-        match kind {
-            FaultKind::ContainerCrash { service } => self
-                .state
-                .layout
-                .slots_of(ServiceId(service.0))
-                .filter(|&s| hit(s))
-                .collect(),
-            FaultKind::NodeLoss { node } => (0..self.state.layout.n_slots())
-                .filter(|&s| self.state.node_of(ContainerId(s as u32)) == node && hit(s))
-                .collect(),
-            FaultKind::Straggler {
-                service, replica, ..
-            } => {
-                let slot = self.state.layout.slot_of(ServiceId(service.0), replica);
-                if hit(slot) {
-                    vec![slot]
-                } else {
-                    Vec::new()
-                }
-            }
-            FaultKind::PoolLeak { .. } | FaultKind::NetworkJitter { .. } => Vec::new(),
-        }
-    }
-
     /// Apply `op` to every connection pool feeding `target` (every caller
     /// edge toward it, every callee-replica pool on that edge).
     fn for_pools_toward(&self, target: ServiceId, op: impl Fn(&crate::pool::LiveConnPool)) {
@@ -99,64 +68,51 @@ impl LiveCluster {
         }
     }
 
-    fn fault_start(&self, now: SimTime, kind: FaultKind) {
+    /// A fault window opens (`active`) or closes.
+    fn fault_edge(&self, now: SimTime, kind: FaultKind, active: bool) {
         match kind {
             FaultKind::ContainerCrash { .. }
             | FaultKind::NodeLoss { .. }
             | FaultKind::Straggler { .. } => {
                 let speed = match kind {
+                    _ if !active => 1.0,
                     FaultKind::Straggler { slowdown, .. } => 1.0 / slowdown,
                     _ => 1.0 / CRASH_SLOWDOWN,
                 };
-                for slot in self.fault_slots(kind) {
-                    self.state.gates[slot].set_fault_speed(speed);
+                for (slot, provisioned) in self.state.fault_targets(kind) {
+                    // Only provisioned slots are slowed; every targeted
+                    // slot is restored, whatever became of it meanwhile.
+                    if provisioned || !active {
+                        self.state.gates[slot].set_fault_speed(speed);
+                    }
+                    // A crash or node loss ends in a restart: the node's
+                    // controller is told its profiled state is stale. A
+                    // straggler recovers in place, no notice.
+                    if !active && provisioned && !matches!(kind, FaultKind::Straggler { .. }) {
+                        let node = self.state.node_of(ContainerId(slot as u32));
+                        self.controllers[node.index()].lock().unwrap().on_fault(
+                            now,
+                            FaultNotice::Restarted {
+                                container: ContainerId(slot as u32),
+                            },
+                        );
+                    }
                 }
             }
             FaultKind::PoolLeak {
                 service,
                 connections,
-            } => {
-                self.for_pools_toward(ServiceId(service.0), |pool| pool.leak(connections));
-            }
-            FaultKind::NetworkJitter { .. } => {
-                // Static: the surge window was installed at construction.
-            }
-        }
-        self.emit_fault(now, kind, true);
-    }
-
-    fn fault_end(&self, now: SimTime, kind: FaultKind) {
-        match kind {
-            FaultKind::ContainerCrash { .. } | FaultKind::NodeLoss { .. } => {
-                // Restart: full speed again, and the node's controller is
-                // told its profiled state about the container is stale.
-                for slot in self.fault_slots(kind) {
-                    self.state.gates[slot].set_fault_speed(1.0);
-                    let node = self.state.node_of(ContainerId(slot as u32));
-                    self.controllers[node.index()].lock().unwrap().on_fault(
-                        now,
-                        FaultNotice::Restarted {
-                            container: ContainerId(slot as u32),
-                        },
-                    );
+            } => self.for_pools_toward(ServiceId(service.0), |pool| {
+                if active {
+                    pool.leak(connections)
+                } else {
+                    pool.unleak(connections)
                 }
-            }
-            FaultKind::Straggler { .. } => {
-                // The replica recovers in place: no state was lost, so no
-                // restart notice.
-                for slot in self.fault_slots(kind) {
-                    self.state.gates[slot].set_fault_speed(1.0);
-                }
-            }
-            FaultKind::PoolLeak {
-                service,
-                connections,
-            } => {
-                self.for_pools_toward(ServiceId(service.0), |pool| pool.unleak(connections));
-            }
+            }),
+            // Static: the surge window was installed at construction.
             FaultKind::NetworkJitter { .. } => {}
         }
-        self.emit_fault(now, kind, false);
+        self.emit_fault(now, kind, active);
     }
 
     /// Injector thread body: walk every fault boundary in time order
@@ -175,11 +131,7 @@ impl LiveCluster {
             }
             let now = self.clock.now();
             let kind = self.cfg.faults.faults[i].kind;
-            if is_end {
-                self.fault_end(now, kind);
-            } else {
-                self.fault_start(now, kind);
-            }
+            self.fault_edge(now, kind, !is_end);
         }
     }
 }

@@ -18,7 +18,7 @@
 //! [`CoreGate`]: crate::throttle::CoreGate
 
 use crate::clock::LiveClock;
-use crate::cluster::{ClusterState, REPLICA_ACTIVE, REPLICA_INACTIVE};
+use crate::cluster::ClusterState;
 use crate::net::DelayLine;
 use crate::pool::LiveConnPool;
 use crate::sync::{Dispatch, Job, JobQueue, JobSpan, ReplySlot, ReplyTo};
@@ -36,12 +36,13 @@ use sg_sim::app::CallMode;
 use sg_sim::cluster::SimConfig;
 use sg_sim::container::sample_work;
 use sg_sim::controller::{ControlAction, Controller};
+use sg_sim::ledger::{action_event, Effect, ReplicaState};
 use sg_sim::network::Network;
 use sg_telemetry::metrics::slack_p50_p99;
 use sg_telemetry::profile::{LiveProfiler, ProfilePhase};
 use sg_telemetry::{
-    ActionKind, ActionOrigin, ActionOutcome, AggRuntime, MetricId, MetricSample, SharedSink,
-    SpanRecord, TelemetryEvent,
+    ActionOrigin, AggRuntime, MetricId, MetricSample, ReplicaPhase, SharedSink, SpanRecord,
+    TelemetryEvent,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -131,108 +132,49 @@ pub struct LiveCluster {
 }
 
 impl LiveCluster {
-    /// Apply controller actions, counting packet-hook `SetFreq` as
-    /// FirstResponder boosts — same attribution as the sim.
+    /// Run controller actions through the shared ledger, counting
+    /// packet-hook `SetFreq` as FirstResponder boosts — same attribution
+    /// as the sim. [`ClusterState::decide`] applies the allocation-state
+    /// effects; what is left here is the request path's share.
     pub fn apply_actions(
         self: &Arc<Self>,
         node: NodeId,
         actions: Vec<ControlAction>,
-        in_packet_hook: bool,
+        origin: ActionOrigin,
     ) {
-        let origin = if in_packet_hook {
-            ActionOrigin::PacketHook
-        } else {
-            ActionOrigin::Tick
-        };
+        let mut fx = Vec::new();
         for action in actions {
-            match action {
-                ControlAction::SetCores { id, cores } => {
-                    let outcome = self.state.apply_cores(node, id, cores);
-                    self.emit_action(node, id, origin, ActionKind::SetCores { cores }, outcome);
-                }
-                ControlAction::SetFreq { id, level } => {
-                    let kind = ActionKind::SetFreq { level };
-                    // Reject cross-node boosts on the submitting side, so
-                    // they are counted exactly like the sim and never
-                    // consume FirstResponder queue space. The apply side
-                    // re-checks via `FreqUpdate::from` (defense in depth).
-                    if self.state.node_of(id) != node {
-                        self.state.clamped.fetch_add(1, Ordering::Relaxed);
-                        self.emit_action(node, id, origin, kind, ActionOutcome::RejectedCrossNode);
-                        continue;
+            let outcome = self.state.decide(node, action, &self.inflight, &mut fx);
+            for effect in fx.drain(..) {
+                match effect {
+                    Effect::DeferFreq { id, level } => {
+                        if origin == ActionOrigin::PacketHook {
+                            self.packet_freq_boosts.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if let Some(fr) = self.fr.lock().unwrap().as_mut() {
+                            fr.submit(FreqUpdate {
+                                from: node,
+                                container: id,
+                                level,
+                            });
+                        }
                     }
-                    if in_packet_hook {
-                        self.packet_freq_boosts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(fr) = self.fr.lock().unwrap().as_mut() {
-                        fr.submit(FreqUpdate {
-                            from: node,
-                            container: id,
-                            level,
-                        });
-                    }
-                    self.emit_action(node, id, origin, kind, ActionOutcome::Deferred);
+                    Effect::Replica {
+                        slot,
+                        phase: ReplicaPhase::Spawned,
+                        ..
+                    } => self.ensure_workers(slot),
+                    _ => {}
                 }
-                ControlAction::SetBandwidth { id, units } => {
-                    let outcome = self.state.apply_bandwidth(node, id, units);
-                    self.emit_action(
-                        node,
-                        id,
-                        origin,
-                        ActionKind::SetBandwidth { units },
-                        outcome,
-                    );
-                }
-                ControlAction::SetEgressHint { id, hops } => {
-                    let outcome = self.state.apply_hint(node, id, hops);
-                    self.emit_action(
-                        node,
-                        id,
-                        origin,
-                        ActionKind::SetEgressHint { hops },
-                        outcome,
-                    );
-                }
-                ControlAction::SetReplicas { id, replicas } => {
-                    let (outcome, spawned) =
-                        self.state
-                            .apply_replicas(node, id, replicas, &self.inflight);
-                    for slot in spawned {
-                        self.ensure_workers(slot);
-                    }
-                    self.emit_action(
-                        node,
-                        id,
-                        origin,
-                        ActionKind::SetReplicas { replicas },
-                        outcome,
-                    );
-                }
+            }
+            if let Some(sink) = &self.sink {
+                let at = self.clock.now();
+                sink.emit(action_event(at, node, origin, action, outcome));
             }
         }
     }
 
-    fn emit_action(
-        &self,
-        node: NodeId,
-        container: ContainerId,
-        origin: ActionOrigin,
-        kind: ActionKind,
-        outcome: ActionOutcome,
-    ) {
-        if let Some(sink) = &self.sink {
-            sink.emit(TelemetryEvent::Action {
-                at: self.clock.now(),
-                node,
-                container,
-                origin,
-                kind,
-                outcome,
-            });
-        }
-    }
-
-    /// Spawn worker threads for a freshly activated replica slot, once.
+    /// Spawn worker threads for an activated replica slot, once.
     /// Threads outlive retirement (the queue stays open; a retired slot
     /// simply receives no new jobs) and are joined at run teardown, so a
     /// later re-activation reuses them.
@@ -264,7 +206,7 @@ impl LiveCluster {
                 .state
                 .layout
                 .slots_of(svc)
-                .filter(|&slot| self.state.replica_state_of(slot) == REPLICA_ACTIVE)
+                .filter(|&slot| self.state.replica_is(slot, ReplicaState::Active))
                 .collect();
             let slot = match active.len() {
                 0 => self.state.layout.slot_of(svc, 0),
@@ -281,13 +223,15 @@ impl LiveCluster {
                 }
             };
             // Commit the dispatch before re-reading the state: a concurrent
-            // try_retire either sees our increment (and stays draining) or
-            // already retired — in which case we undo and re-pick.
-            self.inflight[slot].fetch_add(1, Ordering::AcqRel);
-            if self.state.replica_state_of(slot) != REPLICA_INACTIVE {
+            // retire either sees our increment (and stays draining) or has
+            // already published that the slot stopped taking new work — in
+            // which case we undo and re-pick. The primary is never drained,
+            // so the forced pick above always passes.
+            self.inflight[slot].fetch_add(1, Ordering::SeqCst);
+            if self.state.replica_is(slot, ReplicaState::Active) {
                 return slot;
             }
-            self.inflight[slot].fetch_sub(1, Ordering::AcqRel);
+            self.inflight[slot].fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -358,7 +302,7 @@ impl LiveCluster {
                     });
                 }
             }
-            self.apply_actions(node, actions, true);
+            self.apply_actions(node, actions, ActionOrigin::PacketHook);
         }
         if let Some(s) = &mut span {
             // Stamp what the rx hook saw; any boost this packet triggers
@@ -738,7 +682,7 @@ impl LiveCluster {
                         self.state
                             .layout
                             .slots_of(s)
-                            .filter(|&slot| self.state.replica_state_of(slot) == REPLICA_ACTIVE)
+                            .filter(|&slot| self.state.replica_is(slot, ReplicaState::Active))
                             .collect::<Vec<_>>()
                     })
                     .map(|slot| sg_sim::controller::ContainerSnapshot {
@@ -777,7 +721,7 @@ impl LiveCluster {
                 .lock()
                 .unwrap()
                 .on_tick(now, &snapshot);
-            self.apply_actions(NodeId(node as u32), actions, false);
+            self.apply_actions(NodeId(node as u32), actions, ActionOrigin::Tick);
             if let (Some(p), Some(t0)) = (&self.profiler, tick0) {
                 p.record(ProfilePhase::LiveTick, t0.elapsed().as_nanos() as u64);
             }
@@ -821,7 +765,7 @@ impl LiveCluster {
     /// retired replicas stop being sampled, so their series simply end).
     fn sample_metrics(&self, now: SimTime, sink: &SharedSink) {
         for c in 0..self.state.layout.n_slots() {
-            if self.state.replica_state_of(c) != REPLICA_ACTIVE {
+            if !self.state.replica_is(c, ReplicaState::Active) {
                 continue;
             }
             let id = ContainerId(c as u32);

@@ -12,15 +12,17 @@
 
 use sg_controllers::SurgeGuardFactory;
 use sg_core::fault::{FaultKind, FaultPlan, FaultSpec};
-use sg_core::ids::{NodeId, ServiceId};
+use sg_core::ids::{ContainerId, NodeId, ServiceId};
 use sg_core::time::{SimDuration, SimTime};
 use sg_live::conformance::{
-    assert_fault_degrades, constant_arrivals, run_backend, run_backend_with_opts, two_node_cfg,
-    two_stage_cfg, upstream_conn_wait, Backend,
+    assert_fault_degrades, constant_arrivals, mean_latency, run_backend, run_backend_with_opts,
+    two_node_cfg, two_stage_cfg, upstream_conn_wait, Backend,
 };
 use sg_live::LiveOpts;
 use sg_sim::app::ConnModel;
-use sg_sim::controller::NoopFactory;
+use sg_sim::controller::{
+    ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot, NoopFactory,
+};
 
 /// One fault over `[100 ms, 250 ms)`.
 fn one_fault(kind: FaultKind) -> FaultPlan {
@@ -155,5 +157,84 @@ fn straggler_replica_degrades_on_both_backends() {
         });
         let (faulted, _) = run_backend(backend, cfg, &NoopFactory, arrivals);
         assert_fault_degrades(backend, &clean, &faulted, "straggler");
+    }
+}
+
+/// Emits `SetReplicas` for the straggling group at scripted times; its
+/// own factory (every node gets a copy, only the owner's lands).
+#[derive(Clone)]
+struct ReplicaScript(Vec<(SimTime, u32)>);
+
+impl Controller for ReplicaScript {
+    fn name(&self) -> &'static str {
+        "replica-script"
+    }
+    fn tick_interval(&self) -> SimDuration {
+        SimDuration::from_millis(10)
+    }
+    fn on_tick(&mut self, now: SimTime, _s: &NodeSnapshot) -> Vec<ControlAction> {
+        let due = self.0.iter().take_while(|(at, _)| *at <= now).count();
+        let id = ContainerId(1);
+        self.0
+            .drain(..due)
+            .map(|(_, replicas)| ControlAction::SetReplicas { id, replicas })
+            .collect()
+    }
+}
+
+impl ControllerFactory for ReplicaScript {
+    fn name(&self) -> &'static str {
+        "replica-script"
+    }
+    fn make(&self, _init: NodeInit) -> Box<dyn Controller> {
+        Box::new(self.clone())
+    }
+}
+
+/// A straggler window must not outlive the replica it hit: replica 1 is
+/// scaled in (idle, so it retires at once) while its window is open and
+/// scaled back out after the window closed, and must then serve at full
+/// speed. Traffic only starts after the respawn, so every request sees
+/// the respawned replica; the run must look like the same scale-in/out
+/// without the fault. (A gate left at 1/50 earns tokens too slowly to
+/// ever admit a request on the live substrate, so there the symptom is
+/// lost completions; on the simulator it is latency.)
+#[test]
+fn straggler_speed_does_not_outlive_a_retired_replica_on_both_backends() {
+    let end = SimTime::from_millis(600);
+    let script = || {
+        ReplicaScript(vec![
+            (SimTime::from_millis(120), 1),
+            (SimTime::from_millis(300), 2),
+        ])
+    };
+    for backend in Backend::both() {
+        let mut arrivals = constant_arrivals(300.0, SimTime::from_millis(550));
+        arrivals.retain(|&t| t >= SimTime::from_millis(320));
+        let mut base = two_stage_cfg(ConnModel::PerRequest, end);
+        base.max_replicas = 2;
+        base.initial_replicas = vec![1, 2];
+        let (clean, _) = run_backend(backend, base.clone(), &script(), arrivals.clone());
+        let mut cfg = base;
+        cfg.faults = one_fault(FaultKind::Straggler {
+            service: ServiceId(1),
+            replica: 1,
+            slowdown: 50.0,
+        });
+        let (faulted, _) = run_backend(backend, cfg, &script(), arrivals);
+        let label = backend.label();
+        assert!(clean.completed > 50, "[{label}] scenario too thin");
+        assert!(
+            faulted.completed * 10 >= clean.completed * 9,
+            "[{label}] respawned replica lost requests: {} completed vs {} without the fault",
+            faulted.completed,
+            clean.completed
+        );
+        let (clean_mean, faulted_mean) = (mean_latency(&clean), mean_latency(&faulted));
+        assert!(
+            faulted_mean < clean_mean * 2,
+            "[{label}] respawned replica still runs slow: mean {faulted_mean} vs {clean_mean} \
+             without the fault"
+        );
     }
 }

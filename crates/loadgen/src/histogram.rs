@@ -117,9 +117,7 @@ impl LatencyHistogram {
         Some(SimDuration::from_nanos(self.max_ns))
     }
 
-    /// Reset to empty while keeping the bucket allocation (~15 KiB at the
-    /// default resolution) — lets a multi-trial harness reuse one
-    /// histogram instead of re-zeroing a fresh `Vec` per trial.
+    /// Reset to empty while keeping the bucket allocation.
     pub fn clear(&mut self) {
         self.counts.fill(0);
         self.total = 0;

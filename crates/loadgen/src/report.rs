@@ -51,34 +51,6 @@ impl RunReport {
         energy_j: f64,
     ) -> Self {
         let mut hist = LatencyHistogram::with_default_resolution();
-        Self::from_points_reusing(
-            &mut hist,
-            points,
-            qos,
-            window_start,
-            window_end,
-            avg_cores,
-            energy_j,
-        )
-    }
-
-    /// [`RunReport::from_points`] with a caller-provided scratch
-    /// histogram: `hist` is cleared, filled, and left holding this run's
-    /// samples. A multi-trial harness passes the same histogram every
-    /// trial so the bucket `Vec` is allocated once per worker, not once
-    /// per trial. Results are identical to `from_points` (clearing resets
-    /// every statistic).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_points_reusing(
-        hist: &mut LatencyHistogram,
-        points: &[LatencyPoint],
-        qos: SimDuration,
-        window_start: SimTime,
-        window_end: SimTime,
-        avg_cores: f64,
-        energy_j: f64,
-    ) -> Self {
-        hist.clear();
         let mut n = 0u64;
         for p in points {
             if p.completion >= window_start && p.completion <= window_end {
@@ -193,27 +165,6 @@ mod tests {
         assert!(r.violation_volume > 0.0);
         assert!((r.violation_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!(r.max >= SimDuration::from_millis(49));
-    }
-
-    /// The scratch-histogram path must produce the identical report even
-    /// when the scratch arrives dirty from a previous trial.
-    #[test]
-    fn from_points_reusing_matches_from_points() {
-        let pts = vec![pt(10, 5), pt(20, 50), pt(30, 5), pt(40, 12)];
-        let qos = SimDuration::from_millis(10);
-        let (ws, we) = (SimTime::ZERO, SimTime::from_millis(100));
-        let baseline = RunReport::from_points(&pts, qos, ws, we, 3.0, 42.0);
-        let mut scratch = LatencyHistogram::with_default_resolution();
-        for i in 0..5000 {
-            scratch.record(SimDuration::from_micros(i)); // dirty it
-        }
-        let reused = RunReport::from_points_reusing(&mut scratch, &pts, qos, ws, we, 3.0, 42.0);
-        assert_eq!(baseline.requests, reused.requests);
-        assert_eq!(baseline.p50, reused.p50);
-        assert_eq!(baseline.p98, reused.p98);
-        assert_eq!(baseline.max, reused.max);
-        assert_eq!(baseline.mean, reused.mean);
-        assert!((baseline.violation_volume - reused.violation_volume).abs() < 1e-15);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   [`Controller::tick_interval`] with freshly flushed per-container
 //!   window metrics (the "shared files" the container runtimes write).
 
+use crate::cluster::SimConfig;
+use crate::ledger::{AllocLedger, ReplicaState};
 use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
 use sg_core::config::ContainerParams;
 use sg_core::fault::FaultNotice;
@@ -62,6 +64,46 @@ pub struct NodeInit {
     pub max_container_id: usize,
     /// Upper bound on replicas per service group (1 = vertical-only).
     pub max_replicas: u32,
+}
+
+impl NodeInit {
+    /// What `node`'s controller learns at start-up: one [`ContainerInit`]
+    /// per initially active replica slot of the services it hosts,
+    /// primary-first per service. Both substrates wire controllers
+    /// through this, so a factory cannot tell which one it is on.
+    pub fn for_node(cfg: &SimConfig, ledger: &AllocLedger, node: NodeId) -> Self {
+        let layout = ledger.layout();
+        let mut containers = Vec::new();
+        for s in cfg.placement.services_on(node) {
+            let local_downstream: Vec<ContainerId> = cfg
+                .graph
+                .children(s)
+                .filter(|c| cfg.placement.node(*c) == node)
+                .map(|c| ContainerId(c.0))
+                .collect();
+            for slot in layout.slots_of(s) {
+                if ledger.state(slot) == ReplicaState::Active {
+                    containers.push(ContainerInit {
+                        id: ContainerId(slot as u32),
+                        service: s,
+                        name: cfg.graph.services[s.index()].name.clone(),
+                        params: cfg.params[s.index()],
+                        local_downstream: local_downstream.clone(),
+                        initial: ledger.alloc(slot),
+                    });
+                }
+            }
+        }
+        NodeInit {
+            node,
+            containers,
+            constraints: cfg.constraints,
+            freq_table: cfg.freq_table.clone(),
+            e2e_low_load: cfg.e2e_low_load,
+            max_container_id: layout.n_slots() - 1,
+            max_replicas: cfg.max_replicas,
+        }
+    }
 }
 
 /// Per-container state at a controller tick.

@@ -107,37 +107,6 @@ struct HeapKey {
 
 type Entry = (HeapKey, Event);
 
-/// Recycled backing storage for an [`Engine`]'s pending-event queue.
-///
-/// A trial-sized run grows the queue to thousands of entries; the
-/// multi-trial experiment protocol used to re-grow those allocations
-/// from scratch every trial. `Engine::into_storage` hands the (emptied)
-/// allocations back so the next trial starts with full capacity. Events
-/// are stored **inline** in the queue entries — small `Copy` payloads,
-/// never boxed — so recycling the backing `Vec`s recycles everything.
-/// The same storage serves both [`QueueKind`]s: the heap backend uses
-/// the `heap` vec, the wheel backend uses it for its overflow heap and
-/// additionally recycles the per-slot vecs.
-#[derive(Debug, Default)]
-pub struct EngineStorage {
-    heap: Vec<Reverse<Entry>>,
-    slots: Vec<Vec<Entry>>,
-    active: Vec<Entry>,
-    scratch: Vec<Entry>,
-}
-
-impl EngineStorage {
-    /// Total capacity of the recycled allocations, in events. Non-zero
-    /// iff the storage was harvested from a previous run (the profiler's
-    /// buffer-reuse marks key off this).
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-            + self.active.capacity()
-            + self.scratch.capacity()
-            + self.slots.iter().map(Vec::capacity).sum::<usize>()
-    }
-}
-
 /// Hierarchical timer wheel: the O(1)-amortized queue backend.
 ///
 /// Slots hold unsorted `(key, event)` entries; a level-0 slot is sorted
@@ -174,40 +143,20 @@ struct Wheel {
 }
 
 impl Wheel {
-    fn with_storage(storage: EngineStorage) -> Self {
-        let mut slots = storage.slots;
-        for s in &mut slots {
-            s.clear();
-        }
-        slots.resize_with(WHEEL_LEVELS * SLOTS, Vec::new);
-        let mut heap_vec = storage.heap;
-        heap_vec.clear();
-        let mut active = storage.active;
-        active.clear();
-        let mut scratch = storage.scratch;
-        scratch.clear();
+    fn new() -> Self {
         Wheel {
             maps: [0; WHEEL_LEVELS],
-            slots,
-            active,
+            slots: (0..WHEEL_LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            active: Vec::new(),
             cursor: 0,
             active_live: false,
             cur: 0,
-            overflow: BinaryHeap::from(heap_vec),
+            overflow: BinaryHeap::new(),
             promo_anchor: 0,
-            scratch,
+            scratch: Vec::new(),
             level_count: [0; WHEEL_LEVELS],
             level_high: [0; WHEEL_LEVELS],
             overflow_high: 0,
-        }
-    }
-
-    fn into_storage(self) -> EngineStorage {
-        EngineStorage {
-            heap: self.overflow.into_vec(),
-            slots: self.slots,
-            active: self.active,
-            scratch: self.scratch,
         }
     }
 
@@ -433,21 +382,9 @@ impl Engine {
 
     /// Empty engine at time zero with an explicit queue backend.
     pub fn new_with(kind: QueueKind) -> Self {
-        Self::with_storage(kind, EngineStorage::default())
-    }
-
-    /// Empty engine at time zero, reusing a previous engine's queue
-    /// allocations (see [`EngineStorage`]).
-    pub fn with_storage(kind: QueueKind, storage: EngineStorage) -> Self {
         let queue = match kind {
-            QueueKind::Heap => {
-                let mut vec = storage.heap;
-                vec.clear();
-                // `BinaryHeap::from` on an empty Vec is O(1) and keeps
-                // the allocation.
-                Queue::Heap(BinaryHeap::from(vec))
-            }
-            QueueKind::Wheel => Queue::Wheel(Wheel::with_storage(storage)),
+            QueueKind::Heap => Queue::Heap(BinaryHeap::new()),
+            QueueKind::Wheel => Queue::Wheel(Wheel::new()),
         };
         Engine {
             queue,
@@ -456,17 +393,6 @@ impl Engine {
             processed: 0,
             len: 0,
             high_water: 0,
-        }
-    }
-
-    /// Tear the engine down, recycling the queue allocations.
-    pub fn into_storage(self) -> EngineStorage {
-        match self.queue {
-            Queue::Heap(heap) => EngineStorage {
-                heap: heap.into_vec(),
-                ..EngineStorage::default()
-            },
-            Queue::Wheel(wheel) => wheel.into_storage(),
         }
     }
 
@@ -495,9 +421,8 @@ impl Engine {
     }
 
     /// Deepest the pending-event queue has been since construction
-    /// (events, not bytes), regardless of backend. Reset by
-    /// [`Engine::with_storage`] along with the clock. The name predates
-    /// the wheel backend and is kept for profile-schema continuity.
+    /// (events, not bytes), regardless of backend. The name predates the
+    /// wheel backend and is kept for profile-schema continuity.
     pub fn heap_high_water(&self) -> usize {
         self.high_water
     }
@@ -618,33 +543,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(order, (0..10).collect::<Vec<_>>());
-        }
-    }
-
-    /// Reusing a drained engine's queue allocations must preserve
-    /// capacity and reset all observable state, on both backends.
-    #[test]
-    fn storage_reuse_keeps_capacity_and_resets_state() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut e = Engine::new_with(kind);
-            for i in 0..1000u32 {
-                e.schedule(SimTime::from_micros(u64::from(i)), tick(i));
-            }
-            while e.pop().is_some() {}
-            let storage = e.into_storage();
-            assert!(
-                storage.capacity() >= 1000,
-                "allocation survives draining ({kind:?}: {})",
-                storage.capacity()
-            );
-            let mut e2 = Engine::with_storage(kind, storage);
-            assert_eq!(e2.now(), SimTime::ZERO);
-            assert_eq!(e2.pending(), 0);
-            assert_eq!(e2.processed(), 0);
-            assert_eq!(e2.heap_high_water(), 0, "watermark resets with the clock");
-            e2.schedule(SimTime::from_micros(7), tick(1));
-            let (t, _) = e2.pop().unwrap();
-            assert_eq!(t, SimTime::from_micros(7));
         }
     }
 

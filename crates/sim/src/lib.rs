@@ -16,7 +16,8 @@
 //!   ([`network`]);
 //! * per-node **controllers** attached via the same two hooks the real
 //!   system uses — a per-packet rx hook (the FirstResponder site) and a
-//!   periodic metrics snapshot ([`controller`]);
+//!   periodic metrics snapshot ([`controller`]), their actions decided
+//!   by one substrate-blind allocation ledger ([`ledger`]);
 //! * low-load **profiling** and load–latency **calibration** matching the
 //!   paper's experimental protocol ([`profile`]).
 //!
@@ -34,6 +35,7 @@ pub mod container;
 pub mod controller;
 pub mod engine;
 pub mod event;
+pub mod ledger;
 pub mod network;
 pub mod power;
 pub mod profile;
@@ -46,10 +48,11 @@ pub use controller::{
     ContainerInit, ContainerSnapshot, ControlAction, Controller, ControllerFactory, NodeInit,
     NodeSnapshot, NoopFactory,
 };
-pub use engine::{Engine, EngineStorage, QueueKind, WHEEL_LEVELS};
+pub use engine::{Engine, QueueKind, WHEEL_LEVELS};
 pub use event::Event;
+pub use ledger::{AllocLedger, Effect, ReplicaState};
 pub use network::{LatencySurge, NetworkConfig};
 pub use power::PowerModel;
 pub use profile::{constant_arrivals, profile_low_load, ProfileOutcome};
-pub use runner::{ProfileStats, RunResult, SimBuffers, Simulation};
+pub use runner::{ProfileStats, RunResult, Simulation};
 pub use trace::{alloc_trace_csv, latency_csv, AllocTrace};

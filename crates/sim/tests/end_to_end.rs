@@ -408,3 +408,103 @@ fn in_flight_safety_valve_drops() {
     assert_eq!(r.completed, 10);
     assert_eq!(r.peak_in_flight, 10);
 }
+
+/// Emits `SetReplicas` for the straggling group at scripted times; its
+/// own factory (every node gets a copy, only the owner's lands).
+#[derive(Clone)]
+struct ReplicaScript(Vec<(SimTime, u32)>);
+
+impl Controller for ReplicaScript {
+    fn name(&self) -> &'static str {
+        "replica-script"
+    }
+    fn tick_interval(&self) -> SimDuration {
+        SimDuration::from_millis(10)
+    }
+    fn on_tick(&mut self, now: SimTime, _s: &NodeSnapshot) -> Vec<ControlAction> {
+        let due = self.0.iter().take_while(|(at, _)| *at <= now).count();
+        let id = ContainerId(2);
+        self.0
+            .drain(..due)
+            .map(|(_, replicas)| ControlAction::SetReplicas { id, replicas })
+            .collect()
+    }
+}
+
+impl ControllerFactory for ReplicaScript {
+    fn name(&self) -> &'static str {
+        "replica-script"
+    }
+    fn make(&self, _init: NodeInit) -> Box<dyn Controller> {
+        Box::new(self.clone())
+    }
+}
+
+/// A straggler window on replica 1 of the leaf group must not outlive the
+/// replica: scaled in (drained, retired) while the window is open and
+/// scaled back out after it closed, the replica serves at full speed.
+#[test]
+fn fault_speed_does_not_outlive_a_retired_replica() {
+    use sg_core::fault::{FaultKind, FaultSpec};
+    use sg_telemetry::{ReplicaPhase, TelemetryEvent, VecSink};
+
+    let ms = SimTime::from_millis;
+    let mut cfg = quiet_config(ConnModel::PerRequest);
+    cfg.end = ms(500);
+    cfg.max_replicas = 2;
+    cfg.initial_replicas = vec![1, 1, 2];
+    cfg.faults.faults.push(FaultSpec {
+        at: ms(100),
+        duration: SimDuration::from_millis(150),
+        kind: FaultKind::Straggler {
+            service: ServiceId(2),
+            replica: 1,
+            slowdown: 50.0,
+        },
+    });
+    let factory = ReplicaScript(vec![(ms(120), 1), (ms(300), 2)]);
+    let sink = VecSink::shared();
+    let arrivals = constant_arrivals(500.0, SimTime::ZERO, ms(450));
+    let r = Simulation::new(cfg, &factory, arrivals)
+        .with_telemetry(sink.clone())
+        .run();
+
+    // Slot 5 is replica 1 of service 2 (3 primaries, then extras).
+    let lifecycle: Vec<(SimTime, ReplicaPhase)> = sink
+        .take()
+        .into_iter()
+        .filter_map(|e| match e {
+            TelemetryEvent::ReplicaLifecycle {
+                at,
+                container: ContainerId(5),
+                phase,
+                ..
+            } => Some((at, phase)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(lifecycle[..], [(_, ReplicaPhase::Draining), (retired, ReplicaPhase::Retired),
+            (spawned, ReplicaPhase::Spawned)] if retired < ms(250) && spawned >= ms(300)),
+        "replica must retire inside the window and respawn after it: {lifecycle:?}"
+    );
+    assert!(
+        r.points.iter().any(|p| p.latency > us(440)),
+        "the straggler never slowed a request"
+    );
+    let tail: Vec<_> = r
+        .points
+        .iter()
+        .filter(|p| p.completion >= ms(320))
+        .collect();
+    assert!(
+        tail.len() > 50,
+        "too few post-respawn requests: {}",
+        tail.len()
+    );
+    assert!(
+        tail.iter().all(|p| p.latency == us(440)),
+        "respawned replica still runs slow: max {}",
+        tail.iter().map(|p| p.latency).max().unwrap()
+    );
+}

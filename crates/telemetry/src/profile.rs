@@ -184,45 +184,39 @@ pub enum ProfileMark {
     HeapDepthHighWater = 0,
     /// Sim: invocation-table high-water mark (slots).
     InvocationHighWater = 1,
-    /// Sim: `SimBuffers` adoptions that reused a warm allocation.
-    BuffersReuseHit = 2,
-    /// Sim: `SimBuffers` adoptions that had to allocate cold.
-    BuffersReuseMiss = 3,
     /// Live: telemetry-ring occupancy high-water mark (entries).
-    RingOccupancyHighWater = 4,
+    RingOccupancyHighWater = 2,
     /// Live: telemetry-ring drops across all families (drop pressure).
-    RingDropped = 5,
+    RingDropped = 3,
     /// Estimated profiler self-overhead in nanoseconds (calibrated
     /// timer-pair cost × number of timed sections).
-    SelfOverheadNs = 6,
+    SelfOverheadNs = 4,
     /// Sim (wheel backend, schema v2+): level-0 slot-occupancy
     /// high-water mark (entries resident across the level's 64 slots).
-    WheelL0HighWater = 7,
+    WheelL0HighWater = 5,
     /// Sim (wheel): level-1 occupancy high-water mark.
-    WheelL1HighWater = 8,
+    WheelL1HighWater = 6,
     /// Sim (wheel): level-2 occupancy high-water mark.
-    WheelL2HighWater = 9,
+    WheelL2HighWater = 7,
     /// Sim (wheel): level-3 occupancy high-water mark.
-    WheelL3HighWater = 10,
+    WheelL3HighWater = 8,
     /// Sim (wheel): level-4 occupancy high-water mark.
-    WheelL4HighWater = 11,
+    WheelL4HighWater = 9,
     /// Sim (wheel): level-5 occupancy high-water mark.
-    WheelL5HighWater = 12,
+    WheelL5HighWater = 10,
     /// Sim (wheel): overflow-bucket occupancy high-water mark (events
     /// beyond the wheel horizon, promoted back in as time advances).
-    WheelOverflowHighWater = 13,
+    WheelOverflowHighWater = 11,
 }
 
 /// Number of marks (array sizing).
-pub const N_MARKS: usize = 14;
+pub const N_MARKS: usize = 12;
 
 impl ProfileMark {
     /// Every mark, in index order.
     pub const ALL: [ProfileMark; N_MARKS] = [
         ProfileMark::HeapDepthHighWater,
         ProfileMark::InvocationHighWater,
-        ProfileMark::BuffersReuseHit,
-        ProfileMark::BuffersReuseMiss,
         ProfileMark::RingOccupancyHighWater,
         ProfileMark::RingDropped,
         ProfileMark::SelfOverheadNs,
@@ -252,8 +246,6 @@ impl ProfileMark {
         match self {
             ProfileMark::HeapDepthHighWater => "heap_depth_high_water",
             ProfileMark::InvocationHighWater => "invocation_high_water",
-            ProfileMark::BuffersReuseHit => "buffers_reuse_hit",
-            ProfileMark::BuffersReuseMiss => "buffers_reuse_miss",
             ProfileMark::RingOccupancyHighWater => "ring_occupancy_high_water",
             ProfileMark::RingDropped => "ring_dropped",
             ProfileMark::SelfOverheadNs => "self_overhead_ns",

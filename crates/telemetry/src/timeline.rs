@@ -515,12 +515,12 @@ pub fn reconcile(
         }
     }
 
-    // Counter reconciliation: within each inter-sample window the
-    // cumulative fr_boosts counter must step by at least the number of
-    // fr_boost events destined to the container in that window (it may
-    // step more — downstream targets increment it without their own
-    // event). Boosts racing the sweep boundary may surface one window
-    // later.
+    // Counter reconciliation, cumulative: by sample `i` the fr_boosts
+    // counter must have reached the number of fr_boost events to the
+    // container up to that sample (it may read more — downstream targets
+    // step it without an event, and a live sweep can already include a
+    // boost stamped just after it). Boosts within `grace` of the sweep
+    // may surface one sample later.
     for (&c, times) in &boosts {
         let Some(s) = metrics.series(c, MetricId::FrBoosts) else {
             if metrics.samples > 0 {
@@ -544,44 +544,35 @@ pub fn reconcile(
                 shiftable[idx] += 1;
             }
         }
-        let mut carried = 0u64;
+        // `events`: boosts stamped at or before sample i; `missing`:
+        // deficits already reported (one lost step is flagged once).
+        let (mut events, mut missing, mut visible) = (0u64, 0u64, 0u64);
         for i in 0..s.len() {
-            let total = counts[i] + carried;
-            carried = 0;
-            let prev = if i == 0 { 0.0 } else { s[i - 1].value };
-            let delta = s[i].value - prev;
-            if delta < -1e-9 {
+            if i > 0 && s[i].value - s[i - 1].value < -1e-9 {
                 r.mismatches.push(format!(
                     "c{c} fr_boosts: counter decreased at {} ns ({} -> {})",
                     s[i].at.as_nanos(),
-                    prev,
+                    s[i - 1].value,
                     s[i].value
                 ));
-                continue;
             }
-            let have = delta.round().max(0.0) as u64;
-            if total <= have {
-                r.checked += total;
-                continue;
-            }
-            let deficit = total - have;
-            if deficit <= shiftable[i] && i + 1 < s.len() {
-                // Boundary race: re-attribute to the next window.
-                r.checked += total - deficit;
-                carried = deficit;
-            } else if deficit <= shiftable[i] {
-                r.checked += total - deficit;
-                r.tail_skipped += deficit;
-            } else {
+            events += counts[i];
+            visible = s[i].value.round().max(0.0) as u64 + missing;
+            let due = events - shiftable[i];
+            if visible < due {
                 r.mismatches.push(format!(
-                    "c{c} fr_boosts: {total} boost event(s) by {} ns but counter stepped {have}",
-                    s[i].at.as_nanos()
+                    "c{c} fr_boosts: {due} boost event(s) due by {} ns but counter reads {}",
+                    s[i].at.as_nanos(),
+                    s[i].value
                 ));
+                missing += due - visible;
+                visible = due;
             }
         }
-        if carried > 0 {
-            r.tail_skipped += carried;
-        }
+        // Boosts racing the final sweep have no later sample to show in.
+        let unseen = events.saturating_sub(visible);
+        r.tail_skipped += unseen;
+        r.checked += events - missing - unseen;
     }
     r
 }
@@ -744,6 +735,23 @@ mod tests {
         let trace = vec![boost(200, 0)];
         let r = reconcile(&metrics, &trace, grace());
         assert!(r.passed(), "{}", r.render());
+    }
+
+    #[test]
+    fn early_visible_boost_pays_a_later_window() {
+        // A live sweep stamped 200 ms reads the counter a little later and
+        // already includes the 201 ms boost: a surplus, not a later deficit.
+        let metrics = TimelineSet::from_events(&[
+            metric(100, 0, MetricId::FrBoosts, 0.0),
+            metric(200, 0, MetricId::FrBoosts, 1.0),
+            metric(300, 0, MetricId::FrBoosts, 1.0),
+            metric(400, 0, MetricId::FrBoosts, 1.0),
+        ]);
+        for grace in [SimDuration::ZERO, SimDuration::from_millis(150)] {
+            let r = reconcile(&metrics, &[boost(201, 0)], grace);
+            assert!(r.passed(), "{}", r.render());
+            assert_eq!(r.checked, 1);
+        }
     }
 
     #[test]
