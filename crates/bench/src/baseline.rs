@@ -23,8 +23,9 @@ use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit,
 use sg_sim::runner::Simulation;
 use sg_telemetry::profile::{LiveProfiler, ProfilePhase};
 use sg_telemetry::{
-    AggConfig, AggRuntime, LatencyDigest, MetricId, MetricSample, MetricsRegistry, RingSink,
-    SpanRecord, TelemetryEvent, TelemetrySink, TopK,
+    ActionKind, ActionOrigin, ActionOutcome, AggConfig, AggRuntime, LatencyDigest, MetricId,
+    MetricSample, MetricsRegistry, RingSink, SpanRecord, TelemetryEvent, TelemetrySink, TopK,
+    TraceStream,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -254,10 +255,9 @@ fn bench_telemetry_ring(mode: BenchMode) -> ScenarioStats {
     summarize("telemetry_ring", "ns", samples)
 }
 
-/// JSONL-encode one span record (sim emission / live drainer cost).
-fn bench_span_encode(mode: BenchMode) -> ScenarioStats {
-    const INNER: u64 = 20_000;
-    let event = TelemetryEvent::Span(SpanRecord {
+/// The span record the codec scenarios encode and decode.
+fn span_event() -> TelemetryEvent {
+    TelemetryEvent::Span(SpanRecord {
         trace: 12_345,
         span: 7,
         parent: Some(6),
@@ -271,7 +271,13 @@ fn bench_span_encode(mode: BenchMode) -> ScenarioStats {
         downstream: SimDuration::from_micros(148),
         freq_level: 2,
         slack_ns: -123_456,
-    });
+    })
+}
+
+/// JSONL-encode one span record (sim emission / live drainer cost).
+fn bench_span_encode(mode: BenchMode) -> ScenarioStats {
+    const INNER: u64 = 20_000;
+    let event = span_event();
     let mut samples = Vec::new();
     for i in 0..mode.light_iters() + 1 {
         let t0 = Instant::now();
@@ -284,6 +290,80 @@ fn bench_span_encode(mode: BenchMode) -> ScenarioStats {
         }
     }
     summarize("span_encode", "ns", samples)
+}
+
+/// Decode one span line (the read side's cost per record).
+fn bench_span_decode(mode: BenchMode) -> ScenarioStats {
+    const INNER: u64 = 20_000;
+    let line = span_event().to_json_line();
+    let mut samples = Vec::new();
+    for i in 0..mode.light_iters() + 1 {
+        let t0 = Instant::now();
+        for _ in 0..INNER {
+            black_box(TelemetryEvent::from_json_line(black_box(&line)).expect("span line"));
+        }
+        let per_op_ns = t0.elapsed().as_secs_f64() * 1e9 / INNER as f64;
+        if i >= 1 {
+            samples.push(per_op_ns);
+        }
+    }
+    summarize("span_decode", "ns", samples)
+}
+
+/// `TraceStream` over an in-memory 20 000-line trace in the mix an
+/// observed trial writes (16 spans to 2 metric samples, an action and
+/// its allocation), ns per line: line splitting, blank/bad-line policy
+/// and decode together, as `sg-trace` pays them.
+fn bench_trace_read(mode: BenchMode) -> ScenarioStats {
+    const LINES: u64 = 20_000;
+    let mut trace = String::new();
+    for k in 0..LINES {
+        let at = SimTime::from_micros(900 + k);
+        let event = match k % 20 {
+            16 | 17 => TelemetryEvent::Metric(MetricSample {
+                at,
+                node: NodeId(0),
+                container: ContainerId((k % 8) as u32),
+                metric: MetricId::QueueBuildup,
+                value: k as f64 / 7.0,
+            }),
+            18 => TelemetryEvent::Action {
+                at,
+                node: NodeId(0),
+                container: ContainerId(3),
+                origin: ActionOrigin::Tick,
+                kind: ActionKind::SetCores { cores: 6 },
+                outcome: ActionOutcome::Applied,
+            },
+            19 => TelemetryEvent::Alloc {
+                at,
+                container: ContainerId(3),
+                cores: 6,
+                freq_level: 2,
+                freq_ghz: 2.2,
+            },
+            _ => span_event(),
+        };
+        trace.push_str(&event.to_json_line());
+        trace.push('\n');
+    }
+    let mut samples = Vec::new();
+    for i in 0..mode.light_iters() + 1 {
+        let t0 = Instant::now();
+        let mut events = 0u64;
+        let bad = TraceStream::new(black_box(trace.as_bytes()))
+            .for_each(|event| {
+                black_box(&event);
+                events += 1;
+            })
+            .expect("in-memory read");
+        let per_line_ns = t0.elapsed().as_secs_f64() * 1e9 / LINES as f64;
+        assert_eq!((events, bad), (LINES, 0));
+        if i >= 1 {
+            samples.push(per_line_ns);
+        }
+    }
+    summarize("trace_read", "ns", samples)
 }
 
 /// One `MetricsRegistry::record` (the live drainer's tee cost per
@@ -683,13 +763,15 @@ pub type ScenarioFn = fn(BenchMode) -> ScenarioStats;
 
 /// The pinned scenario set: stable names, fixed order. The names are the
 /// `--only` selectors and the keys of every `BENCH_*.json`.
-pub const SCENARIOS: [(&str, ScenarioFn); 20] = [
+pub const SCENARIOS: [(&str, ScenarioFn); 22] = [
     ("sim_trial", bench_sim_trial),
     ("live_smoke", bench_live_smoke),
     ("fr_hook", bench_fr_hook),
     ("fr_hook_profiled", bench_fr_hook_profiled),
     ("telemetry_ring", bench_telemetry_ring),
     ("span_encode", bench_span_encode),
+    ("span_decode", bench_span_decode),
+    ("trace_read", bench_trace_read),
     ("metrics_sample", bench_metrics_sample),
     ("metrics_encode", bench_metrics_encode),
     ("digest_insert", bench_digest_insert),

@@ -118,12 +118,15 @@ impl EnergyMeter {
     /// Advance the integrals to `now`.
     pub fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_update, "meter clock went backwards");
-        if self.dirty {
-            self.total_power = self.power_w.iter().sum();
-            self.total_cores = self.cores.iter().sum();
-            self.dirty = false;
-        }
         if now > self.last_update {
+            // Re-sum only for a segment that has length: a burst of
+            // state changes at one instant (the initial allocations of
+            // a 5 000-slot cluster) costs one pass, not one per change.
+            if self.dirty {
+                self.total_power = self.power_w.iter().sum();
+                self.total_cores = self.cores.iter().sum();
+                self.dirty = false;
+            }
             let dt = now.saturating_since(self.last_update).as_secs_f64();
             self.energy_j += self.total_power * dt;
             self.core_seconds += self.total_cores as f64 * dt;
@@ -213,6 +216,57 @@ mod tests {
         assert!((j - (2.0 * 5.0 + 4.0 * 5.0)).abs() < 1e-9);
         // avg cores: (2×5 + 4×5)/10 = 3.
         assert!((e.avg_cores(SimTime::from_secs(10), SimTime::ZERO) - 3.0).abs() < 1e-9);
+    }
+
+    /// The dirty-flag totals are an optimisation only: every reading is
+    /// bit-equal to re-summing all slots for every segment, however many
+    /// state changes share an instant.
+    #[test]
+    fn readings_equal_a_per_segment_resum_bit_for_bit() {
+        let model = PowerModel::default();
+        let slots = 37;
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(15);
+        let mut next = move || rand::RngCore::next_u64(&mut rng);
+        let mut meter = EnergyMeter::new(model, slots);
+        let (mut cores, mut power) = (vec![0u32; slots], vec![0.0f64; slots]);
+        let (mut now, mut last, mut energy, mut core_s) = (SimTime::ZERO, SimTime::ZERO, 0.0, 0.0);
+        for step in 0..4_000 {
+            // Three steps in four stay at the same instant.
+            if next() & 3 == 0 {
+                now += sg_core::time::SimDuration::from_nanos(next() % 5_000_000);
+            }
+            if now > last {
+                let dt = now.saturating_since(last).as_secs_f64();
+                energy += power.iter().sum::<f64>() * dt;
+                core_s += cores.iter().sum::<u32>() as f64 * dt;
+                last = now;
+            }
+            if next() & 7 == 0 {
+                meter.advance(now);
+            } else {
+                let (slot, c, f) = (
+                    (next() % slots as u64) as usize,
+                    (next() % 9) as u32,
+                    1.6 + (next() % 17) as f64 / 10.0,
+                );
+                meter.set_state(now, slot, c, f);
+                cores[slot] = c;
+                power[slot] = c as f64 * model.core_power(f);
+            }
+            assert_eq!(
+                meter.current_power().to_bits(),
+                power.iter().sum::<f64>().to_bits(),
+                "step {step}"
+            );
+            assert_eq!(meter.current_cores(), cores.iter().sum::<u32>());
+            if step & 15 == 0 {
+                assert_eq!(meter.energy_joules(now).to_bits(), energy.to_bits());
+                let span = now.saturating_since(SimTime::ZERO).as_secs_f64();
+                let avg = if span <= 0.0 { 0.0 } else { core_s / span };
+                assert_eq!(meter.avg_cores(now, SimTime::ZERO).to_bits(), avg.to_bits());
+            }
+        }
+        assert!(energy > 0.0 && now > SimTime::ZERO);
     }
 
     #[test]

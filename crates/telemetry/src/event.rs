@@ -1,4 +1,4 @@
-//! The typed event taxonomy and its JSONL encoding.
+//! The typed event taxonomy. Its JSONL encoding is `wire.rs`'s.
 //!
 //! Every event is one self-describing JSON object per line, keyed by a
 //! `"type"` discriminator, so traces stream, concatenate, and survive
@@ -6,12 +6,11 @@
 //! reads back what the sinks wrote.
 
 use crate::agg::{LatencyDigest, TopKEntry};
-use crate::metrics::{MetricId, MetricSample};
+use crate::metrics::MetricSample;
 use crate::profile::{ProfileMark, ProfilePhase};
 use crate::span::SpanRecord;
-use serde_json::{json, Value};
 use sg_core::ids::{ContainerId, NodeId};
-use sg_core::time::{SimDuration, SimTime};
+use sg_core::time::SimTime;
 
 /// Schema identifier stamped as line 1 of decision-trace JSONL exports
 /// (the `sg-bench/v1` naming convention).
@@ -44,16 +43,6 @@ impl EventFamily {
             EventFamily::Metrics => "metrics",
             EventFamily::Profile => "profile",
         }
-    }
-
-    fn from_wire(name: &str) -> Option<EventFamily> {
-        Some(match name {
-            "decision" => EventFamily::Decision,
-            "span" => EventFamily::Span,
-            "metrics" => EventFamily::Metrics,
-            "profile" => EventFamily::Profile,
-            _ => return None,
-        })
     }
 }
 
@@ -111,12 +100,18 @@ impl ActionKind {
         }
     }
 
-    fn from_wire(name: &str, arg: u32) -> Option<ActionKind> {
+    /// Decode from the wire name and argument; `None` also for an
+    /// argument too wide for the kind's field (never truncated).
+    pub(crate) fn from_wire(name: &str, arg: u32) -> Option<ActionKind> {
         Some(match name {
             "set_cores" => ActionKind::SetCores { cores: arg },
-            "set_freq" => ActionKind::SetFreq { level: arg as u8 },
+            "set_freq" => ActionKind::SetFreq {
+                level: u8::try_from(arg).ok()?,
+            },
             "set_bandwidth" => ActionKind::SetBandwidth { units: arg },
-            "set_egress_hint" => ActionKind::SetEgressHint { hops: arg as u8 },
+            "set_egress_hint" => ActionKind::SetEgressHint {
+                hops: u8::try_from(arg).ok()?,
+            },
             "set_replicas" => ActionKind::SetReplicas { replicas: arg },
             _ => return None,
         })
@@ -139,14 +134,6 @@ impl ActionOrigin {
             ActionOrigin::Tick => "tick",
             ActionOrigin::PacketHook => "packet_hook",
         }
-    }
-
-    fn from_wire(name: &str) -> Option<ActionOrigin> {
-        Some(match name {
-            "tick" => ActionOrigin::Tick,
-            "packet_hook" => ActionOrigin::PacketHook,
-            _ => return None,
-        })
     }
 }
 
@@ -176,16 +163,6 @@ impl ActionOutcome {
             ActionOutcome::RejectedCrossNode => "rejected_cross_node",
         }
     }
-
-    fn from_wire(name: &str) -> Option<ActionOutcome> {
-        Some(match name {
-            "applied" => ActionOutcome::Applied,
-            "deferred" => ActionOutcome::Deferred,
-            "clamped" => ActionOutcome::Clamped,
-            "rejected_cross_node" => ActionOutcome::RejectedCrossNode,
-            _ => return None,
-        })
-    }
 }
 
 /// A replica's lifecycle transition (see
@@ -210,15 +187,6 @@ impl ReplicaPhase {
             ReplicaPhase::Draining => "draining",
             ReplicaPhase::Retired => "retired",
         }
-    }
-
-    fn from_wire(name: &str) -> Option<ReplicaPhase> {
-        Some(match name {
-            "spawned" => ReplicaPhase::Spawned,
-            "draining" => ReplicaPhase::Draining,
-            "retired" => ReplicaPhase::Retired,
-            _ => return None,
-        })
     }
 }
 
@@ -454,278 +422,17 @@ pub enum TelemetryEvent {
 }
 
 impl TelemetryEvent {
+    /// Append this event to `out` as one compact JSON object (no
+    /// trailing newline), allocating nothing: what the sinks call.
+    pub fn write_json_line(&self, out: &mut Vec<u8>) {
+        crate::wire::encode(self, out);
+    }
+
     /// Encode as one compact JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let value = match self {
-            TelemetryEvent::Action {
-                at,
-                node,
-                container,
-                origin,
-                kind,
-                outcome,
-            } => json!({
-                "type": "action",
-                "at_ns": at.as_nanos(),
-                "node": node.0,
-                "container": container.0,
-                "origin": origin.name(),
-                "kind": kind.name(),
-                "arg": kind.arg(),
-                "outcome": outcome.name(),
-            }),
-            TelemetryEvent::Alloc {
-                at,
-                container,
-                cores,
-                freq_level,
-                freq_ghz,
-            } => json!({
-                "type": "alloc",
-                "at_ns": at.as_nanos(),
-                "container": container.0,
-                "cores": *cores,
-                "freq_level": *freq_level,
-                "freq_ghz": *freq_ghz,
-            }),
-            TelemetryEvent::FrBoost {
-                at,
-                node,
-                dest,
-                slack_ns,
-                level,
-                targets,
-            } => json!({
-                "type": "fr_boost",
-                "at_ns": at.as_nanos(),
-                "node": node.0,
-                "dest": dest.0,
-                "slack_ns": *slack_ns,
-                "level": *level,
-                "targets": *targets,
-            }),
-            TelemetryEvent::Window {
-                at,
-                node,
-                container,
-                requests,
-                mean_exec_time_ns,
-                mean_exec_metric_ns,
-                queue_buildup,
-                upscale_hints,
-            } => json!({
-                "type": "window",
-                "at_ns": at.as_nanos(),
-                "node": node.0,
-                "container": container.0,
-                "requests": *requests,
-                "mean_exec_time_ns": *mean_exec_time_ns,
-                "mean_exec_metric_ns": *mean_exec_metric_ns,
-                "queue_buildup": *queue_buildup,
-                "upscale_hints": *upscale_hints,
-            }),
-            TelemetryEvent::Scoreboard {
-                at,
-                node,
-                scores,
-                actions,
-            } => {
-                let scores: Vec<Value> = scores
-                    .iter()
-                    .map(|(c, s)| Value::Array(vec![Value::from(c.0), Value::from(*s)]))
-                    .collect();
-                let actions: Vec<Value> = actions
-                    .iter()
-                    .map(|a| {
-                        json!({
-                            "container": a.container.0,
-                            "kind": a.kind.name(),
-                            "arg": a.kind.arg(),
-                            "reason": a.reason.as_str(),
-                        })
-                    })
-                    .collect();
-                json!({
-                    "type": "scoreboard",
-                    "at_ns": at.as_nanos(),
-                    "node": node.0,
-                    "scores": scores,
-                    "actions": actions,
-                })
-            }
-            TelemetryEvent::ReplicaLifecycle {
-                at,
-                node,
-                container,
-                service,
-                replica,
-                phase,
-                active,
-            } => json!({
-                "type": "replica",
-                "at_ns": at.as_nanos(),
-                "node": node.0,
-                "container": container.0,
-                "service": service.0,
-                "replica": *replica,
-                "phase": phase.name(),
-                "active": *active,
-            }),
-            TelemetryEvent::Fault {
-                at,
-                fault,
-                target,
-                active,
-            } => json!({
-                "type": "fault",
-                "at_ns": at.as_nanos(),
-                "fault": fault.as_str(),
-                "target": target.as_str(),
-                "active": *active,
-            }),
-            TelemetryEvent::Span(s) => json!({
-                "type": "span",
-                "trace": s.trace,
-                "span": s.span,
-                "parent": s.parent,
-                "container": s.container.map(|c| c.0),
-                "node": s.node.map(|n| n.0),
-                "start_ns": s.start.as_nanos(),
-                "end_ns": s.end.as_nanos(),
-                "net_in_ns": s.net_in.as_nanos(),
-                "conn_wait_ns": s.conn_wait.as_nanos(),
-                "service_ns": s.service.as_nanos(),
-                "downstream_ns": s.downstream.as_nanos(),
-                "freq_level": s.freq_level,
-                "slack_ns": s.slack_ns,
-            }),
-            TelemetryEvent::Metric(s) => match s.metric.arm() {
-                Some(arm) => json!({
-                    "type": "metric",
-                    "at_ns": s.at.as_nanos(),
-                    "node": s.node.0,
-                    "container": s.container.0,
-                    "metric": s.metric.name(),
-                    "arm": arm,
-                    "value": s.value,
-                }),
-                None => json!({
-                    "type": "metric",
-                    "at_ns": s.at.as_nanos(),
-                    "node": s.node.0,
-                    "container": s.container.0,
-                    "metric": s.metric.name(),
-                    "value": s.value,
-                }),
-            },
-            TelemetryEvent::MetricsMeta {
-                version,
-                interval_ns,
-            } => json!({
-                "type": "metrics_meta",
-                "version": *version,
-                "interval_ns": *interval_ns,
-            }),
-            TelemetryEvent::Digest { at, node, digest } => {
-                let (min_ns, max_ns, sum_ns) = digest.bounds();
-                let buckets: Vec<Value> = digest
-                    .bucket_counts()
-                    .map(|(b, c)| json!([u64::from(b), c]))
-                    .collect();
-                json!({
-                    "type": "digest",
-                    "at_ns": at.as_nanos(),
-                    "node": node.0,
-                    "sig_bits": digest.sig_bits(),
-                    "count": digest.len(),
-                    "min_ns": if digest.is_empty() { 0 } else { min_ns },
-                    "max_ns": max_ns,
-                    "sum_ns": sum_ns,
-                    "buckets": buckets,
-                })
-            }
-            TelemetryEvent::Slo {
-                at,
-                node,
-                qos_ns,
-                total,
-                bad,
-            } => json!({
-                "type": "slo",
-                "at_ns": at.as_nanos(),
-                "node": node.0,
-                "qos_ns": *qos_ns,
-                "total": *total,
-                "bad": *bad,
-            }),
-            TelemetryEvent::TopK {
-                at,
-                node,
-                capacity,
-                entries,
-            } => {
-                let entries: Vec<Value> = entries
-                    .iter()
-                    .map(|e| json!([e.key, e.weight, e.err]))
-                    .collect();
-                json!({
-                    "type": "topk",
-                    "at_ns": at.as_nanos(),
-                    "node": node.0,
-                    "capacity": *capacity,
-                    "entries": entries,
-                })
-            }
-            TelemetryEvent::Dropped { count, family } => match family {
-                Some(f) => json!({
-                    "type": "dropped",
-                    "count": *count,
-                    "family": f.name(),
-                }),
-                None => json!({
-                    "type": "dropped",
-                    "count": *count,
-                }),
-            },
-            TelemetryEvent::Schema { schema } => json!({
-                "type": "schema",
-                "schema": schema.as_str(),
-            }),
-            TelemetryEvent::ProfileMeta {
-                version,
-                substrate,
-                wall_ns,
-            } => json!({
-                "type": "profile_meta",
-                "version": *version,
-                "substrate": substrate.as_str(),
-                "wall_ns": *wall_ns,
-            }),
-            TelemetryEvent::ProfilePhase {
-                phase,
-                count,
-                sampled,
-                total_ns,
-                p50_ns,
-                p99_ns,
-                max_ns,
-            } => json!({
-                "type": "profile_phase",
-                "phase": phase.name(),
-                "count": *count,
-                "sampled": *sampled,
-                "total_ns": *total_ns,
-                "p50_ns": *p50_ns,
-                "p99_ns": *p99_ns,
-                "max_ns": *max_ns,
-            }),
-            TelemetryEvent::ProfileMark { mark, value } => json!({
-                "type": "profile_mark",
-                "mark": mark.name(),
-                "value": *value,
-            }),
-        };
-        value.to_string()
+        let mut out = Vec::with_capacity(256);
+        self.write_json_line(&mut out);
+        String::from_utf8(out).expect("the encoder writes UTF-8")
     }
 
     /// Which per-stream trace this event belongs to (see
@@ -754,284 +461,22 @@ impl TelemetryEvent {
 
     /// Decode one JSON line produced by [`Self::to_json_line`].
     pub fn from_json_line(line: &str) -> Result<TelemetryEvent, String> {
-        let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        let typ = field_str(&v, "type")?;
-        let at = || Ok::<_, String>(SimTime::from_nanos(field_u64(&v, "at_ns")?));
-        match typ {
-            "action" => Ok(TelemetryEvent::Action {
-                at: at()?,
-                node: NodeId(field_u64(&v, "node")? as u32),
-                container: ContainerId(field_u64(&v, "container")? as u32),
-                origin: ActionOrigin::from_wire(field_str(&v, "origin")?)
-                    .ok_or("unknown action origin")?,
-                kind: ActionKind::from_wire(field_str(&v, "kind")?, field_u64(&v, "arg")? as u32)
-                    .ok_or("unknown action kind")?,
-                outcome: ActionOutcome::from_wire(field_str(&v, "outcome")?)
-                    .ok_or("unknown action outcome")?,
-            }),
-            "alloc" => Ok(TelemetryEvent::Alloc {
-                at: at()?,
-                container: ContainerId(field_u64(&v, "container")? as u32),
-                cores: field_u64(&v, "cores")? as u32,
-                freq_level: field_u64(&v, "freq_level")? as u8,
-                freq_ghz: field_f64(&v, "freq_ghz")?,
-            }),
-            "fr_boost" => Ok(TelemetryEvent::FrBoost {
-                at: at()?,
-                node: NodeId(field_u64(&v, "node")? as u32),
-                dest: ContainerId(field_u64(&v, "dest")? as u32),
-                slack_ns: v
-                    .get("slack_ns")
-                    .and_then(Value::as_i64)
-                    .ok_or("missing slack_ns")?,
-                level: field_u64(&v, "level")? as u8,
-                targets: field_u64(&v, "targets")? as u32,
-            }),
-            "window" => Ok(TelemetryEvent::Window {
-                at: at()?,
-                node: NodeId(field_u64(&v, "node")? as u32),
-                container: ContainerId(field_u64(&v, "container")? as u32),
-                requests: field_u64(&v, "requests")?,
-                mean_exec_time_ns: field_u64(&v, "mean_exec_time_ns")?,
-                mean_exec_metric_ns: field_u64(&v, "mean_exec_metric_ns")?,
-                queue_buildup: field_f64(&v, "queue_buildup")?,
-                upscale_hints: field_u64(&v, "upscale_hints")?,
-            }),
-            "scoreboard" => {
-                let scores = v
-                    .get("scores")
-                    .and_then(Value::as_array)
-                    .ok_or("missing scores")?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair.as_array().ok_or("bad score pair")?;
-                        let c = pair.first().and_then(Value::as_u64).ok_or("bad score id")?;
-                        let s = pair.get(1).and_then(Value::as_u64).ok_or("bad score")?;
-                        Ok((ContainerId(c as u32), s as u32))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let actions = v
-                    .get("actions")
-                    .and_then(Value::as_array)
-                    .ok_or("missing actions")?
-                    .iter()
-                    .map(|a| {
-                        Ok(ScoredAction {
-                            container: ContainerId(field_u64(a, "container")? as u32),
-                            kind: ActionKind::from_wire(
-                                field_str(a, "kind")?,
-                                field_u64(a, "arg")? as u32,
-                            )
-                            .ok_or("unknown action kind")?,
-                            reason: field_str(a, "reason")?.to_string(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(TelemetryEvent::Scoreboard {
-                    at: at()?,
-                    node: NodeId(field_u64(&v, "node")? as u32),
-                    scores,
-                    actions,
-                })
-            }
-            "replica" => Ok(TelemetryEvent::ReplicaLifecycle {
-                at: at()?,
-                node: NodeId(field_u64(&v, "node")? as u32),
-                container: ContainerId(field_u64(&v, "container")? as u32),
-                service: ContainerId(field_u64(&v, "service")? as u32),
-                replica: field_u64(&v, "replica")? as u32,
-                phase: ReplicaPhase::from_wire(field_str(&v, "phase")?)
-                    .ok_or("unknown replica phase")?,
-                active: field_u64(&v, "active")? as u32,
-            }),
-            "fault" => Ok(TelemetryEvent::Fault {
-                at: at()?,
-                fault: field_str(&v, "fault")?.to_string(),
-                target: field_str(&v, "target")?.to_string(),
-                active: v
-                    .get("active")
-                    .and_then(Value::as_bool)
-                    .ok_or("missing or non-boolean field 'active'")?,
-            }),
-            "span" => Ok(TelemetryEvent::Span(SpanRecord {
-                trace: field_u64(&v, "trace")?,
-                span: field_u64(&v, "span")?,
-                parent: field_opt_u64(&v, "parent")?,
-                container: field_opt_u64(&v, "container")?.map(|c| ContainerId(c as u32)),
-                node: field_opt_u64(&v, "node")?.map(|n| NodeId(n as u32)),
-                start: SimTime::from_nanos(field_u64(&v, "start_ns")?),
-                end: SimTime::from_nanos(field_u64(&v, "end_ns")?),
-                net_in: SimDuration::from_nanos(field_u64(&v, "net_in_ns")?),
-                conn_wait: SimDuration::from_nanos(field_u64(&v, "conn_wait_ns")?),
-                service: SimDuration::from_nanos(field_u64(&v, "service_ns")?),
-                downstream: SimDuration::from_nanos(field_u64(&v, "downstream_ns")?),
-                freq_level: field_u64(&v, "freq_level")? as u8,
-                slack_ns: v
-                    .get("slack_ns")
-                    .and_then(Value::as_i64)
-                    .ok_or("missing slack_ns")?,
-            })),
-            "metric" => {
-                let name = field_str(&v, "metric")?;
-                let arm = match v.get("arm") {
-                    None => None,
-                    Some(x) => Some(
-                        x.as_u64()
-                            .ok_or_else(|| "non-numeric field 'arm'".to_string())?
-                            as u8,
-                    ),
-                };
-                let metric = MetricId::from_wire(name, arm)
-                    .ok_or_else(|| format!("unknown metric '{name}'"))?;
-                Ok(TelemetryEvent::Metric(MetricSample {
-                    at: at()?,
-                    node: NodeId(field_u64(&v, "node")? as u32),
-                    container: ContainerId(field_u64(&v, "container")? as u32),
-                    metric,
-                    value: field_f64(&v, "value")?,
-                }))
-            }
-            "metrics_meta" => Ok(TelemetryEvent::MetricsMeta {
-                version: field_u64(&v, "version")? as u32,
-                interval_ns: field_u64(&v, "interval_ns")?,
-            }),
-            "digest" => {
-                let buckets = v
-                    .get("buckets")
-                    .and_then(Value::as_array)
-                    .ok_or("missing buckets")?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair.as_array().ok_or("bad bucket pair")?;
-                        let b = pair.first().and_then(Value::as_u64).ok_or("bad bucket")?;
-                        let c = pair.get(1).and_then(Value::as_u64).ok_or("bad count")?;
-                        Ok((b as u32, c))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let digest = LatencyDigest::from_parts(
-                    field_u64(&v, "sig_bits")? as u32,
-                    buckets,
-                    field_u64(&v, "min_ns")?,
-                    field_u64(&v, "max_ns")?,
-                    field_u64(&v, "sum_ns")?,
-                )?;
-                if digest.len() != field_u64(&v, "count")? {
-                    return Err("digest bucket counts disagree with 'count'".into());
-                }
-                Ok(TelemetryEvent::Digest {
-                    at: at()?,
-                    node: NodeId(field_u64(&v, "node")? as u32),
-                    digest,
-                })
-            }
-            "slo" => {
-                let total = field_u64(&v, "total")?;
-                let bad = field_u64(&v, "bad")?;
-                if bad > total {
-                    return Err("slo 'bad' exceeds 'total'".into());
-                }
-                Ok(TelemetryEvent::Slo {
-                    at: at()?,
-                    node: NodeId(field_u64(&v, "node")? as u32),
-                    qos_ns: field_u64(&v, "qos_ns")?,
-                    total,
-                    bad,
-                })
-            }
-            "topk" => {
-                let entries = v
-                    .get("entries")
-                    .and_then(Value::as_array)
-                    .ok_or("missing entries")?
-                    .iter()
-                    .map(|t| {
-                        let t = t.as_array().ok_or("bad topk entry")?;
-                        let key = t.first().and_then(Value::as_u64).ok_or("bad topk key")?;
-                        let weight = t.get(1).and_then(Value::as_u64).ok_or("bad topk weight")?;
-                        let err = t.get(2).and_then(Value::as_u64).ok_or("bad topk err")?;
-                        Ok(TopKEntry { key, weight, err })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(TelemetryEvent::TopK {
-                    at: at()?,
-                    node: NodeId(field_u64(&v, "node")? as u32),
-                    capacity: field_u64(&v, "capacity")? as u32,
-                    entries,
-                })
-            }
-            "dropped" => Ok(TelemetryEvent::Dropped {
-                count: field_u64(&v, "count")?,
-                family: match v.get("family") {
-                    // Absent on legacy traces recorded before per-family
-                    // drop accounting.
-                    None => None,
-                    Some(f) => Some(
-                        EventFamily::from_wire(f.as_str().ok_or("non-string field 'family'")?)
-                            .ok_or("unknown drop family")?,
-                    ),
-                },
-            }),
-            "schema" => Ok(TelemetryEvent::Schema {
-                schema: field_str(&v, "schema")?.to_string(),
-            }),
-            "profile_meta" => Ok(TelemetryEvent::ProfileMeta {
-                version: field_u64(&v, "version")? as u32,
-                substrate: field_str(&v, "substrate")?.to_string(),
-                wall_ns: field_u64(&v, "wall_ns")?,
-            }),
-            "profile_phase" => Ok(TelemetryEvent::ProfilePhase {
-                phase: ProfilePhase::from_wire(field_str(&v, "phase")?)
-                    .ok_or("unknown profile phase")?,
-                count: field_u64(&v, "count")?,
-                sampled: field_u64(&v, "sampled")?,
-                total_ns: field_u64(&v, "total_ns")?,
-                p50_ns: field_u64(&v, "p50_ns")?,
-                p99_ns: field_u64(&v, "p99_ns")?,
-                max_ns: field_u64(&v, "max_ns")?,
-            }),
-            "profile_mark" => Ok(TelemetryEvent::ProfileMark {
-                mark: ProfileMark::from_wire(field_str(&v, "mark")?)
-                    .ok_or("unknown profile mark")?,
-                value: field_u64(&v, "value")?,
-            }),
-            other => Err(format!("unknown event type '{other}'")),
-        }
+        crate::wire::decode(line)
     }
-}
 
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
-
-/// A field that must be present but may be JSON `null`.
-fn field_opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Err(format!("missing field '{key}'")),
-        Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
+    /// Decode one line as read from a file: bytes that are not UTF-8
+    /// are a decode error like any other.
+    pub fn from_json_bytes(line: &[u8]) -> Result<TelemetryEvent, String> {
+        let line = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+        Self::from_json_line(line)
     }
-}
-
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
-
-fn field_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricId;
+    use sg_core::time::SimDuration;
 
     fn samples() -> Vec<TelemetryEvent> {
         vec![

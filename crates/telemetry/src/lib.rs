@@ -58,6 +58,7 @@ pub mod span;
 pub mod summary;
 pub mod timeline;
 pub mod watch;
+mod wire;
 
 pub use agg::{
     topk_key, topk_unpack, AggConfig, AggRuntime, ClusterAgg, LatencyDigest, TopK, TopKEntry,

@@ -32,7 +32,7 @@ pub struct TraceFile {
 #[derive(Debug)]
 pub struct TraceStream<R> {
     reader: BufReader<R>,
-    line: String,
+    line: Vec<u8>,
     /// Lines that failed to parse so far (counted, not fatal).
     pub bad_lines: u64,
 }
@@ -48,8 +48,8 @@ impl<R: Read> TraceStream<R> {
     /// Stream events from any reader.
     pub fn new(inner: R) -> Self {
         TraceStream {
-            reader: BufReader::new(inner),
-            line: String::new(),
+            reader: BufReader::with_capacity(64 * 1024, inner),
+            line: Vec::new(),
             bad_lines: 0,
         }
     }
@@ -61,19 +61,14 @@ impl<R: Read> TraceStream<R> {
     pub fn next(&mut self) -> std::io::Result<Option<TelemetryEvent>> {
         loop {
             self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
                 return Ok(None);
             }
             // A line without a trailing newline is a partial write at
             // the file's end (crash or in-progress append): parse it
             // like any other — at end-of-file it is all we will get.
-            let line = self.line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match TelemetryEvent::from_json_line(line) {
-                Ok(event) => return Ok(Some(event)),
-                Err(_) => self.bad_lines += 1,
+            if let Some(event) = parse_line(&self.line, &mut self.bad_lines) {
+                return Ok(Some(event));
             }
         }
     }
@@ -85,6 +80,18 @@ impl<R: Read> TraceStream<R> {
         }
         Ok(self.bad_lines)
     }
+}
+
+/// The tolerant-parsing policy on one line's bytes: a blank line is
+/// nothing, an undecodable one (not UTF-8 included) is counted.
+fn parse_line(line: &[u8], bad_lines: &mut u64) -> Option<TelemetryEvent> {
+    let line = line.trim_ascii();
+    if line.is_empty() {
+        return None;
+    }
+    let event = TelemetryEvent::from_json_bytes(line);
+    *bad_lines += event.is_err() as u64;
+    event.ok()
 }
 
 /// Follow mode over an append-only JSONL file: yields complete lines as
@@ -120,21 +127,14 @@ impl TailStream {
             if n == 0 {
                 break;
             }
-            for &b in &buf[..n] {
-                if b == b'\n' {
-                    let line = String::from_utf8_lossy(&self.partial);
-                    let line = line.trim();
-                    if !line.is_empty() {
-                        match TelemetryEvent::from_json_line(line) {
-                            Ok(event) => out.push(event),
-                            Err(_) => self.bad_lines += 1,
-                        }
-                    }
-                    self.partial.clear();
-                } else {
-                    self.partial.push(b);
-                }
+            let mut lines = buf[..n].split(|&b| b == b'\n');
+            let tail = lines.next_back().expect("split yields at least one piece");
+            for head in lines {
+                self.partial.extend_from_slice(head);
+                out.extend(parse_line(&self.partial, &mut self.bad_lines));
+                self.partial.clear();
             }
+            self.partial.extend_from_slice(tail);
         }
         Ok(out)
     }
@@ -176,6 +176,7 @@ mod tests {
             writeln!(f, "{{\"type\":\"dropped\",\"count\":4}}").unwrap();
             writeln!(f).unwrap(); // blank: skipped
             writeln!(f, "{{\"type\":\"dro").unwrap(); // truncated: counted
+            f.write_all(b"{\"type\":\"dro\xff\xfe\n").unwrap(); // not UTF-8: counted, not fatal
             writeln!(
                 f,
                 "{{\"type\":\"dropped\",\"count\":5,\"family\":\"metrics\"}}"
@@ -184,10 +185,14 @@ mod tests {
         }
         let trace = read_trace(&path).unwrap();
         assert_eq!(trace.events.len(), 2);
-        assert_eq!(trace.bad_lines, 1);
+        assert_eq!(trace.bad_lines, 2);
         assert!(matches!(
             trace.events[0],
             TelemetryEvent::Dropped { count: 4, .. }
+        ));
+        assert!(matches!(
+            trace.events[1],
+            TelemetryEvent::Dropped { count: 5, .. }
         ));
         let _ = std::fs::remove_file(&path);
     }
@@ -230,7 +235,8 @@ mod tests {
         assert!(tail.poll().unwrap().is_empty());
 
         writeln!(f, "\"count\":3}}").unwrap();
-        writeln!(f, "{{\"type\":\"dropped\",\"count\":4}}").unwrap();
+        f.write_all(b"{\"type\":\"dro\xff\xfe\n\n").unwrap(); // counted; blank skipped
+        write!(f, "{{\"type\":\"dropped\",\"count\":4}}\n{{\"type\":").unwrap();
         f.flush().unwrap();
         let events = tail.poll().unwrap();
         assert_eq!(events.len(), 2);
@@ -238,7 +244,18 @@ mod tests {
             events[0],
             TelemetryEvent::Dropped { count: 3, .. }
         ));
-        assert_eq!(tail.bad_lines, 0);
+        assert!(matches!(
+            events[1],
+            TelemetryEvent::Dropped { count: 4, .. }
+        ));
+        assert_eq!(tail.bad_lines, 1);
+        // The new half line is held like the first one was.
+        writeln!(f, "\"dropped\",\"count\":5}}").unwrap();
+        f.flush().unwrap();
+        assert!(matches!(
+            tail.poll().unwrap()[..],
+            [TelemetryEvent::Dropped { count: 5, .. }]
+        ));
         let _ = std::fs::remove_file(&path);
     }
 }

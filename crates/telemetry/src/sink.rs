@@ -94,7 +94,8 @@ impl TelemetrySink for VecSink {
 /// and dropping the sink flushes the buffer and reports any loss to
 /// stderr so tail events are never lost without a trace.
 pub struct JsonlSink {
-    writer: Mutex<BufWriter<File>>,
+    /// The file, and the buffer a line is encoded into and written from.
+    writer: Mutex<(BufWriter<File>, Vec<u8>)>,
     written: AtomicU64,
     write_errors: AtomicU64,
     last_error: Mutex<Option<String>>,
@@ -105,7 +106,7 @@ impl JsonlSink {
     pub fn create(path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
         Ok(JsonlSink {
-            writer: Mutex::new(BufWriter::new(file)),
+            writer: Mutex::new((BufWriter::with_capacity(64 * 1024, file), Vec::new())),
             written: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
             last_error: Mutex::new(None),
@@ -135,7 +136,7 @@ impl JsonlSink {
     /// Flush, surfacing the error to the caller (unlike the fire-and-
     /// forget trait `flush`).
     pub fn try_flush(&self) -> std::io::Result<()> {
-        let result = self.writer.lock().expect("JsonlSink poisoned").flush();
+        let result = self.writer.lock().expect("JsonlSink poisoned").0.flush();
         if let Err(e) = &result {
             self.record_error(e);
         }
@@ -145,9 +146,12 @@ impl JsonlSink {
 
 impl TelemetrySink for JsonlSink {
     fn emit(&self, event: TelemetryEvent) {
-        let line = event.to_json_line();
         let mut w = self.writer.lock().expect("JsonlSink poisoned");
-        match writeln!(w, "{line}") {
+        let (file, line) = &mut *w;
+        line.clear();
+        event.write_json_line(line);
+        line.push(b'\n');
+        match file.write_all(line) {
             Ok(()) => {
                 self.written.fetch_add(1, Ordering::Relaxed);
             }
