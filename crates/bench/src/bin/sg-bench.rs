@@ -2,20 +2,19 @@
 //!
 //! ```text
 //! sg-bench [--quick|--full] [--out PATH] [--compare OLD.json]
-//!          [--threshold PCT] [--warn-only] [--only NAMES]
-//!          [--demo-cluster]
+//!          [--threshold PCT] [--only NAMES] [--demo-cluster]
 //!
 //!   --quick          CI-sized iteration counts (default)
 //!   --full           more iterations for tighter quartiles
 //!   --out PATH       write the fresh baseline JSON to PATH
 //!   --compare OLD    run fresh, compare against a stored baseline, and
-//!                    exit 1 on any regression or missing scenario
+//!                    exit 1 on any regression or missing scenario; a
+//!                    baseline recorded on another host is refused
+//!                    (exit 2) before anything runs
 //!   --threshold PCT  median regression threshold in percent (default 25)
-//!   --warn-only      report regressions but always exit 0 (CI soak mode)
 //!   --only NAMES     run only scenarios whose name contains one of the
 //!                    comma-separated substrings (e.g. cluster_scale_50);
-//!                    with --compare, absent scenarios are reported as
-//!                    MISSING — pair with --warn-only
+//!                    --compare then covers just those scenarios
 //!   --demo-cluster   instead of the scenario set, run the ROADMAP
 //!                    200-node / 5 001-container / 10M-request spike
 //!                    once and print its throughput
@@ -23,9 +22,8 @@
 //!
 //! See BENCH.md for the scenario set and gate semantics.
 
-use sg_bench::baseline::{
-    compare, run_selected, to_json, BenchMode, Verdict, DEFAULT_THRESHOLD_PCT,
-};
+use sg_bench::baseline::{recorded_calib, run_selected, to_json, BenchMode, Host};
+use sg_bench::compare::{compare, Verdict, DEFAULT_THRESHOLD_PCT};
 use sg_bench::ClusterScenario;
 use sg_core::time::SimTime;
 use sg_sim::controller::NoopFactory;
@@ -36,7 +34,7 @@ use std::time::Instant;
 /// seconds ≈ 10.2M requests, arrivals streamed (never materialized).
 /// Runs with the mergeable aggregation layer on, and checks the merged
 /// 200-shard digest against an exact histogram of the same points —
-/// the observability-layer acceptance criterion at full scale.
+/// the observability-layer acceptance check at full scale.
 fn demo_cluster() {
     let scenario = ClusterScenario::new(200, 500.0, SimTime::from_secs(95));
     eprintln!(
@@ -107,42 +105,26 @@ fn main() {
     let mut out: Option<String> = None;
     let mut compare_path: Option<String> = None;
     let mut threshold = DEFAULT_THRESHOLD_PCT;
-    let mut warn_only = false;
     let mut only: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| match it.next() {
+            Some(v) => v.clone(),
+            None => usage(&format!("{arg} needs {what}")),
+        };
         match arg.as_str() {
             "--quick" => mode = BenchMode::Quick,
             "--full" => mode = BenchMode::Full,
-            "--warn-only" => warn_only = true,
             "--demo-cluster" => {
                 demo_cluster();
                 return;
             }
-            "--only" => {
-                only = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--only needs NAMES"))
-                        .clone(),
-                );
-            }
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--out needs PATH"))
-                        .clone(),
-                );
-            }
-            "--compare" => {
-                compare_path = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--compare needs PATH"))
-                        .clone(),
-                );
-            }
+            "--only" => only = Some(value("NAMES")),
+            "--out" => out = Some(value("PATH")),
+            "--compare" => compare_path = Some(value("PATH")),
             "--threshold" => {
-                let v = it.next().unwrap_or_else(|| usage("--threshold needs PCT"));
+                let v = value("PCT");
                 threshold = v
                     .parse()
                     .unwrap_or_else(|_| usage(&format!("--threshold expects a number, got '{v}'")));
@@ -151,44 +133,60 @@ fn main() {
         }
     }
 
-    let mode_label = match mode {
-        BenchMode::Quick => "quick",
-        BenchMode::Full => "full",
-    };
-    eprintln!("sg-bench: running pinned scenario set ({mode_label} mode)...");
-    let stats = run_selected(mode, only.as_deref(), |s| {
+    // The stored baseline is read and its host checked before anything
+    // runs: a cross-host compare is meaningless, so it costs nothing.
+    let here = Host::detect();
+    let stored = compare_path.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
+        let old =
+            serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e:?}")));
+        if let Err(e) = here.check(&old) {
+            fail(&format!("{path} was {e}"));
+        }
+        (path, old)
+    });
+
+    eprintln!(
+        "sg-bench: running pinned scenario set ({} mode) on {} x {}...",
+        mode.label(),
+        here.cpus,
+        here.cpu
+    );
+    let run = run_selected(mode, only.as_deref(), |s| {
         eprintln!(
             "  {:<18} median {:>10.3} {}  (p25 {:.3}, p75 {:.3}, n={})",
             s.name, s.median, s.unit, s.p25, s.p75, s.iters
         );
     });
-    if stats.is_empty() {
-        eprintln!("sg-bench: --only matched no scenarios");
-        std::process::exit(2);
+    if run.scenarios.is_empty() {
+        fail("--only matched no scenarios");
     }
-    let fresh = to_json(mode, &stats);
+    let fresh = to_json(mode, &here, &run);
 
     if let Some(path) = &out {
         let text = serde_json::to_string_pretty(&fresh).unwrap();
-        std::fs::write(path, text + "\n").unwrap_or_else(|e| {
-            eprintln!("sg-bench: writing {path}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::write(path, text + "\n").unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
         eprintln!("sg-bench: baseline written to {path}");
     }
 
-    let Some(old_path) = compare_path else { return };
-    let old_text = std::fs::read_to_string(&old_path).unwrap_or_else(|e| {
-        eprintln!("sg-bench: reading {old_path}: {e}");
-        std::process::exit(2);
-    });
-    let old = serde_json::from_str(&old_text).unwrap_or_else(|e| {
-        eprintln!("sg-bench: parsing {old_path}: {e:?}");
-        std::process::exit(2);
-    });
-
-    let report = compare(&old, &fresh, threshold);
+    let Some((old_path, old)) = stored else {
+        return;
+    };
+    let report = compare(&old, &fresh, threshold, only.as_deref()).unwrap_or_else(|e| fail(&e));
     eprintln!("sg-bench: compare vs {old_path} (threshold {threshold}%):");
+    if Host::recorded(&old).is_none() {
+        eprintln!(
+            "  (baseline records no host: deltas only mean something if it was measured here)"
+        );
+    }
+    let calib = |pair: Option<[f64; 2]>| {
+        pair.map_or("not recorded".into(), |[before, after]| {
+            format!("{before:.0} before, {after:.0} after")
+        })
+    };
+    eprintln!("  calib_ns baseline: {}", calib(recorded_calib(&old)));
+    eprintln!("  calib_ns fresh:    {}", calib(Some(run.calib_ns)));
     for (name, verdict) in &report.verdicts {
         match verdict {
             Verdict::Ok { delta_pct } => {
@@ -208,22 +206,23 @@ fn main() {
         }
     }
     if report.failed() {
-        if warn_only {
-            eprintln!("sg-bench: regressions detected (ignored: --warn-only)");
-        } else {
-            eprintln!("sg-bench: FAILED — perf regression vs {old_path}");
-            std::process::exit(1);
-        }
-    } else {
-        eprintln!("sg-bench: PASSED");
+        eprintln!("sg-bench: FAILED — perf regression vs {old_path}");
+        std::process::exit(1);
     }
+    eprintln!("sg-bench: PASSED");
+}
+
+/// Exit 2: an IO, parse or cross-host error (not a perf verdict).
+fn fail(err: &str) -> ! {
+    eprintln!("sg-bench: {err}");
+    std::process::exit(2);
 }
 
 fn usage(err: &str) -> ! {
     eprintln!("sg-bench: {err}");
     eprintln!(
         "usage: sg-bench [--quick|--full] [--out PATH] [--compare OLD.json] \
-         [--threshold PCT] [--warn-only]"
+         [--threshold PCT] [--only NAMES] [--demo-cluster]"
     );
     std::process::exit(2);
 }

@@ -1,24 +1,19 @@
-//! # sg-bench — benchmark support
+//! # sg-bench — the per-layer perf trajectory
 //!
-//! Shared scaled-down configurations for the criterion benches. Two bench
-//! targets exist:
-//!
-//! * `micro` — hot-path costs the paper reports in §VI-D: per-packet
-//!   slack inspection (0.26 µs on their testbed), work-queue handoff
-//!   (0.44 µs), the off-path frequency update (2.1 µs), plus the
-//!   surrounding data structures.
-//! * `figures` — one scaled-down end-to-end run per reproduced figure,
-//!   tracking the wall-clock cost of regenerating each result.
-//!
-//! Besides the criterion benches, the [`baseline`] module and the
-//! `sg-bench` binary provide a machine-readable perf baseline
-//! (`results/BENCH_*.json`) with a `--compare` regression gate; see
-//! BENCH.md.
+//! The [`baseline`] module and the `sg-bench` binary time a pinned
+//! scenario set — from one simulated trial down to the per-packet
+//! FirstResponder decision the paper budgets in §VI-D — and write it as
+//! a machine-readable baseline (`results/BENCH_*.json`); [`compare`] is
+//! the `--compare` regression gate over two of them. See BENCH.md. This file holds the two
+//! scaled-down workloads those scenarios run: [`BenchScenario`] (one
+//! calibrated CHAIN surge trial) and [`ClusterScenario`] (the
+//! cluster-scale fan-out).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod baseline;
+pub mod compare;
 
 use sg_core::ids::{NodeId, ServiceId};
 use sg_core::time::{SimDuration, SimTime};
@@ -31,7 +26,7 @@ use sg_telemetry::{AggConfig, AggRuntime, ClusterAgg};
 use sg_workloads::{prepare, CalibrationOptions, PreparedWorkload, Workload};
 use std::sync::Arc;
 
-/// A short calibrated scenario reused across the figure benches.
+/// A short calibrated scenario: the `sim_trial*` unit of work.
 pub struct BenchScenario {
     /// The calibrated workload.
     pub pw: PreparedWorkload,
@@ -42,8 +37,8 @@ pub struct BenchScenario {
 }
 
 impl BenchScenario {
-    /// CHAIN with 1.75× surges, 6 s horizon — small enough for criterion
-    /// iteration, large enough to exercise every code path.
+    /// CHAIN with 1.75× surges, 6 s horizon — small enough to iterate,
+    /// large enough to exercise every code path.
     pub fn chain_surge() -> Self {
         let pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
         let pattern = SpikePattern {
@@ -60,14 +55,15 @@ impl BenchScenario {
         }
     }
 
-    /// Run the scenario under `factory` with a fixed seed.
-    pub fn run(&self, factory: &dyn ControllerFactory, seed: u64) -> RunResult {
+    /// The configured simulation (config, rendered arrivals, controllers
+    /// from `factory`), ready for `.with_*` observers and `.run()`.
+    pub fn simulation(&self, factory: &dyn ControllerFactory, seed: u64) -> Simulation {
         let mut cfg = self.pw.cfg.clone();
         cfg.end = self.horizon + SimDuration::from_millis(100);
         cfg.measure_start = SimTime::from_secs(1);
         cfg.seed = seed;
         let arrivals = self.pattern.arrivals(SimTime::ZERO, self.horizon);
-        Simulation::new(cfg, factory, arrivals).run()
+        Simulation::new(cfg, factory, arrivals)
     }
 }
 
@@ -158,11 +154,16 @@ impl ClusterScenario {
         }
     }
 
-    /// Run once with streamed (batched) arrivals — the cluster-scale
-    /// path: the spike schedule is never materialized.
-    pub fn run(&self, factory: &dyn ControllerFactory) -> RunResult {
+    /// The configured simulation with streamed (batched) arrivals — the
+    /// cluster-scale path: the spike schedule is never materialized.
+    fn simulation(&self, factory: &dyn ControllerFactory) -> Simulation {
         let stream = ArrivalProfile::Spike(self.pattern).stream(SimTime::ZERO, self.horizon);
-        Simulation::new_streaming(self.cfg.clone(), factory, Box::new(stream)).run()
+        Simulation::new_streaming(self.cfg.clone(), factory, Box::new(stream))
+    }
+
+    /// Run once.
+    pub fn run(&self, factory: &dyn ControllerFactory) -> RunResult {
+        self.simulation(factory).run()
     }
 
     /// QoS deadline used for the scenario's SLO/heavy-hitter layer: the
@@ -181,12 +182,8 @@ impl ClusterScenario {
             AggConfig::new(self.qos()),
             self.nodes as usize,
         ));
-        let stream = ArrivalProfile::Spike(self.pattern).stream(SimTime::ZERO, self.horizon);
-        let result = Simulation::new_streaming(self.cfg.clone(), factory, Box::new(stream))
-            .with_agg(Arc::clone(&agg))
-            .run();
-        let merged = agg.merged();
-        (result, merged)
+        let result = self.simulation(factory).with_agg(Arc::clone(&agg)).run();
+        (result, agg.merged())
     }
 }
 
@@ -198,7 +195,7 @@ mod tests {
     #[test]
     fn bench_scenario_runs() {
         let sc = BenchScenario::chain_surge();
-        let r = sc.run(&NoopFactory, 1);
+        let r = sc.simulation(&NoopFactory, 1).run();
         assert!(r.completed > 0);
     }
 

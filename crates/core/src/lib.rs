@@ -26,9 +26,9 @@
 //!   both substrates (crash, node loss, pool leak, jitter, straggler).
 //!
 //! Everything here is pure, deterministic, and free of I/O: the same code
-//! drives the discrete-event cluster in `sg-sim`, the unit tests, and the
-//! criterion micro-benchmarks that check the fast path stays in the
-//! sub-microsecond regime the paper reports.
+//! drives the discrete-event cluster in `sg-sim`, the live substrate in
+//! `sg-live`, the unit tests, and the `sg-bench` scenarios that check the
+//! fast path stays in the sub-microsecond regime the paper reports.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

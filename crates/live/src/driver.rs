@@ -30,6 +30,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+/// Capacity of the FirstResponder coordinator→worker SPSC queue.
+const FR_QUEUE_CAPACITY: usize = 1024;
+
+/// Capacity of the telemetry relay ring every open stream shares.
+const TELEMETRY_RING_CAPACITY: usize = 64 * 1024;
+
 /// Knobs specific to the live substrate (the shared `SimConfig` covers
 /// everything semantic).
 #[derive(Clone)]
@@ -38,15 +44,11 @@ pub struct LiveOpts {
     /// gate — not the thread count — is the binding resource, matching
     /// the simulator's processor-sharing container.
     pub workers_per_container: usize,
-    /// Capacity of the FirstResponder coordinator→worker SPSC queue.
-    pub fr_queue_capacity: usize,
     /// Decision-trace destination. The driver wraps it in a bounded
     /// lock-free ring ([`sg_telemetry::RingSink`]) so hot-path emissions
     /// never block; drops are counted in [`LiveStats::telemetry_dropped`]
     /// and testified to inside the trace itself.
     pub telemetry: Option<SharedSink>,
-    /// Capacity of that telemetry relay ring.
-    pub telemetry_ring_capacity: usize,
     /// Span-trace destination. Shares the single relay ring with
     /// `telemetry` (one lock-free push on the hot path regardless of how
     /// many streams are open); a [`DemuxSink`] behind the ring routes
@@ -87,9 +89,7 @@ impl Default for LiveOpts {
     fn default() -> Self {
         LiveOpts {
             workers_per_container: 8,
-            fr_queue_capacity: 1024,
             telemetry: None,
-            telemetry_ring_capacity: 64 * 1024,
             spans: None,
             span_sampler: SpanSampler::all(),
             metrics: None,
@@ -202,9 +202,9 @@ pub fn run_live_with_stats(
             // Occupancy tracking adds a `fetch_max` per push; only pay for
             // it when the profiler is on to report the high-water mark.
             let (ring, drainer) = if has_profile {
-                RingSink::spawn_tracking(demux, opts.telemetry_ring_capacity)
+                RingSink::spawn_tracking(demux, TELEMETRY_RING_CAPACITY)
             } else {
-                RingSink::spawn(demux, opts.telemetry_ring_capacity)
+                RingSink::spawn(demux, TELEMETRY_RING_CAPACITY)
             };
             let ring_handle = Arc::clone(&ring);
             let ring = ring as SharedSink;
@@ -243,7 +243,7 @@ pub fn run_live_with_stats(
     // applies after the emulated MSR-write delay.
     let apply_state = Arc::clone(&state);
     let apply_delay = cfg.freq_apply_delay;
-    let fr = FrRuntime::spawn(n_slots, 0, opts.fr_queue_capacity, move |update| {
+    let fr = FrRuntime::spawn(n_slots, 0, FR_QUEUE_CAPACITY, move |update| {
         if !apply_delay.is_zero() {
             std::thread::sleep(std::time::Duration::from_nanos(apply_delay.as_nanos()));
         }

@@ -252,6 +252,7 @@ impl TraceProfile {
     /// non-numeric header row are skipped.
     pub fn from_csv_str(text: &str) -> Result<Self, String> {
         let mut points: Vec<(SimDuration, f64)> = Vec::new();
+        let mut last_line = 0;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -267,9 +268,9 @@ impl TraceProfile {
                 }
                 return Err(format!("trace line {}: non-numeric row", lineno + 1));
             };
-            if off_s < 0.0 || !rate.is_finite() || rate <= 0.0 {
+            if !off_s.is_finite() || off_s < 0.0 || !rate.is_finite() || rate <= 0.0 {
                 return Err(format!(
-                    "trace line {}: offsets must be >= 0 and rates positive",
+                    "trace line {}: offsets must be finite and >= 0, rates positive",
                     lineno + 1
                 ));
             }
@@ -283,17 +284,22 @@ impl TraceProfile {
                 }
             }
             points.push((off, rate));
+            last_line = lineno + 1;
         }
-        if points.is_empty() {
+        let Some(&(last, _)) = points.last() else {
             return Err("trace has no data rows".into());
-        }
-        let len = match points.len() {
-            1 => points[0].0 + SimDuration::from_secs(1),
-            n => {
-                let last = points[n - 1].0;
-                last + (last - points[n - 2].0)
-            }
         };
+        let tail = match points.len() {
+            1 => SimDuration::from_secs(1),
+            n => last - points[n - 2].0,
+        };
+        // A huge (but finite) offset saturates `from_secs_f64`; the length
+        // must not wrap around it.
+        let len = last
+            .as_nanos()
+            .checked_add(tail.as_nanos())
+            .map(SimDuration::from_nanos)
+            .ok_or_else(|| format!("trace line {last_line}: offset out of range"))?;
         Ok(TraceProfile { points, len })
     }
 
@@ -577,6 +583,13 @@ mod tests {
             "negative rate"
         );
         assert!(TraceProfile::from_csv_str("0,100\nbogus,row\n").is_err());
+        // Non-finite and saturating offsets: an error, not a wrapped length.
+        assert!(TraceProfile::from_csv_str("0,100\ninf,200").is_err());
+        assert!(TraceProfile::from_csv_str("nan,100").is_err());
+        assert_eq!(
+            TraceProfile::from_csv_str("0,100\n1e300,200"),
+            Err("trace line 2: offset out of range".into())
+        );
     }
 
     #[test]
