@@ -23,6 +23,8 @@ use sg_core::replica::p2c_winner;
 use sg_core::time::{SimDuration, SimTime};
 use sg_sim::app::ConnModel;
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
+use sg_sim::engine::Engine;
+use sg_sim::event::Event;
 use sg_sim::runner::{RunResult, Simulation};
 use sg_telemetry::profile::{LiveProfiler, ProfilePhase};
 use sg_telemetry::{
@@ -562,13 +564,47 @@ fn cluster_scale(b: &mut Bench, nodes: u32) {
     });
 }
 
+/// The completion-timer table under the simulator's two shapes: 64
+/// slots armed (a `sim_trials` chain) and 5 001 (the 200-node cluster),
+/// half of every iteration on each. One operation is what a container
+/// mutation plus the completion it leads to cost the engine: re-arm a
+/// random armed slot in place, then pop the earliest timer and arm that
+/// slot again.
+fn timer_rearm(b: &mut Bench) {
+    const INNER: u64 = 100_000;
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut later = move |now: SimTime| {
+        state = xorshift(state);
+        now + SimDuration::from_nanos(1 + state % 1_000_000)
+    };
+    let mut engines = [64u32, 5_001].map(|slots| {
+        let mut engine = Engine::new();
+        for slot in 0..slots {
+            engine.arm(ContainerId(slot), later(SimTime::ZERO), 0);
+        }
+        (engine, slots)
+    });
+    b.per_run(|_| {
+        let dt = time_ops(INNER, |k| {
+            let (engine, slots) = &mut engines[(k % 2) as usize];
+            let at = later(engine.now());
+            engine.arm(ContainerId((k / 2) as u32 % *slots), at, k);
+            let Some((now, Event::PhaseComplete { container, .. })) = engine.pop() else {
+                unreachable!("every slot stays armed");
+            };
+            engine.arm(container, later(now), k);
+        });
+        (dt, INNER)
+    });
+}
+
 /// One pinned scenario: the name and unit every baseline records it
 /// under, its iteration class, and the body that feeds a `Bench`.
 type Scenario = (&'static str, Unit, Reps, fn(&mut Bench));
 
 /// The pinned scenario set: stable names (the `--only` selectors and
 /// the keys of every `BENCH_*.json`), fixed order.
-const SCENARIOS: [Scenario; 22] = [
+const SCENARIOS: [Scenario; 23] = [
     ("sim_trial", MS, HEAVY, |b| chain_trial(b, Simulation::run)),
     ("fr_hook", NS, LIGHT, |b| b.per_op(200_000, on_packet())),
     ("fr_hook_profiled", NS, LIGHT, fr_hook_profiled),
@@ -594,6 +630,7 @@ const SCENARIOS: [Scenario; 22] = [
     ("lb_pick", NS, LIGHT, lb_pick),
     ("window_record", NS, LIGHT, window_record),
     ("mmpp_schedule", MS, LIGHT, mmpp_schedule),
+    ("timer_rearm", NS, LIGHT, timer_rearm),
     ("cluster_scale_4", NS, CLUSTER, |b| cluster_scale(b, 4)),
     ("cluster_scale_50", NS, CLUSTER, |b| cluster_scale(b, 50)),
     ("cluster_scale_200", NS, CLUSTER, |b| cluster_scale(b, 200)),
@@ -817,7 +854,7 @@ mod tests {
     /// rather than only a manual `--compare`.
     #[test]
     fn scenario_table_matches_committed_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_16.json");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_19.json");
         let committed = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
         let table: Vec<&str> = SCENARIOS.iter().map(|sc| sc.0).collect();
         assert_eq!(scenario_names(&committed), table);

@@ -83,12 +83,56 @@ fn assert_results_identical(a: &RunResult, b: &RunResult) {
     assert_eq!(a.packet_freq_boosts, b.packet_freq_boosts);
 }
 
+/// The modelled outputs of one scenario as captured at commit 9fd354b,
+/// the last tree whose engine tombstoned stale completions. The
+/// cross-backend comparison cannot see a change that moves both
+/// backends together; these can. `events` is deliberately not pinned:
+/// it counts queue pops, not modelled behaviour.
+#[derive(Debug, PartialEq)]
+struct Pins {
+    /// FNV-1a over every point's `(completion, latency)` nanoseconds.
+    points_fnv: u64,
+    energy_bits: u64,
+    avg_cores_bits: u64,
+    injected: u64,
+    completed: u64,
+    dropped: u64,
+    clamped_actions: u64,
+    packet_freq_boosts: u64,
+}
+
+impl Pins {
+    fn of(r: &RunResult) -> Self {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for p in &r.points {
+            for word in [p.completion.as_nanos(), p.latency.as_nanos()] {
+                for b in word.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        Pins {
+            points_fnv: h,
+            energy_bits: r.energy_j.to_bits(),
+            avg_cores_bits: r.avg_cores.to_bits(),
+            injected: r.injected,
+            completed: r.completed,
+            dropped: r.dropped,
+            clamped_actions: r.clamped_actions,
+            packet_freq_boosts: r.packet_freq_boosts,
+        }
+    }
+}
+
 /// Run `cfg` once per queue backend (same seed, same arrivals, same
-/// controller stack) and require byte-identical results and exports.
+/// controller stack) and require byte-identical results and exports,
+/// and the parent-captured `pins` on both.
 fn assert_backends_equivalent(
     cfg: &SimConfig,
     factory: &dyn ControllerFactory,
     arrivals: &Arc<[SimTime]>,
+    pins: &Pins,
 ) {
     let mut heap_cfg = cfg.clone();
     heap_cfg.queue = QueueKind::Heap;
@@ -99,6 +143,16 @@ fn assert_backends_equivalent(
 
     assert!(heap.completed > 0, "scenario did not exercise the engine");
     assert_results_identical(&heap, &wheel);
+    assert_eq!(
+        &Pins::of(&heap),
+        pins,
+        "heap backend left the parent's pins"
+    );
+    assert_eq!(
+        &Pins::of(&wheel),
+        pins,
+        "wheel backend left the parent's pins"
+    );
     for (name, (h, w)) in ["telemetry", "spans", "metrics"]
         .iter()
         .zip(heap_streams.iter().zip(wheel_streams.iter()))
@@ -134,6 +188,39 @@ fn configure(pw: &PreparedWorkload, p: &ExpProfile) -> SimConfig {
     cfg
 }
 
+const FIG05_PINS: Pins = Pins {
+    points_fnv: 0xc750_7e19_591d_8c44,
+    energy_bits: 0x4085_c7ff_ffff_ffff,
+    avg_cores_bits: 0x4041_0000_0000_0000,
+    injected: 30000,
+    completed: 30000,
+    dropped: 0,
+    clamped_actions: 0,
+    packet_freq_boosts: 0,
+};
+
+const CHAOS_PINS: Pins = Pins {
+    points_fnv: 0x35bc_2fcc_3569_51fd,
+    energy_bits: 0x4090_dd75_7b42_c79d,
+    avg_cores_bits: 0x4047_3512_bb51_2bb4,
+    injected: 30000,
+    completed: 30000,
+    dropped: 0,
+    clamped_actions: 0,
+    packet_freq_boosts: 137,
+};
+
+const ZOO_PINS: Pins = Pins {
+    points_fnv: 0xc7b2_746e_cfcb_8b91,
+    energy_bits: 0x4090_a800_0000_0000,
+    avg_cores_bits: 0x404a_0000_0000_0000,
+    injected: 30000,
+    completed: 30000,
+    dropped: 0,
+    clamped_actions: 0,
+    packet_freq_boosts: 0,
+};
+
 #[test]
 fn fig05_style_run_is_backend_identical() {
     let p = profile();
@@ -142,7 +229,7 @@ fn fig05_style_run_is_backend_identical() {
     let pattern = SpikePattern::periodic(pw.base_rate, 2.0, SimDuration::from_secs(2));
     let arrivals: Arc<[SimTime]> = pattern.arrivals(SimTime::ZERO, window_end(&p)).into();
     let factory = SurgeGuardFactory::full();
-    assert_backends_equivalent(&cfg, &factory, &arrivals);
+    assert_backends_equivalent(&cfg, &factory, &arrivals, &FIG05_PINS);
 }
 
 #[test]
@@ -157,7 +244,7 @@ fn faulted_chaos_run_is_backend_identical() {
     let pattern = SpikePattern::constant(pw.base_rate);
     let arrivals: Arc<[SimTime]> = pattern.arrivals(SimTime::ZERO, window_end(&p)).into();
     let factory = SurgeGuardFactory::full();
-    assert_backends_equivalent(&cfg, &factory, &arrivals);
+    assert_backends_equivalent(&cfg, &factory, &arrivals, &CHAOS_PINS);
 }
 
 #[test]
@@ -175,5 +262,5 @@ fn replica_zoo_run_is_backend_identical() {
     let pattern = SpikePattern::periodic(pw.base_rate, 1.75, SimDuration::from_secs(3));
     let arrivals: Arc<[SimTime]> = pattern.arrivals(SimTime::ZERO, window_end(&p)).into();
     let factory = SmartHpaFactory::default();
-    assert_backends_equivalent(&cfg, &factory, &arrivals);
+    assert_backends_equivalent(&cfg, &factory, &arrivals, &ZOO_PINS);
 }

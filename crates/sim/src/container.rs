@@ -98,8 +98,10 @@ pub struct Containers {
     /// Cumulative per-thread service, in base-frequency core-nanoseconds.
     virt: Vec<f64>,
     last_update: Vec<SimTime>,
-    /// Scheduling epoch; completion events carry the epoch they were
-    /// scheduled under and are ignored when stale.
+    /// Change counter: bumped by everything that can move the slot's
+    /// next completion. The runner arms the slot's completion timer under
+    /// the epoch it computed the completion from, and re-arms exactly
+    /// when the two differ.
     epoch: Vec<u64>,
     /// Min-heap of (completion virtual time, phase) per slot.
     phases: Vec<BinaryHeap<Reverse<(VirtTime, InvocationId)>>>,
@@ -218,8 +220,8 @@ impl Containers {
         self.phases[i].len()
     }
 
-    /// Scheduling epoch of slot `i`; completion events carry the epoch
-    /// they were scheduled under and are ignored when stale.
+    /// Change counter of slot `i`: differs from the epoch the slot's
+    /// completion timer was armed under iff the slot changed since.
     #[inline]
     pub fn epoch(&self, i: usize) -> u64 {
         self.epoch[i]
@@ -258,8 +260,9 @@ impl Containers {
     }
 
     /// Admit a work phase of `work` (single-core base-frequency time) for
-    /// `inv` on slot `i`. Bumps the epoch: callers must reschedule the
-    /// completion event.
+    /// `inv` on slot `i`. Bumps the epoch, like every mutation below:
+    /// the caller must then re-arm the slot's completion timer from
+    /// [`Containers::next_completion`].
     pub fn add_phase(&mut self, i: usize, now: SimTime, inv: InvocationId, work: SimDuration) {
         self.advance(i, now);
         let target = self.virt[i] + work.as_nanos() as f64;

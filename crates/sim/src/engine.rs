@@ -4,21 +4,48 @@
 //!
 //! Every future action in the simulator — an arrival, an RPC delivery, a
 //! phase completion, a controller tick, a fault edge — is an [`Event`]
-//! scheduled at an absolute [`SimTime`]. The runner's main loop is
+//! due at an absolute [`SimTime`]. The runner's main loop is
 //! `while let Some((t, ev)) = engine.pop()`: popping advances the clock
 //! to the event's timestamp and hands the event to the dispatcher, which
 //! may schedule more events (always at `t' >= now`). Time never moves
 //! backwards and nothing happens between events; the whole simulation is
 //! a pure fold over the popped event sequence.
 //!
+//! An event reaches `pop` one of two ways. [`Engine::schedule`] puts it
+//! on the pending-event queue, where it stays until it pops: scheduled
+//! events are never withdrawn. A container's next phase completion is
+//! different — it moves every time the container's rate or membership
+//! changes — so it is not queued but *armed*: [`Engine::arm`] sets the
+//! slot's one completion timer, replacing the previous setting, and
+//! [`Engine::disarm`] cancels it. `pop` merges the timer table with the
+//! queue and hands a due timer out as [`Event::PhaseComplete`]. Every
+//! popped event is live; nothing is popped to be thrown away, and
+//! [`Engine::pending`] counts work that will really happen.
+//!
 //! # Ordering contract
 //!
 //! Events are totally ordered by `(time, seq)` where `seq` is a
-//! monotonically increasing insertion counter. The `seq` tie-breaker
-//! makes simultaneous events pop in insertion order, which — together
-//! with a single seeded RNG — makes every simulation a pure function of
-//! `(config, seed)`. The test suite, the 17-trial experiment protocol,
-//! and the byte-identical golden pins all rely on this.
+//! monotonically increasing counter that `schedule` and `arm` both draw
+//! from: a timer pops exactly where an event scheduled by the same call
+//! would, and a re-arm takes a fresh `seq` rather than inheriting the
+//! old one. The `seq` tie-breaker makes simultaneous events pop in
+//! call order, which — together with a single seeded RNG — makes every
+//! simulation a pure function of `(config, seed)`. The test suite, the
+//! 17-trial experiment protocol, and the byte-identical golden pins all
+//! rely on this.
+//!
+//! # Timers sit above the queue
+//!
+//! The timer table and the merge live in `Engine`, above both queue
+//! backends, so the backends stay insert-and-pop-only and share the
+//! feature by construction. The price is that the wheel cannot be
+//! peeked — finding its minimum moves the tick cursor — so when `pop`
+//! has to compare a timer with the queue it pulls the queue's earliest
+//! entry out. If the timer is earlier, that entry waits in a one-slot
+//! *hold-back register*, and until it pops anything scheduled before it
+//! goes to a small side heap that `pop` drains first (the backend's
+//! cursor already stands at the held entry's tick, and inserts behind
+//! the cursor are not allowed). Order: side heap < held entry < backend.
 //!
 //! # Queue backends
 //!
@@ -35,7 +62,8 @@
 //! * **[`QueueKind::Heap`]** — the original global binary heap, kept as
 //!   the reference implementation; equivalence tests pin that both
 //!   backends pop the identical `(time, seq)` sequence (see
-//!   `crates/sim/tests/equivalence.rs` and `SCALING.md`).
+//!   `crates/sim/tests/properties.rs`,
+//!   `crates/experiments/tests/equivalence.rs` and `SCALING.md`).
 //!
 //! ```
 //! use sg_sim::{Engine, Event, QueueKind};
@@ -59,6 +87,7 @@
 //! ```
 
 use crate::event::Event;
+use sg_core::ids::ContainerId;
 use sg_core::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -105,6 +134,17 @@ struct HeapKey {
     seq: u64,
 }
 
+impl HeapKey {
+    /// `self < other`, as one wide integer comparison: the timer heap
+    /// picks the earlier of two children with it, which must not cost a
+    /// mispredicted branch a level.
+    #[inline]
+    fn precedes(self, other: HeapKey) -> bool {
+        let wide = |k: HeapKey| (u128::from(k.time.as_nanos()) << 64) | u128::from(k.seq);
+        wide(self) < wide(other)
+    }
+}
+
 type Entry = (HeapKey, Event);
 
 /// Hierarchical timer wheel: the O(1)-amortized queue backend.
@@ -127,8 +167,9 @@ struct Wheel {
     /// True while `active` corresponds to tick `cur` (new same-tick
     /// inserts splice into its sorted remainder).
     active_live: bool,
-    /// Tick cursor: `now >> WHEEL_GRANULARITY_BITS` between pops; may run
-    /// ahead of `now` transiently while scanning for the next event.
+    /// Tick cursor: the tick of the last entry popped; runs ahead of
+    /// that transiently while scanning for the next event, and ahead of
+    /// the engine's clock while that entry is held back behind a timer.
     cur: u64,
     /// Far-future events (≥ `HORIZON_TICKS` ahead at insert time).
     overflow: BinaryHeap<Reverse<Entry>>,
@@ -165,9 +206,11 @@ impl Wheel {
         key.time.as_nanos() >> WHEEL_GRANULARITY_BITS
     }
 
-    /// Insert an entry. `self.cur` equals the current clock tick at every
-    /// call site (schedule only happens between pops), so `delta` is the
-    /// non-negative distance to the event in ticks.
+    /// Insert an entry. `self.cur` is the tick of the last entry popped,
+    /// and the engine only inserts entries that sort after that one (it
+    /// keeps the rest in its side heap while the popped entry is held
+    /// back), so `delta` is the non-negative distance to the event in
+    /// ticks.
     fn insert(&mut self, entry: Entry) {
         let tick = Self::tick_of(&entry.0);
         debug_assert!(tick >= self.cur, "insert behind the tick cursor");
@@ -180,8 +223,8 @@ impl Wheel {
         if delta == 0 && self.active_live {
             // Same tick as the slot being drained: splice the entry into
             // the sorted remainder. Its key exceeds every already-popped
-            // key (`time >= now`, `seq` larger than any resident's), so
-            // the insertion point is always at or past the cursor.
+            // key (it sorts after the last one popped, see above), so the
+            // insertion point is always at or past the cursor.
             let pos = self.active.partition_point(|e| e.0 < entry.0);
             debug_assert!(pos >= self.cursor, "insert before drain cursor");
             self.active.insert(pos, entry);
@@ -363,10 +406,170 @@ enum Queue {
     Wheel(Wheel),
 }
 
+impl Queue {
+    #[inline]
+    fn insert(&mut self, entry: Entry) {
+        match self {
+            Queue::Heap(heap) => heap.push(Reverse(entry)),
+            Queue::Wheel(wheel) => wheel.insert(entry),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Entry> {
+        match self {
+            Queue::Heap(heap) => heap.pop().map(|Reverse(entry)| entry),
+            Queue::Wheel(wheel) => wheel.pop(),
+        }
+    }
+}
+
+/// `Timers::pos` value of a slot with no armed timer.
+const DISARMED: u32 = u32::MAX;
+
+/// One armed completion timer.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    key: HeapKey,
+    /// The container epoch the timer was armed under.
+    epoch: u64,
+    slot: u32,
+}
+
+/// The completion-timer table: an indexed binary min-heap holding at
+/// most one [`Timer`] per container slot, so a timer can be moved or
+/// removed in O(log armed) instead of being left behind as a dead queue
+/// entry.
+#[derive(Debug, Default)]
+struct Timers {
+    /// Min-heap on `key`; `pos` tracks where each slot's timer sits.
+    heap: Vec<Timer>,
+    /// Heap index of each slot's timer, or [`DISARMED`].
+    pos: Vec<u32>,
+}
+
+impl Timers {
+    #[inline]
+    fn front(&self) -> Option<HeapKey> {
+        self.heap.first().map(|timer| timer.key)
+    }
+
+    #[inline]
+    fn armed_epoch(&self, slot: usize) -> Option<u64> {
+        match self.pos.get(slot) {
+            Some(&p) if p != DISARMED => Some(self.heap[p as usize].epoch),
+            _ => None,
+        }
+    }
+
+    /// Arm `slot`, moving its timer in place if it has one. Returns true
+    /// iff the slot was disarmed before.
+    fn arm(&mut self, slot: usize, key: HeapKey, epoch: u64) -> bool {
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, DISARMED);
+        }
+        let timer = Timer {
+            key,
+            epoch,
+            slot: slot as u32,
+        };
+        match self.pos[slot] {
+            DISARMED => {
+                self.heap.push(timer);
+                self.sift_up(self.heap.len() - 1, timer);
+                true
+            }
+            p => {
+                self.sink(p as usize, timer);
+                false
+            }
+        }
+    }
+
+    /// Remove `slot`'s timer. Returns true iff it had one.
+    fn disarm(&mut self, slot: usize) -> bool {
+        match self.pos.get(slot) {
+            Some(&p) if p != DISARMED => {
+                self.remove(p as usize);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Remove and return the earliest timer.
+    fn pop(&mut self) -> Timer {
+        self.remove(0)
+    }
+
+    fn remove(&mut self, i: usize) -> Timer {
+        let removed = self.heap[i];
+        self.pos[removed.slot as usize] = DISARMED;
+        let last = self.heap.pop().expect("index is in the heap");
+        if i < self.heap.len() {
+            self.sink(i, last);
+        }
+        removed
+    }
+
+    /// Put `timer` where it belongs at or above the vacant index `i`.
+    fn sift_up(&mut self, mut i: usize, timer: Timer) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !timer.key.precedes(self.heap[parent].key) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, timer);
+    }
+
+    /// Put `timer` where it belongs given the vacant index `i`, above or
+    /// below: walk the vacancy down to a leaf along the earlier child —
+    /// one comparison a level, none of them against `timer` and none a
+    /// branch — and sift up from there, which is short for a timer that
+    /// belongs near the bottom, as a re-armed or formerly last one
+    /// usually does.
+    fn sink(&mut self, mut i: usize, timer: Timer) {
+        let len = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            let right_first =
+                child + 1 < len && self.heap[child + 1].key.precedes(self.heap[child].key);
+            child += usize::from(right_first);
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.sift_up(i, timer);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, timer: Timer) {
+        self.heap[i] = timer;
+        self.pos[timer.slot as usize] = i as u32;
+    }
+}
+
 /// The event queue / clock pair.
 #[derive(Debug)]
 pub struct Engine {
     queue: Queue,
+    /// Armed completion timers; [`Engine::pop`] merges them with `queue`.
+    timers: Timers,
+    /// Hold-back register: the one entry `pop` pulled out of `queue` to
+    /// compare with a timer and found to be the later of the two. The
+    /// wheel cannot be peeked without moving its tick cursor, so the
+    /// entry waits here, outside the backend, until it is the earliest.
+    held: Option<Entry>,
+    /// Entries scheduled before `held` while it waits. The backend's
+    /// cursor already sits at `held`'s tick and only accepts inserts at
+    /// or after it, so these stay in this side heap; `pop` drains it
+    /// first. Non-empty only while `held` is occupied.
+    side: BinaryHeap<Reverse<Entry>>,
     now: SimTime,
     next_seq: u64,
     processed: u64,
@@ -388,6 +591,9 @@ impl Engine {
         };
         Engine {
             queue,
+            timers: Timers::default(),
+            held: None,
+            side: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             processed: 0,
@@ -415,14 +621,17 @@ impl Engine {
         self.processed
     }
 
-    /// Number of events still queued.
+    /// Events that will still pop: scheduled entries (wherever `pop` has
+    /// parked them) plus armed timers. A replaced or cancelled timer is
+    /// gone, not pending.
     pub fn pending(&self) -> usize {
         self.len
     }
 
-    /// Deepest the pending-event queue has been since construction
-    /// (events, not bytes), regardless of backend. The name predates the
-    /// wheel backend and is kept for profile-schema continuity.
+    /// Most events ever [`pending`](Engine::pending) at once since
+    /// construction (events, not bytes), regardless of backend. The name
+    /// predates the wheel backend and is kept for profile-schema
+    /// continuity.
     pub fn heap_high_water(&self) -> usize {
         self.high_water
     }
@@ -451,21 +660,59 @@ impl Engine {
     /// "now" to keep time monotone.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: Event) {
+        let key = self.next_key(at);
+        match self.held {
+            Some((held, _)) if key < held => self.side.push(Reverse((key, event))),
+            _ => self.queue.insert((key, event)),
+        }
+        self.grow();
+    }
+
+    /// Arm container slot `slot`'s completion timer to fire at `at` as
+    /// `Event::PhaseComplete { container: slot, epoch }`, replacing the
+    /// slot's armed timer if it has one (the old one never fires). The
+    /// timer takes its `seq` from the counter [`Engine::schedule`] uses,
+    /// so it pops exactly where an event scheduled by this call would.
+    #[inline]
+    pub fn arm(&mut self, slot: ContainerId, at: SimTime, epoch: u64) {
+        let key = self.next_key(at);
+        if self.timers.arm(slot.index(), key, epoch) {
+            self.grow();
+        }
+    }
+
+    /// Cancel `slot`'s completion timer, if armed.
+    #[inline]
+    pub fn disarm(&mut self, slot: ContainerId) {
+        if self.timers.disarm(slot.index()) {
+            self.len -= 1;
+        }
+    }
+
+    /// The epoch `slot`'s timer was armed under, or `None` when disarmed
+    /// (never armed, cancelled, or already fired).
+    #[inline]
+    pub fn armed_epoch(&self, slot: ContainerId) -> Option<u64> {
+        self.timers.armed_epoch(slot.index())
+    }
+
+    #[inline]
+    fn next_key(&mut self, at: SimTime) -> HeapKey {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
             self.now
         );
-        let at = at.max(self.now);
         let key = HeapKey {
-            time: at,
+            time: at.max(self.now),
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        match &mut self.queue {
-            Queue::Heap(heap) => heap.push(Reverse((key, event))),
-            Queue::Wheel(wheel) => wheel.insert((key, event)),
-        }
+        key
+    }
+
+    #[inline]
+    fn grow(&mut self) {
         self.len += 1;
         self.high_water = self.high_water.max(self.len);
     }
@@ -473,18 +720,46 @@ impl Engine {
     /// Pop the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let (key, event) = match &mut self.queue {
-            Queue::Heap(heap) => {
-                let Reverse(entry) = heap.pop()?;
-                entry
+        let timer = self.timers.front();
+        let (key, event) = match self.held {
+            // Nothing is held back, so the backend's minimum is the
+            // earliest scheduled entry. Pull it out; if a timer is due
+            // before it, it becomes the held entry.
+            None => match (self.queue.pop(), timer) {
+                (Some(entry), Some(timer)) if timer < entry.0 => {
+                    self.held = Some(entry);
+                    self.fire()
+                }
+                (Some(entry), _) => entry,
+                (None, Some(_)) => self.fire(),
+                (None, None) => return None,
+            },
+            // Everything in `side` sorts before `held`, and `held` before
+            // everything left in the backend.
+            Some((held, _)) => {
+                let queued = self.side.peek().map_or(held, |Reverse((key, _))| *key);
+                match timer {
+                    Some(timer) if timer < queued => self.fire(),
+                    _ => match self.side.pop() {
+                        Some(Reverse(entry)) => entry,
+                        None => self.held.take().expect("matched as occupied"),
+                    },
+                }
             }
-            Queue::Wheel(wheel) => wheel.pop()?,
         };
         debug_assert!(key.time >= self.now, "event queue went backwards");
         self.now = key.time;
         self.len -= 1;
         self.processed += 1;
         Some((key.time, event))
+    }
+
+    /// Take the earliest timer out of the table as the event it stands for.
+    #[inline]
+    fn fire(&mut self) -> Entry {
+        let Timer { key, epoch, slot } = self.timers.pop();
+        let container = ContainerId(slot);
+        (key, Event::PhaseComplete { container, epoch })
     }
 }
 
@@ -635,6 +910,52 @@ mod tests {
                 })
                 .collect();
             assert_eq!(order, vec![1, 2]);
+        }
+    }
+
+    /// The hold-back path, step by step: a timer earlier than the next
+    /// scheduled entry fires first and leaves that entry in the hold-back
+    /// register; entries scheduled before it, at its very instant and
+    /// after it, a timer re-armed to before it and a cancelled earliest
+    /// timer then all pop (or do not) in `(time, seq)` order.
+    #[test]
+    fn timers_merge_with_the_queue_around_a_held_entry() {
+        let at = SimTime::from_nanos;
+        let timer = |slot: u32, epoch: u64| Event::PhaseComplete {
+            container: ContainerId(slot),
+            epoch,
+        };
+        for mut e in both() {
+            e.schedule(at(100_000), tick(0));
+            e.arm(ContainerId(0), at(50_000), 7);
+            assert_eq!(e.armed_epoch(ContainerId(0)), Some(7));
+            assert_eq!(e.pending(), 2);
+            // The timer wins; the tick is now held outside the backend.
+            assert_eq!(e.pop(), Some((at(50_000), timer(0, 7))));
+            assert_eq!(e.armed_epoch(ContainerId(0)), None, "fired = disarmed");
+            e.schedule(at(60_000), tick(1)); // before the held entry
+            e.schedule(at(99_999), tick(2)); // its tick, an earlier time
+            e.schedule(at(100_000), tick(3)); // its instant: later seq
+            e.schedule(at(150_000), tick(4)); // after it
+            e.arm(ContainerId(1), at(120_000), 1);
+            e.arm(ContainerId(1), at(70_000), 2); // re-arm to before it
+            e.arm(ContainerId(2), at(55_000), 1);
+            e.disarm(ContainerId(2)); // cancel the earliest timer
+            e.disarm(ContainerId(3)); // never armed: nothing to cancel
+            assert_eq!(e.pending(), 6);
+            assert_eq!(e.heap_high_water(), 7, "live work only");
+            let popped: Vec<_> = std::iter::from_fn(|| e.pop()).collect();
+            let expect = [
+                (at(60_000), tick(1)),
+                (at(70_000), timer(1, 2)),
+                (at(99_999), tick(2)),
+                (at(100_000), tick(0)),
+                (at(100_000), tick(3)),
+                (at(150_000), tick(4)),
+            ];
+            assert_eq!(popped, expect);
+            assert_eq!(e.processed(), 7);
+            assert_eq!(e.pending(), 0);
         }
     }
 

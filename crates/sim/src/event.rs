@@ -73,13 +73,17 @@ pub enum Event {
         /// The packet being delivered.
         packet: Packet,
     },
-    /// A container's earliest-finishing work phase may have completed.
-    /// Stale events (epoch mismatch) are ignored.
+    /// A container's earliest-finishing work phase has come due. The
+    /// engine hands one out when the slot's armed completion timer fires
+    /// (`Engine::arm`); it is never left on the queue to go stale. The
+    /// handler harvests whatever is due and re-arms, so one scheduled by
+    /// hand for a slot with nothing due does nothing.
     PhaseComplete {
         /// The container whose processor-sharing queue fired.
         container: ContainerId,
-        /// Epoch at scheduling time; must match the container's current
-        /// epoch to be acted on.
+        /// The container epoch the timer was armed under — the slot's
+        /// current epoch whenever a timer fires, since every change to
+        /// the slot re-arms it. Nothing is decided on it.
         epoch: u64,
     },
     /// Periodic controller decision point for one node.

@@ -12,20 +12,27 @@ impl Simulation {
                 PacketKind::Response => self.on_response_delivered(now, packet),
             },
             Event::PhaseComplete { container, epoch } => {
-                if epoch == self.containers.epoch(container.index()) {
-                    // Harvest into the reusable scratch buffer (taken out
-                    // of `self` so the completion handlers can borrow the
-                    // simulation mutably).
-                    let mut done = std::mem::take(&mut self.done_scratch);
-                    self.containers
-                        .pop_completed_into(container.index(), now, &mut done);
-                    for &inv in &done {
-                        self.on_phase_done(now, inv);
-                    }
-                    done.clear();
-                    self.done_scratch = done;
-                    self.reschedule(now, container);
+                // A fired timer carries the epoch it was armed under, and
+                // every mutation since would have re-armed it; only an
+                // event scheduled by hand can carry another, and it
+                // finds nothing due.
+                let changed_since_armed = self.containers.epoch(container.index()) != epoch;
+                // Harvest into the reusable scratch buffer (taken out of
+                // `self` so the completion handlers can borrow the
+                // simulation mutably).
+                let mut done = std::mem::take(&mut self.done_scratch);
+                self.containers
+                    .pop_completed_into(container.index(), now, &mut done);
+                debug_assert!(
+                    done.is_empty() || !changed_since_armed,
+                    "phases came due under a completion armed before the slot last changed"
+                );
+                for &inv in &done {
+                    self.on_phase_done(now, inv);
                 }
+                done.clear();
+                self.done_scratch = done;
+                self.reschedule(now, container);
             }
             Event::ControllerTick { node } => self.on_controller_tick(now, node),
             Event::FreqApply { container, level } => {

@@ -351,6 +351,14 @@ impl Simulation {
         }
     }
 
+    /// Put `event` on the queue at `at`, ahead of everything `run` seeds:
+    /// for tests and drills that need an event the model would not
+    /// produce at that point, such as a `PhaseComplete` with nothing due.
+    pub fn with_event(mut self, at: SimTime, event: Event) -> Self {
+        self.engine.schedule(at, event);
+        self
+    }
+
     /// Run to completion and produce the results.
     pub fn run(mut self) -> RunResult {
         // Wall clock for the self-profile only: never read unless the
@@ -488,16 +496,27 @@ impl Simulation {
         }
     }
 
+    /// Bring slot `c`'s completion timer in line with its container
+    /// state; the only caller of `Engine::{arm, disarm}`. Called after
+    /// every mutation of the slot, exactly where the tombstoning engine
+    /// scheduled a fresh `PhaseComplete` and left the old one to be
+    /// popped dead. Two rules keep the live events in that engine's
+    /// `(time, seq)` order, and with them the single RNG stream:
+    ///
+    /// 1. every re-arm takes a fresh `seq` at this call, not the `seq`
+    ///    of the timer it replaces;
+    /// 2. a slot already armed under its current epoch is left alone.
+    ///    Nothing changed since it was armed, so a second event would be
+    ///    the same-epoch twin: same time, later `seq`, dead once the
+    ///    first fires — the earlier one is the one to keep.
     fn reschedule(&mut self, now: SimTime, c: ContainerId) {
-        if let Some(at) = self.containers.next_completion(c.index(), now) {
-            let epoch = self.containers.epoch(c.index());
-            self.engine.schedule(
-                at,
-                Event::PhaseComplete {
-                    container: c,
-                    epoch,
-                },
-            );
+        let epoch = self.containers.epoch(c.index());
+        if self.engine.armed_epoch(c) == Some(epoch) {
+            return;
+        }
+        match self.containers.next_completion(c.index(), now) {
+            Some(at) => self.engine.arm(c, at, epoch),
+            None => self.engine.disarm(c),
         }
     }
 

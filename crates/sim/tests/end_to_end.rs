@@ -10,6 +10,7 @@ use sg_sim::cluster::{Placement, SimConfig};
 use sg_sim::controller::{
     ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot, NoopFactory,
 };
+use sg_sim::event::Event;
 use sg_sim::profile::constant_arrivals;
 use sg_sim::runner::Simulation;
 
@@ -64,6 +65,52 @@ fn all_requests_complete_at_low_load() {
     // Low load: latency stays near the unloaded value.
     let max = r.points.iter().map(|p| p.latency).max().unwrap();
     assert!(max < us(600), "max latency {max} too high for low load");
+}
+
+/// A `PhaseComplete` nobody armed — scheduled by hand, under an epoch
+/// the slot never had — finds nothing due, harvests nothing and leaves
+/// the slot's own timer alone: the run differs in `events` only.
+#[test]
+fn hand_scheduled_phase_complete_with_nothing_due_only_counts_as_an_event() {
+    let run = |strays: &[(u64, u32)]| {
+        let mut cfg = quiet_config(ConnModel::FixedPool(8));
+        cfg.graph.services[0].work_cv = 0.3; // engage the RNG
+        cfg.network.jitter_mean = us(5);
+        let arrivals = constant_arrivals(1000.0, SimTime::ZERO, SimTime::from_secs(1));
+        let mut sim = Simulation::new(cfg, &NoopFactory, arrivals);
+        for &(at_us, slot) in strays {
+            sim = sim.with_event(
+                SimTime::from_micros(at_us),
+                Event::PhaseComplete {
+                    container: ContainerId(slot),
+                    epoch: u64::MAX,
+                },
+            );
+        }
+        sim.run()
+    };
+    let plain = run(&[]);
+    // Twice in the middle of the frontend's pre phase of the request sent
+    // at 500 ms (it arrives after >= 50 us and works for >= 70 us), and
+    // once on a slot that is still idle.
+    let strays = [(500_100, 0), (500_101, 0), (1, 2)];
+    let with_strays = run(&strays);
+    assert_eq!(with_strays.events, plain.events + strays.len() as u64);
+    assert_eq!(with_strays.points, plain.points);
+    assert_eq!(with_strays.energy_j.to_bits(), plain.energy_j.to_bits());
+    assert_eq!(with_strays.avg_cores.to_bits(), plain.avg_cores.to_bits());
+    assert_eq!(with_strays.profile, plain.profile);
+    assert_eq!(
+        (
+            with_strays.injected,
+            with_strays.completed,
+            with_strays.dropped
+        ),
+        (plain.injected, plain.completed, plain.dropped)
+    );
+    assert_eq!(with_strays.peak_in_flight, plain.peak_in_flight);
+    assert_eq!(with_strays.clamped_actions, plain.clamped_actions);
+    assert_eq!(with_strays.packet_freq_boosts, plain.packet_freq_boosts);
 }
 
 #[test]
