@@ -85,14 +85,10 @@
 //! runs still exercise a surge.
 //! ```
 
-use sg_controllers::{
-    CaladanFactory, CentralizedFactory, HybridFactory, LsramFactory, PartiesFactory,
-    SmartHpaFactory, SurgeGuardFactory, SurgeGuardHFactory,
-};
 use sg_core::fault::FaultPlan;
 use sg_core::time::{SimDuration, SimTime};
+use sg_experiments::Arm;
 use sg_loadgen::{ArrivalProfile, LatencyHistogram, RunReport, SpikePattern};
-use sg_sim::controller::{ControllerFactory, NoopFactory};
 use sg_sim::runner::Simulation;
 use sg_telemetry::{
     topk_unpack, AggConfig, AggRuntime, JsonlSink, SharedSink, SloConfig, SpanSampler,
@@ -165,23 +161,24 @@ fn main() {
     });
 
     let controller_name = arg(&args, "--controller").unwrap_or_else(|| "surgeguard".into());
-    let horizontal = matches!(controller_name.as_str(), "lsram" | "smart-hpa" | "sg-h");
-    let factory: Box<dyn ControllerFactory> = match controller_name.as_str() {
-        "static" => Box::new(NoopFactory),
-        "parties" => Box::new(PartiesFactory::default()),
-        "caladan" => Box::new(CaladanFactory::default()),
-        "surgeguard" => Box::new(SurgeGuardFactory::full()),
-        "escalator" => Box::new(SurgeGuardFactory::escalator_only()),
-        "ml" => Box::new(CentralizedFactory::default()),
-        "hybrid" => Box::new(HybridFactory::default()),
-        "lsram" => Box::new(LsramFactory::default()),
-        "smart-hpa" => Box::new(SmartHpaFactory::default()),
-        "sg-h" => Box::new(SurgeGuardHFactory::default()),
+    let arm = match controller_name.as_str() {
+        "static" => Arm::Static,
+        "parties" => Arm::Parties,
+        "caladan" => Arm::Caladan,
+        "surgeguard" => Arm::SurgeGuard,
+        "escalator" => Arm::EscalatorOnly,
+        "ml" => Arm::MlCentralized,
+        "hybrid" => Arm::Hybrid,
+        "lsram" => Arm::Lsram,
+        "smart-hpa" => Arm::SmartHpa,
+        "sg-h" => Arm::SgH,
         other => {
             eprintln!("unknown controller '{other}'");
             std::process::exit(2);
         }
     };
+    let horizontal = matches!(arm, Arm::Lsram | Arm::SmartHpa | Arm::SgH);
+    let factory = arm.factory();
     let default_replicas = if horizontal { 3 } else { 1 };
     let max_replicas: u32 = arg(&args, "--max-replicas")
         .map_or(default_replicas, |v| v.parse().expect("--max-replicas"));

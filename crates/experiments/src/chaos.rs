@@ -16,20 +16,18 @@
 //! ways — against Parties under the same fault (the paper's baseline)
 //! and against the same arm's fault-free run (the degradation factor).
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::{ratio, ExpProfile};
 use crate::output::{fr, JsonSink, Table};
+use crate::suite::{Arm, BatchKey, PatternSpec, Suite, Tweak};
 use serde_json::json;
-use sg_controllers::{CaladanFactory, PartiesFactory, SurgeGuardFactory, SurgeGuardHFactory};
 use sg_core::fault::{FaultKind, FaultPlan, FaultSpec};
 use sg_core::ids::{NodeId, ServiceId};
 use sg_core::time::{SimDuration, SimTime};
-use sg_loadgen::SpikePattern;
 use sg_sim::app::ConnModel;
-use sg_sim::controller::ControllerFactory;
-use sg_workloads::{prepare, CalibrationOptions, PreparedWorkload, Workload};
+use sg_workloads::{PreparedWorkload, Workload};
 
 /// The evaluated line-up; Parties first — rows normalize to it.
-pub const ARMS: [&str; 4] = ["parties", "caladan", "surgeguard", "sg-h"];
+pub const ARMS: [Arm; 4] = [Arm::Parties, Arm::Caladan, Arm::SurgeGuard, Arm::SgH];
 
 /// Fault classes, `none` first (the per-arm degradation baseline).
 pub const FAULTS: [&str; 6] = [
@@ -40,23 +38,6 @@ pub const FAULTS: [&str; 6] = [
     "jitter",
     "straggler",
 ];
-
-fn factory_for(name: &str) -> Box<dyn ControllerFactory + Sync> {
-    match name {
-        "parties" => Box::new(PartiesFactory::default()),
-        "caladan" => Box::new(CaladanFactory::default()),
-        "surgeguard" => Box::new(SurgeGuardFactory::full()),
-        "sg-h" => Box::new(SurgeGuardHFactory::default()),
-        other => panic!("unknown chaos arm '{other}'"),
-    }
-}
-
-/// CHAIN over two nodes (round-robin placement, so node 1 hosts services
-/// 1 and 3 and every edge is a remote hop — the node-loss and jitter
-/// faults need both).
-fn workload() -> PreparedWorkload {
-    prepare(Workload::Chain, 2, CalibrationOptions::default())
-}
 
 /// Connections to leak: three quarters of the first edge's calibrated
 /// pool, leaving the parent a sliver of capacity far below the base
@@ -100,22 +81,16 @@ pub fn plan_for(fault: &str, pw: &PreparedWorkload, profile: &ExpProfile) -> Fau
     }
 }
 
-/// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = workload();
-    let pattern = SpikePattern::constant(pw.base_rate);
-
-    // Flattened (fault, arm) grid; par_map preserves input order, so the
-    // JSON rows are identical for any worker count.
-    let combos: Vec<(usize, usize)> = (0..FAULTS.len())
-        .flat_map(|f| (0..ARMS.len()).map(move |a| (f, a)))
-        .collect();
-    let results = crate::parallel::par_map(combos, |(f, a)| {
-        let mut pw = pw.clone();
-        pw.cfg.faults = plan_for(FAULTS[f], &pw, profile);
-        run_trials(&pw, factory_for(ARMS[a]).as_ref(), &pattern, profile)
+/// Run the experiment: CHAIN over two nodes (round-robin placement, so
+/// node 1 hosts services 1 and 3 and every edge is a remote hop — the
+/// node-loss and jitter faults need both).
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
+    let grid = suite.grid(FAULTS, ARMS, |fault, arm| {
+        BatchKey::new(Workload::Chain, 2, PatternSpec::Constant, arm, profile)
+            .tweaked(Tweak::Fault(fault))
     });
-    let at = |f: usize, a: usize| &results[f * ARMS.len() + a];
+    let (_, clean) = &grid[0];
 
     let mut t = Table::new(
         "Chaos — fault injection on CHAIN at base rate (one fault per run, 30% into the \
@@ -131,14 +106,13 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             "avg cores",
         ],
     );
-    for (f, fault) in FAULTS.iter().enumerate() {
-        let base_vv = at(f, 0).violation_volume;
-        for (a, arm) in ARMS.iter().enumerate() {
-            let r = at(f, a);
-            let clean_vv = at(0, a).violation_volume;
+    for &(fault, ref batches) in &grid {
+        let base_vv = batches[0].violation_volume;
+        for ((arm, r), clean) in ARMS.iter().zip(batches).zip(clean) {
+            let clean_vv = clean.violation_volume;
             t.row(vec![
                 fault.to_string(),
-                arm.to_string(),
+                arm.label().to_string(),
                 format!("{:.3e}", r.violation_volume),
                 fr(ratio(r.violation_volume, base_vv)),
                 fr(ratio(r.violation_volume, clean_vv)),
@@ -148,8 +122,8 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             ]);
             sink.push(json!({
                 "experiment": "chaos",
-                "fault": *fault,
-                "controller": *arm,
+                "fault": fault,
+                "controller": arm.label(),
                 "vv": r.violation_volume,
                 "vv_vs_parties": ratio(r.violation_volume, base_vv),
                 "vv_vs_clean": ratio(r.violation_volume, clean_vv),

@@ -1,11 +1,10 @@
-//! Shared experiment machinery: the run→report pipeline, multi-trial
-//! aggregation (parallel over trials, see [`crate::parallel`]), and the
-//! quick/full sizing profiles.
+//! Shared experiment machinery: the run→report pipeline and the
+//! quick/full sizing profiles. Trial batches go through
+//! [`crate::suite::Suite`].
 
-use crate::parallel;
 use serde::Serialize;
 use sg_core::time::{SimDuration, SimTime};
-use sg_loadgen::{AggregateReport, RunReport, SpikePattern};
+use sg_loadgen::{RunReport, SpikePattern};
 use sg_sim::controller::ControllerFactory;
 use sg_sim::runner::{RunResult, Simulation};
 use sg_workloads::PreparedWorkload;
@@ -13,7 +12,7 @@ use sg_workloads::PreparedWorkload;
 /// Experiment sizing: `quick` keeps the whole suite tractable on a
 /// laptop-class machine; `full` approaches the paper's protocol (longer
 /// measurement windows, 17 trials with best/worst trimming).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ExpProfile {
     /// Trials per configuration (paper: 17).
     pub trials: usize,
@@ -53,6 +52,12 @@ impl ExpProfile {
         } else {
             Self::quick()
         }
+    }
+
+    /// True for the paper-scale profile (Fig. 13 then covers all five
+    /// workloads).
+    pub fn is_full(&self) -> bool {
+        *self == Self::full()
     }
 
     /// The RNG seed for trial `i`: `base_seed + i`.
@@ -98,32 +103,6 @@ pub fn run_one(
     (report, result)
 }
 
-/// Run `profile.trials` independent trials in parallel and aggregate with
-/// the paper's trimmed-mean protocol. Trial `i` runs with
-/// [`ExpProfile::trial_seed`], making the report set identical whatever
-/// the worker count.
-pub fn run_trials(
-    pw: &PreparedWorkload,
-    factory: &(dyn ControllerFactory + Sync),
-    pattern: &SpikePattern,
-    profile: &ExpProfile,
-) -> AggregateReport {
-    let reports: Vec<RunReport> = parallel::par_map((0..profile.trials).collect(), |i| {
-        let seed = profile.trial_seed(i);
-        run_one(
-            pw,
-            factory,
-            pattern,
-            profile.warmup,
-            profile.measure,
-            seed,
-            false,
-        )
-        .0
-    });
-    AggregateReport::from_reports(&reports)
-}
-
 /// Safe ratio for normalized reporting (paper figures normalize to
 /// Parties): returns 1.0 when the baseline is ~zero and the value is too,
 /// +inf when only the baseline is ~zero.
@@ -159,5 +138,6 @@ mod tests {
         assert!(f.measure > q.measure);
         assert_eq!(ExpProfile::new(true).trials, f.trials);
         assert_eq!(ExpProfile::new(false).trials, q.trials);
+        assert!(f.is_full() && !q.is_full());
     }
 }

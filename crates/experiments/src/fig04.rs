@@ -6,20 +6,22 @@
 //! (ML-class) ~24×, while also needing 40–75 % more cores to absorb the
 //! queued requests.
 
-use crate::common::{ratio, run_one, ExpProfile};
+use crate::common::{ratio, run_one};
 use crate::output::{fr, JsonSink, Table};
+use crate::suite::Suite;
 use serde_json::json;
 use sg_controllers::{OracleConfig, OracleFactory, OracleKnowledge};
 use sg_core::time::{SimDuration, SimTime};
 use sg_loadgen::SpikePattern;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Detection delays evaluated: SurgeGuard-class, Parties-class, ML-class.
 pub const DELAYS_MS: [f64; 3] = [0.2, 500.0, 1000.0];
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let mut pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let seed = suite.profile.base_seed;
+    let mut pw = (*suite.prepared(Workload::Chain, 1)).clone();
     // Fig. 4 is the paper's illustrative example, not part of the 52-core
     // cluster protocol: the ideal controller must be able to allocate "the
     // exact amount of cores needed", so give the node headroom and make
@@ -58,16 +60,7 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             },
             knowledge: knowledge.clone(),
         };
-        run_one(
-            &pw,
-            &factory,
-            &pattern,
-            warmup,
-            measure,
-            profile.base_seed,
-            false,
-        )
-        .0
+        run_one(&pw, &factory, &pattern, warmup, measure, seed, false).0
     });
     let results: Vec<(f64, _)> = DELAYS_MS.into_iter().zip(reports).collect();
 

@@ -7,17 +7,17 @@
 //! only the upstream one under a fixed-size threadpool (b); SurgeGuard's
 //! metrics upscale both in both cases (c).
 
-use crate::common::{run_one, ExpProfile};
+use crate::common::run_one;
 use crate::output::{JsonSink, Table};
+use crate::parallel::par_map;
+use crate::suite::{Arm, Suite};
 use serde_json::json;
-use sg_controllers::{PartiesFactory, SurgeGuardFactory};
 use sg_core::allocator::AllocConstraints;
 use sg_core::config::PROFILE_TARGET_FACTOR;
 use sg_core::time::{SimDuration, SimTime};
 use sg_loadgen::SpikePattern;
 use sg_sim::app::{linear_chain, ConnModel};
 use sg_sim::cluster::{Placement, SimConfig};
-use sg_sim::controller::ControllerFactory;
 use sg_sim::profile::profile_low_load;
 use sg_workloads::PreparedWorkload;
 use sg_workloads::Workload;
@@ -72,7 +72,8 @@ fn peak(r: &sg_sim::runner::RunResult, id: u32, initial: u32) -> u32 {
 }
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let seed = suite.profile.base_seed;
     let pattern_for = |base: f64| SpikePattern {
         base_rate: base,
         spike_rate: base * 1.75,
@@ -80,32 +81,28 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
         period: SimDuration::from_secs(1000),
         first_spike: SimTime::from_secs(3),
     };
-    let cases: [(&str, ConnModel, bool); 3] = [
+    let cases = [
         (
             "(a) per-request + per-container ctrl",
             ConnModel::PerRequest,
-            false,
+            Arm::Parties,
         ),
         (
             "(b) fixed pool + per-container ctrl",
             ConnModel::FixedPool(10),
-            false,
+            Arm::Parties,
         ),
         (
             "(c) fixed pool + SurgeGuard",
             ConnModel::FixedPool(10),
-            true,
+            Arm::SurgeGuard,
         ),
     ];
 
     // Each case profiles its own two-service scenario and runs one traced
     // trial — fully independent, so fan the three out.
-    let peaks = crate::parallel::par_map(cases.to_vec(), |(_, conn, surgeguard)| {
-        let factory: Box<dyn ControllerFactory> = if surgeguard {
-            Box::new(SurgeGuardFactory::full())
-        } else {
-            Box::new(PartiesFactory::default())
-        };
+    let peaks = par_map(cases.to_vec(), |(_, conn, arm)| {
+        let factory = arm.factory();
         let pw = two_service(conn);
         let pattern = pattern_for(pw.base_rate);
         let (_, result) = run_one(
@@ -114,7 +111,7 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             &pattern,
             SimDuration::from_secs(2),
             SimDuration::from_secs(10),
-            profile.base_seed,
+            seed,
             true,
         );
         (peak(&result, 0, 4), peak(&result, 1, 6))

@@ -8,58 +8,53 @@
 //! `execMetric` at the base request rate while holding one service at a
 //! sweep allocation.
 
-use crate::common::ExpProfile;
 use crate::output::{JsonSink, Table};
+use crate::parallel::par_map;
+use crate::suite::{Arm, Suite};
 use serde_json::json;
 use sg_core::time::{SimDuration, SimTime};
-use sg_sim::controller::NoopFactory;
 use sg_sim::profile::constant_arrivals;
 use sg_sim::runner::Simulation;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
+use std::sync::Arc;
 
 /// Sweep range of logical cores.
 pub const CORE_SWEEP: [u32; 6] = [2, 4, 6, 8, 10, 12];
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::ReadUserTimeline, 1, CalibrationOptions::default());
-    let svc_idx = |name: &str| {
-        pw.cfg
-            .graph
-            .services
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let seed = suite.profile.base_seed;
+    let pw = suite.prepared(Workload::ReadUserTimeline, 1);
+    let targets = ["post-storage-mongodb", "user-timeline-service"].map(|name| {
+        let services = &pw.cfg.graph.services;
+        services
             .iter()
             .position(|s| s.name == name)
             .expect("service exists")
-    };
-    let targets = [
-        ("post-storage-mongodb", svc_idx("post-storage-mongodb")),
-        ("user-timeline-service", svc_idx("user-timeline-service")),
-    ];
+    });
 
     let mut t = Table::new(
         "Fig 6 — sensitivity curves: mean execMetric (us) vs allocated cores at base rate",
         &["cores", "post-storage-mongodb", "user-timeline-service"],
     );
-    // 2 services × 6 sweep points = 12 independent single runs; the
+    // 6 sweep points × 2 services = 12 independent single runs; the
     // arrival schedule is shared (seed-free) across all of them.
-    let arrivals: std::sync::Arc<[SimTime]> =
+    let arrivals: Arc<[SimTime]> =
         constant_arrivals(pw.base_rate, SimTime::ZERO, SimTime::from_secs(5)).into();
-    let jobs: Vec<(usize, u32)> = targets
-        .iter()
-        .flat_map(|&(_, idx)| CORE_SWEEP.iter().map(move |&c| (idx, c)))
-        .collect();
-    let samples = crate::parallel::par_map(jobs, |(idx, cores)| {
-        let mut cfg = pw.cfg.clone();
-        cfg.initial_cores[idx] = cores;
-        cfg.end = SimTime::from_secs(5) + SimDuration::from_millis(200);
-        cfg.measure_start = SimTime::from_secs(1);
-        cfg.seed = profile.base_seed;
-        let r = Simulation::new(cfg, &NoopFactory, std::sync::Arc::clone(&arrivals)).run();
-        r.profile[idx].mean_exec_metric.as_nanos() as f64 / 1000.0
+    let samples = par_map(CORE_SWEEP.to_vec(), |cores| {
+        targets.map(|idx| {
+            let mut cfg = pw.cfg.clone();
+            cfg.initial_cores[idx] = cores;
+            cfg.end = SimTime::from_secs(5) + SimDuration::from_millis(200);
+            cfg.measure_start = SimTime::from_secs(1);
+            cfg.seed = seed;
+            let factory = Arm::Static.factory();
+            let r = Simulation::new(cfg, factory.as_ref(), Arc::clone(&arrivals)).run();
+            r.profile[idx].mean_exec_metric.as_nanos() as f64 / 1000.0
+        })
     });
 
-    for (i, &cores) in CORE_SWEEP.iter().enumerate() {
-        let (s0, s1) = (samples[i], samples[CORE_SWEEP.len() + i]);
+    for (cores, [s0, s1]) in CORE_SWEEP.into_iter().zip(samples) {
         t.row(vec![
             cores.to_string(),
             format!("{s0:.0}"),

@@ -13,21 +13,20 @@
 //! decision trace is reconciled against the gauge series, exactly what
 //! `sg-timeline --reconcile` asserts.
 
-use crate::common::ExpProfile;
 use crate::output::{JsonSink, Table};
+use crate::suite::{Arm, Suite};
 use serde_json::json;
-use sg_controllers::SurgeGuardFactory;
 use sg_core::time::{SimDuration, SimTime};
 use sg_loadgen::SpikePattern;
 use sg_sim::runner::Simulation;
 use sg_telemetry::timeline::{reconcile, TimelineSet};
 use sg_telemetry::{MetricId, SharedSink, VecSink};
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 use std::sync::Arc;
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let pw = suite.prepared(Workload::Chain, 1);
     let pattern = SpikePattern {
         base_rate: pw.base_rate,
         spike_rate: pw.base_rate * 1.75,
@@ -39,13 +38,13 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
     let mut cfg = pw.cfg.clone();
     cfg.end = end + SimDuration::from_millis(200);
     cfg.measure_start = SimTime::from_secs(5);
-    cfg.seed = profile.base_seed;
+    cfg.seed = suite.profile.base_seed;
 
     let metrics = VecSink::shared();
     let trace = VecSink::shared();
-    let factory = SurgeGuardFactory::full();
+    let factory = Arm::SurgeGuard.factory();
     let arrivals = pattern.arrivals(SimTime::ZERO, end);
-    let result = Simulation::new(cfg, &factory, arrivals)
+    let result = Simulation::new(cfg, factory.as_ref(), arrivals)
         .with_telemetry(Arc::clone(&trace) as SharedSink)
         .with_metrics(Arc::clone(&metrics) as SharedSink)
         .run();

@@ -8,26 +8,31 @@
 //! rates (see DESIGN.md): the regime boundaries — "invisible to window
 //! averages" vs "long enough for the slow path" — are what is reproduced.
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::ratio;
 use crate::output::{pct_change, JsonSink, Table};
+use crate::suite::{Arm, BatchKey, PatternSpec, Suite};
 use serde_json::json;
-use sg_controllers::SurgeGuardFactory;
 use sg_core::time::SimDuration;
-use sg_loadgen::short_surge;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Surge lengths (µs) evaluated; 20× instantaneous rate, every 100 ms.
 pub const SURGE_US: [u64; 4] = [500, 1000, 2000, 5000];
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
-    let full = SurgeGuardFactory::full();
-    let esc = SurgeGuardFactory::escalator_only();
-
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     // Short-surge profile: lots of surges, shorter window is enough.
-    let mut prof = *profile;
-    prof.measure = SimDuration::from_secs(10).min(profile.measure);
+    let mut prof = suite.profile;
+    prof.measure = SimDuration::from_secs(10).min(prof.measure);
+    let arms = [Arm::EscalatorOnly, Arm::SurgeGuard];
+    let grid = suite.grid(SURGE_US, arms, |us, arm| {
+        BatchKey::new(
+            Workload::Chain,
+            1,
+            PatternSpec::ShortSurge { us },
+            arm,
+            prof,
+        )
+    });
 
     let mut t = Table::new(
         "Fig 10 — short 20x surges on CHAIN: FirstResponder benefit",
@@ -38,26 +43,8 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             "VV change",
         ],
     );
-    // 4 surge lengths × 2 controller arms, each a full trial batch.
-    let jobs: Vec<(u64, bool)> = SURGE_US
-        .iter()
-        .flat_map(|&us| [(us, false), (us, true)])
-        .collect();
-    let aggs = crate::parallel::par_map(jobs, |(us, full_sg)| {
-        // Keep the surge duty cycle ≤ 1% so the *average* rate stays near
-        // the base rate and only the instantaneous burst matters (as in
-        // the paper's timelines, where surges are isolated events).
-        let period = SimDuration::from_micros((us * 100).max(100_000));
-        let pattern = short_surge(pw.base_rate, SimDuration::from_micros(us), period);
-        let factory = if full_sg { &full } else { &esc };
-        run_trials(&pw, factory, &pattern, &prof)
-    });
-
-    let mut reductions = Vec::new();
-    for (i, &us) in SURGE_US.iter().enumerate() {
-        let (r_esc, r_full) = (&aggs[2 * i], &aggs[2 * i + 1]);
+    for (us, [r_esc, r_full]) in grid {
         let rel = ratio(r_full.violation_volume, r_esc.violation_volume);
-        reductions.push(rel);
         t.row(vec![
             format!("{}us", us),
             format!("{:.3e}", r_esc.violation_volume),

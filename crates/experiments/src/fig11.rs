@@ -7,49 +7,25 @@
 //! fewer cores and 2–4 % less energy; CaladanAlgo collapses on the
 //! connection-per-request hotel workloads.
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::ratio;
 use crate::output::{fr, JsonSink, Table};
+use crate::suite::{by_arm, Arm, BatchKey, PatternSpec, Suite};
 use serde_json::json;
-use sg_controllers::{CaladanFactory, PartiesFactory, SurgeGuardFactory};
-use sg_core::time::SimDuration;
-use sg_loadgen::SpikePattern;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Surge magnitudes evaluated (×base rate).
 pub const MAGNITUDES: [f64; 3] = [1.25, 1.5, 1.75];
 
 /// Run the experiment; returns the printed tables.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let parties = PartiesFactory::default();
-    let caladan = CaladanFactory::default();
-    let surgeguard = SurgeGuardFactory::full();
-
-    // Calibrate each workload once (in parallel); reused across
-    // magnitudes/controllers.
-    let prepared: Vec<_> = crate::parallel::par_map(Workload::all().to_vec(), |wl| {
-        (wl, prepare(wl, 1, CalibrationOptions::default()))
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
+    let rows = MAGNITUDES.map(|m| Workload::all().map(|wl| (m, wl)));
+    let grid = suite.grid(rows.into_iter().flatten(), Arm::PAPER, |(m, wl), arm| {
+        BatchKey::new(wl, 1, PatternSpec::periodic(m, 2000), arm, profile)
     });
-
-    // Fan out every (magnitude × workload × controller) trial batch; the
-    // table assembly below reads the results back in sweep order.
-    let jobs: Vec<(usize, usize, usize)> = (0..MAGNITUDES.len())
-        .flat_map(|m| (0..prepared.len()).flat_map(move |w| (0..3).map(move |c| (m, w, c))))
-        .collect();
-    let aggs = crate::parallel::par_map(jobs, |(m, w, c)| {
-        let pw = &prepared[w].1;
-        let pattern =
-            SpikePattern::periodic(pw.base_rate, MAGNITUDES[m], SimDuration::from_secs(2));
-        let factory: &(dyn sg_sim::controller::ControllerFactory + Sync) = match c {
-            0 => &parties,
-            1 => &caladan,
-            _ => &surgeguard,
-        };
-        run_trials(pw, factory, &pattern, profile)
-    });
-    let agg_of = |m: usize, w: usize, c: usize| &aggs[(m * prepared.len() + w) * 3 + c];
 
     let mut tables = Vec::new();
-    for (mi, &mag) in MAGNITUDES.iter().enumerate() {
+    for mag in MAGNITUDES {
         let mut t = Table::new(
             &format!("Fig 11 — {mag}x surge (2s every 10s), normalized to Parties"),
             &[
@@ -65,12 +41,8 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
         );
         let mut sums = [0.0f64; 6];
         let mut n = 0.0;
-        for (wi, (wl, _)) in prepared.iter().enumerate() {
-            let wl = *wl;
-            let p = agg_of(mi, wi, 0);
-            let c = agg_of(mi, wi, 1);
-            let s = agg_of(mi, wi, 2);
-
+        for ((_, wl), arms) in grid.iter().filter(|((m, _), _)| *m == mag) {
+            let [p, c, s] = arms;
             let r = [
                 ratio(s.violation_volume, p.violation_volume),
                 ratio(c.violation_volume, p.violation_volume),
@@ -99,14 +71,10 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
                 "experiment": "fig11",
                 "workload": wl.label(),
                 "magnitude": mag,
-                "vv": {"parties": p.violation_volume, "caladan": c.violation_volume,
-                        "surgeguard": s.violation_volume},
-                "cores": {"parties": p.avg_cores, "caladan": c.avg_cores,
-                           "surgeguard": s.avg_cores},
-                "energy": {"parties": p.energy_j, "caladan": c.energy_j,
-                            "surgeguard": s.energy_j},
-                "p98_s": {"parties": p.p98_s, "caladan": c.p98_s,
-                           "surgeguard": s.p98_s},
+                "vv": by_arm(&Arm::PAPER, arms, |b| b.violation_volume),
+                "cores": by_arm(&Arm::PAPER, arms, |b| b.avg_cores),
+                "energy": by_arm(&Arm::PAPER, arms, |b| b.energy_j),
+                "p98_s": by_arm(&Arm::PAPER, arms, |b| b.p98_s),
             }));
         }
         t.row(vec![

@@ -8,51 +8,27 @@
 //! becomes enormous (~251× at 5 s) while CaladanAlgo burns much less
 //! energy (it simply never upscales).
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::ratio;
 use crate::output::{fr, JsonSink, Table};
+use crate::suite::{by_arm, Arm, BatchKey, PatternSpec, Suite};
 use serde_json::json;
-use sg_controllers::{CaladanFactory, PartiesFactory, SurgeGuardFactory};
-use sg_core::time::SimDuration;
-use sg_loadgen::SpikePattern;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Surge durations in milliseconds.
 pub const DURATIONS_MS: [u64; 5] = [100, 500, 1000, 2000, 5000];
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let parties = PartiesFactory::default();
-    let caladan = CaladanFactory::default();
-    let surgeguard = SurgeGuardFactory::full();
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
     let workloads = [Workload::RecommendHotel, Workload::ReadUserTimeline];
-
-    // Calibrate both workloads in parallel, then fan out every
-    // (workload × duration × controller) trial batch.
-    let prepared = crate::parallel::par_map(workloads.to_vec(), |wl| {
-        prepare(wl, 1, CalibrationOptions::default())
+    let rows = workloads.map(|wl| DURATIONS_MS.map(|ms| (wl, ms)));
+    let grid = suite.grid(rows.into_iter().flatten(), Arm::PAPER, |(wl, ms), arm| {
+        BatchKey::new(wl, 1, PatternSpec::periodic(1.75, ms), arm, profile)
     });
-    let jobs: Vec<(usize, usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..DURATIONS_MS.len()).flat_map(move |d| (0..3).map(move |c| (w, d, c))))
-        .collect();
-    let aggs = crate::parallel::par_map(jobs, |(w, d, c)| {
-        let pw = &prepared[w];
-        let pattern = SpikePattern::periodic(
-            pw.base_rate,
-            1.75,
-            SimDuration::from_millis(DURATIONS_MS[d]),
-        );
-        let factory: &(dyn sg_sim::controller::ControllerFactory + Sync) = match c {
-            0 => &parties,
-            1 => &caladan,
-            _ => &surgeguard,
-        };
-        run_trials(pw, factory, &pattern, profile)
-    });
-    let agg_of = |w: usize, d: usize, c: usize| &aggs[(w * DURATIONS_MS.len() + d) * 3 + c];
 
     let mut tables = Vec::new();
-    for (wi, &wl) in workloads.iter().enumerate() {
-        let pw = &prepared[wi];
+    for wl in workloads {
+        let pw = suite.prepared(wl, 1);
         let mut t = Table::new(
             &format!(
                 "Fig 12 — surge duration sweep at 1.75x, {} (SG normalized to baselines)",
@@ -67,10 +43,8 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
                 "energy sg/caladan",
             ],
         );
-        for (di, &ms) in DURATIONS_MS.iter().enumerate() {
-            let p = agg_of(wi, di, 0);
-            let c = agg_of(wi, di, 1);
-            let s = agg_of(wi, di, 2);
+        for &((_, ms), ref arms) in grid.iter().filter(|((w, _), _)| *w == wl) {
+            let [p, c, s] = arms;
             t.row(vec![
                 format!("{:.1}s", ms as f64 / 1000.0),
                 fr(ratio(s.violation_volume, p.violation_volume)),
@@ -83,12 +57,9 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
                 "experiment": "fig12",
                 "workload": wl.label(),
                 "duration_ms": ms,
-                "vv": {"parties": p.violation_volume, "caladan": c.violation_volume,
-                        "surgeguard": s.violation_volume},
-                "cores": {"parties": p.avg_cores, "caladan": c.avg_cores,
-                           "surgeguard": s.avg_cores},
-                "energy": {"parties": p.energy_j, "caladan": c.energy_j,
-                            "surgeguard": s.energy_j},
+                "vv": by_arm(&Arm::PAPER, arms, |b| b.violation_volume),
+                "cores": by_arm(&Arm::PAPER, arms, |b| b.avg_cores),
+                "energy": by_arm(&Arm::PAPER, arms, |b| b.energy_j),
             }));
         }
         tables.push(t);

@@ -9,28 +9,30 @@
 //! shrinks (67.2 % → 51.4 %) because spreading containers lowers the odds
 //! that one container hogs a node's cores.
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::ratio;
 use crate::output::{fr, JsonSink, Table};
+use crate::suite::{by_arm, Arm, BatchKey, PatternSpec, Suite};
 use serde_json::json;
-use sg_controllers::{CaladanFactory, PartiesFactory, SurgeGuardFactory};
-use sg_core::time::SimDuration;
-use sg_loadgen::SpikePattern;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Node counts evaluated.
 pub const NODES: [u32; 3] = [1, 2, 4];
 
-/// Run the experiment. Quick mode averages two representative workloads;
-/// full mode uses all five.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink, all_workloads: bool) -> Vec<Table> {
-    let parties = PartiesFactory::default();
-    let caladan = CaladanFactory::default();
-    let surgeguard = SurgeGuardFactory::full();
-    let workloads: Vec<Workload> = if all_workloads {
+/// Run the experiment. The quick profile averages two representative
+/// workloads; the full profile uses all five.
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
+    let workloads: Vec<Workload> = if profile.is_full() {
         Workload::all().to_vec()
     } else {
         vec![Workload::ReadUserTimeline, Workload::RecommendHotel]
     };
+    let rows = NODES
+        .iter()
+        .flat_map(|&n| workloads.iter().map(move |&wl| (n, wl)));
+    let grid = suite.grid(rows, Arm::PAPER, |(n, wl), arm| {
+        BatchKey::new(wl, n, PatternSpec::periodic(1.75, 2000), arm, profile)
+    });
 
     let mut t = Table::new(
         "Fig 13 — node scaling at 1.75x (2s/10s), SG normalized to baselines (workload avg)",
@@ -44,37 +46,11 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink, all_workloads: bool) -> Ve
             "energy sg/caladan",
         ],
     );
-    // Calibrate every (node count × workload) scenario in parallel, then
-    // fan out the (scenario × controller) trial batches.
-    let scenarios: Vec<(u32, Workload)> = NODES
-        .iter()
-        .flat_map(|&n| workloads.iter().map(move |&wl| (n, wl)))
-        .collect();
-    let prepared = crate::parallel::par_map(scenarios.clone(), |(nodes, wl)| {
-        prepare(wl, nodes, CalibrationOptions::default())
-    });
-    let jobs: Vec<(usize, usize)> = (0..scenarios.len())
-        .flat_map(|s| (0..3).map(move |c| (s, c)))
-        .collect();
-    let aggs = crate::parallel::par_map(jobs, |(s, c)| {
-        let pw = &prepared[s];
-        let pattern = SpikePattern::periodic(pw.base_rate, 1.75, SimDuration::from_secs(2));
-        let factory: &(dyn sg_sim::controller::ControllerFactory + Sync) = match c {
-            0 => &parties,
-            1 => &caladan,
-            _ => &surgeguard,
-        };
-        run_trials(pw, factory, &pattern, profile)
-    });
-
-    for (ni, &nodes) in NODES.iter().enumerate() {
+    for nodes in NODES {
         let mut sums = [0.0f64; 6];
         let mut counts = [0.0f64; 6];
-        for (wi, &wl) in workloads.iter().enumerate() {
-            let scenario = ni * workloads.len() + wi;
-            let p = &aggs[scenario * 3];
-            let c = &aggs[scenario * 3 + 1];
-            let s = &aggs[scenario * 3 + 2];
+        for ((_, wl), arms) in grid.iter().filter(|((n, _), _)| *n == nodes) {
+            let [p, c, s] = arms;
             let rs = [
                 ratio(s.violation_volume, p.violation_volume),
                 ratio(s.violation_volume, c.violation_volume),
@@ -93,12 +69,9 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink, all_workloads: bool) -> Ve
                 "experiment": "fig13",
                 "nodes": nodes,
                 "workload": wl.label(),
-                "vv": {"parties": p.violation_volume, "caladan": c.violation_volume,
-                        "surgeguard": s.violation_volume},
-                "cores": {"parties": p.avg_cores, "caladan": c.avg_cores,
-                           "surgeguard": s.avg_cores},
-                "energy": {"parties": p.energy_j, "caladan": c.energy_j,
-                            "surgeguard": s.energy_j},
+                "vv": by_arm(&Arm::PAPER, arms, |b| b.violation_volume),
+                "cores": by_arm(&Arm::PAPER, arms, |b| b.avg_cores),
+                "energy": by_arm(&Arm::PAPER, arms, |b| b.energy_j),
             }));
         }
         let avg = |i: usize| {

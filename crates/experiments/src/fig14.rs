@@ -8,15 +8,15 @@
 //! and revokes them again mid-surge when sensitivity says they stopped
 //! helping.
 
-use crate::common::{run_one, ExpProfile};
+use crate::common::run_one;
 use crate::output::{JsonSink, Table};
+use crate::parallel::par_map;
+use crate::suite::{Arm, Suite};
 use serde_json::json;
-use sg_controllers::{CaladanFactory, PartiesFactory, SurgeGuardFactory};
 use sg_core::ids::ContainerId;
 use sg_core::time::{SimDuration, SimTime};
 use sg_loadgen::SpikePattern;
-use sg_sim::controller::ControllerFactory;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Services plotted, matching the paper's figure.
 pub const SERVICES: [&str; 3] = [
@@ -26,8 +26,9 @@ pub const SERVICES: [&str; 3] = [
 ];
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::ReadUserTimeline, 1, CalibrationOptions::default());
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let seed = suite.profile.base_seed;
+    let pw = suite.prepared(Workload::ReadUserTimeline, 1);
     let pattern = SpikePattern {
         base_rate: pw.base_rate,
         spike_rate: pw.base_rate * 1.75,
@@ -46,29 +47,16 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
     let ids: Vec<u32> = SERVICES.iter().map(|n| idx_of(n)).collect();
     let sample_times: Vec<SimTime> = (10..=30).map(SimTime::from_secs).collect();
 
-    let controllers: [&str; 3] = ["parties", "caladan", "surgeguard"];
-
     // Three independent traced runs, one per controller.
-    let results = crate::parallel::par_map(controllers.to_vec(), |name| {
-        let factory: Box<dyn ControllerFactory> = match name {
-            "parties" => Box::new(PartiesFactory::default()),
-            "caladan" => Box::new(CaladanFactory::default()),
-            _ => Box::new(SurgeGuardFactory::full()),
-        };
-        run_one(
-            &pw,
-            factory.as_ref(),
-            &pattern,
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(27),
-            profile.base_seed,
-            true,
-        )
-        .1
+    let results = par_map(Arm::PAPER.to_vec(), |arm| {
+        let (warmup, measure) = (SimDuration::from_secs(5), SimDuration::from_secs(27));
+        let factory = arm.factory();
+        run_one(&pw, factory.as_ref(), &pattern, warmup, measure, seed, true).1
     });
 
     let mut tables = Vec::new();
-    for (name, result) in controllers.into_iter().zip(&results) {
+    for (arm, result) in Arm::PAPER.iter().zip(&results) {
+        let name = arm.label();
         let trace = result.alloc_trace.as_ref().expect("trace enabled");
         let mut t = Table::new(
             &format!("Fig 14 — {name}: cores over time (surge 15s-25s at 1.75x)"),

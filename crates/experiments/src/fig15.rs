@@ -8,48 +8,30 @@
 //! allocation helps both (−28 % / −63 % VV, −5 % / −8 % cores); combined
 //! they compound (−74 % average).
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::ratio;
 use crate::output::{fr, JsonSink, Table};
+use crate::suite::{Arm, BatchKey, PatternSpec, Suite};
 use serde_json::json;
-use sg_controllers::{PartiesFactory, SurgeGuardFactory};
-use sg_core::time::SimDuration;
-use sg_loadgen::SpikePattern;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let arms: [(&str, bool, bool); 3] = [
-        ("parties+metrics", true, false),
-        ("parties+sens", false, true),
-        ("escalator", true, true),
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
+    let ablation = |metrics, sens| Arm::Ablation { metrics, sens };
+    let arms = [
+        Arm::Parties,
+        ablation(true, false),
+        ablation(false, true),
+        ablation(true, true),
     ];
-    let parties = PartiesFactory::default();
     let workloads = [Workload::ReadUserTimeline, Workload::RecommendHotel];
-
-    // Calibrate both workloads in parallel, then fan out the 4 arms
-    // (Parties base + 3 ablations) × 2 workloads.
-    let prepared = crate::parallel::par_map(workloads.to_vec(), |wl| {
-        prepare(wl, 1, CalibrationOptions::default())
-    });
-    let jobs: Vec<(usize, usize)> = (0..workloads.len())
-        .flat_map(|w| (0..4).map(move |a| (w, a)))
-        .collect();
-    let aggs = crate::parallel::par_map(jobs, |(w, a)| {
-        let pw = &prepared[w];
-        let pattern = SpikePattern::periodic(pw.base_rate, 1.75, SimDuration::from_secs(2));
-        if a == 0 {
-            run_trials(pw, &parties, &pattern, profile)
-        } else {
-            let (_, metrics, sens) = arms[a - 1];
-            let factory = SurgeGuardFactory::ablation(metrics, sens);
-            run_trials(pw, &factory, &pattern, profile)
-        }
+    let grid = suite.grid(workloads, arms, |wl, arm| {
+        BatchKey::new(wl, 1, PatternSpec::periodic(1.75, 2000), arm, profile)
     });
 
     let mut tables = Vec::new();
-    for (wi, &wl) in workloads.iter().enumerate() {
-        let pw = &prepared[wi];
-        let base = &aggs[wi * 4];
+    for (wl, [base, ablations @ ..]) in grid {
+        let pw = suite.prepared(wl, 1);
         let mut t = Table::new(
             &format!(
                 "Fig 15 — Escalator component breakdown, {} (normalized to Parties)",
@@ -62,9 +44,8 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             "experiment": "fig15", "workload": wl.label(), "arm": "parties",
             "vv": base.violation_volume, "cores": base.avg_cores,
         }));
-        for (ai, (name, _, _)) in arms.iter().enumerate() {
-            let name = *name;
-            let a = &aggs[wi * 4 + ai + 1];
+        for (arm, a) in arms[1..].iter().zip(ablations) {
+            let name = arm.label();
             t.row(vec![
                 name.to_string(),
                 fr(ratio(a.violation_volume, base.violation_volume)),

@@ -7,26 +7,20 @@
 //! QoS". This experiment quantifies that: an ML-class controller alone
 //! (global knowledge, > 1 s decision pipeline), SurgeGuard alone, and the
 //! hybrid, all under the §VI-B surge protocol.
-//!
-//! Fresh controller factories are created per trial: the centralized
-//! brain is shared among a run's node instances and must not leak across
-//! runs.
 
-use crate::common::{run_one, ExpProfile};
 use crate::output::{JsonSink, Table};
+use crate::suite::{Arm, BatchKey, PatternSpec, Suite};
 use serde_json::json;
-use sg_controllers::{CentralizedFactory, HybridFactory, SurgeGuardFactory};
-use sg_core::time::SimDuration;
-use sg_loadgen::{trimmed_mean, RunReport, SpikePattern};
-use sg_sim::controller::ControllerFactory;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_loadgen::trimmed_mean;
+use sg_workloads::Workload;
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::ReadUserTimeline, 1, CalibrationOptions::default());
-    let pattern = SpikePattern::periodic(pw.base_rate, 1.75, SimDuration::from_secs(2));
-
-    let arms: [&str; 3] = ["ml-centralized", "surgeguard", "hybrid"];
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let arms = [Arm::MlCentralized, Arm::SurgeGuard, Arm::Hybrid];
+    let pattern = PatternSpec::periodic(1.75, 2000);
+    let keys =
+        arms.map(|a| BatchKey::new(Workload::ReadUserTimeline, 1, pattern, a, suite.profile));
+    let batches = suite.run_batches(&keys);
     let mut t = Table::new(
         "§VII extension — ML-class vs SurgeGuard vs hybrid (readUserTimeline, 1.75x surges)",
         &[
@@ -37,46 +31,15 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             "energy (J)",
         ],
     );
-    // Flatten (arm × trial) into one parallel batch; trial seeds are the
-    // index-derived scheme, so assembly order is deterministic.
-    let jobs: Vec<(usize, usize)> = (0..arms.len())
-        .flat_map(|a| (0..profile.trials).map(move |i| (a, i)))
-        .collect();
-    let all_reports: Vec<RunReport> = crate::parallel::par_map(jobs, |(a, i)| {
-        // Fresh factory per trial (shared-brain hygiene).
-        let factory: Box<dyn ControllerFactory> = match arms[a] {
-            "ml-centralized" => Box::new(CentralizedFactory::default()),
-            "surgeguard" => Box::new(SurgeGuardFactory::full()),
-            _ => Box::new(HybridFactory::default()),
-        };
-        run_one(
-            &pw,
-            factory.as_ref(),
-            &pattern,
-            profile.warmup,
-            profile.measure,
-            profile.trial_seed(i),
-            false,
-        )
-        .0
-    });
-
-    for (a, arm) in arms.into_iter().enumerate() {
-        let reports = &all_reports[a * profile.trials..(a + 1) * profile.trials];
-        let vv = trimmed_mean(
-            &reports
-                .iter()
-                .map(|r| r.violation_volume)
-                .collect::<Vec<_>>(),
-        );
-        let p98 = trimmed_mean(
-            &reports
-                .iter()
-                .map(|r| r.p98.as_secs_f64() * 1e3)
-                .collect::<Vec<_>>(),
-        );
-        let cores = trimmed_mean(&reports.iter().map(|r| r.avg_cores).collect::<Vec<_>>());
-        let energy = trimmed_mean(&reports.iter().map(|r| r.energy_j).collect::<Vec<_>>());
+    for (arm, b) in arms.iter().zip(&batches) {
+        let arm = arm.label();
+        let (vv, cores, energy) = (b.violation_volume, b.avg_cores, b.energy_j);
+        let p98_ms: Vec<f64> = b
+            .reports
+            .iter()
+            .map(|r| r.p98.as_secs_f64() * 1e3)
+            .collect();
+        let p98 = trimmed_mean(&p98_ms);
         t.row(vec![
             arm.to_string(),
             format!("{vv:.4}"),

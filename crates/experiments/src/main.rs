@@ -1,115 +1,60 @@
-//! `sg-experiments` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! sg-experiments [EXPERIMENTS...] [--full] [--json PATH] [--serial] [--threads N]
-//!
-//!   EXPERIMENTS   any of: table1 fig4 fig5 fig6 fig7 fig10 fig11 fig12
-//!                 fig13 fig14 fig15 hybrid netsurge zoo chaos all
-//!                 (default: all)
-//!   --full        paper-scale protocol (17 trials, 60s windows) —
-//!                 substantially slower
-//!   --json PATH   also write machine-readable rows to PATH
-//!   --serial      run everything on one thread (same output, slower)
-//!   --threads N   worker-thread cap (default: SG_EXP_THREADS env var,
-//!                 else all cores); output is identical for any N
-//! ```
+//! `sg-experiments` — regenerate the paper's tables and figures. See
+//! [`sg_experiments::cli::USAGE`] for the command line.
 
-use sg_experiments::{ExpProfile, JsonSink, Table};
+use sg_experiments::cli::{parse_args, USAGE};
+use sg_experiments::{parallel, ExpProfile, JsonSink, Suite, FIGURES};
 use std::time::Instant;
-
-const ALL: [&str; 15] = [
-    "table1", "fig4", "fig5", "fig6", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "hybrid", "netsurge", "zoo", "chaos",
-];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let json_pos = args.iter().position(|a| a == "--json");
-    let json_path = json_pos.and_then(|i| args.get(i + 1)).cloned();
-    let threads_pos = args.iter().position(|a| a == "--threads");
-    let threads_arg = threads_pos.and_then(|i| args.get(i + 1)).map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--threads expects a positive integer, got '{v}'");
-            std::process::exit(2);
-        })
-    });
-    if args.iter().any(|a| a == "--serial") {
-        sg_experiments::parallel::set_threads(1);
-    } else if let Some(n) = threads_arg {
-        sg_experiments::parallel::set_threads(n);
-    }
-    // Flag-value positions, so values never parse as experiment names.
-    let consumed: Vec<usize> = [json_pos, threads_pos]
-        .iter()
-        .flatten()
-        .map(|&i| i + 1)
-        .collect();
-    let mut selected: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !consumed.contains(i))
-        .map(|(_, a)| a.clone())
-        .collect();
-    if selected.is_empty() || selected.iter().any(|s| s == "all") {
-        selected = ALL.iter().map(|s| s.to_string()).collect();
-    }
-    for s in &selected {
-        if !ALL.contains(&s.as_str()) {
-            eprintln!("unknown experiment '{s}'; known: {}", ALL.join(" "));
+    let cli = match parse_args(&args) {
+        Ok(cli) if cli.help => {
+            print!("{USAGE}");
+            return;
+        }
+        Ok(cli) => cli,
+        Err(e) => {
+            eprint!("sg-experiments: {e}\n\n{USAGE}");
             std::process::exit(2);
         }
+    };
+    if let Some(n) = cli.threads {
+        parallel::set_threads(n);
     }
 
-    let profile = ExpProfile::new(full);
+    let mut suite = Suite::new(ExpProfile::new(cli.full));
+    let (profile, threads) = (suite.profile, parallel::threads());
     println!(
         "SurgeGuard reproduction — {} profile ({} trials, {} measurement, {} worker thread{})",
-        if full { "full" } else { "quick" },
+        if cli.full { "full" } else { "quick" },
         profile.trials,
         profile.measure,
-        sg_experiments::parallel::threads(),
-        if sg_experiments::parallel::threads() == 1 {
-            ""
-        } else {
-            "s"
-        },
+        threads,
+        if threads == 1 { "" } else { "s" },
     );
 
     let suite_t0 = Instant::now();
     let mut sink = JsonSink::new();
-    for name in &selected {
+    for name in &cli.experiments {
         let t0 = Instant::now();
-        let tables: Vec<Table> = match name.as_str() {
-            "table1" => sg_experiments::table1::run(&profile, &mut sink),
-            "fig4" => sg_experiments::fig04::run(&profile, &mut sink),
-            "fig5" => sg_experiments::fig05::run(&profile, &mut sink),
-            "fig6" => sg_experiments::fig06::run(&profile, &mut sink),
-            "fig7" => sg_experiments::fig07::run(&profile, &mut sink),
-            "fig10" => sg_experiments::fig10::run(&profile, &mut sink),
-            "fig11" => sg_experiments::fig11::run(&profile, &mut sink),
-            "fig12" => sg_experiments::fig12::run(&profile, &mut sink),
-            "fig13" => sg_experiments::fig13::run(&profile, &mut sink, full),
-            "fig14" => sg_experiments::fig14::run(&profile, &mut sink),
-            "fig15" => sg_experiments::fig15::run(&profile, &mut sink),
-            "hybrid" => sg_experiments::hybrid::run(&profile, &mut sink),
-            "netsurge" => sg_experiments::netsurge::run(&profile, &mut sink),
-            "zoo" => sg_experiments::zoo::run(&profile, &mut sink),
-            "chaos" => sg_experiments::chaos::run(&profile, &mut sink),
-            _ => unreachable!(),
-        };
-        for t in &tables {
+        let (_, run) = FIGURES.iter().find(|(n, _)| n == name).expect("parsed");
+        for t in run(&mut suite, &mut sink) {
             print!("{}", t.render());
         }
         println!("\n[{} done in {:.1?}]", name, t0.elapsed());
     }
 
+    let s = suite.stats;
     println!(
-        "\n[suite done in {:.1?} on {} worker thread(s)]",
-        suite_t0.elapsed(),
-        sg_experiments::parallel::threads(),
+        "\n[suite done in {:.1?} on {threads} worker thread(s)]",
+        suite_t0.elapsed()
+    );
+    println!(
+        "[trial batches: {} run, {} reused; calibrations: {}]",
+        s.batches_run, s.batches_reused, s.prepares
     );
 
-    if let Some(path) = json_path {
+    if let Some(path) = cli.json {
         let value = sink.into_value();
         std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));

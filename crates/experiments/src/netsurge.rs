@@ -8,24 +8,36 @@
 //! (late packets are late regardless of cause) and boosts the receiving
 //! containers so the downstream work catches back up.
 
-use crate::common::{run_one, ExpProfile};
+use crate::common::ExpProfile;
 use crate::output::{JsonSink, Table};
+use crate::suite::{by_arm, Arm, BatchKey, PatternSpec, Suite, Tweak};
 use serde_json::json;
-use sg_controllers::{PartiesFactory, SurgeGuardFactory};
 use sg_core::time::{SimDuration, SimTime};
-use sg_loadgen::{trimmed_mean, RunReport, SpikePattern};
-use sg_sim::controller::ControllerFactory;
 use sg_sim::network::LatencySurge;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Extra one-way fabric latencies injected.
 pub const EXTRA_US: [u64; 3] = [200, 500, 1000];
 
+/// The injected surge: `extra_us` on every cross-node hop, from 5 s to
+/// 7 s into the measurement window.
+pub fn surge(extra_us: u64, profile: &ExpProfile) -> LatencySurge {
+    LatencySurge {
+        start: SimTime::ZERO + profile.warmup + SimDuration::from_secs(5),
+        end: SimTime::ZERO + profile.warmup + SimDuration::from_secs(7),
+        extra: SimDuration::from_micros(extra_us),
+    }
+}
+
 /// Run the experiment: 2-node readUserTimeline (so RPCs actually cross
-/// the fabric), constant base load, 2 s latency surges every 10 s.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::ReadUserTimeline, 2, CalibrationOptions::default());
-    let pattern = SpikePattern::constant(pw.base_rate);
+/// the fabric), constant base load, one 2 s latency surge.
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
+    let arms = [Arm::Static, Arm::Parties, Arm::SurgeGuard];
+    let grid = suite.grid(EXTRA_US, arms, |us, arm| {
+        let wl = Workload::ReadUserTimeline;
+        BatchKey::new(wl, 2, PatternSpec::Constant, arm, profile).tweaked(Tweak::LatencySurge(us))
+    });
 
     let mut t = Table::new(
         "Extension — network latency surges (2 nodes, 2s surges every 10s)",
@@ -37,63 +49,20 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             "SG boosts/run",
         ],
     );
-    // Flatten (extra latency × controller × trial) into one batch.
-    const CONTROLLERS: [&str; 3] = ["static", "parties", "surgeguard"];
-    let jobs: Vec<(usize, usize, usize)> = (0..EXTRA_US.len())
-        .flat_map(|e| (0..3).flat_map(move |c| (0..profile.trials).map(move |k| (e, c, k))))
-        .collect();
-    let all: Vec<(RunReport, u64)> = crate::parallel::par_map(jobs, |(e, c, k)| {
-        let factory: Box<dyn ControllerFactory> = match CONTROLLERS[c] {
-            "static" => Box::new(sg_sim::controller::NoopFactory),
-            "parties" => Box::new(PartiesFactory::default()),
-            _ => Box::new(SurgeGuardFactory::full()),
-        };
-        let mut pw2 = pw.clone();
-        // Latency surge every 10 s for 2 s within the window.
-        pw2.cfg.latency_surge = Some(LatencySurge {
-            start: SimTime::ZERO + profile.warmup + SimDuration::from_secs(5),
-            end: SimTime::ZERO + profile.warmup + SimDuration::from_secs(7),
-            extra: SimDuration::from_micros(EXTRA_US[e]),
-        });
-        let (rep, res) = run_one(
-            &pw2,
-            factory.as_ref(),
-            &pattern,
-            profile.warmup,
-            profile.measure,
-            profile.trial_seed(k),
-            false,
-        );
-        (rep, res.packet_freq_boosts)
-    });
-
-    for (ei, &extra) in EXTRA_US.iter().enumerate() {
-        let mut vv = [0.0f64; 3];
-        let mut boosts = 0u64;
-        for (i, name) in CONTROLLERS.iter().enumerate() {
-            let start = (ei * 3 + i) * profile.trials;
-            let reports = &all[start..start + profile.trials];
-            vv[i] = trimmed_mean(
-                &reports
-                    .iter()
-                    .map(|(r, _)| r.violation_volume)
-                    .collect::<Vec<_>>(),
-            );
-            if *name == "surgeguard" {
-                boosts = reports.iter().map(|(_, b)| b).sum::<u64>() / reports.len() as u64;
-            }
-        }
+    for (extra, batches) in &grid {
+        let [st, pa, sg] = batches;
+        let boosts = sg.boosts.iter().sum::<u64>() / sg.boosts.len() as u64;
         t.row(vec![
             format!("{extra}us"),
-            format!("{:.4}", vv[0]),
-            format!("{:.4}", vv[1]),
-            format!("{:.4}", vv[2]),
+            format!("{:.4}", st.violation_volume),
+            format!("{:.4}", pa.violation_volume),
+            format!("{:.4}", sg.violation_volume),
             boosts.to_string(),
         ]);
         sink.push(json!({
             "experiment": "netsurge",
             "extra_us": extra,
-            "vv": {"static": vv[0], "parties": vv[1], "surgeguard": vv[2]},
+            "vv": by_arm(&arms, batches, |b| b.violation_volume),
             "sg_boosts": boosts,
         }));
     }

@@ -1,31 +1,27 @@
 //! Minimal scoped-thread fork-join pool for the experiment harness.
 //!
-//! The paper protocol is embarrassingly parallel twice over: every trial
-//! is an independent `(config, seed)` pure function, and every figure arm
-//! (controller × workload × sweep point) is independent of its siblings.
-//! This module fans both levels out over `std::thread::scope` workers with
-//! two properties the harness relies on:
+//! Every trial is an independent `(config, seed)` pure function, so
+//! [`crate::suite::Suite::run_batches`] fans all trials of all new
+//! batches out at once through [`par_map`]. Two properties the harness
+//! relies on:
 //!
-//! 1. **Deterministic assembly.** Results are written into a slot indexed
-//!    by the job's position in the input, so the output `Vec` is in input
+//! 1. **Deterministic assembly.** Each job carries its input position and
+//!    results are sorted back by it, so the output `Vec` is in input
 //!    order no matter how the OS schedules workers. Combined with
 //!    per-trial seeds derived from the root seed (`base_seed + i`), the
 //!    parallel harness is byte-identical to the serial one
-//!    (`--serial` / `SG_EXP_THREADS=1`), which the determinism tests in
+//!    (`--threads 1`), which the determinism tests in
 //!    `tests/determinism.rs` assert.
-//! 2. **No nested fan-out.** Figure modules parallelize arms, and each arm
-//!    calls [`crate::run_trials`] which parallelizes trials. A
-//!    thread-local flag makes any `par_map` issued from inside a worker
-//!    run inline, so the worker count stays bounded by [`threads`] instead
-//!    of multiplying per level.
+//! 2. **No nested fan-out.** A thread-local flag makes any `par_map`
+//!    issued from inside a worker run inline, so the worker count stays
+//!    bounded by [`threads`] instead of multiplying per level.
 //!
-//! The worker count comes from, in priority order: [`set_threads`], the
-//! `SG_EXP_THREADS` environment variable, then
+//! The worker count is [`set_threads`] if called (`--threads N`), else
 //! `std::thread::available_parallelism()`.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -36,31 +32,15 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Override the worker count for all subsequent `par_map` calls
 /// (`1` forces fully serial, in-place execution). Takes precedence over
-/// `SG_EXP_THREADS` and the detected core count.
+/// the detected core count.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n.max(1), Ordering::Relaxed);
-}
-
-fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Ok(v) = std::env::var("SG_EXP_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
 }
 
 /// Worker count the next top-level `par_map` will use.
 pub fn threads() -> usize {
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => default_threads(),
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
 }
@@ -85,53 +65,30 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Job slots (taken exactly once via the shared cursor) and result
-    // slots (written exactly once, read back in input order). The crate
-    // forbids unsafe code, so slot access goes through uncontended
-    // mutexes rather than raw cells; one lock per *job* is noise next to
-    // a multi-second trial.
-    let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
+    // Workers pull `(index, item)` jobs off one shared queue and hand
+    // back what they computed; sorting by index restores input order.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    let mut out = Vec::new();
+                    loop {
+                        let job = queue.lock().expect("job queue poisoned").next();
+                        let Some((i, item)) = job else { break out };
+                        out.push((i, f(item)));
                     }
-                    let item = jobs[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job claimed twice");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                }
-                IN_WORKER.with(|w| w.set(false));
-            });
-        }
+                })
+            })
+            .collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined
+            .flat_map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker finished every claimed job")
-        })
-        .collect()
-}
-
-/// Run a batch of heterogeneous jobs (boxed closures) in parallel,
-/// returning their results in input order. This is how figure modules fan
-/// out arms that each do different work (different controller, workload,
-/// sweep point) but produce the same row type.
-pub fn par_run<'scope, R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send + 'scope>>) -> Vec<R> {
-    par_map(jobs, |job| job())
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -153,17 +110,6 @@ mod tests {
             inner.iter().sum::<usize>()
         });
         assert_eq!(out, vec![45, 55, 65, 75]);
-    }
-
-    #[test]
-    fn par_run_handles_heterogeneous_jobs() {
-        let a = 7usize;
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
-            Box::new(move || a * 2),
-            Box::new(|| 1),
-            Box::new(|| (0..5).sum()),
-        ];
-        assert_eq!(par_run(jobs), vec![14, 1, 10]);
     }
 
     #[test]

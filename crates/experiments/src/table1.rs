@@ -3,19 +3,19 @@
 //! update interval is *measured* from a short run (decision opportunities
 //! per second) rather than quoted.
 
-use crate::common::{run_one, ExpProfile};
+use crate::common::run_one;
 use crate::output::{JsonSink, Table};
-use crate::parallel::par_run;
+use crate::parallel::par_map;
+use crate::suite::{Arm, Suite};
 use serde_json::json;
-use sg_controllers::{CaladanFactory, PartiesFactory, SurgeGuardFactory};
 use sg_core::time::SimDuration;
 use sg_loadgen::SpikePattern;
-use sg_sim::controller::ControllerFactory;
-use sg_workloads::{prepare, CalibrationOptions, Workload};
+use sg_workloads::Workload;
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let pw = suite.prepared(Workload::Chain, 1);
+    let seed = suite.profile.base_seed;
     let pattern = SpikePattern::constant(pw.base_rate);
     let measure = SimDuration::from_secs(5);
 
@@ -24,51 +24,16 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
     // opportunity per delivered request packet. The three controller arms
     // are independent runs, fanned out in parallel and assembled in arm
     // order.
-    let cases: [(&str, &str); 3] = [
-        ("PARTIES", "No"),
-        ("CaladanAlgo", "No"),
-        ("SurgeGuard", "Yes"),
+    let cases = [
+        ("PARTIES", "No", Arm::Parties),
+        ("CaladanAlgo", "No", Arm::Caladan),
+        ("SurgeGuard", "Yes", Arm::SurgeGuard),
     ];
-    let results: Vec<sg_sim::runner::RunResult> = par_run(
-        cases
-            .iter()
-            .map(|&(name, _)| {
-                let (pw, pattern) = (&pw, &pattern);
-                Box::new(move || {
-                    let factory: Box<dyn ControllerFactory> = match name {
-                        "PARTIES" => Box::new(PartiesFactory::default()),
-                        "CaladanAlgo" => Box::new(CaladanFactory::default()),
-                        _ => Box::new(SurgeGuardFactory::full()),
-                    };
-                    run_one(
-                        pw,
-                        factory.as_ref(),
-                        pattern,
-                        SimDuration::from_secs(1),
-                        measure,
-                        profile.base_seed,
-                        false,
-                    )
-                    .1
-                }) as Box<dyn FnOnce() -> _ + Send>
-            })
-            .collect(),
-    );
-
-    let mut rows: Vec<(&str, &str, &str, String)> = Vec::new();
-    for ((name, dep_aware), result) in cases.iter().zip(&results) {
-        let interval = match *name {
-            "PARTIES" => "500ms".to_string(),
-            "CaladanAlgo" => "20ms (userspace; 5-20us with a custom stack)".to_string(),
-            _ => {
-                // Fast path: per-packet. Mean inter-packet gap during the run.
-                let packets = result.completed * pw.cfg.graph.len() as u64;
-                let gap_us = measure.as_secs_f64() * 1e6 / packets.max(1) as f64;
-                format!("per-packet (~{gap_us:.0}us between rx decisions)")
-            }
-        };
-        rows.push((name, dep_aware, "Yes", interval));
-    }
+    let results = par_map(cases.to_vec(), |(_, _, arm)| {
+        let factory = arm.factory();
+        let one_s = SimDuration::from_secs(1);
+        run_one(&pw, factory.as_ref(), &pattern, one_s, measure, seed, false).1
+    });
 
     let mut t = Table::new(
         "Table I — controller comparison",
@@ -88,13 +53,28 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
         "No".into(),
         ">1s".into(),
     ]);
-    for (name, dep, dist, interval) in rows {
-        t.row(vec![name.into(), dep.into(), dist.into(), interval.clone()]);
+    for (&(name, dep, _), result) in cases.iter().zip(&results) {
+        let interval = match name {
+            "PARTIES" => "500ms".to_string(),
+            "CaladanAlgo" => "20ms (userspace; 5-20us with a custom stack)".to_string(),
+            _ => {
+                // Fast path: per-packet. Mean inter-packet gap during the run.
+                let packets = result.completed * pw.cfg.graph.len() as u64;
+                let gap_us = measure.as_secs_f64() * 1e6 / packets.max(1) as f64;
+                format!("per-packet (~{gap_us:.0}us between rx decisions)")
+            }
+        };
+        t.row(vec![
+            name.to_string(),
+            dep.to_string(),
+            "Yes".into(),
+            interval.clone(),
+        ]);
         sink.push(json!({
             "experiment": "table1",
             "controller": name,
             "dependence_aware": dep,
-            "distributed": dist,
+            "distributed": "Yes",
             "update_interval": interval,
         }));
     }

@@ -18,20 +18,17 @@
 //! [`sg_telemetry::timeline::TimelineSet`] and the end-of-run replica
 //! counts scraped from a [`MetricsRegistry`] fed by the same stream.
 
-use crate::common::{ratio, run_trials, ExpProfile};
+use crate::common::ratio;
 use crate::output::{fr, JsonSink, Table};
+use crate::parallel::par_map;
+use crate::suite::{Arm, BatchKey, PatternSpec, Suite, Tweak};
 use serde_json::json;
-use sg_controllers::{
-    LsramFactory, PartiesFactory, SmartHpaFactory, SurgeGuardFactory, SurgeGuardHFactory,
-};
 use sg_core::ids::{ContainerId, NodeId};
 use sg_core::time::{SimDuration, SimTime};
-use sg_loadgen::SpikePattern;
-use sg_sim::controller::ControllerFactory;
 use sg_sim::runner::Simulation;
 use sg_telemetry::timeline::TimelineSet;
 use sg_telemetry::{MetricId, MetricsRegistry, SharedSink, TelemetrySink, VecSink};
-use sg_workloads::{prepare, CalibrationOptions, PreparedWorkload, Workload};
+use sg_workloads::{PreparedWorkload, Workload};
 use std::sync::Arc;
 
 /// Replica ceiling per service group.
@@ -43,60 +40,48 @@ pub const MAX_REPLICAS: u32 = 3;
 pub const MAX_CORES: u32 = 12;
 
 /// The evaluated line-up; Parties first — the zoo normalizes to it.
-pub const ARMS: [&str; 5] = ["parties", "surgeguard", "lsram", "smart-hpa", "sg-h"];
+pub const ARMS: [Arm; 5] = [
+    Arm::Parties,
+    Arm::SurgeGuard,
+    Arm::Lsram,
+    Arm::SmartHpa,
+    Arm::SgH,
+];
 
-fn factory_for(name: &str) -> Box<dyn ControllerFactory + Sync> {
-    match name {
-        "parties" => Box::new(PartiesFactory::default()),
-        "surgeguard" => Box::new(SurgeGuardFactory::full()),
-        "lsram" => Box::new(LsramFactory::default()),
-        "smart-hpa" => Box::new(SmartHpaFactory::default()),
-        "sg-h" => Box::new(SurgeGuardHFactory::default()),
-        other => panic!("unknown zoo arm '{other}'"),
-    }
-}
-
-/// The shared scenario: CHAIN with horizontal scaling enabled and the
-/// per-container cap applied (identically for every arm).
-fn workload() -> PreparedWorkload {
-    let mut pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
+/// Horizontal scaling enabled and the per-container cap applied
+/// (identically for every arm).
+pub fn cap(pw: &mut PreparedWorkload) {
     pw.cfg.max_replicas = MAX_REPLICAS;
     pw.cfg.constraints.max_cores = MAX_CORES;
     for c in &mut pw.cfg.initial_cores {
         *c = (*c).min(MAX_CORES);
     }
-    pw
 }
 
 /// Run the experiment.
-pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
-    let pw = workload();
-    let n_services = pw.cfg.graph.len();
+pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+    let profile = suite.profile;
     // The standard periodic spike protocol (Fig. 12) at its longest
     // surge duration: 5 s at 1.75x every 10 s — long enough that
     // capacity, not just reaction time, decides the outcome.
-    let pattern = SpikePattern::periodic(pw.base_rate, 1.75, SimDuration::from_secs(5));
+    let spec = PatternSpec::periodic(1.75, 5000);
+    let keys =
+        ARMS.map(|a| BatchKey::new(Workload::Chain, 1, spec, a, profile).tweaked(Tweak::ZooCaps));
+    let aggs = suite.run_batches(&keys);
+    // Every arm's key differs only in the controller: one scenario.
+    let (pw, pattern) = suite.scenario(&keys[0]);
+    let n_services = pw.cfg.graph.len();
     let w_end = SimTime::ZERO + profile.warmup + profile.measure;
-
-    struct ArmResult {
-        agg: sg_loadgen::AggregateReport,
-        /// Total active replicas sampled every 2 s across the window.
-        timeline: Vec<f64>,
-        peak_replicas: f64,
-        /// End-of-run replica count per service, from the registry.
-        final_replicas: Vec<f64>,
-    }
 
     let sample_times: Vec<SimTime> = (0..=(w_end.as_secs_f64() / 2.0) as u64)
         .map(|i| SimTime::ZERO + SimDuration::from_secs(2 * i))
         .collect();
 
-    // Each arm: a full paired-seed trial batch for the aggregate
-    // numbers, plus one metrics-enabled run for the replica timeline.
-    let results = crate::parallel::par_map(ARMS.to_vec(), |name| {
-        let factory = factory_for(name);
-        let agg = run_trials(&pw, factory.as_ref(), &pattern, profile);
-
+    // Beside each arm's trial batch, one metrics-enabled run for the
+    // total active replicas every 2 s and the end-of-run replica count
+    // per service.
+    let results = par_map(ARMS.to_vec(), |arm| {
+        let factory = arm.factory();
         let mut cfg = pw.cfg.clone();
         cfg.end = w_end + SimDuration::from_millis(200);
         cfg.measure_start = SimTime::ZERO + profile.warmup;
@@ -128,7 +113,6 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
                     .sum()
             })
             .collect();
-        let peak_replicas = timeline.iter().copied().fold(f64::MIN, f64::max);
         let final_replicas: Vec<f64> = (0..n_services)
             .map(|s| {
                 registry
@@ -136,16 +120,11 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
                     .unwrap_or(1.0)
             })
             .collect();
-        ArmResult {
-            agg,
-            timeline,
-            peak_replicas,
-            final_replicas,
-        }
+        (timeline, final_replicas)
     });
 
-    let base_vv = results[0].agg.violation_volume;
-    let base_energy = results[0].agg.energy_j;
+    let base_vv = aggs[0].violation_volume;
+    let base_energy = aggs[0].energy_j;
 
     let mut t = Table::new(
         &format!(
@@ -163,35 +142,37 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
             "peak replicas",
         ],
     );
-    for (name, r) in ARMS.iter().zip(&results) {
+    for ((arm, (timeline, final_replicas)), agg) in ARMS.iter().zip(&results).zip(&aggs) {
+        let name = arm.label();
+        let peak_replicas = timeline.iter().copied().fold(f64::MIN, f64::max);
         t.row(vec![
             name.to_string(),
-            format!("{:.3e}", r.agg.violation_volume),
-            fr(ratio(r.agg.violation_volume, base_vv)),
-            format!("{:.2}", r.agg.p98_s * 1e3),
-            format!("{:.1}", r.agg.energy_j),
-            fr(ratio(r.agg.energy_j, base_energy)),
-            format!("{:.1}", r.agg.avg_cores),
-            format!("{:.0}", r.peak_replicas),
+            format!("{:.3e}", agg.violation_volume),
+            fr(ratio(agg.violation_volume, base_vv)),
+            format!("{:.2}", agg.p98_s * 1e3),
+            format!("{:.1}", agg.energy_j),
+            fr(ratio(agg.energy_j, base_energy)),
+            format!("{:.1}", agg.avg_cores),
+            format!("{peak_replicas:.0}"),
         ]);
         sink.push(json!({
             "experiment": "zoo",
-            "controller": *name,
-            "vv": r.agg.violation_volume,
-            "vv_vs_parties": ratio(r.agg.violation_volume, base_vv),
-            "p98_s": r.agg.p98_s,
-            "energy_j": r.agg.energy_j,
-            "energy_vs_parties": ratio(r.agg.energy_j, base_energy),
-            "avg_cores": r.agg.avg_cores,
-            "peak_replicas": r.peak_replicas,
-            "final_replicas": r.final_replicas.clone(),
+            "controller": name,
+            "vv": agg.violation_volume,
+            "vv_vs_parties": ratio(agg.violation_volume, base_vv),
+            "p98_s": agg.p98_s,
+            "energy_j": agg.energy_j,
+            "energy_vs_parties": ratio(agg.energy_j, base_energy),
+            "avg_cores": agg.avg_cores,
+            "peak_replicas": peak_replicas,
+            "final_replicas": final_replicas.clone(),
             "replica_timeline_t_s": sample_times.iter().map(|t| t.as_secs_f64()).collect::<Vec<_>>(),
-            "replica_timeline": r.timeline.clone(),
+            "replica_timeline": timeline.clone(),
         }));
     }
 
     let mut header: Vec<&str> = vec!["t (s)"];
-    header.extend(ARMS.iter());
+    header.extend(ARMS.map(Arm::label));
     let mut tt = Table::new(
         &format!("Zoo — total active replicas over time ({n_services} services, 1 each at start)"),
         &header,
@@ -199,7 +180,11 @@ pub fn run(profile: &ExpProfile, sink: &mut JsonSink) -> Vec<Table> {
     for (i, &at) in sample_times.iter().enumerate() {
         tt.row(
             std::iter::once(format!("{:.0}", at.as_secs_f64()))
-                .chain(results.iter().map(|r| format!("{:.0}", r.timeline[i])))
+                .chain(
+                    results
+                        .iter()
+                        .map(|(timeline, _)| format!("{:.0}", timeline[i])),
+                )
                 .collect(),
         );
     }

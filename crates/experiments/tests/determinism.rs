@@ -26,7 +26,7 @@ fn fig05_output(threads: usize) -> String {
     set_threads(threads);
     let profile = ExpProfile::quick();
     let mut sink = JsonSink::new();
-    let tables = fig05::run(&profile, &mut sink);
+    let tables = fig05::run(&mut sg_experiments::Suite::new(profile), &mut sink);
     let rendered: String = tables.iter().map(|t| t.render()).collect();
     let json: Value = sink.into_value();
     rendered + &serde_json::to_string_pretty(&json).unwrap()
