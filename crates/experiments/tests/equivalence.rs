@@ -83,11 +83,13 @@ fn assert_results_identical(a: &RunResult, b: &RunResult) {
     assert_eq!(a.packet_freq_boosts, b.packet_freq_boosts);
 }
 
-/// The modelled outputs of one scenario as captured at commit 9fd354b,
-/// the last tree whose engine tombstoned stale completions. The
-/// cross-backend comparison cannot see a change that moves both
-/// backends together; these can. `events` is deliberately not pinned:
-/// it counts queue pops, not modelled behaviour.
+/// The modelled outputs of one scenario. The `RunResult` fields were
+/// captured at commit 9fd354b, the last tree whose engine tombstoned
+/// stale completions; the stream hashes at 72199e4, the last tree whose
+/// substrates each wrote out the boost, span, window, gauge and fault
+/// rules by hand. The cross-backend comparison cannot see a change that
+/// moves both backends together; these can. `events` is deliberately
+/// not pinned: it counts queue pops, not modelled behaviour.
 #[derive(Debug, PartialEq)]
 struct Pins {
     /// FNV-1a over every point's `(completion, latency)` nanoseconds.
@@ -99,21 +101,25 @@ struct Pins {
     dropped: u64,
     clamped_actions: u64,
     packet_freq_boosts: u64,
+    /// FNV-1a over the telemetry, spans and metrics JSONL, in that order.
+    streams_fnv: [u64; 3],
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 impl Pins {
-    fn of(r: &RunResult) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for p in &r.points {
-            for word in [p.completion.as_nanos(), p.latency.as_nanos()] {
-                for b in word.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
+    fn of(r: &RunResult, streams: &[String; 3]) -> Self {
+        let points = r
+            .points
+            .iter()
+            .flat_map(|p| [p.completion.as_nanos(), p.latency.as_nanos()])
+            .flat_map(u64::to_le_bytes);
         Pins {
-            points_fnv: h,
+            points_fnv: fnv1a(points),
             energy_bits: r.energy_j.to_bits(),
             avg_cores_bits: r.avg_cores.to_bits(),
             injected: r.injected,
@@ -121,6 +127,7 @@ impl Pins {
             dropped: r.dropped,
             clamped_actions: r.clamped_actions,
             packet_freq_boosts: r.packet_freq_boosts,
+            streams_fnv: streams.each_ref().map(|s| fnv1a(s.bytes())),
         }
     }
 }
@@ -144,12 +151,12 @@ fn assert_backends_equivalent(
     assert!(heap.completed > 0, "scenario did not exercise the engine");
     assert_results_identical(&heap, &wheel);
     assert_eq!(
-        &Pins::of(&heap),
+        &Pins::of(&heap, &heap_streams),
         pins,
         "heap backend left the parent's pins"
     );
     assert_eq!(
-        &Pins::of(&wheel),
+        &Pins::of(&wheel, &wheel_streams),
         pins,
         "wheel backend left the parent's pins"
     );
@@ -197,6 +204,11 @@ const FIG05_PINS: Pins = Pins {
     dropped: 0,
     clamped_actions: 0,
     packet_freq_boosts: 0,
+    streams_fnv: [
+        0xc709_73e6_a4b8_57c3,
+        0xec48_8d7b_ca11_be72,
+        0xf9be_3c29_745c_890c,
+    ],
 };
 
 const CHAOS_PINS: Pins = Pins {
@@ -208,6 +220,11 @@ const CHAOS_PINS: Pins = Pins {
     dropped: 0,
     clamped_actions: 0,
     packet_freq_boosts: 137,
+    streams_fnv: [
+        0x0b5f_311b_3ca4_2aad,
+        0xb3d5_8d67_d794_cc21,
+        0xa008_e75e_dae3_a620,
+    ],
 };
 
 const ZOO_PINS: Pins = Pins {
@@ -219,6 +236,11 @@ const ZOO_PINS: Pins = Pins {
     dropped: 0,
     clamped_actions: 0,
     packet_freq_boosts: 0,
+    streams_fnv: [
+        0x8a3f_b912_0d9e_0915,
+        0x9400_8190_efdb_9565,
+        0x41ae_57fe_909a_3973,
+    ],
 };
 
 #[test]
