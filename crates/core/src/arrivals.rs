@@ -22,12 +22,6 @@ pub trait ArrivalSource: Send {
     /// Implementations must yield ascending (non-strictly) timestamps.
     fn next_arrival(&mut self) -> Option<SimTime>;
 
-    /// Remaining arrivals when the source knows it exactly (materialized
-    /// schedules do; generative sources return `None`).
-    fn remaining_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Pull up to `max` arrivals into `out` (appending), returning how
     /// many were produced. This is the chunked-materialization hook:
     /// exporters fill a reused buffer batch by batch instead of holding
@@ -73,10 +67,6 @@ impl ArrivalSource for ScheduleSource {
         self.cursor += 1;
         Some(t)
     }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.times.len() - self.cursor) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -90,10 +80,8 @@ mod tests {
     #[test]
     fn schedule_source_drains_in_order() {
         let mut src = s(&[1, 5, 9]);
-        assert_eq!(src.remaining_hint(), Some(3));
         assert_eq!(src.next_arrival(), Some(SimTime::from_nanos(1)));
         assert_eq!(src.next_arrival(), Some(SimTime::from_nanos(5)));
-        assert_eq!(src.remaining_hint(), Some(1));
         assert_eq!(src.next_arrival(), Some(SimTime::from_nanos(9)));
         assert_eq!(src.next_arrival(), None);
         assert_eq!(src.next_arrival(), None, "stays exhausted");
@@ -113,7 +101,6 @@ mod tests {
     fn empty_schedule_yields_nothing() {
         let mut src = s(&[]);
         assert_eq!(src.next_arrival(), None);
-        assert_eq!(src.remaining_hint(), Some(0));
         let mut out = Vec::new();
         assert_eq!(src.next_chunk(&mut out, 10), 0);
     }

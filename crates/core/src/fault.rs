@@ -92,6 +92,30 @@ impl FaultKind {
             } => format!("svc:{}#{replica}", service.0),
         }
     }
+
+    /// Execution speed one edge of this fault sets on the slots it
+    /// targets: `1/CRASH_SLOWDOWN` while a crash or node loss is active,
+    /// `1/slowdown` while a straggler is, 1 when either clears. `None`
+    /// for pool leaks and jitter, which slow no slot.
+    pub fn gate_speed(&self, active: bool) -> Option<f64> {
+        match *self {
+            FaultKind::PoolLeak { .. } | FaultKind::NetworkJitter { .. } => None,
+            _ if !active => Some(1.0),
+            FaultKind::Straggler { slowdown, .. } => Some(1.0 / slowdown),
+            _ => Some(1.0 / CRASH_SLOWDOWN),
+        }
+    }
+
+    /// True when clearing this fault restarts its targets: a crash or
+    /// node loss ends in a restart, whose [`FaultNotice::Restarted`]
+    /// tells the node's controller its profiled state is stale. A
+    /// straggler recovers in place.
+    pub fn restarts(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::ContainerCrash { .. } | FaultKind::NodeLoss { .. }
+        )
+    }
 }
 
 /// One scheduled fault: `at <t> inject <kind> for <duration>`.

@@ -48,7 +48,7 @@ pub fn is_violation(slack: SlackNs) -> bool {
 /// under. Span tracing stamps this on every hop so post-hoc analysis can
 /// distinguish "slow because the work was slow" from "slow because the
 /// request was already behind and the boost had not landed yet".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EntryAnnotation {
     /// Per-packet slack at arrival; negative = behind schedule.
     pub slack_ns: SlackNs,

@@ -157,9 +157,10 @@ impl ClusterState {
         NodeInit::for_node(cfg, &self.lock().ledger, node)
     }
 
-    /// Slots a fault targets (see [`AllocLedger::fault_targets`]).
-    pub fn fault_targets(&self, kind: FaultKind) -> Vec<(usize, bool)> {
-        self.lock().ledger.fault_targets(kind)
+    /// What one edge of a fault does to its target slots (see
+    /// [`AllocLedger::fault_edge`]).
+    pub fn fault_edge(&self, kind: FaultKind, active: bool) -> Vec<(usize, Option<f64>, bool)> {
+        self.lock().ledger.fault_edge(kind, active)
     }
 
     /// Reset the energy meter's measurement window (once, at

@@ -6,7 +6,7 @@ use crate::clock::LiveClock;
 use crate::cluster::ClusterState;
 use crate::net::DelayLine;
 use crate::pool::LiveConnPool;
-use crate::sync::{Dispatch, JobQueue, JobSpan, ReplyTo};
+use crate::sync::{Dispatch, JobQueue, ReplyTo};
 use crate::worker::{LiveCluster, ProfileAcc};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ use sg_sim::network::Network;
 use sg_sim::runner::{ProfileStats, RunResult};
 use sg_telemetry::profile::{LiveProfiler, ProfileMark};
 use sg_telemetry::{
-    AggRuntime, DemuxSink, FanoutSink, MetricsRegistry, RingSink, SharedSink, SpanSampler,
+    AggRuntime, DemuxSink, FanoutSink, HopSpan, MetricsRegistry, RingSink, SharedSink, SpanSampler,
     TelemetryEvent, METRICS_SCHEMA_VERSION,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -250,25 +250,9 @@ pub fn run_live_with_stats(
         apply_state.land_freq(update.container, update.level);
     });
 
-    let mut network = Network::new(cfg.network);
-    if let Some(surge) = cfg.latency_surge {
-        network.add_surge(surge);
-    }
-    // Network-jitter faults become static surge windows, installed here
-    // exactly as the sim installs them at `Simulation::new`.
-    for f in &cfg.faults.faults {
-        if let sg_core::fault::FaultKind::NetworkJitter { extra } = f.kind {
-            network.add_surge(sg_sim::network::LatencySurge {
-                start: f.at,
-                end: f.end(),
-                extra,
-            });
-        }
-    }
-
     let cluster = Arc::new(LiveCluster {
         clock: clock.clone(),
-        network,
+        network: Network::for_config(&cfg),
         state: Arc::clone(&state),
         queues: (0..n_slots).map(|_| JobQueue::new()).collect(),
         windows: (0..n_slots)
@@ -408,22 +392,13 @@ pub fn run_live_with_stats(
         // stable against safety-valve drops (a dropped arrival consumes
         // an id, no span).
         let trace = injected - 1;
-        let (span, root_span) = if cluster.span_sink.is_some() && opts.span_sampler.sampled(trace) {
-            let root_id = cluster.span_ids.fetch_add(1, Ordering::Relaxed);
-            (
-                Some(JobSpan {
-                    trace,
-                    parent: root_id,
-                    sent_at: SimTime::ZERO,
-                    issue_wait: SimDuration::ZERO,
-                    freq_level: 0,
-                    slack_ns: 0,
-                }),
-                Some((trace, root_id)),
-            )
-        } else {
-            (None, None)
-        };
+        // Reserve the root "request" span id and the frontend hop id
+        // together, as the sim does.
+        let root_span = (cluster.span_sink.is_some() && opts.span_sampler.sampled(trace))
+            .then(|| (trace, cluster.span_ids.fetch_add(2, Ordering::Relaxed)));
+        let span = root_span.map(|(trace, root)| {
+            Box::new(HopSpan::new(trace, root + 1, root, now, SimDuration::ZERO))
+        });
         let root = ContainerId(cluster.pick_replica(TaskGraph::ROOT, &mut rng) as u32);
         cluster.send_request(
             client_node,

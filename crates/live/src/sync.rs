@@ -5,32 +5,12 @@
 use crate::pool::LiveConnPool;
 use sg_core::ids::NodeId;
 use sg_core::metadata::RpcMetadata;
-use sg_core::time::{SimDuration, SimTime};
+use sg_core::time::SimTime;
+use sg_telemetry::HopSpan;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Tracing context a sampled request carries across the delay line: the
-/// live analogue of the sim runner's per-invocation span state. The hop
-/// span's own id is allocated by the worker that executes the job; this
-/// carries everything stamped *before* execution.
-#[derive(Debug, Clone, Copy)]
-pub struct JobSpan {
-    /// Trace id (the request's injection index).
-    pub trace: u64,
-    /// Span id of the calling hop (or of the synthetic root span for the
-    /// frontend hop).
-    pub parent: u64,
-    /// When the caller put the request on the wire.
-    pub sent_at: SimTime,
-    /// Time the caller waited on its connection pool to issue this RPC.
-    pub issue_wait: SimDuration,
-    /// DVFS level the rx hook saw on entry (pre-boost).
-    pub freq_level: u8,
-    /// Per-packet slack at entry, ns.
-    pub slack_ns: i64,
-}
 
 /// Where a finished invocation sends its response.
 pub enum ReplyTo {
@@ -60,8 +40,10 @@ pub struct Dispatch {
     pub req_start: SimTime,
     /// Metadata to deliver.
     pub meta: RpcMetadata,
-    /// Present iff this request was sampled for tracing.
-    pub span: Option<JobSpan>,
+    /// Present iff this request was sampled for tracing. Boxed: an
+    /// overloaded run queues a deep backlog, and an untraced request
+    /// should carry a null pointer there, not the 72-byte carrier.
+    pub span: Option<Box<HopSpan>>,
     /// Response routing.
     pub reply: ReplyTo,
 }
@@ -76,7 +58,7 @@ pub struct Job {
     /// Arrival at this container (stamped by the rx hook).
     pub arrival: SimTime,
     /// Present iff this request was sampled for tracing.
-    pub span: Option<JobSpan>,
+    pub span: Option<Box<HopSpan>>,
     /// Response routing.
     pub reply: ReplyTo,
 }

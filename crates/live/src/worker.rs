@@ -2,7 +2,9 @@
 //! invocations against token-bucket cores, blocking connection pools, and
 //! the delay-line network.
 //!
-//! Control flow per request mirrors `sg_sim::runner` exactly:
+//! Control flow per request mirrors `sg_sim::runner`, and what both
+//! observe of it (boosts, spans, windows, gauges, faults) is said once, in
+//! [`sg_sim::substrate`] and the code it points to:
 //!
 //! 1. The delay line delivers the request; the destination node's
 //!    per-packet rx hook runs first (FirstResponder site), then the job is
@@ -21,7 +23,7 @@ use crate::clock::LiveClock;
 use crate::cluster::ClusterState;
 use crate::net::DelayLine;
 use crate::pool::LiveConnPool;
-use crate::sync::{Dispatch, Job, JobQueue, JobSpan, ReplySlot, ReplyTo};
+use crate::sync::{Dispatch, Job, JobQueue, ReplySlot, ReplyTo};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sg_core::firstresponder::{FrRuntime, FreqUpdate};
@@ -35,14 +37,14 @@ use sg_core::violation::LatencyPoint;
 use sg_sim::app::CallMode;
 use sg_sim::cluster::SimConfig;
 use sg_sim::container::sample_work;
-use sg_sim::controller::{ControlAction, Controller};
+use sg_sim::controller::{ControlAction, Controller, NodeSnapshot};
 use sg_sim::ledger::{action_event, Effect, ReplicaState};
 use sg_sim::network::Network;
+use sg_sim::substrate::{emit_sweep, packet_boost, GaugeRow};
 use sg_telemetry::metrics::slack_p50_p99;
 use sg_telemetry::profile::{LiveProfiler, ProfilePhase};
 use sg_telemetry::{
-    ActionOrigin, AggRuntime, MetricId, MetricSample, ReplicaPhase, SharedSink, SpanRecord,
-    TelemetryEvent,
+    ActionOrigin, AggRuntime, HopSpan, ReplicaPhase, SharedSink, SpanRecord, TelemetryEvent,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -259,64 +261,31 @@ impl LiveCluster {
         } = dispatch;
         let now = self.clock.now();
         let node = self.state.node_of(dest);
-        let svc_of_dest = self.state.layout.service_of(dest.index());
+        let expected = self.cfg.params[self.state.layout.service_of(dest.index()).index()]
+            .expected_time_from_start;
+        let slack = per_packet_slack(expected, now, meta.start_time);
         if self.metrics_sink.is_some() {
-            // Feed the slack p50/p99 gauges from every delivered packet.
-            let expected = self.cfg.params[svc_of_dest.index()].expected_time_from_start;
-            self.slack_acc[dest.index()]
-                .lock()
-                .unwrap()
-                .push(per_packet_slack(expected, now, meta.start_time));
+            self.slack_acc[dest.index()].lock().unwrap().push(slack);
         }
         let actions = self.controllers[node.index()]
             .lock()
             .unwrap()
             .on_packet(now, dest, meta);
-        if !actions.is_empty() {
-            let targets = actions
-                .iter()
-                .filter(|a| matches!(a, ControlAction::SetFreq { .. }))
-                .count() as u32;
-            if targets > 0 {
-                // One boost episode destined here: the cumulative
-                // fr_boosts gauge steps even if the level retires before
-                // the sampler's next sweep.
-                self.fr_boost_counts[dest.index()].fetch_add(1, Ordering::Relaxed);
-                if let Some(sink) = &self.sink {
-                    let expected = self.cfg.params[svc_of_dest.index()].expected_time_from_start;
-                    let level = actions
-                        .iter()
-                        .filter_map(|a| match a {
-                            ControlAction::SetFreq { level, .. } => Some(*level),
-                            _ => None,
-                        })
-                        .max()
-                        .unwrap_or(0);
-                    sink.emit(TelemetryEvent::FrBoost {
-                        at: now,
-                        node,
-                        dest,
-                        slack_ns: per_packet_slack(expected, now, meta.start_time),
-                        level,
-                        targets,
-                    });
-                }
+        if let Some(boost) = packet_boost(&actions, now, node, dest, slack) {
+            self.fr_boost_counts[dest.index()].fetch_add(1, Ordering::Relaxed);
+            if let Some(sink) = &self.sink {
+                sink.emit(boost);
             }
+        }
+        if !actions.is_empty() {
             self.apply_actions(node, actions, ActionOrigin::PacketHook);
         }
         if let Some(s) = &mut span {
             // Stamp what the rx hook saw; any boost this packet triggers
             // is still in the FirstResponder queue, so this is the
             // pre-boost frequency state — same convention as the sim.
-            let expected = self.cfg.params[svc_of_dest.index()].expected_time_from_start;
-            let ann = annotate_entry(
-                expected,
-                now,
-                meta.start_time,
-                self.state.alloc_of(dest).freq_level,
-            );
-            s.freq_level = ann.freq_level;
-            s.slack_ns = ann.slack_ns;
+            let freq_level = self.state.alloc_of(dest).freq_level;
+            s.entry = annotate_entry(expected, now, meta.start_time, freq_level);
         }
         self.queues[dest.index()].push(Job {
             req_start,
@@ -372,7 +341,7 @@ impl LiveCluster {
         edge: usize,
         meta_in: RpcMetadata,
         req_start: SimTime,
-        span_ctx: Option<(u64, u64)>,
+        parent: Option<&HopSpan>,
         rng: &mut SmallRng,
     ) -> Option<(Arc<ReplySlot>, SimDuration)> {
         let svc = self.state.layout.service_of(c);
@@ -399,13 +368,10 @@ impl LiveCluster {
         };
         // The pool wait happened here, but it delayed the *callee* —
         // charge it to the child hop (same convention as the sim).
-        let span = span_ctx.map(|(trace, parent)| JobSpan {
-            trace,
-            parent,
-            sent_at: SimTime::ZERO,
-            issue_wait: waited,
-            freq_level: 0,
-            slack_ns: 0,
+        // `send_request` stamps the send.
+        let span = parent.map(|p| {
+            let id = self.span_ids.fetch_add(1, Ordering::Relaxed);
+            Box::new(HopSpan::new(p.trace, id, p.id, SimTime::ZERO, waited))
         });
         let meta_out = self.child_meta(c, meta_in);
         self.send_request(
@@ -431,23 +397,18 @@ impl LiveCluster {
         let pre = work.mul_f64(spec.pre_fraction);
         let post = work.saturating_sub(pre);
 
-        // Allocate this hop's span id up front so child RPCs can parent
-        // under it. Clock reads for the phase boundaries happen only when
-        // the request is traced — the untraced path stays bare.
-        let self_span = job
-            .span
-            .map(|s| (s, self.span_ids.fetch_add(1, Ordering::Relaxed)));
-        let span_ctx = self_span.map(|(s, id)| (s.trace, id));
+        // Clock reads for the phase boundaries happen only when the
+        // request is traced — the untraced path stays bare.
+        let mut span = job.span;
 
         let gate = &self.state.gates[c];
         if !gate.run(pre, &self.shutdown) {
             return;
         }
-        let pre_done = if self_span.is_some() {
-            self.clock.now()
-        } else {
-            SimTime::ZERO
-        };
+        if let Some(s) = &mut span {
+            s.pre_done = self.clock.now();
+        }
+        let span_ctx = span.as_deref();
 
         let mut conn_wait = SimDuration::ZERO;
         if !spec.children.is_empty() {
@@ -500,35 +461,19 @@ impl LiveCluster {
             }
         }
 
-        let post_start = if self_span.is_some() {
-            self.clock.now()
-        } else {
-            SimTime::ZERO
-        };
+        if let Some(s) = &mut span {
+            s.post_start = self.clock.now();
+        }
         if !gate.run(post, &self.shutdown) {
             return;
         }
 
         let now = self.clock.now();
-        if let Some((s, id)) = self_span {
-            if let Some(sink) = &self.span_sink {
-                sink.emit(TelemetryEvent::Span(SpanRecord {
-                    trace: s.trace,
-                    span: id,
-                    parent: Some(s.parent),
-                    container: Some(ContainerId(c as u32)),
-                    node: Some(self.state.node_of(ContainerId(c as u32))),
-                    start: job.arrival,
-                    end: now,
-                    net_in: job.arrival.saturating_since(s.sent_at),
-                    conn_wait: s.issue_wait,
-                    service: pre_done.saturating_since(job.arrival)
-                        + now.saturating_since(post_start),
-                    downstream: post_start.saturating_since(pre_done),
-                    freq_level: s.freq_level,
-                    slack_ns: s.slack_ns,
-                }));
-            }
+        let id = ContainerId(c as u32);
+        let src = self.state.node_of(id);
+        if let (Some(s), Some(sink)) = (&span, &self.span_sink) {
+            let record = SpanRecord::hop(s, id, src, job.arrival, now);
+            sink.emit(TelemetryEvent::Span(record));
         }
         let exec_time = now.saturating_since(job.arrival);
         let sample = RequestSample {
@@ -553,7 +498,6 @@ impl LiveCluster {
         );
 
         // Route the response back through the delay line.
-        let src = self.state.node_of(ContainerId(c as u32));
         match job.reply {
             ReplyTo::Parent { node, slot, pool } => {
                 let delay = self.network.latency(now, src, node, rng);
@@ -579,30 +523,15 @@ impl LiveCluster {
                 self.delay.submit(
                     self.clock.instant_at(completion),
                     Box::new(move || {
-                        if let Some((trace, root_id)) = root_span {
-                            // Synthetic root "request" span, stamped with
-                            // the *same* precomputed (completion, latency)
-                            // pair as the LatencyPoint below — so the
-                            // span-tree conformance invariant (root
-                            // duration == point latency) is exact on this
-                            // substrate too, not clock-tolerant.
-                            if let Some(sink) = &cluster.span_sink {
-                                sink.emit(TelemetryEvent::Span(SpanRecord {
-                                    trace,
-                                    span: root_id,
-                                    parent: None,
-                                    container: None,
-                                    node: None,
-                                    start: req_start,
-                                    end: completion,
-                                    net_in: SimDuration::ZERO,
-                                    conn_wait: SimDuration::ZERO,
-                                    service: SimDuration::ZERO,
-                                    downstream: latency,
-                                    freq_level: 0,
-                                    slack_ns: 0,
-                                }));
-                            }
+                        // Synthetic root "request" span, stamped with the
+                        // *same* precomputed (completion, latency) pair as
+                        // the LatencyPoint below — so the span-tree
+                        // conformance invariant (root duration == point
+                        // latency) is exact on this substrate too, not
+                        // clock-tolerant.
+                        if let (Some((trace, id)), Some(sink)) = (root_span, &cluster.span_sink) {
+                            let root = SpanRecord::request(trace, id, req_start, completion);
+                            sink.emit(TelemetryEvent::Span(root));
                         }
                         cluster.points.lock().unwrap().push(LatencyPoint {
                             completion,
@@ -613,7 +542,7 @@ impl LiveCluster {
                         // measured completions reach the digest.
                         if let Some(agg) = &cluster.agg {
                             if completion >= cluster.cfg.measure_start {
-                                agg.record(src, ContainerId(c as u32), completion, latency);
+                                agg.record(src, id, completion, latency);
                             }
                         }
                         cluster.completed.fetch_add(1, Ordering::Relaxed);
@@ -670,41 +599,17 @@ impl LiveCluster {
             }
             let tick0 = self.profiler.as_ref().map(|_| Instant::now());
             let now = self.clock.now();
-            // One snapshot entry per ACTIVE replica slot, primary-first
-            // per service group — identical to the sim's snapshot order
-            // (and to the pre-replica order at max_replicas = 1).
-            let services: Vec<ServiceId> = self.cfg.placement.services_on(NodeId(node as u32));
-            let snapshot = sg_sim::controller::NodeSnapshot {
-                node: NodeId(node as u32),
-                containers: services
-                    .into_iter()
-                    .flat_map(|s| {
-                        self.state
-                            .layout
-                            .slots_of(s)
-                            .filter(|&slot| self.state.replica_is(slot, ReplicaState::Active))
-                            .collect::<Vec<_>>()
-                    })
-                    .map(|slot| sg_sim::controller::ContainerSnapshot {
-                        id: ContainerId(slot as u32),
-                        metrics: self.windows[slot].lock().unwrap().flush(),
-                        alloc: self.state.alloc_of(ContainerId(slot as u32)),
-                    })
-                    .collect(),
-            };
+            let snapshot = NodeSnapshot::active(
+                &self.cfg,
+                NodeId(node as u32),
+                |slot| self.state.replica_is(slot, ReplicaState::Active),
+                |slot| {
+                    let window = self.windows[slot].lock().unwrap().flush();
+                    (window, self.state.alloc_of(ContainerId(slot as u32)))
+                },
+            );
             if let Some(sink) = &self.sink {
-                for cs in &snapshot.containers {
-                    sink.emit(TelemetryEvent::Window {
-                        at: now,
-                        node: NodeId(node as u32),
-                        container: cs.id,
-                        requests: cs.metrics.requests,
-                        mean_exec_time_ns: cs.metrics.mean_exec_time.as_nanos(),
-                        mean_exec_metric_ns: cs.metrics.mean_exec_metric.as_nanos(),
-                        queue_buildup: cs.metrics.queue_buildup,
-                        upscale_hints: cs.metrics.upscale_hints,
-                    });
-                }
+                snapshot.emit_windows(now, &**sink);
             }
             if self.metrics_sink.is_some() {
                 // Publish the just-completed windows for the metrics
@@ -764,92 +669,43 @@ impl LiveCluster {
     /// One gauge sweep over every active container (dense slot order —
     /// retired replicas stop being sampled, so their series simply end).
     fn sample_metrics(&self, now: SimTime, sink: &SharedSink) {
+        let mut rows = Vec::new();
         for c in 0..self.state.layout.n_slots() {
             if !self.state.replica_is(c, ReplicaState::Active) {
                 continue;
             }
             let id = ContainerId(c as u32);
-            let node = self.state.node_of(id);
-            let emit = |metric: MetricId, value: f64| {
-                sink.emit(TelemetryEvent::Metric(
-                    MetricSample {
-                        at: now,
-                        node,
-                        container: id,
-                        metric,
-                        value,
-                    }
-                    .sanitized(),
-                ));
-            };
-            let alloc = self.state.alloc_of(id);
-            emit(MetricId::Cores, alloc.cores as f64);
-            emit(MetricId::FreqLevel, alloc.freq_level as f64);
-            emit(
-                MetricId::FrBoosts,
-                self.fr_boost_counts[c].load(Ordering::Relaxed) as f64,
-            );
+            let mut pools = [0; 3];
+            for s in self.pools[c].iter().flatten().map(|p| p.stats()) {
+                pools[0] += s.in_use as u64;
+                pools[1] += s.waiters as u64;
+                pools[2] += s.queued_total;
+            }
             let window = *self.last_window[c].lock().unwrap();
-            emit(
-                MetricId::ExecMetric,
-                window.mean_exec_metric.as_nanos() as f64,
-            );
-            emit(MetricId::QueueBuildup, window.queue_buildup);
-            emit(MetricId::WindowRequests, window.requests as f64);
-            emit(
-                MetricId::UpscaleHints,
-                self.upscale_hint_counts[c].load(Ordering::Relaxed) as f64,
-            );
-            let (mut in_use, mut waiters, mut queued_total) = (0u64, 0u64, 0u64);
-            for pool in self.pools[c].iter().flatten() {
-                let s = pool.stats();
-                in_use += s.in_use as u64;
-                waiters += s.waiters as u64;
-                queued_total += s.queued_total;
-            }
-            emit(MetricId::PoolInUse, in_use as f64);
-            emit(MetricId::PoolWaiters, waiters as f64);
-            emit(MetricId::PoolQueuedTotal, queued_total as f64);
+            // Take the samples out so the rx hook never waits on the sort.
             let mut slack = std::mem::take(&mut *self.slack_acc[c].lock().unwrap());
-            if let Some((p50, p99)) = slack_p50_p99(&mut slack) {
-                emit(MetricId::SlackP50, p50 as f64);
-                emit(MetricId::SlackP99, p99 as f64);
-            }
+            rows.push(GaugeRow {
+                node: self.state.node_of(id),
+                alloc: self.state.alloc_of(id),
+                window,
+                fr_boosts: self.fr_boost_counts[c].load(Ordering::Relaxed),
+                upscale_hints: self.upscale_hint_counts[c].load(Ordering::Relaxed),
+                pools,
+                slack: slack_p50_p99(&mut slack),
+            });
         }
-        // Replica count per service group, emitted on the primary. Gated
-        // on horizontal scaling being enabled so single-replica runs keep
-        // the schema-v1 metric stream shape.
-        if self.state.layout.max_replicas > 1 {
-            for s in 0..self.cfg.graph.len() {
-                let svc = ServiceId(s as u32);
-                let primary = ContainerId(svc.0);
-                sink.emit(TelemetryEvent::Metric(
-                    MetricSample {
-                        at: now,
-                        node: self.state.node_of(primary),
-                        container: primary,
-                        metric: MetricId::Replicas,
-                        value: self.state.active_replicas(svc) as f64,
-                    }
-                    .sanitized(),
-                ));
-            }
-        }
-        // Controller-internal gauges (e.g. sensitivity arms), per node.
-        let mut extra = Vec::new();
+        let mut controllers = Vec::new();
         for controller in &self.controllers {
-            controller.lock().unwrap().metric_samples(now, &mut extra);
+            controller
+                .lock()
+                .unwrap()
+                .metric_samples(now, &mut controllers);
         }
-        for sample in extra {
-            sink.emit(TelemetryEvent::Metric(sample.sanitized()));
-        }
-        // Cumulative aggregation snapshots trail the gauge sweep; they
-        // ride the same ring, so a full relay drops them (staleness, not
-        // skew — the snapshots are state, not deltas).
-        if let Some(agg) = &self.agg {
-            for event in agg.all_node_events(now) {
-                sink.emit(event);
-            }
-        }
+        // Aggregation snapshots ride the same ring, so a full relay drops
+        // them (staleness, not skew — the snapshots are state, not deltas).
+        let agg = self.agg.as_ref().map(|a| a.all_node_events(now));
+        let services = (0..self.cfg.graph.len() as u32).map(ServiceId);
+        let replicas = services.map(|s| (s, self.state.active_replicas(s)));
+        emit_sweep(&**sink, now, &self.cfg, &rows, replicas, controllers, agg);
     }
 }

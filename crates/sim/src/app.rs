@@ -15,6 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 use sg_core::ids::ServiceId;
+use sg_core::replica::ReplicaLayout;
 use sg_core::time::SimDuration;
 
 /// Connection model of an RPC edge (paper §II-A).
@@ -159,6 +160,21 @@ impl TaskGraph {
     /// Direct children of `s`.
     pub fn children(&self, s: ServiceId) -> impl Iterator<Item = ServiceId> + '_ {
         self.services[s.index()].children.iter().map(|e| e.child)
+    }
+
+    /// Every `(caller slot, edge)` whose connection pools feed `target`:
+    /// each replica slot of each caller, each of its edges toward
+    /// `target`, in that order (both substrates key their pools by
+    /// caller slot, then edge).
+    pub fn edges_toward(&self, target: ServiceId, layout: &ReplicaLayout) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (caller, spec) in self.services.iter().enumerate() {
+            let edges = || (0..spec.children.len()).filter(|&e| spec.children[e].child == target);
+            for slot in layout.slots_of(ServiceId(caller as u32)) {
+                out.extend(edges().map(|e| (slot, e)));
+            }
+        }
+        out
     }
 
     /// Sum of `work_mean` over all services, weighted by how many times

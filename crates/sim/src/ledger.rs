@@ -454,23 +454,33 @@ impl AllocLedger {
         })
     }
 
-    /// Every slot a crash / node-loss / straggler fault targets, paired
-    /// with whether it is provisioned right now. Nothing runs on an
-    /// inactive slot, so a fault only *slows* the provisioned ones
-    /// (draining included); at fault end every targeted slot is restored,
-    /// so a replica that retired mid-window does not come back slow.
-    pub fn fault_targets(&self, kind: FaultKind) -> Vec<(usize, bool)> {
+    /// What one edge of `kind` does to each slot it targets, as
+    /// `(slot, speed, restarted)`: the execution speed to set, if any,
+    /// and whether the slot's controller gets a restart notice. Nothing
+    /// runs on an inactive slot, so a fault only *slows* the provisioned
+    /// ones (draining included), and only they restart; at fault end
+    /// every targeted slot is restored, so a replica that retired
+    /// mid-window does not come back slow. Empty for faults that slow no
+    /// slot.
+    pub fn fault_edge(&self, kind: FaultKind, active: bool) -> Vec<(usize, Option<f64>, bool)> {
+        let Some(speed) = kind.gate_speed(active) else {
+            return Vec::new();
+        };
         let hit = |s: usize| match kind {
-            FaultKind::ContainerCrash { service } => self.layout.service_of(s).0 == service.0,
+            FaultKind::ContainerCrash { service } => self.layout.service_of(s) == service,
             FaultKind::NodeLoss { node } => self.node_of(s) == node,
             FaultKind::Straggler {
                 service, replica, ..
-            } => s == self.layout.slot_of(ServiceId(service.0), replica),
+            } => s == self.layout.slot_of(service, replica),
             FaultKind::PoolLeak { .. } | FaultKind::NetworkJitter { .. } => false,
         };
         (0..self.state.len())
             .filter(|&s| hit(s))
-            .map(|s| (s, self.state[s] != ReplicaState::Inactive))
+            .map(|s| {
+                let provisioned = self.state[s] != ReplicaState::Inactive;
+                let restarted = provisioned && !active && kind.restarts();
+                (s, (provisioned || !active).then_some(speed), restarted)
+            })
             .collect()
     }
 

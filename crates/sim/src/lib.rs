@@ -17,7 +17,8 @@
 //! * per-node **controllers** attached via the same two hooks the real
 //!   system uses — a per-packet rx hook (the FirstResponder site) and a
 //!   periodic metrics snapshot ([`controller`]), their actions decided
-//!   by one substrate-blind allocation ledger ([`ledger`]);
+//!   by one substrate-blind allocation ledger ([`ledger`]) and observed
+//!   by the rules the live backend shares ([`substrate`]);
 //! * low-load **profiling** and load–latency **calibration** matching the
 //!   paper's experimental protocol ([`profile`]).
 //!
@@ -40,6 +41,7 @@ pub mod network;
 pub mod power;
 pub mod profile;
 pub mod runner;
+pub mod substrate;
 pub mod trace;
 
 pub use app::{CallMode, ConnModel, EdgeSpec, ServiceSpec, TaskGraph};
@@ -55,4 +57,4 @@ pub use network::{LatencySurge, NetworkConfig};
 pub use power::PowerModel;
 pub use profile::{constant_arrivals, profile_low_load, ProfileOutcome};
 pub use runner::{ProfileStats, RunResult, Simulation};
-pub use trace::{alloc_trace_csv, latency_csv, AllocTrace};
+pub use trace::AllocTrace;

@@ -10,9 +10,11 @@
 //! fabric hop pays an extra delay — used to reproduce SurgeGuard's claim
 //! of guarding against "surges in ... network latency".
 
+use crate::cluster::SimConfig;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
+use sg_core::fault::FaultKind;
 use sg_core::ids::NodeId;
 use sg_core::time::{SimDuration, SimTime};
 
@@ -68,15 +70,28 @@ impl Network {
         }
     }
 
-    /// Install a latency surge window.
-    pub fn with_surge(mut self, surge: LatencySurge) -> Self {
-        self.add_surge(surge);
-        self
+    /// The network `cfg` runs on: its parameters, its workload surge, and
+    /// one surge window per fault-plan jitter fault. The plan is static
+    /// data, so both substrates install every window at construction.
+    pub fn for_config(cfg: &SimConfig) -> Self {
+        let jitter = cfg.faults.faults.iter().filter_map(|f| match f.kind {
+            FaultKind::NetworkJitter { extra } => Some(LatencySurge {
+                start: f.at,
+                end: f.end(),
+                extra,
+            }),
+            _ => None,
+        });
+        Network {
+            cfg: cfg.network,
+            surges: cfg.latency_surge.into_iter().chain(jitter).collect(),
+        }
     }
 
-    /// Install an additional surge window (fault-plan jitter).
-    pub fn add_surge(&mut self, surge: LatencySurge) {
+    /// Install a latency surge window.
+    pub fn with_surge(mut self, surge: LatencySurge) -> Self {
         self.surges.push(surge);
+        self
     }
 
     /// The configuration in force.
@@ -183,12 +198,12 @@ mod tests {
             jitter_mean: SimDuration::ZERO,
             ..Default::default()
         };
-        let mut net = Network::new(cfg).with_surge(LatencySurge {
+        let net = Network::new(cfg).with_surge(LatencySurge {
             start: SimTime::from_millis(10),
             end: SimTime::from_millis(30),
             extra: SimDuration::from_millis(1),
         });
-        net.add_surge(LatencySurge {
+        let net = net.with_surge(LatencySurge {
             start: SimTime::from_millis(20),
             end: SimTime::from_millis(40),
             extra: SimDuration::from_micros(500),

@@ -71,17 +71,8 @@ impl Simulation {
             // frontend hop id together.
             let root_id = self.next_span_id;
             self.next_span_id += 2;
-            Some(SpanState {
-                trace,
-                id: root_id + 1,
-                parent: root_id,
-                sent_at: now,
-                issue_wait: SimDuration::ZERO,
-                pre_done: SimTime::ZERO,
-                post_start: SimTime::ZERO,
-                freq_level: 0,
-                slack_ns: 0,
-            })
+            let hop = HopSpan::new(trace, root_id + 1, root_id, now, SimDuration::ZERO);
+            Some(hop)
         } else {
             None
         };
@@ -115,49 +106,22 @@ impl Simulation {
     fn on_request_delivered(&mut self, now: SimTime, packet: Packet) {
         // FirstResponder site: every request packet crosses the rx hook of
         // its destination node before reaching the container.
-        let node = self.containers.node(packet.dest.index());
-        let svc_of_dest = self.ledger.layout().service_of(packet.dest.index());
+        let (dest, meta) = (packet.dest, packet.meta);
+        let node = self.containers.node(dest.index());
+        let expected = self.cfg.params[self.ledger.layout().service_of(dest.index()).index()]
+            .expected_time_from_start;
+        let slack = per_packet_slack(expected, now, meta.start_time);
         if self.metrics_sink.is_some() {
-            // Slack is otherwise only computed for boosting hooks and
-            // sampled spans; the slack p50/p99 gauges see every packet.
-            let expected = self.cfg.params[svc_of_dest.index()].expected_time_from_start;
-            self.slack_acc[packet.dest.index()].push(per_packet_slack(
-                expected,
-                now,
-                packet.meta.start_time,
-            ));
+            self.slack_acc[dest.index()].push(slack);
         }
-        let actions = self.controllers[node.index()].on_packet(now, packet.dest, packet.meta);
-        if !actions.is_empty() {
-            let targets = actions
-                .iter()
-                .filter(|a| matches!(a, ControlAction::SetFreq { .. }))
-                .count() as u32;
-            if targets > 0 {
-                // One boost episode destined to this container — the
-                // cumulative fr_boosts gauge steps even when the level
-                // itself retires before the next sample.
-                self.fr_boost_counts[packet.dest.index()] += 1;
-                if let Some(sink) = &self.sink {
-                    let expected = self.cfg.params[svc_of_dest.index()].expected_time_from_start;
-                    let level = actions
-                        .iter()
-                        .filter_map(|a| match a {
-                            ControlAction::SetFreq { level, .. } => Some(*level),
-                            _ => None,
-                        })
-                        .max()
-                        .unwrap_or(0);
-                    sink.emit(TelemetryEvent::FrBoost {
-                        at: now,
-                        node,
-                        dest: packet.dest,
-                        slack_ns: per_packet_slack(expected, now, packet.meta.start_time),
-                        level,
-                        targets,
-                    });
-                }
+        let actions = self.controllers[node.index()].on_packet(now, dest, meta);
+        if let Some(boost) = packet_boost(&actions, now, node, dest, slack) {
+            self.fr_boost_counts[dest.index()] += 1;
+            if let Some(sink) = &self.sink {
+                sink.emit(boost);
             }
+        }
+        if !actions.is_empty() {
             self.apply_actions(now, node, actions, ActionOrigin::PacketHook);
         }
 
@@ -169,8 +133,7 @@ impl Simulation {
         let pre = work.mul_f64(spec.pre_fraction);
         let post = work.saturating_sub(pre);
         {
-            let expected = self.cfg.params[svc_of_dest.index()].expected_time_from_start;
-            let freq_level = self.ledger.alloc(packet.dest.index()).freq_level;
+            let freq_level = self.ledger.alloc(dest.index()).freq_level;
             let inv = &mut self.invocations[inv_id as usize];
             inv.arrival = now;
             inv.post_work = post;
@@ -179,14 +142,11 @@ impl Simulation {
                 // Stamp what the rx hook saw: any boost triggered by this
                 // very packet is still behind the MSR-write delay, so
                 // this is the *pre-boost* frequency state.
-                let ann = annotate_entry(expected, now, packet.meta.start_time, freq_level);
-                span.freq_level = ann.freq_level;
-                span.slack_ns = ann.slack_ns;
+                span.entry = annotate_entry(expected, now, meta.start_time, freq_level);
             }
         }
-        let c = packet.dest;
-        self.containers.add_phase(c.index(), now, inv_id, pre);
-        self.reschedule(now, c);
+        self.containers.add_phase(dest.index(), now, inv_id, pre);
+        self.reschedule(now, dest);
     }
 
     fn on_response_delivered(&mut self, now: SimTime, packet: Packet) {
@@ -359,23 +319,12 @@ impl Simulation {
             }
             (inv.service, inv.req_start, meta, inv.span)
         };
+        // The pool wait happened in the parent, but it delayed *this*
+        // RPC — charge it to the callee hop so the critical path points
+        // at the congested downstream pool.
         let child_span = parent_span.map(|ps| {
-            let id = self.next_span_id;
             self.next_span_id += 1;
-            SpanState {
-                trace: ps.trace,
-                id,
-                parent: ps.id,
-                sent_at: now,
-                // The pool wait happened in the parent, but it delayed
-                // *this* RPC — charge it to the callee hop so the
-                // critical path points at the congested downstream pool.
-                issue_wait: waited,
-                pre_done: SimTime::ZERO,
-                post_start: SimTime::ZERO,
-                freq_level: 0,
-                slack_ns: 0,
-            }
+            HopSpan::new(ps.trace, self.next_span_id - 1, ps.id, now, waited)
         });
         let child_svc = self.cfg.graph.services[svc.index()].children[edge].child;
         let child_slot = self.ledger.layout().slot_of(child_svc, rep as u32);
@@ -425,26 +374,10 @@ impl Simulation {
                 inv.span,
             )
         };
-        if let Some(s) = span {
+        if let (Some(s), Some(sink)) = (&span, &self.span_sink) {
             let node = self.containers.node(c.index());
-            if let Some(sink) = &self.span_sink {
-                sink.emit(TelemetryEvent::Span(SpanRecord {
-                    trace: s.trace,
-                    span: s.id,
-                    parent: Some(s.parent),
-                    container: Some(c),
-                    node: Some(node),
-                    start: arrival,
-                    end: now,
-                    net_in: arrival.saturating_since(s.sent_at),
-                    conn_wait: s.issue_wait,
-                    service: s.pre_done.saturating_since(arrival)
-                        + now.saturating_since(s.post_start),
-                    downstream: s.post_start.saturating_since(s.pre_done),
-                    freq_level: s.freq_level,
-                    slack_ns: s.slack_ns,
-                }));
-            }
+            let record = SpanRecord::hop(s, c, node, arrival, now);
+            sink.emit(TelemetryEvent::Span(record));
         }
         let exec_time = now.saturating_since(arrival);
         let sample = RequestSample {
@@ -498,27 +431,12 @@ impl Simulation {
                 );
                 let completion = now + delay;
                 let latency = completion.saturating_since(req_start);
-                if let Some(s) = span {
-                    // Synthetic root "request" span: client send to client
-                    // delivery. Its duration is exactly the LatencyPoint
-                    // latency — the span-tree conformance anchor.
-                    if let Some(sink) = &self.span_sink {
-                        sink.emit(TelemetryEvent::Span(SpanRecord {
-                            trace: s.trace,
-                            span: s.parent,
-                            parent: None,
-                            container: None,
-                            node: None,
-                            start: req_start,
-                            end: completion,
-                            net_in: SimDuration::ZERO,
-                            conn_wait: SimDuration::ZERO,
-                            service: SimDuration::ZERO,
-                            downstream: latency,
-                            freq_level: 0,
-                            slack_ns: 0,
-                        }));
-                    }
+                // Synthetic root "request" span: client send to client
+                // delivery. Its duration is exactly the LatencyPoint
+                // latency — the span-tree conformance anchor.
+                if let (Some(s), Some(sink)) = (&span, &self.span_sink) {
+                    let root = SpanRecord::request(s.trace, s.parent, req_start, completion);
+                    sink.emit(TelemetryEvent::Span(root));
                 }
                 self.points.push(LatencyPoint {
                     completion,
@@ -542,45 +460,17 @@ impl Simulation {
     }
 
     fn on_controller_tick(&mut self, now: SimTime, node: NodeId) {
-        // One snapshot entry per ACTIVE replica slot, primary-first per
-        // service group — the exact pre-replica order at max_replicas = 1.
-        // Draining replicas stop appearing (no new decisions target them).
-        let slots: Vec<usize> = self
-            .cfg
-            .placement
-            .services_on(node)
-            .into_iter()
-            .flat_map(|s| {
-                self.ledger
-                    .layout()
-                    .slots_of(s)
-                    .filter(|&slot| self.ledger.state(slot) == ReplicaState::Active)
-            })
-            .collect();
-        let snapshot = NodeSnapshot {
+        let snapshot = NodeSnapshot::active(
+            &self.cfg,
             node,
-            containers: slots
-                .into_iter()
-                .map(|i| ContainerSnapshot {
-                    id: ContainerId(i as u32),
-                    metrics: self.containers.window_mut(i).flush(),
-                    alloc: self.ledger.alloc(i),
-                })
-                .collect(),
-        };
+            |slot| self.ledger.state(slot) == ReplicaState::Active,
+            |slot| {
+                let window = self.containers.window_mut(slot).flush();
+                (window, self.ledger.alloc(slot))
+            },
+        );
         if let Some(sink) = &self.sink {
-            for cs in &snapshot.containers {
-                sink.emit(TelemetryEvent::Window {
-                    at: now,
-                    node,
-                    container: cs.id,
-                    requests: cs.metrics.requests,
-                    mean_exec_time_ns: cs.metrics.mean_exec_time.as_nanos(),
-                    mean_exec_metric_ns: cs.metrics.mean_exec_metric.as_nanos(),
-                    queue_buildup: cs.metrics.queue_buildup,
-                    upscale_hints: cs.metrics.upscale_hints,
-                });
-            }
+            snapshot.emit_windows(now, &**sink);
         }
         let actions = self.controllers[node.index()].on_tick(now, &snapshot);
         self.apply_actions(now, node, actions, ActionOrigin::Tick);

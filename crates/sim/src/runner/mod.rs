@@ -5,20 +5,18 @@ use crate::app::{CallMode, TaskGraph};
 use crate::cluster::SimConfig;
 use crate::connpool::{Acquire, ConnPool};
 use crate::container::{sample_work, Containers};
-use crate::controller::{
-    ContainerSnapshot, ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot,
-};
+use crate::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
 use crate::engine::Engine;
 use crate::event::{Event, InvocationId, Packet, PacketKind};
 use crate::ledger::{action_event, AllocLedger, Effect, ReplicaState};
-use crate::network::LatencySurge;
 use crate::network::Network;
 use crate::power::EnergyMeter;
+use crate::substrate::{emit_sweep, packet_boost, GaugeRow};
 use crate::trace::AllocTrace;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sg_core::arrivals::{ArrivalSource, ScheduleSource};
-use sg_core::fault::{FaultKind, FaultNotice, CRASH_SLOWDOWN};
+use sg_core::fault::{FaultKind, FaultNotice};
 use sg_core::ids::{ContainerId, NodeId, ServiceId};
 use sg_core::metadata::RpcMetadata;
 use sg_core::metrics::RequestSample;
@@ -29,8 +27,8 @@ use sg_core::violation::LatencyPoint;
 use sg_telemetry::metrics::slack_p50_p99;
 use sg_telemetry::profile::{ProfileMark, ProfilePhase, SimProfiler};
 use sg_telemetry::{
-    ActionOrigin, AggRuntime, MetricId, MetricSample, SharedSink, SpanRecord, SpanSampler,
-    TelemetryEvent, METRICS_SCHEMA_VERSION,
+    ActionOrigin, AggRuntime, HopSpan, SharedSink, SpanRecord, SpanSampler, TelemetryEvent,
+    METRICS_SCHEMA_VERSION,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,28 +47,6 @@ enum InvPhase {
     Children,
     /// Running the post-call work slice.
     Post,
-}
-
-/// Tracing context carried by a sampled invocation: everything the hop
-/// span needs that is not already on [`Invocation`].
-#[derive(Debug, Clone, Copy)]
-struct SpanState {
-    trace: u64,
-    id: u64,
-    parent: u64,
-    /// When the caller put the request on the wire.
-    sent_at: SimTime,
-    /// Time the *caller* waited on its connection pool to issue this RPC
-    /// (the hidden-threadpool queue, charged to this hop).
-    issue_wait: SimDuration,
-    /// End of the pre-call work slice.
-    pre_done: SimTime,
-    /// Start of the post-call work slice.
-    post_start: SimTime,
-    /// DVFS level the rx hook saw on entry (pre-boost).
-    freq_level: u8,
-    /// Per-packet slack at entry, ns (negative ⇒ already late).
-    slack_ns: i64,
 }
 
 /// Per-invocation state (one service execution of one request).
@@ -95,7 +71,7 @@ struct Invocation {
     post_work: SimDuration,
     in_use: bool,
     /// Present iff this request was sampled for tracing.
-    span: Option<SpanState>,
+    span: Option<HopSpan>,
 }
 
 /// Low-load profiling aggregates per container (used to derive the
@@ -292,29 +268,13 @@ impl Simulation {
             .map(|node| factory.make(NodeInit::for_node(&cfg, &ledger, NodeId(node))))
             .collect();
 
-        let mut network = Network::new(cfg.network);
-        if let Some(surge) = cfg.latency_surge {
-            network.add_surge(surge);
-        }
-        // Fault-plan jitter windows are static data known before the run:
-        // install them at construction, exactly like the live substrate.
-        for f in &cfg.faults.faults {
-            if let FaultKind::NetworkJitter { extra } = f.kind {
-                network.add_surge(LatencySurge {
-                    start: f.at,
-                    end: f.end(),
-                    extra,
-                });
-            }
-        }
-
         let trace = cfg.trace_allocations.then(AllocTrace::new);
         let seed = cfg.seed;
 
         Simulation {
             engine: Engine::new_with(cfg.queue),
             rng: SmallRng::seed_from_u64(seed),
-            network,
+            network: Network::for_config(&cfg),
             containers,
             done_scratch: Vec::new(),
             ledger,
@@ -527,7 +487,7 @@ impl Simulation {
         parent: Option<(InvocationId, u16)>,
         req_start: SimTime,
         meta: RpcMetadata,
-        span: Option<SpanState>,
+        span: Option<HopSpan>,
     ) -> InvocationId {
         let inv = Invocation {
             service,

@@ -87,90 +87,41 @@ impl Simulation {
     /// decision cycle. Iterates the node's containers in dense-id order
     /// (deterministic), so same-seed reruns emit byte-identical streams.
     pub(super) fn sample_metrics(&mut self, now: SimTime, node: NodeId, snapshot: &NodeSnapshot) {
-        let sink = match &self.metrics_sink {
-            Some(s) => Arc::clone(s),
-            None => return,
+        let Some(sink) = self.metrics_sink.clone() else {
+            return;
         };
-        let emit = |container: ContainerId, metric: MetricId, value: f64| {
-            sink.emit(TelemetryEvent::Metric(
-                MetricSample {
-                    at: now,
-                    node,
-                    container,
-                    metric,
-                    value,
-                }
-                .sanitized(),
-            ));
-        };
+        let mut rows = Vec::with_capacity(snapshot.containers.len());
         for cs in &snapshot.containers {
             let i = cs.id.index();
-            // Allocation state post-apply (the snapshot's copy is the
-            // pre-tick view the controller saw).
-            let alloc = self.ledger.alloc(i);
-            emit(cs.id, MetricId::Cores, alloc.cores as f64);
-            emit(cs.id, MetricId::FreqLevel, alloc.freq_level as f64);
-            emit(cs.id, MetricId::FrBoosts, self.fr_boost_counts[i] as f64);
-            // The window the controller just consumed.
-            emit(
-                cs.id,
-                MetricId::ExecMetric,
-                cs.metrics.mean_exec_metric.as_nanos() as f64,
-            );
-            emit(cs.id, MetricId::QueueBuildup, cs.metrics.queue_buildup);
-            emit(cs.id, MetricId::WindowRequests, cs.metrics.requests as f64);
             self.upscale_hint_counts[i] += cs.metrics.upscale_hints;
-            emit(
-                cs.id,
-                MetricId::UpscaleHints,
-                self.upscale_hint_counts[i] as f64,
-            );
-            // Connection pools toward all downstream edges, aggregated
-            // over every callee replica.
-            let (mut in_use, mut waiters, mut queued_total) = (0u64, 0u64, 0u64);
-            for pool in self.pools[i].iter().flatten() {
-                in_use += pool.in_use() as u64;
-                waiters += pool.queue_len() as u64;
-                queued_total += pool.queued_total();
+            let mut pools = [0; 3];
+            for p in self.pools[i].iter().flatten() {
+                pools[0] += p.in_use() as u64;
+                pools[1] += p.queue_len() as u64;
+                pools[2] += p.queued_total();
             }
-            emit(cs.id, MetricId::PoolInUse, in_use as f64);
-            emit(cs.id, MetricId::PoolWaiters, waiters as f64);
-            emit(cs.id, MetricId::PoolQueuedTotal, queued_total as f64);
-            // Per-window slack quantiles over every packet delivered to
-            // this container since the previous cycle.
-            let mut slack = std::mem::take(&mut self.slack_acc[i]);
-            if let Some((p50, p99)) = slack_p50_p99(&mut slack) {
-                emit(cs.id, MetricId::SlackP50, p50 as f64);
-                emit(cs.id, MetricId::SlackP99, p99 as f64);
-            }
-            slack.clear();
-            self.slack_acc[i] = slack;
+            // Slack quantiles over every packet delivered to this
+            // container since the previous cycle.
+            let slack = slack_p50_p99(&mut self.slack_acc[i]);
+            self.slack_acc[i].clear();
+            rows.push(GaugeRow {
+                node,
+                // Post-apply; the snapshot's copy is the pre-tick view.
+                alloc: self.ledger.alloc(i),
+                window: cs.metrics,
+                fr_boosts: self.fr_boost_counts[i],
+                upscale_hints: self.upscale_hint_counts[i],
+                pools,
+                slack,
+            });
         }
-        // Replica count per service group, emitted on the primary. Gated
-        // on horizontal scaling being enabled so single-replica runs keep
-        // the schema-v1 metric stream byte-for-byte.
-        if self.ledger.layout().max_replicas > 1 {
-            for s in self.cfg.placement.services_on(node) {
-                emit(
-                    ContainerId(s.0),
-                    MetricId::Replicas,
-                    self.ledger.active_replicas(s) as f64,
-                );
-            }
-        }
-        // Controller-internal gauges (e.g. sensitivity arms).
-        let mut extra = Vec::new();
-        self.controllers[node.index()].metric_samples(now, &mut extra);
-        for sample in extra {
-            sink.emit(TelemetryEvent::Metric(sample.sanitized()));
-        }
-        // Cumulative aggregation snapshots for this node (digest / slo /
-        // topk) trail the gauge sweep, so `sg-trace watch` sees state at
-        // least as fresh as the gauges beside it.
-        if let Some(agg) = &self.agg {
-            for event in agg.node_events(node, now) {
-                sink.emit(event);
-            }
-        }
+        let mut controllers = Vec::new();
+        self.controllers[node.index()].metric_samples(now, &mut controllers);
+        let agg = self.agg.as_ref().map(|a| a.node_events(node, now));
+        let services = self.cfg.placement.services_on(node);
+        let replicas = services
+            .iter()
+            .map(|&s| (s, self.ledger.active_replicas(s)));
+        emit_sweep(&*sink, now, &self.cfg, &rows, replicas, controllers, agg);
     }
 }

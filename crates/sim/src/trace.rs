@@ -64,36 +64,6 @@ impl AllocTrace {
     }
 }
 
-/// Render the trace as CSV (`time_s,container,cores,freq_ghz`) for
-/// external plotting (gnuplot, pandas, …).
-pub fn alloc_trace_csv(trace: &AllocTrace) -> String {
-    let mut out = String::from("time_s,container,cores,freq_ghz\n");
-    for e in &trace.events {
-        out.push_str(&format!(
-            "{:.6},{},{},{:.2}\n",
-            e.at.as_secs_f64(),
-            e.container.0,
-            e.cores,
-            e.freq_ghz
-        ));
-    }
-    out
-}
-
-/// Render completed-request latencies as CSV
-/// (`completion_s,latency_ms`).
-pub fn latency_csv(points: &[sg_core::violation::LatencyPoint]) -> String {
-    let mut out = String::from("completion_s,latency_ms\n");
-    for p in points {
-        out.push_str(&format!(
-            "{:.6},{:.4}\n",
-            p.completion.as_secs_f64(),
-            p.latency.as_secs_f64() * 1e3
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,24 +86,5 @@ mod tests {
             tr.cores_at(ContainerId(0), &[SimTime::from_secs(9)], 6),
             vec![6]
         );
-    }
-
-    #[test]
-    fn csv_exports_are_well_formed() {
-        let mut tr = AllocTrace::new();
-        tr.record(SimTime::from_millis(1500), ContainerId(2), 6, 1.6);
-        let csv = alloc_trace_csv(&tr);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time_s,container,cores,freq_ghz"));
-        assert_eq!(lines.next(), Some("1.500000,2,6,1.60"));
-
-        let pts = vec![sg_core::violation::LatencyPoint {
-            completion: SimTime::from_secs(3),
-            latency: sg_core::time::SimDuration::from_micros(2500),
-        }];
-        let csv = latency_csv(&pts);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("completion_s,latency_ms"));
-        assert_eq!(lines.next(), Some("3.000000,2.5000"));
     }
 }

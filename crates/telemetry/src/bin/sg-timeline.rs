@@ -23,46 +23,37 @@
 //! * `--grace-ms MS` supersede/boundary grace window for `--reconcile`;
 //!   defaults to the measured sampling interval (min 1 ms).
 //!
-//! Exit status: 0 clean, 1 reconcile failure, 2 usage errors.
+//! Exit status: 0 clean (and on `--help`), 1 reconcile failure, 2 usage
+//! errors.
 
 use sg_core::time::SimDuration;
 use sg_telemetry::{
-    read_trace, stream_trace, timeline, TelemetryEvent, TimelineSet, METRICS_SCHEMA_VERSION,
-    PROFILE_SCHEMA, PROFILE_SCHEMA_V1, SPANS_SCHEMA, TRACE_SCHEMA,
+    read_trace, schema_warning, stream_trace, timeline, TelemetryEvent, TimelineSet,
 };
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Warn (never fail) on schema headers this binary does not know, so a
-/// newer export is flagged instead of silently misparsed.
-fn warn_unknown_schema(event: &TelemetryEvent) {
-    const KNOWN: [&str; 4] = [
-        TRACE_SCHEMA,
-        SPANS_SCHEMA,
-        PROFILE_SCHEMA,
-        PROFILE_SCHEMA_V1,
-    ];
-    match event {
-        TelemetryEvent::Schema { schema } if !KNOWN.contains(&schema.as_str()) => {
-            eprintln!("sg-timeline: warning: unknown schema '{schema}'; fields may be misread");
-        }
-        TelemetryEvent::MetricsMeta { version, .. } if *version > METRICS_SCHEMA_VERSION => {
-            eprintln!(
-                "sg-timeline: warning: metrics schema v{version} is newer than this build \
-                 (v{METRICS_SCHEMA_VERSION}); fields may be misread"
-            );
-        }
-        _ => {}
+fn print_schema_warning(event: &TelemetryEvent) {
+    if let Some(warning) = schema_warning(event) {
+        eprintln!("sg-timeline: warning: {warning}");
     }
 }
 
+const USAGE: &str = "\
+usage: sg-timeline [--trace PATH] [--reconcile] [--svg PATH] [--json] [--grace-ms MS] METRICS.jsonl
+  render a metrics timeline recorded with sg-loadtest --metrics;
+  with --trace + --reconcile, cross-check gauges against the decision trace
+";
+
+/// `--help`: usage on stdout, success.
+fn help() -> ExitCode {
+    print!("{USAGE}");
+    ExitCode::SUCCESS
+}
+
+/// A usage error: usage on stderr, exit 2.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: sg-timeline [--trace PATH] [--reconcile] [--svg PATH] [--json] \
-         [--grace-ms MS] METRICS.jsonl"
-    );
-    eprintln!("  render a metrics timeline recorded with sg-loadtest --metrics;");
-    eprintln!("  with --trace + --reconcile, cross-check gauges against the decision trace");
+    eprint!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -78,7 +69,7 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--help" | "-h" => return usage(),
+            "--help" | "-h" => return help(),
             "--json" => json = true,
             "--reconcile" => do_reconcile = true,
             "--trace" => {
@@ -141,7 +132,7 @@ fn main() -> ExitCode {
     };
     let mut set = TimelineSet::default();
     let metrics_bad_lines = match metrics_stream.for_each(|event| {
-        warn_unknown_schema(&event);
+        print_schema_warning(&event);
         set.push(&event);
     }) {
         Ok(bad) => bad,
@@ -166,7 +157,7 @@ fn main() -> ExitCode {
     };
     if let Some(t) = &trace {
         for event in &t.events {
-            warn_unknown_schema(event);
+            print_schema_warning(event);
         }
     }
 

@@ -54,53 +54,44 @@
 //! Exit status: 0 on a clean trace, 1 when the clamp/reconciliation
 //! audit, the span structural audit, the profile audit, or the watch
 //! audit (no aggregation records, cumulative snapshots regressing)
-//! finds a mismatch, 2 on usage errors. Unparseable lines are counted
+//! finds a mismatch, 2 on usage errors (`--help` exits 0). Unparseable
+//! lines are counted
 //! and reported, not fatal — a trace truncated by a crash should still
 //! summarize.
 
 use sg_core::time::SimDuration;
 use sg_telemetry::{
-    stream_trace, EventFamily, ProfileReport, SpanRecord, SpanReport, SummaryBuilder, TailStream,
-    TelemetryEvent, WatchConfig, Watcher, PROFILE_SCHEMA, PROFILE_SCHEMA_V1,
-    PROFILE_SCHEMA_VERSION, SPANS_SCHEMA, TRACE_SCHEMA,
+    schema_warning, stream_trace, EventFamily, ProfileReport, SpanRecord, SpanReport,
+    SummaryBuilder, TailStream, TelemetryEvent, WatchConfig, Watcher, PROFILE_SCHEMA,
 };
 use std::path::Path;
 use std::process::ExitCode;
 
+const USAGE: &str = "\
+usage: sg-trace [--json] [--qos MS] [--folded PATH] [--profile] TRACE.jsonl
+       sg-trace watch [--json] [--tail] [--qos MS] [--objective PCT] [--topk N]
+                      [--idle-exit SECS] METRICS.jsonl
+  summarize a telemetry trace recorded with sg-loadtest --telemetry/--spans,
+  render a self-profile (--profile), or watch a metrics/span stream (watch):
+  rolling latency digests, SLO burn rates, and heavy-hitter loss tables
+  exits nonzero when the reconciliation, span, profile, or watch audit fails
+";
+
+/// `--help`: usage on stdout, success.
+fn help() -> ExitCode {
+    print!("{USAGE}");
+    ExitCode::SUCCESS
+}
+
+/// A usage error: usage on stderr, exit 2.
 fn usage() -> ExitCode {
-    eprintln!("usage: sg-trace [--json] [--qos MS] [--folded PATH] [--profile] TRACE.jsonl");
-    eprintln!("       sg-trace watch [--json] [--tail] [--qos MS] [--objective PCT] [--topk N]");
-    eprintln!("                      [--idle-exit SECS] METRICS.jsonl");
-    eprintln!("  summarize a telemetry trace recorded with sg-loadtest --telemetry/--spans,");
-    eprintln!("  render a self-profile (--profile), or watch a metrics/span stream (watch):");
-    eprintln!("  rolling latency digests, SLO burn rates, and heavy-hitter loss tables");
-    eprintln!("  exits nonzero when the reconciliation, span, profile, or watch audit fails");
+    eprint!("{USAGE}");
     ExitCode::from(2)
 }
 
-/// Warn (never fail) on schema headers this binary does not know, so a
-/// newer export is flagged instead of silently misparsed.
-fn warn_unknown_schema(event: &TelemetryEvent) {
-    const KNOWN: [&str; 4] = [
-        TRACE_SCHEMA,
-        SPANS_SCHEMA,
-        PROFILE_SCHEMA,
-        PROFILE_SCHEMA_V1,
-    ];
-    match event {
-        TelemetryEvent::Schema { schema } if !KNOWN.contains(&schema.as_str()) => {
-            eprintln!(
-                "sg-trace: warning: unknown schema '{schema}' (this build understands \
-                 {TRACE_SCHEMA}, {SPANS_SCHEMA}, {PROFILE_SCHEMA}); fields may be misread"
-            );
-        }
-        TelemetryEvent::ProfileMeta { version, .. } if *version > PROFILE_SCHEMA_VERSION => {
-            eprintln!(
-                "sg-trace: warning: profile schema v{version} is newer than this build \
-                 (v{PROFILE_SCHEMA_VERSION}); fields may be misread"
-            );
-        }
-        _ => {}
+fn print_schema_warning(event: &TelemetryEvent) {
+    if let Some(warning) = schema_warning(event) {
+        eprintln!("sg-trace: warning: {warning}");
     }
 }
 
@@ -200,7 +191,7 @@ fn watch_mode(args: &[String]) -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--help" | "-h" => return usage(),
+            "--help" | "-h" => return help(),
             "--json" => json = true,
             "--tail" => tail = true,
             "--qos" => {
@@ -283,7 +274,7 @@ fn watch_mode(args: &[String]) -> ExitCode {
             } else {
                 idle = std::time::Duration::ZERO;
                 for event in events {
-                    warn_unknown_schema(&event);
+                    print_schema_warning(&event);
                     watcher.push(event);
                 }
                 if !json {
@@ -306,7 +297,7 @@ fn watch_mode(args: &[String]) -> ExitCode {
             }
         };
         bad_lines = match stream.for_each(|event| {
-            warn_unknown_schema(&event);
+            print_schema_warning(&event);
             watcher.push(event);
         }) {
             Ok(bad) => bad,
@@ -350,7 +341,7 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--help" | "-h" => return usage(),
+            "--help" | "-h" => return help(),
             "--json" => json = true,
             "--profile" => profile = true,
             "--qos" => {
@@ -399,7 +390,7 @@ fn main() -> ExitCode {
     let mut spans: Vec<SpanRecord> = Vec::new();
     let mut profile_events: Vec<TelemetryEvent> = Vec::new();
     let bad_lines = match stream.for_each(|event| {
-        warn_unknown_schema(&event);
+        print_schema_warning(&event);
         if let TelemetryEvent::Span(record) = &event {
             spans.push(*record);
         }

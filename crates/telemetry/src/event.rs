@@ -9,7 +9,9 @@ use crate::agg::{LatencyDigest, TopKEntry};
 use crate::metrics::MetricSample;
 use crate::profile::{ProfileMark, ProfilePhase};
 use crate::span::SpanRecord;
+use sg_core::fault::FaultKind;
 use sg_core::ids::{ContainerId, NodeId};
+use sg_core::metrics::WindowMetrics;
 use sg_core::time::SimTime;
 
 /// Schema identifier stamped as line 1 of decision-trace JSONL exports
@@ -422,6 +424,53 @@ pub enum TelemetryEvent {
 }
 
 impl TelemetryEvent {
+    /// The `FrBoost` event for one packet whose rx hook issued a
+    /// `SetFreq` at each of `levels`: `None` when it issued none, else
+    /// one boost episode, `targets` counting them and `level` their
+    /// maximum.
+    pub fn fr_boost(
+        at: SimTime,
+        node: NodeId,
+        dest: ContainerId,
+        slack_ns: i64,
+        levels: impl Iterator<Item = u8>,
+    ) -> Option<Self> {
+        let (targets, level) = levels.fold((0, 0), |(n, max), l| (n + 1, l.max(max)));
+        (targets > 0).then_some(TelemetryEvent::FrBoost {
+            at,
+            node,
+            dest,
+            slack_ns,
+            level,
+            targets,
+        })
+    }
+
+    /// The `Window` event for the window `m` of `container` that `node`'s
+    /// decision cycle at `at` consumes.
+    pub fn window(at: SimTime, node: NodeId, container: ContainerId, m: &WindowMetrics) -> Self {
+        TelemetryEvent::Window {
+            at,
+            node,
+            container,
+            requests: m.requests,
+            mean_exec_time_ns: m.mean_exec_time.as_nanos(),
+            mean_exec_metric_ns: m.mean_exec_metric.as_nanos(),
+            queue_buildup: m.queue_buildup,
+            upscale_hints: m.upscale_hints,
+        }
+    }
+
+    /// The `Fault` event for `kind` opening (`active`) or closing at `at`.
+    pub fn fault(at: SimTime, kind: &FaultKind, active: bool) -> Self {
+        TelemetryEvent::Fault {
+            at,
+            fault: kind.label().to_string(),
+            target: kind.target_label(),
+            active,
+        }
+    }
+
     /// Append this event to `out` as one compact JSON object (no
     /// trailing newline), allocating nothing: what the sinks call.
     pub fn write_json_line(&self, out: &mut Vec<u8>) {

@@ -73,11 +73,11 @@ pub use profile::{
     LiveProfiler, ProfileMark, ProfilePhase, ProfileReport, SimProfiler, PROFILE_SCHEMA,
     PROFILE_SCHEMA_V1, PROFILE_SCHEMA_VERSION,
 };
-pub use reader::{read_trace, stream_trace, TailStream, TraceFile, TraceStream};
+pub use reader::{read_trace, schema_warning, stream_trace, TailStream, TraceFile, TraceStream};
 pub use ring::{RingDrainer, RingSink, RingStats};
 pub use sink::{DemuxSink, FanoutSink, JsonlSink, SharedSink, TelemetrySink, VecSink};
 pub use slo::{BurnVerdict, SloConfig, SloTracker};
-pub use span::{SpanRecord, SpanSampler};
+pub use span::{HopSpan, SpanRecord, SpanSampler};
 pub use summary::{SummaryBuilder, TraceSummary};
 pub use timeline::{ReconcileReport, TimelineSet};
 pub use watch::{WatchConfig, Watcher};

@@ -14,7 +14,9 @@
 //! (`tail -f` semantics: poll for appended lines, hold partial trailing
 //! lines until their newline arrives) used by `sg-trace watch --tail`.
 
-use crate::event::TelemetryEvent;
+use crate::event::{TelemetryEvent, SPANS_SCHEMA, TRACE_SCHEMA};
+use crate::metrics::METRICS_SCHEMA_VERSION;
+use crate::profile::{PROFILE_SCHEMA, PROFILE_SCHEMA_V1, PROFILE_SCHEMA_VERSION};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
@@ -140,6 +142,35 @@ impl TailStream {
     }
 }
 
+/// The warning a reader owes for `event` if it is a stream header this
+/// build does not know: a `schema` line naming an unknown schema, or a
+/// metrics or profile header newer than this build. Readers warn and
+/// read on, so a newer export is flagged instead of silently misparsed.
+pub fn schema_warning(event: &TelemetryEvent) -> Option<String> {
+    const KNOWN: [&str; 4] = [
+        TRACE_SCHEMA,
+        SPANS_SCHEMA,
+        PROFILE_SCHEMA,
+        PROFILE_SCHEMA_V1,
+    ];
+    let (stream, version, known) = match event {
+        TelemetryEvent::Schema { schema } if !KNOWN.contains(&schema.as_str()) => {
+            return Some(format!(
+                "unknown schema '{schema}' (this build understands {TRACE_SCHEMA}, \
+                 {SPANS_SCHEMA}, {PROFILE_SCHEMA}); fields may be misread"
+            ));
+        }
+        TelemetryEvent::MetricsMeta { version, .. } => ("metrics", version, METRICS_SCHEMA_VERSION),
+        TelemetryEvent::ProfileMeta { version, .. } => ("profile", version, PROFILE_SCHEMA_VERSION),
+        _ => return None,
+    };
+    (*version > known).then(|| {
+        format!(
+            "{stream} schema v{version} is newer than this build (v{known}); fields may be misread"
+        )
+    })
+}
+
 /// Open a streaming reader over `path` (the constant-memory path the
 /// CLI tools use).
 pub fn stream_trace(path: &Path) -> std::io::Result<TraceStream<std::fs::File>> {
@@ -166,6 +197,30 @@ pub fn read_trace(path: &Path) -> std::io::Result<TraceFile> {
 mod tests {
     use super::*;
     use std::io::Write;
+
+    #[test]
+    fn schema_warning_flags_unknown_and_newer_headers() {
+        let warning = |line: &str| schema_warning(&TelemetryEvent::from_json_line(line).unwrap());
+        let newer_metrics = warning(r#"{"type":"metrics_meta","version":4,"interval_ns":0}"#);
+        assert!(newer_metrics
+            .unwrap()
+            .contains("metrics schema v4 is newer"));
+        let newer_profile =
+            warning(r#"{"type":"profile_meta","version":3,"substrate":"sim","wall_ns":1}"#);
+        assert!(newer_profile
+            .unwrap()
+            .contains("profile schema v3 is newer"));
+        let unknown = warning(r#"{"type":"schema","schema":"sg-trace/v9"}"#);
+        assert!(unknown.unwrap().contains("unknown schema 'sg-trace/v9'"));
+        for known in [
+            r#"{"type":"schema","schema":"sg-spans/v1"}"#,
+            r#"{"type":"metrics_meta","version":3,"interval_ns":0}"#,
+            r#"{"type":"profile_meta","version":1,"substrate":"live","wall_ns":1}"#,
+            r#"{"type":"dropped","count":4}"#,
+        ] {
+            assert_eq!(warning(known), None, "{known}");
+        }
+    }
 
     #[test]
     fn reads_good_lines_and_counts_bad_ones() {

@@ -18,6 +18,7 @@
 //! where the waiting is observed.
 
 use sg_core::ids::{ContainerId, NodeId};
+use sg_core::slack::EntryAnnotation;
 use sg_core::time::{SimDuration, SimTime};
 
 /// One span of a traced request, as recorded by either substrate.
@@ -60,6 +61,53 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// The record of a finished hop that ran `span` on `container` from
+    /// rx-hook arrival `start` to response send `end`.
+    pub fn hop(
+        span: &HopSpan,
+        container: ContainerId,
+        node: NodeId,
+        start: SimTime,
+        end: SimTime,
+    ) -> Self {
+        SpanRecord {
+            trace: span.trace,
+            span: span.id,
+            parent: Some(span.parent),
+            container: Some(container),
+            node: Some(node),
+            start,
+            end,
+            net_in: start.saturating_since(span.sent_at),
+            conn_wait: span.issue_wait,
+            service: span.pre_done.saturating_since(start) + end.saturating_since(span.post_start),
+            downstream: span.post_start.saturating_since(span.pre_done),
+            freq_level: span.entry.freq_level,
+            slack_ns: span.entry.slack_ns,
+        }
+    }
+
+    /// The synthetic root "request" span `span` of trace `trace`: client
+    /// send `start` to client delivery `end`, its whole duration in
+    /// `downstream`.
+    pub fn request(trace: u64, span: u64, start: SimTime, end: SimTime) -> Self {
+        SpanRecord {
+            trace,
+            span,
+            parent: None,
+            container: None,
+            node: None,
+            start,
+            end,
+            net_in: SimDuration::ZERO,
+            conn_wait: SimDuration::ZERO,
+            service: SimDuration::ZERO,
+            downstream: end.saturating_since(start),
+            freq_level: 0,
+            slack_ns: 0,
+        }
+    }
+
     /// Wall-clock duration of the span.
     pub fn duration(&self) -> SimDuration {
         self.end.saturating_since(self.start)
@@ -68,6 +116,49 @@ impl SpanRecord {
     /// True for the synthetic root request span.
     pub fn is_root(&self) -> bool {
         self.parent.is_none()
+    }
+}
+
+/// Tracing context a sampled request carries from its caller to the hop
+/// that serves it, then through that hop's execution: everything its
+/// [`SpanRecord::hop`] needs that the substrate does not already hold.
+#[derive(Debug, Clone, Copy)]
+pub struct HopSpan {
+    /// Trace id (the request's injection index).
+    pub trace: u64,
+    /// This hop's span id.
+    pub id: u64,
+    /// Span id of the calling hop (the root request span for the
+    /// frontend hop).
+    pub parent: u64,
+    /// When the caller put the request on the wire.
+    pub sent_at: SimTime,
+    /// Time the caller waited on its connection pool to issue this RPC
+    /// (the hidden-threadpool queue, charged to this hop).
+    pub issue_wait: SimDuration,
+    /// End of the pre-call work slice.
+    pub pre_done: SimTime,
+    /// Start of the post-call work slice.
+    pub post_start: SimTime,
+    /// What the rx hook saw on entry: slack and the pre-boost DVFS level.
+    pub entry: EntryAnnotation,
+}
+
+impl HopSpan {
+    /// A hop's context as its caller sends it, after `waited` on its
+    /// pool; the work-slice bounds and the entry stamp are filled in as
+    /// the hop runs.
+    pub fn new(trace: u64, id: u64, parent: u64, sent_at: SimTime, waited: SimDuration) -> Self {
+        HopSpan {
+            trace,
+            id,
+            parent,
+            sent_at,
+            issue_wait: waited,
+            pre_done: SimTime::ZERO,
+            post_start: SimTime::ZERO,
+            entry: EntryAnnotation::default(),
+        }
     }
 }
 
@@ -226,22 +317,9 @@ mod tests {
 
     #[test]
     fn span_duration_and_root() {
-        let r = SpanRecord {
-            trace: 1,
-            span: 2,
-            parent: None,
-            container: None,
-            node: None,
-            start: SimTime::from_micros(10),
-            end: SimTime::from_micros(25),
-            net_in: SimDuration::ZERO,
-            conn_wait: SimDuration::ZERO,
-            service: SimDuration::ZERO,
-            downstream: SimDuration::from_micros(15),
-            freq_level: 0,
-            slack_ns: 0,
-        };
+        let r = SpanRecord::request(1, 2, SimTime::from_micros(10), SimTime::from_micros(25));
         assert!(r.is_root());
         assert_eq!(r.duration(), SimDuration::from_micros(15));
+        assert_eq!(r.downstream, r.duration());
     }
 }
