@@ -2,88 +2,7 @@
 //!
 //! Drives one calibrated workload under a spiking open-loop load and
 //! prints what the paper's modified wrk2 prints: a latency histogram and
-//! the violation volume.
-//!
-//! ```text
-//! sg-loadtest [--workload NAME] [--controller NAME] [--backend NAME]
-//!             [--nodes N] [--max-replicas N] [--rate R] [--spikerate R]
-//!             [--spikelen SECS] [--profile SPEC] [--faults PATH]
-//!             [--duration SECS] [--qos MS] [--seed N]
-//!             [--telemetry PATH] [--spans PATH] [--span-sample N/M]
-//!             [--metrics PATH] [--metrics-interval MS]
-//!             [--metrics-listen ADDR] [--slo-objective PCT]
-//!             [--profile-out PATH]
-//!
-//!   --workload    chain | read | compose | search | reco   (default chain)
-//!   --controller  static | parties | caladan | surgeguard | escalator
-//!                 | ml | hybrid | lsram | smart-hpa | sg-h
-//!                                                          (default surgeguard)
-//!                 lsram, smart-hpa and sg-h are the horizontal autoscaler
-//!                 zoo: they drive `SetReplicas` and need a replica ceiling
-//!                 above 1 (the default when one of them is selected is 3)
-//!   --max-replicas
-//!                 replica ceiling per service group (default 1, i.e.
-//!                 horizontal scaling disabled; 3 for the zoo controllers)
-//!   --backend     sim | live                               (default sim)
-//!                 `live` replays the same schedule in real time on the
-//!                 wall-clock backend (`sg-live`): the run blocks for
-//!                 warmup + duration seconds of actual time.
-//!   --rate        steady request rate; default: the calibrated base rate
-//!   --spikerate   rate during spikes; default: 1.75 × rate
-//!   --spikelen    spike duration in seconds (default 2; 0 disables spikes)
-//!   --profile     arrival shape: spike | diurnal | mmpp | trace:PATH
-//!                 (default spike). diurnal swings 0.6–1.6x the base rate
-//!                 over a 60 s cycle; mmpp is a 2-state Markov-modulated
-//!                 Poisson process with mean exactly the base rate;
-//!                 trace:PATH replays a Google-cluster-style CSV
-//!                 (`timestamp_s,rate` rows, see traces/) rescaled so its
-//!                 mean rate equals the base rate. All shapes are
-//!                 deterministic in --seed.
-//!   --faults      deterministic fault plan (JSON or TOML, see DESIGN.md
-//!                 §8): container crashes, node loss, pool leaks, network
-//!                 jitter, stragglers — injected identically on either
-//!                 backend
-//!   --duration    measurement seconds after warmup (default 30 sim, 5 live)
-//!   --qos         QoS limit in ms; default: calibrated limit
-//!   --telemetry   write the decision trace (why every scaling action
-//!                 happened) as JSONL to PATH; summarize with `sg-trace`
-//!   --spans       write per-request span trees (per-hop pool wait,
-//!                 service, downstream and network time) as JSONL to
-//!                 PATH; analyze with `sg-trace` (critical-path report)
-//!   --span-sample trace N out of every M requests, deterministically
-//!                 seeded by --seed (default 1/1 = every request)
-//!   --metrics     write the internal-state gauge/counter timeline
-//!                 (cores, DVFS level, FR boosts, queue buildup, pool
-//!                 occupancy, slack quantiles, sensitivity arms) as JSONL
-//!                 to PATH; render with `sg-timeline`. Also turns on the
-//!                 mergeable aggregation layer: per-node latency digests,
-//!                 SLO burn windows and heavy-hitter sketches ride the
-//!                 same stream as cumulative snapshots — tail them with
-//!                 `sg-trace watch PATH`
-//!   --metrics-interval
-//!                 live sampler cadence in ms (default 100). The sim
-//!                 backend ignores it: it records synchronously at every
-//!                 decision cycle.
-//!   --metrics-listen
-//!                 live only: serve the current metric values as
-//!                 Prometheus text exposition on ADDR (e.g.
-//!                 127.0.0.1:9184) for the duration of the run; with the
-//!                 aggregation layer on, the `sg_slo_*` burn-rate series
-//!                 are served too
-//!   --slo-objective
-//!                 SLO objective percentage for the burn-rate windows
-//!                 (default 99.9, i.e. 0.1% error budget against the QoS
-//!                 deadline)
-//!   --profile-out turn on the runtime self-profiler and write its
-//!                 report (phase totals, p50/p99, watermarks, self-
-//!                 overhead) as JSONL to PATH; render with
-//!                 `sg-trace --profile PATH`. Works on both backends;
-//!                 when off, every instrumented site costs one branch.
-//!
-//! Warmup is 5 s with the first spike at 10 s on the simulator; the live
-//! backend shortens both (1 s warmup, first spike at 2 s) so short real
-//! runs still exercise a surge.
-//! ```
+//! the violation volume. The command line is in [`USAGE`] (`--help`).
 
 use sg_core::fault::FaultPlan;
 use sg_core::time::{SimDuration, SimTime};
@@ -95,13 +14,231 @@ use sg_telemetry::{
     TelemetryEvent, PROFILE_SCHEMA, SPANS_SCHEMA, TRACE_SCHEMA,
 };
 use sg_workloads::{prepare, CalibrationOptions, Workload};
+use std::str::FromStr;
 use std::sync::Arc;
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Usage text, printed by `--help` and on a parse error.
+const USAGE: &str = "\
+usage: sg-loadtest [--workload NAME] [--controller NAME] [--backend NAME]
+                   [--nodes N] [--max-replicas N] [--rate R] [--spikerate R]
+                   [--spikelen SECS] [--profile SPEC] [--faults PATH]
+                   [--duration SECS] [--qos MS] [--seed N]
+                   [--telemetry PATH] [--spans PATH] [--span-sample N/M]
+                   [--metrics PATH] [--metrics-interval MS]
+                   [--metrics-listen ADDR] [--slo-objective PCT]
+                   [--profile-out PATH]
+
+  --workload    chain | read | compose | search | reco   (default chain)
+  --controller  static | parties | caladan | surgeguard | escalator
+                | ml | hybrid | lsram | smart-hpa | sg-h
+                                                         (default surgeguard)
+                lsram, smart-hpa and sg-h are the horizontal autoscaler
+                zoo: they drive `SetReplicas` and need a replica ceiling
+                above 1 (the default when one of them is selected is 3)
+  --max-replicas
+                replica ceiling per service group (default 1, i.e.
+                horizontal scaling disabled; 3 for the zoo controllers)
+  --backend     sim | live                               (default sim)
+                `live` replays the same schedule in real time on the
+                wall-clock backend (`sg-live`): the run blocks for
+                warmup + duration seconds of actual time.
+  --nodes       cluster nodes (default 1)
+  --rate        steady request rate; default: the calibrated base rate
+  --spikerate   rate during spikes; default: 1.75 x rate
+  --spikelen    spike duration in seconds (default 2; 0 disables spikes)
+  --profile     arrival shape: spike | diurnal | mmpp | trace:PATH
+                (default spike). diurnal swings 0.6-1.6x the base rate
+                over a 60 s cycle; mmpp is a 2-state Markov-modulated
+                Poisson process with mean exactly the base rate;
+                trace:PATH replays a Google-cluster-style CSV
+                (`timestamp_s,rate` rows, see traces/) rescaled so its
+                mean rate equals the base rate. All shapes are
+                deterministic in --seed.
+  --faults      deterministic fault plan (JSON or TOML, see DESIGN.md
+                section 8): container crashes, node loss, pool leaks,
+                network jitter, stragglers -- injected identically on
+                either backend
+  --duration    measurement seconds after warmup (default 30 sim, 5 live)
+  --qos         QoS limit in ms; default: calibrated limit
+  --seed        run seed (default 42)
+  --telemetry   write the decision trace (why every scaling action
+                happened) as JSONL to PATH; summarize with `sg-trace`
+  --spans       write per-request span trees (per-hop pool wait,
+                service, downstream and network time) as JSONL to
+                PATH; analyze with `sg-trace` (critical-path report)
+  --span-sample trace N out of every M requests, deterministically
+                seeded by --seed (default 1/1 = every request)
+  --metrics     write the internal-state gauge/counter timeline
+                (cores, DVFS level, FR boosts, queue buildup, pool
+                occupancy, slack quantiles, sensitivity arms) as JSONL
+                to PATH; render with `sg-timeline`. Also turns on the
+                mergeable aggregation layer: per-node latency digests,
+                SLO burn windows and heavy-hitter sketches ride the
+                same stream as cumulative snapshots -- tail them with
+                `sg-trace watch PATH`
+  --metrics-interval
+                live sampler cadence in ms (default 100). The sim
+                backend ignores it: it records synchronously at every
+                decision cycle.
+  --metrics-listen
+                live only: serve the current metric values as
+                Prometheus text exposition on ADDR (e.g.
+                127.0.0.1:9184) for the duration of the run; with the
+                aggregation layer on, the `sg_slo_*` burn-rate series
+                are served too
+  --slo-objective
+                SLO objective percentage for the burn-rate windows
+                (default 99.9, i.e. 0.1% error budget against the QoS
+                deadline)
+  --profile-out turn on the runtime self-profiler and write its
+                report (phase totals, p50/p99, watermarks, self-
+                overhead) as JSONL to PATH; render with
+                `sg-trace --profile PATH`. Works on both backends;
+                when off, every instrumented site costs one branch.
+  -h, --help    print this help
+
+Warmup is 5 s with the first spike at 10 s on the simulator; the live
+backend shortens both (1 s warmup, first spike at 2 s) so short real
+runs still exercise a surge. A bad argument exits 2 before anything runs.
+";
+
+/// The command line, every value checked before calibration starts.
+struct Args {
+    workload: Workload,
+    controller_name: String,
+    arm: Arm,
+    live: bool,
+    nodes: u32,
+    max_replicas: Option<u32>,
+    rate: Option<f64>,
+    spike_rate: Option<f64>,
+    spike_len_s: f64,
+    profile_spec: String,
+    faults: Option<String>,
+    duration: Option<u64>,
+    qos_ms: Option<f64>,
+    seed: u64,
+    telemetry_path: Option<String>,
+    spans_path: Option<String>,
+    span_sample: Option<(u64, u64)>,
+    metrics_path: Option<String>,
+    metrics_interval_ms: u64,
+    metrics_listen: Option<String>,
+    slo_objective: f64,
+    profile_path: Option<String>,
+}
+
+fn number<T: FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a number, got '{value}'"))
+}
+
+/// Parse the arguments after the program name; `Ok(None)` is `--help`.
+/// An unknown argument, a flag missing its value, an unparsable number
+/// or an unknown name is an error.
+fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+    let mut a = Args {
+        workload: Workload::Chain,
+        controller_name: "surgeguard".into(),
+        arm: Arm::SurgeGuard,
+        live: false,
+        nodes: 1,
+        max_replicas: None,
+        rate: None,
+        spike_rate: None,
+        spike_len_s: 2.0,
+        profile_spec: "spike".into(),
+        faults: None,
+        duration: None,
+        qos_ms: None,
+        seed: 42,
+        telemetry_path: None,
+        spans_path: None,
+        span_sample: None,
+        metrics_path: None,
+        metrics_interval_ms: 100,
+        metrics_listen: None,
+        slo_objective: 99.9,
+        profile_path: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || match it.next() {
+            Some(v) if !v.starts_with('-') => Ok(v.clone()),
+            _ => Err(format!("{flag} expects a value")),
+        };
+        match flag.as_str() {
+            "-h" | "--help" => return Ok(None),
+            "--workload" => {
+                a.workload = match value()?.as_str() {
+                    "chain" => Workload::Chain,
+                    "read" => Workload::ReadUserTimeline,
+                    "compose" => Workload::ComposePost,
+                    "search" => Workload::SearchHotel,
+                    "reco" => Workload::RecommendHotel,
+                    other => return Err(format!("unknown workload '{other}'")),
+                }
+            }
+            "--controller" => {
+                a.controller_name = value()?;
+                a.arm = match a.controller_name.as_str() {
+                    "static" => Arm::Static,
+                    "parties" => Arm::Parties,
+                    "caladan" => Arm::Caladan,
+                    "surgeguard" => Arm::SurgeGuard,
+                    "escalator" => Arm::EscalatorOnly,
+                    "ml" => Arm::MlCentralized,
+                    "hybrid" => Arm::Hybrid,
+                    "lsram" => Arm::Lsram,
+                    "smart-hpa" => Arm::SmartHpa,
+                    "sg-h" => Arm::SgH,
+                    other => return Err(format!("unknown controller '{other}'")),
+                }
+            }
+            "--backend" => {
+                a.live = match value()?.as_str() {
+                    "sim" => false,
+                    "live" => true,
+                    other => return Err(format!("unknown backend '{other}'")),
+                }
+            }
+            "--nodes" => a.nodes = number(flag, value()?)?,
+            "--max-replicas" => a.max_replicas = Some(number(flag, value()?)?),
+            "--rate" => a.rate = Some(number(flag, value()?)?),
+            "--spikerate" => a.spike_rate = Some(number(flag, value()?)?),
+            "--spikelen" => a.spike_len_s = number(flag, value()?)?,
+            "--profile" => a.profile_spec = value()?,
+            "--faults" => a.faults = Some(value()?),
+            "--duration" => a.duration = Some(number(flag, value()?)?),
+            "--qos" => a.qos_ms = Some(number(flag, value()?)?),
+            "--seed" => a.seed = number(flag, value()?)?,
+            "--telemetry" => a.telemetry_path = Some(value()?),
+            "--spans" => a.spans_path = Some(value()?),
+            "--span-sample" => {
+                let ratio = value()?;
+                let parsed = SpanSampler::parse_ratio(&ratio);
+                let bad = || format!("bad --span-sample '{ratio}' (want N/M with 1 <= N <= M)");
+                a.span_sample = Some(parsed.ok_or_else(bad)?);
+            }
+            "--metrics" => a.metrics_path = Some(value()?),
+            "--metrics-interval" => a.metrics_interval_ms = number(flag, value()?)?,
+            "--metrics-listen" => a.metrics_listen = Some(value()?),
+            "--slo-objective" => {
+                a.slo_objective = number(flag, value()?)?;
+                if !(0.0..100.0).contains(&a.slo_objective) {
+                    return Err("--slo-objective must be in [0, 100)".into());
+                }
+            }
+            "--profile-out" => a.profile_path = Some(value()?),
+            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
+            other => return Err(format!("unexpected argument '{other}'")),
+        }
+    }
+    if a.metrics_listen.is_some() && !a.live {
+        return Err("--metrics-listen needs --backend live (the simulator has no wall clock for a scraper to exist in)".into());
+    }
+    Ok(Some(a))
 }
 
 /// Open a JSONL export file, stamping the schema header as line 1 —
@@ -124,64 +261,53 @@ fn file_sink(path: &str, what: &str, schema: Option<&str>) -> SharedSink {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let workload = match arg(&args, "--workload").as_deref().unwrap_or("chain") {
-        "chain" => Workload::Chain,
-        "read" => Workload::ReadUserTimeline,
-        "compose" => Workload::ComposePost,
-        "search" => Workload::SearchHotel,
-        "reco" => Workload::RecommendHotel,
-        other => {
-            eprintln!("unknown workload '{other}'");
+    let args = match parse_args(&args) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprint!("sg-loadtest: {e}\n\n{USAGE}");
             std::process::exit(2);
         }
     };
-    let live = match arg(&args, "--backend").as_deref().unwrap_or("sim") {
-        "sim" => false,
-        "live" => true,
-        other => {
-            eprintln!("unknown backend '{other}'");
-            std::process::exit(2);
-        }
-    };
-    let nodes: u32 = arg(&args, "--nodes").map_or(1, |v| v.parse().expect("--nodes"));
-    let seed: u64 = arg(&args, "--seed").map_or(42, |v| v.parse().expect("--seed"));
-    let default_duration = if live { 5 } else { 30 };
-    let duration: u64 =
-        arg(&args, "--duration").map_or(default_duration, |v| v.parse().expect("--duration"));
+    let Args {
+        workload,
+        controller_name,
+        arm,
+        live,
+        nodes,
+        max_replicas,
+        rate,
+        spike_rate,
+        spike_len_s,
+        profile_spec,
+        faults,
+        duration,
+        qos_ms,
+        seed,
+        telemetry_path,
+        spans_path,
+        span_sample,
+        metrics_path,
+        metrics_interval_ms,
+        metrics_listen,
+        slo_objective,
+        profile_path,
+    } = args;
+    let duration = duration.unwrap_or(if live { 5 } else { 30 });
 
     eprintln!("calibrating {workload:?} on {nodes} node(s) ...");
     let pw = prepare(workload, nodes, CalibrationOptions::default());
 
-    let rate: f64 = arg(&args, "--rate").map_or(pw.base_rate, |v| v.parse().expect("--rate"));
-    let spike_rate: f64 =
-        arg(&args, "--spikerate").map_or(rate * 1.75, |v| v.parse().expect("--spikerate"));
-    let spike_len_s: f64 = arg(&args, "--spikelen").map_or(2.0, |v| v.parse().expect("--spikelen"));
-    let qos = arg(&args, "--qos").map_or(pw.qos, |v| {
-        SimDuration::from_secs_f64(v.parse::<f64>().expect("--qos") / 1e3)
-    });
+    let rate = rate.unwrap_or(pw.base_rate);
+    let spike_rate = spike_rate.unwrap_or(rate * 1.75);
+    let qos = qos_ms.map_or(pw.qos, |ms| SimDuration::from_secs_f64(ms / 1e3));
 
-    let controller_name = arg(&args, "--controller").unwrap_or_else(|| "surgeguard".into());
-    let arm = match controller_name.as_str() {
-        "static" => Arm::Static,
-        "parties" => Arm::Parties,
-        "caladan" => Arm::Caladan,
-        "surgeguard" => Arm::SurgeGuard,
-        "escalator" => Arm::EscalatorOnly,
-        "ml" => Arm::MlCentralized,
-        "hybrid" => Arm::Hybrid,
-        "lsram" => Arm::Lsram,
-        "smart-hpa" => Arm::SmartHpa,
-        "sg-h" => Arm::SgH,
-        other => {
-            eprintln!("unknown controller '{other}'");
-            std::process::exit(2);
-        }
-    };
     let horizontal = matches!(arm, Arm::Lsram | Arm::SmartHpa | Arm::SgH);
     let factory = arm.factory();
-    let default_replicas = if horizontal { 3 } else { 1 };
-    let max_replicas: u32 = arg(&args, "--max-replicas")
-        .map_or(default_replicas, |v| v.parse().expect("--max-replicas"));
+    let max_replicas = max_replicas.unwrap_or(if horizontal { 3 } else { 1 });
 
     let first_spike = if live {
         SimTime::from_secs(2)
@@ -200,7 +326,6 @@ fn main() {
         SpikePattern::constant(rate)
     };
 
-    let profile_spec = arg(&args, "--profile").unwrap_or_else(|| "spike".into());
     let profile = ArrivalProfile::parse(&profile_spec, pattern, seed).unwrap_or_else(|e| {
         eprintln!("bad --profile: {e}");
         std::process::exit(2);
@@ -217,8 +342,8 @@ fn main() {
     cfg.measure_start = warmup;
     cfg.seed = seed;
     cfg.max_replicas = max_replicas;
-    if let Some(path) = arg(&args, "--faults") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    if let Some(path) = &faults {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read fault plan '{path}': {e}");
             std::process::exit(2);
         });
@@ -241,34 +366,17 @@ fn main() {
         if live { "live" } else { "sim" },
         profile.label(),
     );
-    let telemetry_path = arg(&args, "--telemetry");
     let telemetry: Option<SharedSink> = telemetry_path
         .as_ref()
         .map(|p| file_sink(p, "telemetry", Some(TRACE_SCHEMA)));
-    let spans_path = arg(&args, "--spans");
     let spans: Option<SharedSink> = spans_path
         .as_ref()
         .map(|p| file_sink(p, "span", Some(SPANS_SCHEMA)));
-    let metrics_path = arg(&args, "--metrics");
     let metrics: Option<SharedSink> = metrics_path.as_ref().map(|p| file_sink(p, "metrics", None));
-    let profile_path = arg(&args, "--profile-out");
     let profile_out: Option<SharedSink> = profile_path
         .as_ref()
         .map(|p| file_sink(p, "profile", Some(PROFILE_SCHEMA)));
-    let metrics_interval = SimDuration::from_millis(
-        arg(&args, "--metrics-interval").map_or(100, |v| v.parse().expect("--metrics-interval")),
-    );
-    let metrics_listen = arg(&args, "--metrics-listen");
-    if metrics_listen.is_some() && !live {
-        eprintln!("--metrics-listen needs --backend live (the simulator has no wall clock for a scraper to exist in)");
-        std::process::exit(2);
-    }
-    let slo_objective: f64 =
-        arg(&args, "--slo-objective").map_or(99.9, |v| v.parse().expect("--slo-objective"));
-    if !(0.0..100.0).contains(&slo_objective) {
-        eprintln!("--slo-objective must be in [0, 100)");
-        std::process::exit(2);
-    }
+    let metrics_interval = SimDuration::from_millis(metrics_interval_ms);
     // The aggregation layer rides the metrics stream (and the scrape
     // endpoint), so it turns on with either metrics destination.
     let agg: Option<Arc<AggRuntime>> = (metrics.is_some() || metrics_listen.is_some()).then(|| {
@@ -276,14 +384,8 @@ fn main() {
         agg_cfg.slo = SloConfig::default().with_objective_pct(slo_objective);
         Arc::new(AggRuntime::new(agg_cfg, nodes as usize))
     });
-    let sampler = match arg(&args, "--span-sample") {
-        Some(ratio) => match SpanSampler::parse_ratio(&ratio) {
-            Some((n, m)) => SpanSampler::rate(n, m, seed),
-            None => {
-                eprintln!("bad --span-sample '{ratio}' (want N/M with 1 <= N <= M)");
-                std::process::exit(2);
-            }
-        },
+    let sampler = match span_sample {
+        Some((n, m)) => SpanSampler::rate(n, m, seed),
         None => SpanSampler::all(),
     };
 

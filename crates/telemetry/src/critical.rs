@@ -82,7 +82,7 @@ pub struct Attribution {
 
 /// The span-side report `sg-trace` renders: tree integrity, violation
 /// attribution, and folded stacks for flamegraph tooling.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SpanReport {
     /// Span records consumed.
     pub spans: u64,
@@ -145,39 +145,35 @@ impl SpanReport {
     pub fn from_records(records: &[SpanRecord], qos: Option<SimDuration>) -> Self {
         let mut report = SpanReport {
             spans: records.len() as u64,
+            negative_spans: records.iter().filter(|r| r.end < r.start).count() as u64,
             ..SpanReport::default()
         };
 
-        // Group by trace, preserving record order within each trace.
-        let mut traces: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
-        for r in records {
-            if r.end < r.start {
-                report.negative_spans += 1;
-            }
-            traces.entry(r.trace).or_default().push(r);
-        }
+        // Group by trace, in trace order: a stable sort keeps record
+        // order within each trace.
+        let mut by_trace: Vec<&SpanRecord> = records.iter().collect();
+        by_trace.sort_by_key(|r| r.trace);
+        let traces = || by_trace.chunk_by(|a, b| a.trace == b.trace);
 
         // Integrity pass + root-duration collection.
-        for spans in traces.values() {
-            let mut ids: Vec<u64> = spans.iter().map(|s| s.span).collect();
+        let mut ids: Vec<u64> = Vec::new();
+        for spans in traces() {
+            ids.clear();
+            ids.extend(spans.iter().map(|s| s.span));
             ids.sort_unstable();
             report.duplicate_spans += ids.windows(2).filter(|w| w[0] == w[1]).count() as u64;
 
-            let roots: Vec<&&SpanRecord> = spans.iter().filter(|s| s.is_root()).collect();
-            match roots.len() {
-                0 => report.incomplete_traces += 1,
-                1 => {
+            let mut roots = spans.iter().filter(|s| s.is_root());
+            match roots.next() {
+                None => report.incomplete_traces += 1,
+                Some(root) => {
                     report.traces += 1;
-                    report.root_durations.push(roots[0].duration().as_nanos());
-                }
-                _ => {
-                    report.multi_root_traces += 1;
-                    report.traces += 1;
-                    report.root_durations.push(roots[0].duration().as_nanos());
+                    report.multi_root_traces += roots.next().is_some() as u64;
+                    report.root_durations.push(root.duration().as_nanos());
                 }
             }
 
-            for child in spans.iter() {
+            for child in spans {
                 let Some(parent_id) = child.parent else {
                     continue;
                 };
@@ -202,7 +198,7 @@ impl SpanReport {
         };
 
         // Critical-path walk over every violating trace.
-        for spans in traces.values() {
+        for spans in traces() {
             let Some(root) = spans.iter().find(|s| s.is_root()) else {
                 continue;
             };
@@ -409,7 +405,9 @@ fn walk_critical_path(
     let mut path = Vec::new();
     // The request root has exactly one child: the frontend hop.
     let mut current = *dominant_child(root.span, spans)?;
-    loop {
+    // A walk down a tree visits each span at most once; a longer one is
+    // circling through (corrupt) parent ids and attributes nothing.
+    for _ in 0..spans.len() {
         let container = current.container?.0;
         path.push(container);
 
@@ -441,6 +439,7 @@ fn walk_critical_path(
         }
         return Some((container, local_class, path));
     }
+    None
 }
 
 /// The child of `parent` with the largest total footprint (its own
@@ -553,6 +552,7 @@ impl StreamingAttributor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sg_core::ids::{ContainerId, NodeId};
     use sg_core::time::SimTime;
 
@@ -700,5 +700,144 @@ mod tests {
         let report = SpanReport::from_records(&[], None);
         assert!(report.render().contains("0 records"));
         assert!(report.folded_lines().is_empty());
+    }
+
+    /// A span that is its own parent used to send the walk round forever.
+    #[test]
+    fn a_parent_id_cycle_is_unattributed_not_a_hang() {
+        let root = span(4, 0, None, None, 0, 2000);
+        let mut front = span(4, 1, Some(0), Some(0), 10, 1990);
+        front.downstream = SimDuration::from_micros(1900);
+        let mut looped = span(4, 2, Some(2), Some(1), 20, 1980);
+        looped.downstream = SimDuration::from_micros(1900);
+        let mut into_loop = looped;
+        into_loop.parent = Some(1);
+        let report = SpanReport::from_records(
+            &[root, front, into_loop, looped],
+            Some(SimDuration::from_millis(1)),
+        );
+        assert_eq!((report.violations, report.unattributed), (1, 1));
+    }
+
+    /// `from_records` as it grouped before the sort: a map of traces,
+    /// roots collected into a vector, a fresh id vector per trace.
+    fn grouped_by_map(records: &[SpanRecord], qos: Option<SimDuration>) -> SpanReport {
+        let mut report = SpanReport {
+            spans: records.len() as u64,
+            ..SpanReport::default()
+        };
+        let mut traces: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
+        for r in records {
+            if r.end < r.start {
+                report.negative_spans += 1;
+            }
+            traces.entry(r.trace).or_default().push(r);
+        }
+        for spans in traces.values() {
+            let mut ids: Vec<u64> = spans.iter().map(|s| s.span).collect();
+            ids.sort_unstable();
+            report.duplicate_spans += ids.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+            let roots: Vec<&&SpanRecord> = spans.iter().filter(|s| s.is_root()).collect();
+            match roots.len() {
+                0 => report.incomplete_traces += 1,
+                1 => {
+                    report.traces += 1;
+                    report.root_durations.push(roots[0].duration().as_nanos());
+                }
+                _ => {
+                    report.multi_root_traces += 1;
+                    report.traces += 1;
+                    report.root_durations.push(roots[0].duration().as_nanos());
+                }
+            }
+            for child in spans.iter() {
+                let Some(parent_id) = child.parent else {
+                    continue;
+                };
+                if let Some(parent) = spans.iter().find(|s| s.span == parent_id) {
+                    if child.start < parent.start || child.end > parent.end {
+                        report.nesting_violations += 1;
+                    }
+                }
+            }
+        }
+        report.root_durations.sort_unstable();
+        report.qos_ns = match qos {
+            Some(d) => d.as_nanos(),
+            None => {
+                report.qos_derived = true;
+                percentile(&report.root_durations, 0.99).unwrap_or(u64::MAX)
+            }
+        };
+        for spans in traces.values() {
+            let Some(root) = spans.iter().find(|s| s.is_root()) else {
+                continue;
+            };
+            let duration = root.duration().as_nanos();
+            if duration <= report.qos_ns {
+                continue;
+            }
+            report.violations += 1;
+            let excess = duration - report.qos_ns;
+            match walk_critical_path(root, spans) {
+                Some((container, class, path)) => {
+                    let bucket = report.attribution.entry((container, class)).or_default();
+                    bucket.count += 1;
+                    bucket.loss_ns += excess;
+                    let mut stack = String::from("client");
+                    for c in path {
+                        let _ = write!(stack, ";c{c}");
+                    }
+                    let _ = write!(stack, ";{}", class.name());
+                    *report.folded.entry(stack).or_insert(0) += excess;
+                }
+                None => report.unattributed += 1,
+            }
+        }
+        report
+    }
+
+    /// Records from random words: eight traces in shuffled order, eight
+    /// span ids (so duplicates), any number of roots per trace (none,
+    /// one, several), times in any order (negative spans, children
+    /// outside their parent). A parent id is below the span's own, so
+    /// every walk ends.
+    fn random_records(words: &[u64]) -> Vec<SpanRecord> {
+        words
+            .chunks_exact(3)
+            .map(|w| {
+                let id = w[0] % 8;
+                let parent = (id > 0 && w[0] >> 3 & 3 != 0).then(|| (w[0] >> 5) % id);
+                let container = (w[0] >> 8 & 7 != 0).then_some((w[0] >> 11) as u32 % 4);
+                let mut r = span(
+                    w[0] >> 16 & 7,
+                    id,
+                    parent,
+                    container,
+                    w[1] % 3000,
+                    (w[1] >> 32) % 3000,
+                );
+                let us = |shift: u32| SimDuration::from_micros(w[2] >> shift & 1023);
+                (r.net_in, r.conn_wait, r.service, r.downstream) = (us(0), us(10), us(20), us(30));
+                r.freq_level = (w[2] >> 40) as u8 & 1;
+                r.slack_ns = (w[2] >> 41 & 0xffff) as i64 - 0x8000;
+                r
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn sorted_grouping_reports_what_the_map_grouping_did(
+            words in prop::collection::vec(any::<u64>(), 0..180),
+            qos_us in any::<u64>(),
+        ) {
+            let records = random_records(&words);
+            let qos = (qos_us % 4 != 0).then(|| SimDuration::from_micros(qos_us % 2500));
+            prop_assert_eq!(
+                SpanReport::from_records(&records, qos),
+                grouped_by_map(&records, qos)
+            );
+        }
     }
 }

@@ -8,17 +8,27 @@
 //!
 //! Reading is **streaming**: [`TraceStream`] yields one event at a time
 //! from a buffered reader, so a multi-gigabyte `cluster_scale` export
-//! summarizes in constant memory. [`read_trace`] (collect everything)
-//! is a convenience built on top for the small-trace paths that really
-//! do need the whole file. [`TailStream`] adds a follow mode
-//! (`tail -f` semantics: poll for appended lines, hold partial trailing
-//! lines until their newline arrives) used by `sg-trace watch --tail`.
+//! summarizes in constant memory. [`TraceStream::for_each`] decodes on a
+//! reader thread of its own, a few batches ahead of the caller, so
+//! decoding overlaps whatever the caller does per event. [`read_trace`]
+//! (collect everything) is a convenience built on top for the
+//! small-trace paths that really do need the whole file. [`TailStream`]
+//! adds a follow mode (`tail -f` semantics: poll for appended lines,
+//! hold partial trailing lines until their newline arrives) used by
+//! `sg-trace watch --tail`.
 
 use crate::event::{TelemetryEvent, SPANS_SCHEMA, TRACE_SCHEMA};
 use crate::metrics::METRICS_SCHEMA_VERSION;
 use crate::profile::{PROFILE_SCHEMA, PROFILE_SCHEMA_V1, PROFILE_SCHEMA_VERSION};
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
+use std::sync::mpsc::{self, SyncSender};
+
+/// Events the reader thread of [`TraceStream::for_each`] decodes into one
+/// batch.
+const BATCH: usize = 1024;
+/// Batches the reader thread may run ahead of the caller.
+const READ_AHEAD: usize = 4;
 
 /// A fully parsed trace file.
 #[derive(Debug, Default)]
@@ -30,7 +40,8 @@ pub struct TraceFile {
 }
 
 /// Streaming JSONL event reader: an iterator over parsed events that
-/// never holds more than one line in memory.
+/// never holds more than one line in memory ([`TraceStream::for_each`]:
+/// a few batches of events).
 #[derive(Debug)]
 pub struct TraceStream<R> {
     reader: BufReader<R>,
@@ -75,12 +86,49 @@ impl<R: Read> TraceStream<R> {
         }
     }
 
-    /// Drain the stream through `f`. Returns the bad-line count.
-    pub fn for_each<F: FnMut(TelemetryEvent)>(mut self, mut f: F) -> std::io::Result<u64> {
-        while let Some(event) = self.next()? {
-            f(event);
-        }
-        Ok(self.bad_lines)
+    /// Drain the stream through `f`, on the caller's thread and in file
+    /// order, while a scoped reader thread reads and decodes ahead.
+    /// Returns the bad-line count; an I/O error is returned after `f`
+    /// has seen every event before it. The reader thread is joined
+    /// before this returns, also when `f` panics.
+    pub fn for_each<F: FnMut(TelemetryEvent)>(self, mut f: F) -> std::io::Result<u64>
+    where
+        R: Send,
+    {
+        let (to_caller, batches) = mpsc::sync_channel(READ_AHEAD);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(move || self.read_ahead(&to_caller));
+            // If `f` panics, unwinding drops `batches` first, so a reader
+            // blocked on a full queue wakes up and ends before the scope
+            // joins it.
+            for batch in batches {
+                batch.into_iter().for_each(&mut f);
+            }
+            reader
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    /// The reader thread of `for_each`: decode batches into `to_caller`
+    /// until end of input, an I/O error (sent after the events before
+    /// it), or the caller hanging up.
+    fn read_ahead(mut self, to_caller: &SyncSender<Vec<TelemetryEvent>>) -> std::io::Result<u64> {
+        let mut batch = Vec::with_capacity(BATCH);
+        let end = loop {
+            match self.next() {
+                Ok(Some(event)) => batch.push(event),
+                end => break end.map(|_| self.bad_lines),
+            }
+            if batch.len() == BATCH {
+                let full = std::mem::replace(&mut batch, Vec::with_capacity(BATCH));
+                if to_caller.send(full).is_err() {
+                    return Ok(self.bad_lines); // the caller unwound
+                }
+            }
+        };
+        let _ = to_caller.send(batch);
+        end
     }
 }
 
@@ -184,13 +232,9 @@ pub fn stream_trace(path: &Path) -> std::io::Result<TraceStream<std::fs::File>> 
 /// that can be folded incrementally — cluster-scale exports do not fit
 /// in memory.
 pub fn read_trace(path: &Path) -> std::io::Result<TraceFile> {
-    let mut stream = stream_trace(path)?;
-    let mut out = TraceFile::default();
-    while let Some(event) = stream.next()? {
-        out.events.push(event);
-    }
-    out.bad_lines = stream.bad_lines;
-    Ok(out)
+    let mut events = Vec::new();
+    let bad_lines = stream_trace(path)?.for_each(|event| events.push(event))?;
+    Ok(TraceFile { events, bad_lines })
 }
 
 #[cfg(test)]
@@ -274,6 +318,79 @@ mod tests {
         ));
         assert!(stream.next().unwrap().is_none());
         assert_eq!(stream.bad_lines, 1);
+    }
+
+    /// The wire fixture repeated over many batches, with blank, truncated
+    /// and non-UTF-8 lines mixed in.
+    fn long_trace() -> Vec<u8> {
+        let fixture = include_str!("../tests/fixtures/wire_v1.jsonl");
+        let mut text = Vec::new();
+        for _ in 0..120 {
+            text.extend_from_slice(fixture.as_bytes());
+            text.extend_from_slice(b"\n  \n{\"type\":\"dro\n{\"type\":\"dro\xff\xfe\n");
+        }
+        text
+    }
+
+    fn next_loop(input: &[u8]) -> (Vec<TelemetryEvent>, u64) {
+        let mut stream = TraceStream::new(input);
+        let mut events = Vec::new();
+        while let Some(event) = stream.next().unwrap() {
+            events.push(event);
+        }
+        (events, stream.bad_lines)
+    }
+
+    #[test]
+    fn for_each_yields_what_a_next_loop_yields() {
+        let text = long_trace();
+        let (expected, expected_bad) = next_loop(&text);
+        assert!(expected.len() > (READ_AHEAD + 2) * BATCH);
+        assert_eq!(expected_bad, 240);
+        let mut events = Vec::new();
+        let bad = TraceStream::new(&text[..])
+            .for_each(|event| events.push(event))
+            .unwrap();
+        assert_eq!(events, expected);
+        assert_eq!(bad, expected_bad);
+    }
+
+    /// Serves its bytes, then fails every read.
+    struct FailsAfter<'a>(&'a [u8]);
+
+    impl Read for FailsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.is_empty() {
+                true => Err(std::io::Error::other("disk on fire")),
+                false => self.0.read(buf),
+            }
+        }
+    }
+
+    #[test]
+    fn io_error_reaches_the_caller_after_the_events_before_it() {
+        let text = long_trace();
+        let (expected, _) = next_loop(&text);
+        let mut events = Vec::new();
+        let err = TraceStream::new(FailsAfter(&text))
+            .for_each(|event| events.push(event))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "disk on fire");
+        assert_eq!(events, expected);
+    }
+
+    #[test]
+    fn panicking_callback_unwinds_without_hanging_the_reader() {
+        let text = long_trace();
+        let mut seen = 0;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            TraceStream::new(&text[..]).for_each(|_| {
+                seen += 1;
+                assert!(seen < 3, "callback fails on the third event");
+            })
+        }));
+        assert!(result.is_err(), "the callback's panic propagates");
+        assert_eq!(seen, 3);
     }
 
     #[test]

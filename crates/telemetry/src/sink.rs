@@ -1,4 +1,5 @@
-//! The sink contract and the two direct (synchronous) sinks.
+//! The sink contract, the in-memory and JSONL file sinks, and the
+//! routing sinks.
 //!
 //! A sink must be cheap when unused: harnesses hold an
 //! `Option<SharedSink>` and skip event construction entirely when it is
@@ -6,18 +7,20 @@
 
 use crate::event::TelemetryEvent;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 /// Where telemetry events go.
 ///
 /// `emit` must be callable from any thread; implementations choose their
-/// own synchronization. Synchronous sinks (this module) may block on I/O
-/// and are therefore only suitable for the simulator or for off-path
-/// threads; the live packet path must go through
-/// [`crate::ring::RingSink`], which never blocks.
+/// own synchronization. The sinks in this module may block (on a lock,
+/// or on [`JsonlSink`]'s full queue) and are therefore only suitable for
+/// the simulator or for off-path threads; the live packet path must go
+/// through [`crate::ring::RingSink`], which never blocks.
 ///
 /// # Example
 ///
@@ -86,79 +89,201 @@ impl TelemetrySink for VecSink {
     }
 }
 
-/// Sink writing one JSON object per line to a buffered file.
+/// Events `emit` collects before handing them to the writer thread.
+const BATCH: usize = 1024;
+/// Batches queued for the writer before `emit` blocks.
+const QUEUE_DEPTH: usize = 8;
+
+/// Sink writing one JSON object per line to a buffered file, from a
+/// writer thread of its own.
 ///
-/// A full disk must not take down the run it is observing, so `emit`
-/// never panics or blocks the caller on an error — but it is not silent
-/// either: failed writes are counted, the last error message is kept,
-/// and dropping the sink flushes the buffer and reports any loss to
-/// stderr so tail events are never lost without a trace.
+/// `emit` only appends the event to a batch; full batches go over a
+/// bounded queue to the sink's one writer thread, which encodes every
+/// line and does every write, so encoding costs the emitting thread
+/// nothing. `emit` never drops an event: when the writer falls
+/// `QUEUE_DEPTH` batches behind, `emit` blocks until it catches up.
+///
+/// A full disk must not take down the run it is observing, so write
+/// errors never reach `emit` — but they are not silent either: failed
+/// writes are counted, the last error message is kept, and dropping the
+/// sink writes and flushes everything emitted, joins the writer and
+/// reports any loss to stderr, so tail events are never lost without a
+/// trace.
 pub struct JsonlSink {
-    /// The file, and the buffer a line is encoded into and written from.
-    writer: Mutex<(BufWriter<File>, Vec<u8>)>,
+    /// The batch being collected and the queue to the writer, under one
+    /// lock so batches reach the writer in emit order.
+    queue: Mutex<Queue>,
+    status: Arc<Status>,
+    writer: Option<JoinHandle<()>>,
+}
+
+struct Queue {
+    batch: Vec<TelemetryEvent>,
+    /// `None` once the sink is dropping: closing it stops the writer.
+    to_writer: Option<SyncSender<Job>>,
+}
+
+/// Work for a [`JsonlSink`]'s writer thread, done in queue order.
+enum Job {
+    /// Encode and write these events.
+    Write(Vec<TelemetryEvent>),
+    /// Answer on `done` once everything queued before is written and,
+    /// with `flush`, flushed to the file.
+    Sync {
+        flush: bool,
+        done: SyncSender<io::Result<()>>,
+    },
+}
+
+/// What the writer thread reports.
+#[derive(Default)]
+struct Status {
     written: AtomicU64,
     write_errors: AtomicU64,
     last_error: Mutex<Option<String>>,
 }
 
-impl JsonlSink {
-    /// Create (truncating) the file at `path`.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(JsonlSink {
-            writer: Mutex::new((BufWriter::with_capacity(64 * 1024, file), Vec::new())),
-            written: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            last_error: Mutex::new(None),
-        })
-    }
-
-    /// Events written so far.
-    pub fn written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
-    }
-
-    /// Write or flush failures so far.
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
-    }
-
-    /// The most recent write/flush error, if any.
-    pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().expect("JsonlSink poisoned").clone()
-    }
-
-    fn record_error(&self, e: &std::io::Error) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
+impl Status {
+    fn record_errors(&self, count: u64, e: &io::Error) {
+        self.write_errors.fetch_add(count, Ordering::Relaxed);
         *self.last_error.lock().expect("JsonlSink poisoned") = Some(e.to_string());
     }
 
-    /// Flush, surfacing the error to the caller (unlike the fire-and-
-    /// forget trait `flush`).
-    pub fn try_flush(&self) -> std::io::Result<()> {
-        let result = self.writer.lock().expect("JsonlSink poisoned").0.flush();
-        if let Err(e) = &result {
-            self.record_error(e);
+    fn record_error(&self, e: &io::Error) {
+        self.record_errors(1, e);
+    }
+
+    fn last_error(&self) -> Option<String> {
+        self.last_error.lock().expect("JsonlSink poisoned").clone()
+    }
+}
+
+impl Queue {
+    /// Hand the collected batch (if any) to the writer.
+    fn hand_over(&mut self, status: &Status) {
+        if !self.batch.is_empty() {
+            let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
+            self.send(Job::Write(batch), status);
         }
-        result
+    }
+
+    /// Queue `job`, blocking while the queue is full. Only a writer that
+    /// panicked refuses it; the events it carried count as write errors.
+    fn send(&self, job: Job, status: &Status) {
+        let refused = self.to_writer.as_ref().and_then(|tx| tx.send(job).err());
+        if let Some(mpsc::SendError(Job::Write(events))) = refused {
+            status.record_errors(events.len() as u64, &writer_gone());
+        }
+    }
+}
+
+fn writer_gone() -> io::Error {
+    io::Error::other("the JSONL writer thread exited")
+}
+
+/// The writer thread: encode and write each job's events in order,
+/// answer syncs, and flush once the queue closes.
+fn write_jobs(jobs: Receiver<Job>, file: File, status: &Status) {
+    let mut out = BufWriter::with_capacity(64 * 1024, file);
+    let mut line = Vec::new();
+    for job in jobs {
+        match job {
+            Job::Write(events) => {
+                for event in &events {
+                    line.clear();
+                    event.write_json_line(&mut line);
+                    line.push(b'\n');
+                    match out.write_all(&line) {
+                        Ok(()) => {
+                            status.written.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => status.record_error(&e),
+                    }
+                }
+            }
+            Job::Sync { flush, done } => {
+                let result = if flush { out.flush() } else { Ok(()) };
+                if let Err(e) = &result {
+                    status.record_error(e);
+                }
+                let _ = done.send(result);
+            }
+        }
+    }
+    if let Err(e) = out.flush() {
+        status.record_error(&e);
+    }
+}
+
+impl JsonlSink {
+    /// Create (truncating) the file at `path` and start its writer
+    /// thread.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let file = File::create(path)?;
+        let status = Arc::new(Status::default());
+        let (to_writer, jobs) = mpsc::sync_channel(QUEUE_DEPTH);
+        let writer = {
+            let status = Arc::clone(&status);
+            std::thread::Builder::new()
+                .name("sg-jsonl-writer".into())
+                .spawn(move || write_jobs(jobs, file, &status))?
+        };
+        Ok(JsonlSink {
+            queue: Mutex::new(Queue {
+                batch: Vec::with_capacity(BATCH),
+                to_writer: Some(to_writer),
+            }),
+            status,
+            writer: Some(writer),
+        })
+    }
+
+    /// Events written so far. Waits until the writer has taken every
+    /// event emitted before the call.
+    pub fn written(&self) -> u64 {
+        let _ = self.sync(false);
+        self.status.written.load(Ordering::Relaxed)
+    }
+
+    /// Write or flush failures so far. Waits like [`JsonlSink::written`].
+    pub fn write_errors(&self) -> u64 {
+        let _ = self.sync(false);
+        self.status.write_errors.load(Ordering::Relaxed)
+    }
+
+    /// The most recent write/flush error, if any. Waits like
+    /// [`JsonlSink::written`].
+    pub fn last_error(&self) -> Option<String> {
+        let _ = self.sync(false);
+        self.status.last_error()
+    }
+
+    /// Write and flush everything emitted before the call, surfacing the
+    /// flush error to the caller (unlike the fire-and-forget trait
+    /// `flush`).
+    pub fn try_flush(&self) -> io::Result<()> {
+        self.sync(true)
+    }
+
+    /// Queue a sync behind everything emitted so far and wait for the
+    /// writer to answer it.
+    fn sync(&self, flush: bool) -> io::Result<()> {
+        let (done, answer) = mpsc::sync_channel(1);
+        {
+            let mut queue = self.queue.lock().expect("JsonlSink poisoned");
+            queue.hand_over(&self.status);
+            queue.send(Job::Sync { flush, done }, &self.status);
+        }
+        answer.recv().unwrap_or_else(|_| Err(writer_gone()))
     }
 }
 
 impl TelemetrySink for JsonlSink {
     fn emit(&self, event: TelemetryEvent) {
-        let mut w = self.writer.lock().expect("JsonlSink poisoned");
-        let (file, line) = &mut *w;
-        line.clear();
-        event.write_json_line(line);
-        line.push(b'\n');
-        match file.write_all(line) {
-            Ok(()) => {
-                self.written.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                drop(w);
-                self.record_error(&e);
-            }
+        let mut queue = self.queue.lock().expect("JsonlSink poisoned");
+        queue.batch.push(event);
+        if queue.batch.len() == BATCH {
+            queue.hand_over(&self.status);
         }
     }
 
@@ -169,10 +294,16 @@ impl TelemetrySink for JsonlSink {
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let _ = self.try_flush();
-        let errors = self.write_errors();
+        let queue = self.queue.get_mut().unwrap_or_else(PoisonError::into_inner);
+        queue.hand_over(&self.status);
+        // Closing the queue lets the writer finish, flush and exit.
+        queue.to_writer = None;
+        if let Some(Err(_)) = self.writer.take().map(JoinHandle::join) {
+            self.status.record_error(&writer_gone());
+        }
+        let errors = self.status.write_errors.load(Ordering::Relaxed);
         if errors > 0 {
-            let detail = self.last_error().unwrap_or_else(|| "unknown".into());
+            let detail = self.status.last_error().unwrap_or_else(|| "unknown".into());
             eprintln!("sg-telemetry: {errors} trace write error(s); last: {detail}");
         }
     }
@@ -373,6 +504,63 @@ mod tests {
         assert!(sink.try_flush().is_err(), "flush to /dev/full must fail");
         assert!(sink.write_errors() > 0);
         assert!(sink.last_error().is_some());
+    }
+
+    /// What a sink must write for `events`: each one's line and a
+    /// newline, in emit order.
+    fn lines_of(events: &[TelemetryEvent]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for event in events {
+            event.write_json_line(&mut out);
+            out.push(b'\n');
+        }
+        out
+    }
+
+    /// Emit `events` into a fresh file twice: once before a `try_flush`,
+    /// once before the drop (nothing else hands that copy's last batch
+    /// to the writer). Returns the file's bytes after each.
+    fn through_sink(name: &str, events: &[TelemetryEvent]) -> (Vec<u8>, Vec<u8>) {
+        let path =
+            std::env::temp_dir().join(format!("sg-telemetry-{name}-{}.jsonl", std::process::id()));
+        let sink = JsonlSink::create(&path).expect("create trace file");
+        let emit_all = || events.iter().for_each(|event| sink.emit(event.clone()));
+        emit_all();
+        sink.try_flush().expect("flush");
+        let flushed = std::fs::read(&path).expect("read back");
+        emit_all();
+        drop(sink);
+        let closed = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        (flushed, closed)
+    }
+
+    #[test]
+    fn sink_bytes_are_the_encoded_lines_across_batches() {
+        let events: Vec<TelemetryEvent> = (0..3 * BATCH as u64 + 1)
+            .map(|i| match i % 4 {
+                0 => dropped(i),
+                1 => span_event(),
+                2 => metric_event(),
+                _ => profile_event(),
+            })
+            .collect();
+        let lines = lines_of(&events);
+        let (flushed, closed) = through_sink("batches", &events);
+        assert_eq!(flushed, lines, "try_flush wrote every line");
+        assert_eq!(closed, [&lines[..], &lines].concat(), "so did the drop");
+    }
+
+    #[test]
+    fn fixture_re_emitted_through_the_sink_keeps_its_bytes() {
+        let fixture = include_str!("../tests/fixtures/wire_v1.jsonl");
+        let events: Vec<TelemetryEvent> = fixture
+            .lines()
+            .map(|line| TelemetryEvent::from_json_line(line).expect(line))
+            .collect();
+        let (flushed, closed) = through_sink("fixture", &events);
+        assert_eq!(String::from_utf8(flushed).unwrap(), fixture);
+        assert_eq!(String::from_utf8(closed).unwrap(), fixture.repeat(2));
     }
 
     fn span_event() -> TelemetryEvent {

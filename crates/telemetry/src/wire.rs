@@ -71,6 +71,9 @@ impl<'a> Reader<'a> {
         }
     }
 
+    // Always inlined, like `u64`: with the member key a constant, the
+    // match compiles to a few integer compares instead of a `bcmp` call.
+    #[inline(always)]
     fn literal(&mut self, lit: &str) -> bool {
         let hit = self.s.as_bytes()[self.pos.min(self.s.len())..].starts_with(lit.as_bytes());
         self.pos += if hit { lit.len() } else { 0 };
@@ -164,6 +167,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An unsigned integer; a fraction, exponent or overflow is an error.
+    #[inline(always)]
     fn u64(&mut self) -> Result<u64, String> {
         let start = self.pos;
         let mut v = 0u64;
