@@ -4,6 +4,7 @@
 //! sg-bench [--quick|--full] [--out PATH] [--compare OLD.json]
 //!          [--threshold PCT] [--only NAMES] [--demo-cluster]
 //!
+//!   --help, -h       print usage and exit 0
 //!   --quick          CI-sized iteration counts (default)
 //!   --full           more iterations for tighter quartiles
 //!   --out PATH       write the fresh baseline JSON to PATH
@@ -20,7 +21,8 @@
 //!                    once and print its throughput
 //! ```
 //!
-//! See BENCH.md for the scenario set and gate semantics.
+//! An unknown flag, or a flag missing its value, exits 2 with usage on
+//! stderr. See BENCH.md for the scenario set and gate semantics.
 
 use sg_bench::baseline::{recorded_calib, run_selected, to_json, BenchMode, Host};
 use sg_bench::compare::{compare, Verdict, DEFAULT_THRESHOLD_PCT};
@@ -110,10 +112,14 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |what: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => usage(&format!("{arg} needs {what}")),
+            Some(v) if !v.starts_with("--") => v.clone(),
+            _ => usage(&format!("{arg} needs {what}")),
         };
         match arg.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             "--quick" => mode = BenchMode::Quick,
             "--full" => mode = BenchMode::Full,
             "--demo-cluster" => {
@@ -218,11 +224,14 @@ fn fail(err: &str) -> ! {
     std::process::exit(2);
 }
 
+const USAGE: &str = "\
+usage: sg-bench [--quick|--full] [--out PATH] [--compare OLD.json] \
+[--threshold PCT] [--only NAMES] [--demo-cluster]
+";
+
+/// Exit 2: a usage error, with usage on stderr.
 fn usage(err: &str) -> ! {
     eprintln!("sg-bench: {err}");
-    eprintln!(
-        "usage: sg-bench [--quick|--full] [--out PATH] [--compare OLD.json] \
-         [--threshold PCT] [--only NAMES] [--demo-cluster]"
-    );
+    eprint!("{USAGE}");
     std::process::exit(2);
 }

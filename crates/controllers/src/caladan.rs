@@ -25,39 +25,27 @@ use sg_core::time::{SimDuration, SimTime};
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
 use std::collections::HashMap;
 
-/// Tuning constants for CaladanAlgo.
-#[derive(Debug, Clone, Copy)]
-pub struct CaladanConfig {
-    /// Decision interval. Real Caladan runs at 5–20 µs inside its custom
-    /// stack; as a userspace controller on the normal stack the interval
-    /// is far larger (paper Table I footnote).
-    pub interval: SimDuration,
-    /// Congestion threshold on `queueBuildup` (ratio ≥ 1).
-    pub congestion_th: f64,
-    /// Idle revocation: revoke when `queueBuildup` is below this AND
-    /// execution time shows surplus.
-    pub idle_th: f64,
-    /// Surplus ratio for revocation (execTime below this × target).
-    pub surplus_ratio: f64,
-    /// Consecutive idle intervals before revoking a hyperthread.
-    pub revoke_hold: u32,
-}
+/// Decision interval (ours). Real Caladan runs at 5–20 µs inside its
+/// custom stack; as a userspace controller on the normal stack the
+/// interval is far larger (paper Table I footnote).
+const INTERVAL: SimDuration = SimDuration::from_millis(20);
 
-impl Default for CaladanConfig {
-    fn default() -> Self {
-        CaladanConfig {
-            interval: SimDuration::from_millis(20),
-            congestion_th: 1.3,
-            idle_th: 1.05,
-            surplus_ratio: 0.35,
-            revoke_hold: 10,
-        }
-    }
-}
+/// Congestion threshold on `queueBuildup` (a ratio ≥ 1; ours, the same
+/// value as Escalator's Table II threshold).
+const CONGESTION_TH: f64 = 1.3;
+
+/// Idle revocation (ours): revoke when `queueBuildup` is below this AND
+/// execution time shows surplus.
+const IDLE_TH: f64 = 1.05;
+
+/// Surplus ratio for revocation (ours; execTime below this × target).
+const SURPLUS_RATIO: f64 = 0.35;
+
+/// Consecutive idle intervals before revoking a hyperthread (ours).
+const REVOKE_HOLD: u32 = 10;
 
 /// CaladanAlgo controller state for one node.
 pub struct Caladan {
-    cfg: CaladanConfig,
     params: HashMap<ContainerId, ContainerParams>,
     min_cores: u32,
     max_cores: u32,
@@ -67,9 +55,8 @@ pub struct Caladan {
 
 impl Caladan {
     /// Build from the node description.
-    pub fn new(cfg: CaladanConfig, init: &NodeInit) -> Self {
+    pub fn new(init: &NodeInit) -> Self {
         Caladan {
-            cfg,
             params: init.containers.iter().map(|c| (c.id, c.params)).collect(),
             min_cores: init.constraints.min_cores,
             max_cores: init.constraints.max_cores,
@@ -85,7 +72,7 @@ impl Controller for Caladan {
     }
 
     fn tick_interval(&self) -> SimDuration {
-        self.cfg.interval
+        INTERVAL
     }
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
@@ -97,7 +84,7 @@ impl Controller for Caladan {
         let mut congested: Vec<(ContainerId, f64, u32)> = snapshot
             .containers
             .iter()
-            .filter(|c| c.metrics.requests > 0 && c.metrics.queue_buildup > self.cfg.congestion_th)
+            .filter(|c| c.metrics.requests > 0 && c.metrics.queue_buildup > CONGESTION_TH)
             .map(|c| (c.id, c.metrics.queue_buildup, c.alloc.cores))
             .collect();
         congested.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -119,17 +106,17 @@ impl Controller for Caladan {
             if c.metrics.requests == 0 {
                 continue;
             }
-            if c.metrics.queue_buildup > self.cfg.congestion_th {
+            if c.metrics.queue_buildup > CONGESTION_TH {
                 continue;
             }
             let target = self.params[&c.id].expected_exec_metric.as_nanos() as f64;
-            let idle = c.metrics.queue_buildup < self.cfg.idle_th
+            let idle = c.metrics.queue_buildup < IDLE_TH
                 && target > 0.0
-                && (c.metrics.mean_exec_time.as_nanos() as f64) < self.cfg.surplus_ratio * target;
+                && (c.metrics.mean_exec_time.as_nanos() as f64) < SURPLUS_RATIO * target;
             if idle {
                 let streak = self.idle_streak.entry(c.id).or_insert(0);
                 *streak += 1;
-                if *streak >= self.cfg.revoke_hold && c.alloc.cores > self.min_cores {
+                if *streak >= REVOKE_HOLD && c.alloc.cores > self.min_cores {
                     *streak = 0;
                     actions.push(ControlAction::SetCores {
                         id: c.id,
@@ -147,10 +134,7 @@ impl Controller for Caladan {
 
 /// Factory for [`Caladan`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CaladanFactory {
-    /// Tuning constants.
-    pub cfg: CaladanConfig,
-}
+pub struct CaladanFactory;
 
 impl ControllerFactory for CaladanFactory {
     fn name(&self) -> &'static str {
@@ -158,7 +142,7 @@ impl ControllerFactory for CaladanFactory {
     }
 
     fn make(&self, init: NodeInit) -> Box<dyn Controller> {
-        Box::new(Caladan::new(self.cfg, &init))
+        Box::new(Caladan::new(&init))
     }
 }
 
@@ -231,7 +215,7 @@ mod tests {
 
     #[test]
     fn congestion_grants_exactly_one_hyperthread() {
-        let mut c = Caladan::new(CaladanConfig::default(), &init(&[(0, 4), (1, 4)]));
+        let mut c = Caladan::new(&init(&[(0, 4), (1, 4)]));
         let a = c.on_tick(
             SimTime::from_millis(20),
             &snap(&[(0, 4, 2000, 2.0, 100), (1, 4, 500, 1.0, 100)]),
@@ -250,7 +234,7 @@ mod tests {
     fn no_congestion_no_upscale_ever() {
         // Massive exec violation but queueBuildup = 1: CaladanAlgo is
         // blind (the paper's hotelReservation failure mode).
-        let mut c = Caladan::new(CaladanConfig::default(), &init(&[(0, 4)]));
+        let mut c = Caladan::new(&init(&[(0, 4)]));
         for i in 1..=20 {
             let a = c.on_tick(
                 SimTime::from_millis(20 * i),
@@ -266,9 +250,9 @@ mod tests {
 
     #[test]
     fn idle_revocation_needs_a_long_quiet_streak() {
-        let mut c = Caladan::new(CaladanConfig::default(), &init(&[(0, 8)]));
+        let mut c = Caladan::new(&init(&[(0, 8)]));
         let quiet = snap(&[(0, 8, 100, 1.0, 50)]);
-        for i in 1..CaladanConfig::default().revoke_hold as u64 {
+        for i in 1..REVOKE_HOLD as u64 {
             let a = c.on_tick(SimTime::from_millis(20 * i), &quiet);
             assert!(a.is_empty(), "tick {i}: hold, got {a:?}");
         }
@@ -284,7 +268,7 @@ mod tests {
 
     #[test]
     fn congestion_resets_the_idle_streak() {
-        let mut c = Caladan::new(CaladanConfig::default(), &init(&[(0, 8)]));
+        let mut c = Caladan::new(&init(&[(0, 8)]));
         let quiet = snap(&[(0, 8, 100, 1.0, 50)]);
         for i in 1..=5 {
             let _ = c.on_tick(SimTime::from_millis(20 * i), &quiet);

@@ -26,27 +26,19 @@ use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit,
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Timing/quality knobs of the ML-class controller.
-#[derive(Debug, Clone, Copy)]
-pub struct CentralizedConfig {
-    /// Decision cadence (Table I: > 1 s for ML controllers).
-    pub interval: SimDuration,
-    /// Metric collection + inference + decision distribution latency:
-    /// allocations computed at tick `t` take effect at `t + pipeline`.
-    pub pipeline: SimDuration,
-    /// Target utilization of the computed allocation.
-    pub utilization: f64,
-}
+/// Decision cadence (Table I: > 1 s for ML controllers).
+const INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-impl Default for CentralizedConfig {
-    fn default() -> Self {
-        CentralizedConfig {
-            interval: SimDuration::from_secs(1),
-            pipeline: SimDuration::from_millis(500),
-            utilization: 0.65,
-        }
-    }
-}
+/// Metric collection + inference + decision distribution latency (ours):
+/// allocations computed at tick `t` take effect at `t + PIPELINE`.
+const PIPELINE: SimDuration = SimDuration::from_millis(500);
+
+/// Target utilization of the computed allocation (ours).
+const UTILIZATION: f64 = 0.65;
+
+/// SurgeGuard core decisions are suppressed for this long after an ML
+/// re-baseline lands, so the two don't fight over the same cores (ours).
+const ML_GRACE: SimDuration = SimDuration::from_millis(200);
 
 /// The global brain shared by every node's instance (the centralized
 /// inference server). Nodes submit observed per-container request counts;
@@ -60,7 +52,6 @@ pub struct Brain {
 
 /// Per-node instance of the centralized controller.
 pub struct Centralized {
-    cfg: CentralizedConfig,
     brain: Arc<Mutex<Brain>>,
     /// Per-request work of each local container (the model's knowledge).
     work: HashMap<ContainerId, SimDuration>,
@@ -70,8 +61,8 @@ pub struct Centralized {
     total_cores: u32,
     /// Decisions waiting out the pipeline latency: `(ready_at, actions)`.
     in_flight: Vec<(SimTime, Vec<ControlAction>)>,
-    /// Tick countdown: the controller wakes every `poll` (to release
-    /// delayed decisions) but only decides every `interval`.
+    /// Tick countdown: the controller wakes every `POLL` (to release
+    /// delayed decisions) but only decides every `INTERVAL`.
     next_decision: SimTime,
 }
 
@@ -81,13 +72,11 @@ const POLL: SimDuration = SimDuration::from_millis(100);
 impl Centralized {
     /// Build a node instance around the shared brain.
     pub fn new(
-        cfg: CentralizedConfig,
         brain: Arc<Mutex<Brain>>,
         init: &NodeInit,
         work: HashMap<ContainerId, SimDuration>,
     ) -> Self {
         Centralized {
-            cfg,
             brain,
             work,
             min_cores: init.constraints.min_cores,
@@ -95,7 +84,7 @@ impl Centralized {
             step: init.constraints.core_step,
             total_cores: init.constraints.total_cores,
             in_flight: Vec::new(),
-            next_decision: SimTime::ZERO + cfg.interval,
+            next_decision: SimTime::ZERO + INTERVAL,
         }
     }
 
@@ -107,7 +96,7 @@ impl Centralized {
             .iter()
             .map(|(&id, &w)| {
                 let rate = rates.get(&id).copied().unwrap_or(0.0);
-                let cores = (rate * w.as_secs_f64() / self.cfg.utilization).ceil() as u32;
+                let cores = (rate * w.as_secs_f64() / UTILIZATION).ceil() as u32;
                 let stepped = cores.div_ceil(self.step) * self.step;
                 (id, stepped.clamp(self.min_cores, self.max_cores))
             })
@@ -164,7 +153,7 @@ impl Controller for Centralized {
         });
 
         if now >= self.next_decision {
-            self.next_decision = now + self.cfg.interval;
+            self.next_decision = now + INTERVAL;
             // Per-container rates from the last observation window.
             let rates: HashMap<ContainerId, f64> = {
                 let brain = self.brain.lock();
@@ -175,27 +164,16 @@ impl Controller for Centralized {
                     .collect()
             };
             let actions = self.plan(&rates);
-            self.in_flight.push((now + self.cfg.pipeline, actions));
+            self.in_flight.push((now + PIPELINE, actions));
         }
         out
     }
 }
 
 /// Factory for [`Centralized`]; all node instances share one brain.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CentralizedFactory {
-    /// Timing/quality knobs.
-    pub cfg: CentralizedConfig,
     brain: Arc<Mutex<Brain>>,
-}
-
-impl Default for CentralizedFactory {
-    fn default() -> Self {
-        CentralizedFactory {
-            cfg: CentralizedConfig::default(),
-            brain: Arc::new(Mutex::new(Brain::default())),
-        }
-    }
 }
 
 impl ControllerFactory for CentralizedFactory {
@@ -215,12 +193,7 @@ impl ControllerFactory for CentralizedFactory {
                 (c.id, c.params.expected_exec_metric.mul_f64(0.5))
             })
             .collect();
-        Box::new(Centralized::new(
-            self.cfg,
-            Arc::clone(&self.brain),
-            &init,
-            work,
-        ))
+        Box::new(Centralized::new(Arc::clone(&self.brain), &init, work))
     }
 }
 
@@ -229,9 +202,6 @@ impl ControllerFactory for CentralizedFactory {
 pub struct Hybrid {
     ml: Box<dyn Controller>,
     sg: Box<dyn Controller>,
-    /// SurgeGuard decisions are suppressed for this long after an ML
-    /// re-baseline lands, so the two don't fight over the same cores.
-    ml_grace: SimDuration,
     last_ml_action: SimTime,
 }
 
@@ -254,7 +224,7 @@ impl Controller for Hybrid {
             // The baseline wins where both spoke this tick: ML actions are
             // applied after (later actions override earlier ones).
             actions.extend(ml_actions);
-        } else if now.saturating_since(self.last_ml_action) < self.ml_grace {
+        } else if now.saturating_since(self.last_ml_action) < ML_GRACE {
             // Drop SurgeGuard *core* decisions inside the grace window;
             // keep its frequency boosts (they are the surge mechanism).
             actions.retain(|a| !matches!(a, ControlAction::SetCores { .. }));
@@ -272,26 +242,14 @@ impl Controller for Hybrid {
     }
 }
 
-/// Factory for [`Hybrid`].
-#[derive(Clone)]
+/// Factory for [`Hybrid`]; the default pairs a fresh brain with the full
+/// SurgeGuard.
+#[derive(Clone, Default)]
 pub struct HybridFactory {
     /// The centralized side (shared brain).
     pub ml: CentralizedFactory,
     /// The SurgeGuard side.
     pub sg: crate::surgeguard::SurgeGuardFactory,
-    /// Grace window after an ML re-baseline during which SurgeGuard core
-    /// decisions are suppressed.
-    pub ml_grace: SimDuration,
-}
-
-impl Default for HybridFactory {
-    fn default() -> Self {
-        HybridFactory {
-            ml: CentralizedFactory::default(),
-            sg: crate::surgeguard::SurgeGuardFactory::full(),
-            ml_grace: SimDuration::from_millis(200),
-        }
-    }
 }
 
 impl ControllerFactory for HybridFactory {
@@ -303,7 +261,6 @@ impl ControllerFactory for HybridFactory {
         Box::new(Hybrid {
             ml: self.ml.make(init.clone()),
             sg: self.sg.make(init),
-            ml_grace: self.ml_grace,
             last_ml_action: SimTime::ZERO,
         })
     }

@@ -39,11 +39,11 @@ pub mod sg_h;
 pub mod smart_hpa;
 pub mod surgeguard;
 
-pub use caladan::{Caladan, CaladanConfig, CaladanFactory};
-pub use centralized::{Centralized, CentralizedConfig, CentralizedFactory, Hybrid, HybridFactory};
-pub use lsram::{LsramConfig, LsramController, LsramFactory};
+pub use caladan::{Caladan, CaladanFactory};
+pub use centralized::{Centralized, CentralizedFactory, Hybrid, HybridFactory};
+pub use lsram::{LsramController, LsramFactory};
 pub use oracle::{Oracle, OracleConfig, OracleFactory, OracleKnowledge};
-pub use parties::{Parties, PartiesConfig, PartiesFactory};
-pub use sg_h::{SurgeGuardH, SurgeGuardHConfig, SurgeGuardHFactory};
-pub use smart_hpa::{SmartHpaConfig, SmartHpaController, SmartHpaFactory};
+pub use parties::{Parties, PartiesFactory};
+pub use sg_h::{SurgeGuardH, SurgeGuardHFactory};
+pub use smart_hpa::{SmartHpaController, SmartHpaFactory};
 pub use surgeguard::{SurgeGuard, SurgeGuardConfig, SurgeGuardFactory};

@@ -28,58 +28,45 @@ use sg_core::time::{SimDuration, SimTime};
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
 use std::collections::HashMap;
 
-/// Tuning constants for the LSRAM reimplementation.
-#[derive(Debug, Clone, Copy)]
-pub struct LsramConfig {
-    /// Decision interval.
-    pub interval: SimDuration,
-    /// Gradient gain when the group violates its SLO (error > 0).
-    pub gain_up: f64,
-    /// Gradient gain when the group has slack (error < 0). Kept well
-    /// below `gain_up`: the paper's cost gradient reclaims slowly.
-    pub gain_down: f64,
-    /// Relative SLO-error dead band inside which no step is taken.
-    pub deadband: f64,
-    /// Per-tick multiplicative decay of the per-group peak-demand
-    /// tracker backing the reclaim floor (see `peak_floor`).
-    pub peak_decay: f64,
-    /// Reclaim floor, as a fraction of the tracked peak demand: slack
-    /// may not shave the capacity estimate below this. Burst memory —
-    /// with loose SLO targets the gradient happily reclaims a healthy
-    /// baseline all the way to the per-container minimum, and the next
-    /// surge then detonates every pool queue before the estimator can
-    /// react (chain latency couples the groups, so once queues build
-    /// the error signal stops identifying the bottleneck). The floor
-    /// keeps recently-surged groups provisioned; the peak tracker's
-    /// decay reclaims workloads that genuinely stop surging.
-    pub peak_floor: f64,
-    /// Upper clamp on the per-tick multiplicative growth factor. The
-    /// chain-inclusive latency signal spikes first and hardest at the
-    /// chain root, and an unclamped step would hand it the whole node
-    /// in a single interval while every downstream group still sits at
-    /// its reclaimed baseline — a winner-take-all overshoot that
-    /// detonates the downstream queues. Clamped, violating groups grow
-    /// together and keep their relative ordering.
-    pub step_clamp: f64,
-}
+/// Decision interval (ours).
+const INTERVAL: SimDuration = SimDuration::from_millis(500);
 
-impl Default for LsramConfig {
-    fn default() -> Self {
-        LsramConfig {
-            interval: SimDuration::from_millis(500),
-            gain_up: 1.0,
-            gain_down: 0.25,
-            deadband: 0.05,
-            peak_decay: 0.99,
-            peak_floor: 0.9,
-            step_clamp: 1.5,
-        }
-    }
-}
+/// Gradient gain when the group violates its SLO (error > 0; ours).
+const GAIN_UP: f64 = 1.0;
+
+/// Gradient gain when the group has slack (error < 0; ours). Kept well
+/// below `GAIN_UP`: the paper's cost gradient reclaims slowly.
+const GAIN_DOWN: f64 = 0.25;
+
+/// Relative SLO-error dead band inside which no step is taken (ours).
+const DEADBAND: f64 = 0.05;
+
+/// Per-tick multiplicative decay of the per-group peak-demand tracker
+/// backing the reclaim floor (ours; see `PEAK_FLOOR`).
+const PEAK_DECAY: f64 = 0.99;
+
+/// Reclaim floor (ours), as a fraction of the tracked peak demand: slack
+/// may not shave the capacity estimate below this. Burst memory — with
+/// loose SLO targets the gradient happily reclaims a healthy baseline all
+/// the way to the per-container minimum, and the next surge then
+/// detonates every pool queue before the estimator can react (chain
+/// latency couples the groups, so once queues build the error signal
+/// stops identifying the bottleneck). The floor keeps recently-surged
+/// groups provisioned; the peak tracker's decay reclaims workloads that
+/// genuinely stop surging.
+const PEAK_FLOOR: f64 = 0.9;
+
+/// Upper clamp on the per-tick multiplicative growth factor (ours). The
+/// chain-inclusive latency signal spikes first and hardest at the chain
+/// root, and an unclamped step would hand it the whole node in a single
+/// interval while every downstream group still sits at its reclaimed
+/// baseline — a winner-take-all overshoot that detonates the downstream
+/// queues. Clamped, violating groups grow together and keep their
+/// relative ordering.
+const STEP_CLAMP: f64 = 1.5;
 
 /// LSRAM controller state for one node.
 pub struct LsramController {
-    cfg: LsramConfig,
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
     groups: Vec<ServiceId>,
@@ -87,7 +74,7 @@ pub struct LsramController {
     /// The gradient-descended capacity estimate, in core-equivalents.
     capacity: HashMap<ServiceId, f64>,
     /// Decaying peak of the capacity estimate, backing the reclaim
-    /// floor (`LsramConfig::peak_floor`).
+    /// floor (`PEAK_FLOOR`).
     peak: HashMap<ServiceId, f64>,
     min_cores: u32,
     max_cores: u32,
@@ -97,7 +84,7 @@ pub struct LsramController {
 
 impl LsramController {
     /// Build from the node description.
-    pub fn new(cfg: LsramConfig, init: &NodeInit) -> Self {
+    pub fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
         let mut groups = Vec::new();
         let mut params = HashMap::new();
@@ -114,7 +101,6 @@ impl LsramController {
         groups.sort_unstable();
         let peak = capacity.clone();
         LsramController {
-            cfg,
             layout,
             groups,
             params,
@@ -140,7 +126,7 @@ impl Controller for LsramController {
     }
 
     fn tick_interval(&self) -> SimDuration {
-        self.cfg.interval
+        INTERVAL
     }
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
@@ -206,20 +192,16 @@ impl Controller for LsramController {
                 .get(&svc)
                 .copied()
                 .unwrap_or(self.min_cores as f64);
-            if error.abs() >= self.cfg.deadband {
-                let gain = if error > 0.0 {
-                    self.cfg.gain_up
-                } else {
-                    self.cfg.gain_down
-                };
-                cap *= (1.0 + gain * error).min(self.cfg.step_clamp);
+            if error.abs() >= DEADBAND {
+                let gain = if error > 0.0 { GAIN_UP } else { GAIN_DOWN };
+                cap *= (1.0 + gain * error).min(STEP_CLAMP);
             }
             let ceiling = self.max_cores as f64 * self.layout.max_replicas as f64;
             cap = cap.clamp(self.min_cores as f64, ceiling);
-            // Burst-memory floor (see `LsramConfig::peak_floor`).
+            // Burst-memory floor (see `PEAK_FLOOR`).
             let peak = self.peak.entry(svc).or_insert(cap);
-            *peak = (*peak * self.cfg.peak_decay).max(cap);
-            cap = cap.max(*peak * self.cfg.peak_floor).min(ceiling);
+            *peak = (*peak * PEAK_DECAY).max(cap);
+            cap = cap.max(*peak * PEAK_FLOOR).min(ceiling);
             self.capacity.insert(svc, cap);
 
             total_demand += cap;
@@ -362,10 +344,7 @@ impl Controller for LsramController {
 
 /// Factory for [`LsramController`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LsramFactory {
-    /// Tuning constants.
-    pub cfg: LsramConfig,
-}
+pub struct LsramFactory;
 
 impl ControllerFactory for LsramFactory {
     fn name(&self) -> &'static str {
@@ -373,7 +352,7 @@ impl ControllerFactory for LsramFactory {
     }
 
     fn make(&self, init: NodeInit) -> Box<dyn Controller> {
-        Box::new(LsramController::new(self.cfg, &init))
+        Box::new(LsramController::new(&init))
     }
 }
 
@@ -459,7 +438,7 @@ mod tests {
 
     #[test]
     fn violation_grows_vertically_then_scales_out() {
-        let mut l = LsramController::new(LsramConfig::default(), &init(&[(0, 4)], 1000));
+        let mut l = LsramController::new(&init(&[(0, 4)], 1000));
         // 2x the SLO: error = 1.0, step-clamped to a 1.5x growth factor
         // → capacity estimate 4 → 6, still under the 8-core
         // per-container cap → vertical only.
@@ -482,7 +461,7 @@ mod tests {
 
     #[test]
     fn slack_reclaims_capacity_gradually() {
-        let mut l = LsramController::new(LsramConfig::default(), &init(&[(0, 8)], 1000));
+        let mut l = LsramController::new(&init(&[(0, 8)], 1000));
         // Deep slack (0.1x SLO): the burst-memory floor paces reclaim
         // at the peak tracker's ~1%-per-interval decay, so the first
         // visible shrink is one quantisation step down and arrives only
@@ -509,7 +488,7 @@ mod tests {
 
     #[test]
     fn scale_in_drains_excess_replicas() {
-        let mut l = LsramController::new(LsramConfig::default(), &init(&[(0, 8)], 1000));
+        let mut l = LsramController::new(&init(&[(0, 8)], 1000));
         // Force the estimate up to two replicas first.
         l.on_tick(SimTime::from_millis(500), &snapshot(&[(0, 8, 2000, 100)]));
         // Group now runs slots 0 and 2; deep slack pulls the capacity
@@ -535,7 +514,7 @@ mod tests {
 
     #[test]
     fn capacity_is_clamped_to_the_group_ceiling() {
-        let mut l = LsramController::new(LsramConfig::default(), &init(&[(0, 4)], 1000));
+        let mut l = LsramController::new(&init(&[(0, 4)], 1000));
         for i in 1..=20u64 {
             let a = l.on_tick(
                 SimTime::from_millis(500 * i),
@@ -564,7 +543,7 @@ mod tests {
         let mut ni = init(&[(0, 4), (1, 4), (2, 4)], 1000);
         ni.max_container_id = 11;
         ni.constraints.total_cores = 30;
-        let mut l = LsramController::new(LsramConfig::default(), &ni);
+        let mut l = LsramController::new(&ni);
         let mut last = Vec::new();
         for i in 1..=6u64 {
             last = l.on_tick(
@@ -603,7 +582,7 @@ mod tests {
         // 32-core ceiling, summed 64 > 32): the constrained-allocation
         // step scales each share down instead of letting svc0 starve
         // svc1.
-        let mut l = LsramController::new(LsramConfig::default(), &init(&[(0, 4), (1, 4)], 1000));
+        let mut l = LsramController::new(&init(&[(0, 4), (1, 4)], 1000));
         let mut a = Vec::new();
         for i in 1..=2u64 {
             a = l.on_tick(
@@ -631,7 +610,7 @@ mod tests {
 
     #[test]
     fn idle_windows_are_ignored() {
-        let mut l = LsramController::new(LsramConfig::default(), &init(&[(0, 4)], 1000));
+        let mut l = LsramController::new(&init(&[(0, 4)], 1000));
         let a = l.on_tick(SimTime::from_millis(500), &snapshot(&[(0, 4, 99_999, 0)]));
         assert!(a.is_empty());
     }

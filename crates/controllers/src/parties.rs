@@ -24,34 +24,27 @@ use sg_core::time::{SimDuration, SimTime};
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
 use std::collections::HashMap;
 
-/// Tuning constants for the Parties reimplementation.
-#[derive(Debug, Clone, Copy)]
-pub struct PartiesConfig {
-    /// Decision interval (the paper's Table I: 500 ms).
-    pub interval: SimDuration,
-    /// A container violates when `execTime > violate_ratio × target`.
-    pub violate_ratio: f64,
-    /// A container has surplus slack when `execTime < surplus_ratio ×
-    /// target`.
-    pub surplus_ratio: f64,
-    /// Consecutive surplus intervals before downscaling.
-    pub downscale_hold: u32,
-}
+/// Decision interval (the paper's Table I: 500 ms).
+const INTERVAL: SimDuration = SimDuration::from_millis(500);
 
-impl Default for PartiesConfig {
-    fn default() -> Self {
-        PartiesConfig {
-            interval: SimDuration::from_millis(500),
-            violate_ratio: 1.0,
-            surplus_ratio: 0.5,
-            downscale_hold: 3,
-        }
-    }
-}
+/// A container violates when `execTime > VIOLATE_RATIO × target`
+/// (Parties: any QoS excess).
+const VIOLATE_RATIO: f64 = 1.0;
+
+/// A container has surplus slack when `execTime < SURPLUS_RATIO × target`
+/// (ours).
+const SURPLUS_RATIO: f64 = 0.5;
+
+/// Consecutive surplus intervals before downscaling (ours).
+const DOWNSCALE_HOLD: u32 = 3;
+
+/// Utilization guard (ours, not the paper's): a container is only shaved
+/// while its estimated busy fraction after the shave stays at or below
+/// this.
+const MAX_SHAVE_UTILIZATION: f64 = 0.8;
 
 /// Parties controller state for one node.
 pub struct Parties {
-    cfg: PartiesConfig,
     params: HashMap<ContainerId, ContainerParams>,
     min_cores: u32,
     max_cores: u32,
@@ -63,9 +56,8 @@ pub struct Parties {
 
 impl Parties {
     /// Build from the node description.
-    pub fn new(cfg: PartiesConfig, init: &NodeInit) -> Self {
+    pub fn new(init: &NodeInit) -> Self {
         Parties {
-            cfg,
             params: init.containers.iter().map(|c| (c.id, c.params)).collect(),
             min_cores: init.constraints.min_cores,
             max_cores: init.constraints.max_cores,
@@ -95,14 +87,14 @@ impl Parties {
             return 1.0;
         }
         let busy_ns = m.mean_exec_time.as_nanos() as f64 * m.requests as f64;
-        busy_ns / (self.cfg.interval.as_nanos() as f64 * cores as f64)
+        busy_ns / (INTERVAL.as_nanos() as f64 * cores as f64)
     }
 
     /// True when taking one step from this container is safe by the
     /// utilization estimate.
     fn shave_safe(&self, m: &WindowMetrics, cores: u32) -> bool {
         let after = cores.saturating_sub(self.step);
-        after >= self.min_cores && self.busy_fraction(m, after) <= 0.8
+        after >= self.min_cores && self.busy_fraction(m, after) <= MAX_SHAVE_UTILIZATION
     }
 }
 
@@ -112,7 +104,7 @@ impl Controller for Parties {
     }
 
     fn tick_interval(&self) -> SimDuration {
-        self.cfg.interval
+        INTERVAL
     }
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
@@ -134,9 +126,9 @@ impl Controller for Parties {
                 continue;
             }
             let s = self.slack(c.id, c.metrics.mean_exec_time);
-            if s < 1.0 - self.cfg.violate_ratio {
+            if s < 1.0 - VIOLATE_RATIO {
                 violating.push((c.id, s));
-            } else if s > 1.0 - self.cfg.surplus_ratio {
+            } else if s > 1.0 - SURPLUS_RATIO {
                 surplus.push((c.id, s));
             }
         }
@@ -194,7 +186,7 @@ impl Controller for Parties {
             }
             let streak = self.surplus_streak.entry(*id).or_insert(0);
             *streak += 1;
-            if *streak >= self.cfg.downscale_hold {
+            if *streak >= DOWNSCALE_HOLD {
                 *streak = 0;
                 let cur = cores[id];
                 if cur >= self.min_cores + self.step && self.shave_safe(&metrics[id], cur) {
@@ -220,10 +212,7 @@ impl Controller for Parties {
 
 /// Factory for [`Parties`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PartiesFactory {
-    /// Tuning constants.
-    pub cfg: PartiesConfig,
-}
+pub struct PartiesFactory;
 
 impl ControllerFactory for PartiesFactory {
     fn name(&self) -> &'static str {
@@ -231,7 +220,7 @@ impl ControllerFactory for PartiesFactory {
     }
 
     fn make(&self, init: NodeInit) -> Box<dyn Controller> {
-        Box::new(Parties::new(self.cfg, &init))
+        Box::new(Parties::new(&init))
     }
 }
 
@@ -303,7 +292,7 @@ mod tests {
 
     #[test]
     fn violating_container_gets_a_core_step_from_spare() {
-        let mut p = Parties::new(PartiesConfig::default(), &init(&[(0, 4), (1, 4)], 1000));
+        let mut p = Parties::new(&init(&[(0, 4), (1, 4)], 1000));
         // c0 violates (1500 > 1000), c1 healthy-ish; 8 spare cores exist.
         let a = p.on_tick(
             SimTime::from_millis(500),
@@ -319,7 +308,7 @@ mod tests {
     fn steals_from_surplus_when_pool_dry() {
         // 16 cores fully allocated: c0 violating, c1 has big slack and low
         // utilization.
-        let mut p = Parties::new(PartiesConfig::default(), &init(&[(0, 8), (1, 8)], 1000));
+        let mut p = Parties::new(&init(&[(0, 8), (1, 8)], 1000));
         let a = p.on_tick(
             SimTime::from_millis(500),
             &snapshot(&[(0, 8, 1500, 100), (1, 8, 100, 50)]),
@@ -339,7 +328,7 @@ mod tests {
         // c1 has exec slack but is genuinely busy: 3400 requests of 800us
         // in a 500ms window on 8 cores (busy=0.68; after shave 0.91) —
         // shaving would saturate it.
-        let mut p = Parties::new(PartiesConfig::default(), &init(&[(0, 8), (1, 8)], 2000));
+        let mut p = Parties::new(&init(&[(0, 8), (1, 8)], 2000));
         let a = p.on_tick(
             SimTime::from_millis(500),
             &snapshot(&[(0, 8, 2500, 100), (1, 8, 800, 3400)]),
@@ -359,7 +348,7 @@ mod tests {
 
     #[test]
     fn downscale_needs_sustained_surplus() {
-        let mut p = Parties::new(PartiesConfig::default(), &init(&[(0, 8)], 1000));
+        let mut p = Parties::new(&init(&[(0, 8)], 1000));
         let snap = snapshot(&[(0, 8, 100, 50)]); // deep surplus, tiny load
         for i in 1..=2 {
             let a = p.on_tick(SimTime::from_millis(500 * i), &snap);
@@ -374,7 +363,7 @@ mod tests {
 
     #[test]
     fn idle_windows_are_ignored() {
-        let mut p = Parties::new(PartiesConfig::default(), &init(&[(0, 4)], 1000));
+        let mut p = Parties::new(&init(&[(0, 4)], 1000));
         let a = p.on_tick(
             SimTime::from_millis(500),
             &snapshot(&[(0, 4, 99_999, 0)]), // garbage metrics, zero requests

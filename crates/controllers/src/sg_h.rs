@@ -7,7 +7,7 @@
 //! reshuffles cores on the decision cycle — both are intra-node and act
 //! within milliseconds. Replica scaling is the slowest tier: only when a
 //! service group's aggregate utilization stays beyond threshold for
-//! `hold` consecutive decision cycles does SurgeGuard-H add (or drain)
+//! `HOLD` consecutive decision cycles does SurgeGuard-H add (or drain)
 //! one replica, leaving every faster correction to the wrapped vertical
 //! controller. One step per group per trigger keeps the horizontal tier
 //! from oscillating against Escalator's core moves.
@@ -29,36 +29,20 @@ use sg_sim::controller::{
 use sg_telemetry::{MetricSample, SharedSink};
 use std::collections::{HashMap, HashSet};
 
-/// Configuration of SurgeGuard-H.
-#[derive(Debug, Clone)]
-pub struct SurgeGuardHConfig {
-    /// The wrapped vertical controller.
-    pub inner: SurgeGuardConfig,
-    /// Group utilization above which a sustained shortfall adds a
-    /// replica.
-    pub high_utilization: f64,
-    /// Group utilization below which a sustained surplus drains one.
-    pub low_utilization: f64,
-    /// Consecutive decision cycles beyond threshold before acting.
-    pub hold: u32,
-}
+/// Group utilization above which a sustained shortfall adds a replica
+/// (ours).
+const HIGH_UTILIZATION: f64 = 0.75;
 
-impl Default for SurgeGuardHConfig {
-    fn default() -> Self {
-        SurgeGuardHConfig {
-            inner: SurgeGuardConfig::default(),
-            high_utilization: 0.75,
-            low_utilization: 0.25,
-            // 5 × the 100 ms Escalator cycle: vertical scaling gets half
-            // a second to solve the surge intra-node first.
-            hold: 5,
-        }
-    }
-}
+/// Group utilization below which a sustained surplus drains one (ours).
+const LOW_UTILIZATION: f64 = 0.25;
+
+/// Consecutive decision cycles beyond threshold before acting (ours):
+/// 5 × the 100 ms Escalator cycle gives vertical scaling half a second to
+/// solve the surge intra-node first.
+const HOLD: u32 = 5;
 
 /// The per-node SurgeGuard-H instance.
 pub struct SurgeGuardH {
-    cfg: SurgeGuardHConfig,
     inner: SurgeGuard,
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
@@ -69,7 +53,7 @@ pub struct SurgeGuardH {
 
 impl SurgeGuardH {
     /// Build from the node description.
-    pub fn new(cfg: SurgeGuardHConfig, init: &NodeInit) -> Self {
+    pub fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
         // Hand the inner controller every replica slot of the node's
         // groups, not just the initially active ones: replicas inherit
@@ -108,8 +92,7 @@ impl SurgeGuardH {
             .collect();
         groups.sort_unstable();
         SurgeGuardH {
-            inner: SurgeGuard::new(cfg.inner.clone(), &expanded),
-            cfg,
+            inner: SurgeGuard::new(SurgeGuardConfig::default(), &expanded),
             layout,
             groups,
             high_streak: HashMap::new(),
@@ -177,25 +160,25 @@ impl Controller for SurgeGuardH {
             }
             let utilization = g.busy_ns / (interval_ns * g.cores as f64);
             let primary = ContainerId(self.layout.slot_of(svc, 0) as u32);
-            if utilization > self.cfg.high_utilization
+            if utilization > HIGH_UTILIZATION
                 && g.requests > 0
                 && g.replicas < self.layout.max_replicas
             {
                 self.low_streak.remove(&svc);
                 let streak = self.high_streak.entry(svc).or_insert(0);
                 *streak += 1;
-                if *streak >= self.cfg.hold {
+                if *streak >= HOLD {
                     *streak = 0;
                     actions.push(ControlAction::SetReplicas {
                         id: primary,
                         replicas: g.replicas + 1,
                     });
                 }
-            } else if utilization < self.cfg.low_utilization && g.replicas > 1 {
+            } else if utilization < LOW_UTILIZATION && g.replicas > 1 {
                 self.high_streak.remove(&svc);
                 let streak = self.low_streak.entry(svc).or_insert(0);
                 *streak += 1;
-                if *streak >= self.cfg.hold {
+                if *streak >= HOLD {
                     *streak = 0;
                     actions.push(ControlAction::SetReplicas {
                         id: primary,
@@ -212,11 +195,8 @@ impl Controller for SurgeGuardH {
 }
 
 /// Factory for [`SurgeGuardH`].
-#[derive(Debug, Clone, Default)]
-pub struct SurgeGuardHFactory {
-    /// Controller configuration (shared by every node's instance).
-    pub cfg: SurgeGuardHConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SurgeGuardHFactory;
 
 impl ControllerFactory for SurgeGuardHFactory {
     fn name(&self) -> &'static str {
@@ -224,7 +204,7 @@ impl ControllerFactory for SurgeGuardHFactory {
     }
 
     fn make(&self, init: NodeInit) -> Box<dyn Controller> {
-        Box::new(SurgeGuardH::new(self.cfg.clone(), &init))
+        Box::new(SurgeGuardH::new(&init))
     }
 }
 
@@ -301,16 +281,9 @@ mod tests {
         }
     }
 
-    fn cfg(hold: u32) -> SurgeGuardHConfig {
-        SurgeGuardHConfig {
-            hold,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn late_packet_fast_path_is_preserved() {
-        let mut sg = SurgeGuardH::new(SurgeGuardHConfig::default(), &init());
+        let mut sg = SurgeGuardH::new(&init());
         let meta = RpcMetadata::new_job(SimTime::ZERO);
         let a = sg.on_packet(SimTime::from_millis(5), ContainerId(0), meta);
         assert_eq!(
@@ -330,12 +303,12 @@ mod tests {
 
     #[test]
     fn sustained_saturation_adds_a_replica() {
-        let mut sg = SurgeGuardH::new(cfg(3), &init());
+        let mut sg = SurgeGuardH::new(&init());
         // svc0 at 4 cores with 900 × 500us busy per 100 ms window:
-        // utilization 1.125 — saturated, but only after 3 cycles does
+        // utilization 1.125 — saturated, but only after HOLD cycles does
         // the horizontal tier move.
         let snap = snapshot(&[(0, 4, 500, 900), (1, 4, 500, 200)]);
-        for i in 1..=2u64 {
+        for i in 1..HOLD as u64 {
             let a = sg.on_tick(SimTime::from_millis(100 * i), &snap);
             assert!(
                 !a.iter()
@@ -343,7 +316,7 @@ mod tests {
                 "cycle {i}: vertical tier must get first shot, got {a:?}"
             );
         }
-        let a = sg.on_tick(SimTime::from_millis(300), &snap);
+        let a = sg.on_tick(SimTime::from_millis(100 * HOLD as u64), &snap);
         assert!(a.contains(&ControlAction::SetReplicas {
             id: ContainerId(0),
             replicas: 2
@@ -352,13 +325,13 @@ mod tests {
 
     #[test]
     fn replica_slots_fold_into_their_group() {
-        let mut sg = SurgeGuardH::new(cfg(3), &init());
+        let mut sg = SurgeGuardH::new(&init());
         // svc0 runs primary (slot 0) and replica (slot 2); the group is
         // already at max_replicas, so even sustained saturation cannot
         // add more — and the replica slot's metrics resolve against the
         // primary's inherited profile without panicking.
         let snap = snapshot(&[(0, 4, 500, 900), (2, 4, 500, 900), (1, 4, 500, 200)]);
-        for i in 1..=4u64 {
+        for i in 1..=2 * HOLD as u64 {
             let a = sg.on_tick(SimTime::from_millis(100 * i), &snap);
             assert!(
                 !a.iter()
@@ -370,10 +343,10 @@ mod tests {
 
     #[test]
     fn sustained_idleness_drains_the_replica() {
-        let mut sg = SurgeGuardH::new(cfg(3), &init());
+        let mut sg = SurgeGuardH::new(&init());
         // svc0's two replicas nearly idle: utilization 0.0125.
         let snap = snapshot(&[(0, 4, 100, 10), (2, 4, 100, 10), (1, 4, 500, 200)]);
-        for i in 1..=2u64 {
+        for i in 1..HOLD as u64 {
             let a = sg.on_tick(SimTime::from_millis(100 * i), &snap);
             assert!(
                 !a.iter()
@@ -381,14 +354,14 @@ mod tests {
                 "cycle {i}: drain must wait out the hold, got {a:?}"
             );
         }
-        let a = sg.on_tick(SimTime::from_millis(300), &snap);
+        let a = sg.on_tick(SimTime::from_millis(100 * HOLD as u64), &snap);
         assert!(a.contains(&ControlAction::SetReplicas {
             id: ContainerId(0),
             replicas: 1
         }));
         // The primary alone is never drained below one replica.
         let solo = snapshot(&[(0, 4, 100, 10), (1, 4, 500, 200)]);
-        for i in 4..=20u64 {
+        for i in HOLD as u64 + 1..=4 * HOLD as u64 {
             let a = sg.on_tick(SimTime::from_millis(100 * i), &solo);
             assert!(
                 !a.iter()

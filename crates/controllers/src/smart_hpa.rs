@@ -27,30 +27,17 @@ use sg_core::time::{SimDuration, SimTime};
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
 use std::collections::HashMap;
 
-/// Tuning constants for the Smart HPA reimplementation.
-#[derive(Debug, Clone, Copy)]
-pub struct SmartHpaConfig {
-    /// Decision interval.
-    pub interval: SimDuration,
-    /// Target per-group CPU utilization driving the HPA formula.
-    pub target_utilization: f64,
-    /// Consecutive overprovisioned intervals before replicas release.
-    pub down_hold: u32,
-}
+/// Decision interval (ours).
+const INTERVAL: SimDuration = SimDuration::from_millis(500);
 
-impl Default for SmartHpaConfig {
-    fn default() -> Self {
-        SmartHpaConfig {
-            interval: SimDuration::from_millis(500),
-            target_utilization: 0.5,
-            down_hold: 3,
-        }
-    }
-}
+/// Target per-group CPU utilization driving the HPA formula (ours).
+const TARGET_UTILIZATION: f64 = 0.5;
+
+/// Consecutive overprovisioned intervals before replicas release (ours).
+const DOWN_HOLD: u32 = 3;
 
 /// Smart HPA controller state for one node.
 pub struct SmartHpaController {
-    cfg: SmartHpaConfig,
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
     groups: Vec<ServiceId>,
@@ -63,7 +50,7 @@ pub struct SmartHpaController {
 
 impl SmartHpaController {
     /// Build from the node description.
-    pub fn new(cfg: SmartHpaConfig, init: &NodeInit) -> Self {
+    pub fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
         let mut groups = Vec::new();
         let mut spawn_cores = HashMap::new();
@@ -76,7 +63,6 @@ impl SmartHpaController {
         }
         groups.sort_unstable();
         SmartHpaController {
-            cfg,
             layout,
             groups,
             spawn_cores,
@@ -92,7 +78,7 @@ impl Controller for SmartHpaController {
     }
 
     fn tick_interval(&self) -> SimDuration {
-        self.cfg.interval
+        INTERVAL
     }
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
@@ -102,7 +88,7 @@ impl Controller for SmartHpaController {
             cores: u32,
             utilization: f64,
         }
-        let interval_ns = self.cfg.interval.as_nanos() as f64;
+        let interval_ns = INTERVAL.as_nanos() as f64;
         let mut views: HashMap<ServiceId, Group> = HashMap::new();
         let mut allocated: u32 = 0;
         for c in &snapshot.containers {
@@ -132,13 +118,12 @@ impl Controller for SmartHpaController {
         let mut wants: Vec<(ServiceId, u32, f64)> = Vec::new(); // (svc, desired, util)
         for &svc in &self.groups {
             let Some(g) = views.get(&svc) else { continue };
-            let desired = ((g.replicas as f64 * g.utilization / self.cfg.target_utilization).ceil()
-                as u32)
+            let desired = ((g.replicas as f64 * g.utilization / TARGET_UTILIZATION).ceil() as u32)
                 .clamp(1, self.layout.max_replicas);
             if desired < g.replicas {
                 let streak = self.down_streak.entry(svc).or_insert(0);
                 *streak += 1;
-                if *streak >= self.cfg.down_hold {
+                if *streak >= DOWN_HOLD {
                     *streak = 0;
                     // Credit the mean per-replica footprint of the
                     // replicas being drained back to the exchange.
@@ -185,10 +170,7 @@ impl Controller for SmartHpaController {
 
 /// Factory for [`SmartHpaController`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SmartHpaFactory {
-    /// Tuning constants.
-    pub cfg: SmartHpaConfig,
-}
+pub struct SmartHpaFactory;
 
 impl ControllerFactory for SmartHpaFactory {
     fn name(&self) -> &'static str {
@@ -196,7 +178,7 @@ impl ControllerFactory for SmartHpaFactory {
     }
 
     fn make(&self, init: NodeInit) -> Box<dyn Controller> {
-        Box::new(SmartHpaController::new(self.cfg, &init))
+        Box::new(SmartHpaController::new(&init))
     }
 }
 
@@ -272,7 +254,7 @@ mod tests {
 
     #[test]
     fn hpa_formula_scales_out_on_high_utilization() {
-        let mut h = SmartHpaController::new(SmartHpaConfig::default(), &init(&[(0, 4)], 32));
+        let mut h = SmartHpaController::new(&init(&[(0, 4)], 32));
         // 3600 × 500us busy in a 500ms × 4-core window: util 0.9 →
         // desired = ceil(1 × 0.9/0.5) = 2; 28 spare cores afford it.
         let a = h.on_tick(SimTime::from_millis(500), &snapshot(&[(0, 4, 500, 3600)]));
@@ -287,7 +269,7 @@ mod tests {
 
     #[test]
     fn utilization_on_target_is_stable() {
-        let mut h = SmartHpaController::new(SmartHpaConfig::default(), &init(&[(0, 4)], 32));
+        let mut h = SmartHpaController::new(&init(&[(0, 4)], 32));
         // 2000 × 500us busy: util exactly 0.5 → desired = current = 1.
         let a = h.on_tick(SimTime::from_millis(500), &snapshot(&[(0, 4, 500, 2000)]));
         assert!(a.is_empty(), "on-target group must not move: {a:?}");
@@ -295,7 +277,7 @@ mod tests {
 
     #[test]
     fn downscale_waits_for_sustained_overprovisioning() {
-        let mut h = SmartHpaController::new(SmartHpaConfig::default(), &init(&[(0, 4)], 32));
+        let mut h = SmartHpaController::new(&init(&[(0, 4)], 32));
         // Two replicas (slots 0 and 2) at util 0.1 → desired 1, held
         // back for down_hold = 3 intervals.
         let snap = snapshot(&[(0, 4, 500, 400), (2, 4, 500, 400)]);
@@ -317,7 +299,7 @@ mod tests {
     fn scale_out_without_budget_is_withheld() {
         // 8-core node fully allocated to one group: vanilla HPA would
         // demand a third replica anyway; Smart HPA withholds it.
-        let mut h = SmartHpaController::new(SmartHpaConfig::default(), &init(&[(0, 4)], 8));
+        let mut h = SmartHpaController::new(&init(&[(0, 4)], 8));
         let a = h.on_tick(
             SimTime::from_millis(500),
             &snapshot(&[(0, 4, 500, 3600), (2, 4, 500, 3600)]),
@@ -330,8 +312,7 @@ mod tests {
         // 16-core node fully allocated: svc0 (slots 0, 2) saturated,
         // svc1 (slots 1, 5) idle. The exchange drains svc1 and spends
         // the freed cores on svc0 — in that order.
-        let mut h =
-            SmartHpaController::new(SmartHpaConfig::default(), &init(&[(0, 4), (1, 4)], 16));
+        let mut h = SmartHpaController::new(&init(&[(0, 4), (1, 4)], 16));
         let snap = snapshot(&[
             (0, 4, 500, 3600),
             (2, 4, 500, 3600),
@@ -361,7 +342,7 @@ mod tests {
 
     #[test]
     fn idle_windows_are_ignored() {
-        let mut h = SmartHpaController::new(SmartHpaConfig::default(), &init(&[(0, 4)], 32));
+        let mut h = SmartHpaController::new(&init(&[(0, 4)], 32));
         let a = h.on_tick(SimTime::from_millis(500), &snapshot(&[(0, 4, 99_999, 0)]));
         assert!(a.is_empty());
     }

@@ -19,7 +19,7 @@ use sg_core::fault::FaultNotice;
 use sg_core::firstresponder::{FirstResponder, FirstResponderConfig};
 use sg_core::ids::ContainerId;
 use sg_core::ids::NodeId;
-use sg_core::metadata::RpcMetadata;
+use sg_core::metadata::{RpcMetadata, DEFAULT_UPSCALE_HOPS};
 use sg_core::score::ContainerObservation;
 use sg_core::time::{SimDuration, SimTime};
 use sg_core::{AllocAction, EscalatorConfig};
@@ -27,40 +27,41 @@ use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit,
 use sg_telemetry::{ActionKind, MetricId, MetricSample, ScoredAction, SharedSink, TelemetryEvent};
 use std::collections::{HashMap, HashSet};
 
-/// Configuration of the full controller.
+/// Escalator decision-cycle period (ours).
+///
+/// Escalator reuses the Parties ALLOCATION ALGORITHM but runs its own,
+/// finer decision cycle — the paper's Table I places SurgeGuard's slow
+/// path well under Parties' 500 ms, and the §VI-B claim that Escalator
+/// alone captures almost all of SurgeGuard's long-surge benefit requires
+/// sub-surge reaction time. FirstResponder covers everything faster than
+/// this.
+pub const ESCALATOR_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// Minimum FirstResponder cooldown window (ours; the nominal window is
+/// 2× the profiled end-to-end latency, §IV-A).
+const MIN_COOLDOWN: SimDuration = SimDuration::from_micros(500);
+
+/// Configuration of the full controller: the switches the paper's
+/// component analyses turn off.
 #[derive(Debug, Clone)]
 pub struct SurgeGuardConfig {
-    /// Escalator thresholds and ablation switches.
+    /// Escalator ablation switches.
     pub escalator: EscalatorConfig,
-    /// Escalator decision-cycle period.
-    pub escalator_interval: SimDuration,
     /// Enable the per-packet fast path.
     pub enable_firstresponder: bool,
-    /// Minimum FirstResponder cooldown window (the nominal window is 2×
-    /// the profiled end-to-end latency).
-    pub min_cooldown: SimDuration,
 }
 
 impl Default for SurgeGuardConfig {
     fn default() -> Self {
         SurgeGuardConfig {
             escalator: EscalatorConfig::default(),
-            // Escalator reuses the Parties ALLOCATION ALGORITHM but runs
-            // its own, finer decision cycle — the paper's Table I places
-            // SurgeGuard's slow path well under Parties' 500 ms, and the
-            // §VI-B claim that Escalator alone captures almost all of
-            // SurgeGuard's long-surge benefit requires sub-surge reaction
-            // time. FirstResponder covers everything faster than this.
-            escalator_interval: SimDuration::from_millis(100),
             enable_firstresponder: true,
-            min_cooldown: SimDuration::from_micros(500),
         }
     }
 }
 
 /// The per-node SurgeGuard instance.
 pub struct SurgeGuard {
-    cfg: SurgeGuardConfig,
     node: NodeId,
     /// Local container ids, ascending — the metrics hook must iterate in
     /// a deterministic order (HashMap order is not).
@@ -86,7 +87,7 @@ impl SurgeGuard {
                 expected[c.id.index()] = Some(c.params.expected_time_from_start);
                 downstream[c.id.index()] = c.local_downstream.clone();
             }
-            let cooldown = (init.e2e_low_load * 2).max(cfg.min_cooldown);
+            let cooldown = (init.e2e_low_load * 2).max(MIN_COOLDOWN);
             FirstResponder::new(FirstResponderConfig {
                 expected_time_from_start: expected,
                 local_downstream: downstream,
@@ -107,7 +108,6 @@ impl SurgeGuard {
         let mut local_ids: Vec<ContainerId> = init.containers.iter().map(|c| c.id).collect();
         local_ids.sort_unstable();
         SurgeGuard {
-            cfg,
             node: init.node,
             local_ids,
             fr,
@@ -135,7 +135,7 @@ impl Controller for SurgeGuard {
     }
 
     fn tick_interval(&self) -> SimDuration {
-        self.cfg.escalator_interval
+        ESCALATOR_INTERVAL
     }
 
     fn on_packet(
@@ -209,7 +209,7 @@ impl Controller for SurgeGuard {
                 alloc: c.alloc,
             })
             .collect();
-        let decision = self.escalator.decide(&inputs, self.cfg.escalator_interval);
+        let decision = self.escalator.decide(&inputs, ESCALATOR_INTERVAL);
 
         let mut actions: Vec<ControlAction> = decision
             .actions
@@ -226,7 +226,7 @@ impl Controller for SurgeGuard {
         for &id in &new_hints {
             actions.push(ControlAction::SetEgressHint {
                 id,
-                hops: self.cfg.escalator.upscale_hops,
+                hops: DEFAULT_UPSCALE_HOPS,
             });
         }
         for &id in self.hinted.difference(&new_hints) {
@@ -338,9 +338,7 @@ impl SurgeGuardFactory {
                 escalator: EscalatorConfig {
                     use_new_metrics,
                     use_sensitivity,
-                    ..Default::default()
                 },
-                ..Default::default()
             },
         }
     }
@@ -478,7 +476,7 @@ mod tests {
         let a1 = sg.on_tick(SimTime::from_millis(100), &snap(3.0));
         assert!(a1.contains(&ControlAction::SetEgressHint {
             id: ContainerId(0),
-            hops: sg_core::metadata::DEFAULT_UPSCALE_HOPS,
+            hops: DEFAULT_UPSCALE_HOPS,
         }));
         // Cycle 2: buildup gone → hint cleared exactly once.
         let a2 = sg.on_tick(SimTime::from_millis(200), &snap(1.0));

@@ -119,7 +119,7 @@ fn parties_upscales_contended_container_under_sustained_overload() {
         period: SimDuration::from_secs(100),
         first_spike: SimTime::from_secs(3),
     };
-    let r = run(&sc, &PartiesFactory::default(), &pattern, 8, true);
+    let r = run(&sc, &PartiesFactory, &pattern, 8, true);
     assert!(
         peak_cores(&r, 1, 6) > 6,
         "Parties must upscale the contended bottleneck: s1={}",
@@ -142,7 +142,7 @@ fn parties_misdirects_cores_under_fixed_pool() {
         period: SimDuration::from_secs(100),
         first_spike: SimTime::from_secs(3),
     };
-    let r = run(&sc, &PartiesFactory::default(), &pattern, 10, true);
+    let r = run(&sc, &PartiesFactory, &pattern, 10, true);
     let s0 = peak_cores(&r, 0, 4);
     let s1 = peak_cores(&r, 1, 6);
     assert!(s0 > 4, "Parties upscales the queue-y upstream, s0={s0}");
@@ -187,7 +187,7 @@ fn caladan_ignores_connection_per_request_surges() {
         first_spike: SimTime::from_secs(3),
     };
     let secs = 10;
-    let r_cal = run(&sc, &CaladanFactory::default(), &pattern, secs, true);
+    let r_cal = run(&sc, &CaladanFactory, &pattern, secs, true);
     assert!(
         peak_cores(&r_cal, 0, 4) <= 4,
         "CaladanAlgo must not upscale s0 without queue buildup"
@@ -216,7 +216,7 @@ fn caladan_feeds_the_queueing_container_not_downstream() {
         period: SimDuration::from_secs(100),
         first_spike: SimTime::from_secs(3),
     };
-    let r = run(&sc, &CaladanFactory::default(), &pattern, 10, true);
+    let r = run(&sc, &CaladanFactory, &pattern, 10, true);
     let s0 = peak_cores(&r, 0, 4);
     let s1 = peak_cores(&r, 1, 6);
     assert!(
@@ -236,7 +236,7 @@ fn surgeguard_beats_parties_on_threadpool_surges() {
     let sc = scenario(ConnModel::FixedPool(pool));
     let pattern = SpikePattern::periodic(sc.base_rate, 1.75, SimDuration::from_secs(2));
     let secs = 24; // two surge cycles in the measurement window
-    let r_p = run(&sc, &PartiesFactory::default(), &pattern, secs, false);
+    let r_p = run(&sc, &PartiesFactory, &pattern, secs, false);
     let r_sg = run(&sc, &SurgeGuardFactory::full(), &pattern, secs, false);
     let rep_p = report(&sc, &r_p, secs);
     let rep_sg = report(&sc, &r_sg, secs);
@@ -346,8 +346,8 @@ fn all_controllers_respect_core_budget() {
     let sc = scenario(ConnModel::FixedPool(pool));
     let pattern = SpikePattern::periodic(sc.base_rate, 1.75, SimDuration::from_secs(2));
     for factory in [
-        &PartiesFactory::default() as &dyn ControllerFactory,
-        &CaladanFactory::default(),
+        &PartiesFactory as &dyn ControllerFactory,
+        &CaladanFactory,
         &SurgeGuardFactory::full(),
     ] {
         let r = run(&sc, factory, &pattern, 14, true);

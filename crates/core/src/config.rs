@@ -1,5 +1,5 @@
-//! Controller configuration: per-container QoS parameters and Escalator
-//! thresholds.
+//! Controller configuration: per-container QoS parameters and the
+//! Escalator's ablation switches.
 //!
 //! SurgeGuard needs two parameters per container (paper §IV, "SurgeGuard
 //! Parameters"): the expected execution metric (`expectedExecMetric`) and
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub struct ContainerParams {
     /// Expected (target) value of `execMetric` for one request at this
     /// container. An observed `execMetric` above
-    /// `exec_th × expected_exec_metric` is an execution-time violation.
+    /// `EXEC_TH × expected_exec_metric` is an execution-time violation.
     pub expected_exec_metric: SimDuration,
     /// Expected elapsed time from job start to the arrival of a request at
     /// this container. Used by FirstResponder's per-packet slack (Eq. 4).
@@ -43,32 +43,12 @@ impl ContainerParams {
 /// targets used throughout the paper's evaluation.
 pub const PROFILE_TARGET_FACTOR: f64 = 2.0;
 
-/// Thresholds and tuning knobs for the Escalator decision cycle.
+/// The Escalator's ablation switches (Fig. 15). Its thresholds are
+/// constants next to the code that reads them: the Table II conditions in
+/// [`crate::score`], the sensitivity and downscale rules in
+/// [`crate::escalator`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EscalatorConfig {
-    /// `queueBuildup` above this value flags hidden-dependency queueing and
-    /// marks *downstream* containers as upscaling candidates (Table II).
-    /// `queueBuildup` is a ratio ≥ 1 (Eq. 3), so the threshold is a ratio.
-    pub queue_th: f64,
-    /// `execMetric / expectedExecMetric` above this flags a true local
-    /// slowdown and marks *this* container as an upscaling candidate.
-    pub exec_th: f64,
-    /// EWMA coefficient for the sensitivity matrix (paper uses α = 0.5,
-    /// weighting new observations heavily so sensitivities track current
-    /// conditions).
-    pub alpha: f64,
-    /// A core is revoked from a container when the sensitivity of its
-    /// marginal core falls below this (paper: 0.02 "works well").
-    pub sens_revoke_th: f64,
-    /// Number of downstream hops an upscaling hint travels (Fig. 8).
-    pub upscale_hops: u8,
-    /// Base-allocator downscale rule: a score-zero container whose
-    /// `execMetric` stays below `downscale_frac × expected` for
-    /// `downscale_hold_cycles` consecutive cycles gives back one core step.
-    pub downscale_frac: f64,
-    /// Consecutive under-utilized cycles required before a Parties-style
-    /// downscale (guards against flapping on transient dips).
-    pub downscale_hold_cycles: u32,
     /// Ablation switch (Fig. 15): when false, Escalator ignores
     /// `queueBuildup`/hints and scores on raw `execTime` like a
     /// per-container controller ("Parties + sensitivity" configuration).
@@ -77,69 +57,14 @@ pub struct EscalatorConfig {
     /// sensitivity-based ranking and revocation
     /// ("Parties + new metrics" configuration).
     pub use_sensitivity: bool,
-    /// Decision cycles before an unrefreshed sensitivity-matrix cell
-    /// expires (measurements from a different load regime must not steer
-    /// decisions forever).
-    pub sens_max_age_cycles: u32,
 }
 
 impl Default for EscalatorConfig {
     fn default() -> Self {
         EscalatorConfig {
-            queue_th: 1.3,
-            exec_th: 1.0,
-            alpha: 0.5,
-            sens_revoke_th: 0.02,
-            upscale_hops: crate::metadata::DEFAULT_UPSCALE_HOPS,
-            downscale_frac: 0.5,
-            // Give-back is deliberately slow (~5 s at the 100 ms cycle):
-            // returning surge cores the moment a surge ends re-pays the
-            // escalation transient on every recurrence. The paper's
-            // resource savings over Parties are small (2–8 %), implying
-            // its Escalator also holds between surges.
-            downscale_hold_cycles: 50,
             use_new_metrics: true,
             use_sensitivity: true,
-            sens_max_age_cycles: 150,
         }
-    }
-}
-
-impl EscalatorConfig {
-    /// Validate parameter ranges; returns a description of the first
-    /// problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.queue_th < 1.0 || self.queue_th.is_nan() {
-            return Err(format!(
-                "queue_th must be >= 1.0 (queueBuildup is a ratio >= 1), got {}",
-                self.queue_th
-            ));
-        }
-        if self.exec_th <= 0.0 || self.exec_th.is_nan() {
-            return Err(format!("exec_th must be positive, got {}", self.exec_th));
-        }
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err(format!("alpha must be in [0,1], got {}", self.alpha));
-        }
-        if !(0.0..1.0).contains(&self.sens_revoke_th) {
-            return Err(format!(
-                "sens_revoke_th must be in [0,1), got {}",
-                self.sens_revoke_th
-            ));
-        }
-        if !(0.0..1.0).contains(&self.downscale_frac) {
-            return Err(format!(
-                "downscale_frac must be in [0,1), got {}",
-                self.downscale_frac
-            ));
-        }
-        if self.downscale_hold_cycles == 0 {
-            return Err("downscale_hold_cycles must be >= 1".into());
-        }
-        if self.sens_max_age_cycles == 0 {
-            return Err("sens_max_age_cycles must be >= 1".into());
-        }
-        Ok(())
     }
 }
 
@@ -156,37 +81,5 @@ mod tests {
         );
         assert_eq!(p.expected_exec_metric, SimDuration::from_micros(200));
         assert_eq!(p.expected_time_from_start, SimDuration::from_micros(800));
-    }
-
-    #[test]
-    fn default_config_is_valid() {
-        assert!(EscalatorConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_bad_ranges() {
-        let c = EscalatorConfig {
-            queue_th: 0.5,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = EscalatorConfig {
-            alpha: 1.5,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = EscalatorConfig {
-            sens_revoke_th: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-
-        let c = EscalatorConfig {
-            exec_th: 0.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
     }
 }

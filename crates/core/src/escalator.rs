@@ -28,6 +28,34 @@ use crate::sensitivity::SensitivityMatrix;
 use crate::time::SimDuration;
 use std::collections::HashMap;
 
+/// EWMA coefficient for the sensitivity matrix (paper §IV-B: α = 0.5,
+/// weighting new observations heavily so sensitivities track current
+/// conditions).
+const ALPHA: f64 = 0.5;
+
+/// A core is revoked from a container when the sensitivity of its
+/// marginal core falls below this (paper §IV-B: 0.02 "works well").
+const SENS_REVOKE_TH: f64 = 0.02;
+
+/// Base-allocator downscale rule (ours): a score-zero container whose
+/// `execMetric` stays below `DOWNSCALE_FRAC × expected` for
+/// `DOWNSCALE_HOLD_CYCLES` consecutive cycles gives back one core step.
+const DOWNSCALE_FRAC: f64 = 0.5;
+
+/// Consecutive under-utilized cycles required before a Parties-style
+/// downscale (ours; guards against flapping on transient dips).
+///
+/// Give-back is deliberately slow (~5 s at the 100 ms cycle): returning
+/// surge cores the moment a surge ends re-pays the escalation transient
+/// on every recurrence. The paper's resource savings over Parties are
+/// small (2–8 %), implying its Escalator also holds between surges.
+const DOWNSCALE_HOLD_CYCLES: u32 = 50;
+
+/// Decision cycles before an unrefreshed sensitivity-matrix cell expires
+/// (ours; measurements from a different load regime must not steer
+/// decisions forever).
+const SENS_MAX_AGE_CYCLES: u32 = 150;
+
 /// Per-cycle input for one container: its observation plus current
 /// allocation.
 #[derive(Debug, Clone)]
@@ -78,13 +106,12 @@ impl Escalator {
         freq_table: FreqTable,
         max_container_id: usize,
     ) -> Self {
-        cfg.validate().expect("invalid EscalatorConfig");
         constraints.validate().expect("invalid AllocConstraints");
         let sens = SensitivityMatrix::with_max_age(
             max_container_id + 1,
             constraints.max_cores as usize,
-            cfg.alpha,
-            cfg.sens_max_age_cycles,
+            ALPHA,
+            SENS_MAX_AGE_CYCLES,
         );
         Escalator {
             cfg,
@@ -110,11 +137,6 @@ impl Escalator {
             .copied()
             .unwrap_or(self.constraints.min_cores)
             .max(self.constraints.min_cores)
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &EscalatorConfig {
-        &self.cfg
     }
 
     /// Read-only view of the learned sensitivity matrix (for tracing and
@@ -166,7 +188,7 @@ impl Escalator {
             .iter()
             .map(|i| self.scored_observation(&i.obs))
             .collect();
-        let board = score_cycle(&observations, &self.cfg);
+        let board = score_cycle(&observations);
 
         let mut decision = EscalatorDecision {
             actions: Vec::new(),
@@ -329,12 +351,9 @@ impl Escalator {
             if self.cfg.use_sensitivity
                 && revoke_busy_ok
                 && cur.cores >= self.floor_of(id) + self.constraints.core_step
-                && self.sens.can_revoke_step(
-                    id.index(),
-                    cur.cores as usize,
-                    step,
-                    self.cfg.sens_revoke_th,
-                )
+                && self
+                    .sens
+                    .can_revoke_step(id.index(), cur.cores as usize, step, SENS_REVOKE_TH)
             {
                 if let Some(new_cores) = ledger.try_shrink(&cur) {
                     allocs.get_mut(&id).unwrap().cores = new_cores;
@@ -358,7 +377,7 @@ impl Escalator {
                     && self
                         .sens
                         .revoke_sens_step_fresh(id.index(), cur.cores as usize, step, 5)
-                        .is_some_and(|cost| cost >= self.cfg.sens_revoke_th);
+                        .is_some_and(|cost| cost >= SENS_REVOKE_TH);
                 let m = &inp.obs.metrics;
                 let expected = inp.obs.params.expected_exec_metric.as_nanos() as f64;
                 // Exec-time slack alone is a noisy downscale signal (a
@@ -371,12 +390,12 @@ impl Escalator {
                     && busy_ok
                     && m.requests > 0
                     && expected > 0.0
-                    && (self.exec_signal(m) as f64) < self.cfg.downscale_frac * expected;
+                    && (self.exec_signal(m) as f64) < DOWNSCALE_FRAC * expected;
                 if under {
                     let above_floor = cur.cores >= self.floor_of(id) + self.constraints.core_step;
                     let streak = self.underutil_streak.entry(id).or_insert(0);
                     *streak += 1;
-                    if *streak >= self.cfg.downscale_hold_cycles && above_floor {
+                    if *streak >= DOWNSCALE_HOLD_CYCLES && above_floor {
                         if let Some(new_cores) = ledger.try_shrink(&cur) {
                             allocs.get_mut(&id).unwrap().cores = new_cores;
                             decision.actions.push(AllocAction::SetCores {
@@ -687,19 +706,18 @@ mod tests {
     #[test]
     fn underutilization_downscale_requires_hold() {
         let cfg = EscalatorConfig {
-            downscale_hold_cycles: 3,
             use_sensitivity: false, // isolate the Parties-style rule
             ..Default::default()
         };
         let mut e = Escalator::new(cfg, constraints(32), FreqTable::cascade_lake(), 8);
         // exec 40us vs expected 200us → far under 0.5×expected.
         let inputs = vec![make_input(0, 8, 40, 1.0, 0, 200, &[])];
-        let d1 = e.decide(&inputs, SimDuration::from_millis(100));
-        assert_eq!(cores_assigned(&d1.actions, 0), None, "cycle 1: hold");
-        let d2 = e.decide(&inputs, SimDuration::from_millis(100));
-        assert_eq!(cores_assigned(&d2.actions, 0), None, "cycle 2: hold");
-        let d3 = e.decide(&inputs, SimDuration::from_millis(100));
-        assert_eq!(cores_assigned(&d3.actions, 0), Some(6), "cycle 3: shrink");
+        for cycle in 1..DOWNSCALE_HOLD_CYCLES {
+            let d = e.decide(&inputs, SimDuration::from_millis(100));
+            assert_eq!(cores_assigned(&d.actions, 0), None, "cycle {cycle}: hold");
+        }
+        let d = e.decide(&inputs, SimDuration::from_millis(100));
+        assert_eq!(cores_assigned(&d.actions, 0), Some(6), "last cycle: shrink");
     }
 
     #[test]

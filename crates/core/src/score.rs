@@ -15,10 +15,21 @@
 //! prioritizes them. Containers with score zero are the preferred
 //! downscaling victims.
 
-use crate::config::{ContainerParams, EscalatorConfig};
+use crate::config::ContainerParams;
 use crate::ids::ContainerId;
 use crate::metrics::WindowMetrics;
 use serde::{Deserialize, Serialize};
+
+/// `queueBuildup` above this value flags hidden-dependency queueing and
+/// marks *downstream* containers as upscaling candidates (Table II; the
+/// value is ours). `queueBuildup` is a ratio ≥ 1 (Eq. 3), so the threshold
+/// is a ratio.
+const QUEUE_TH: f64 = 1.3;
+
+/// `execMetric / expectedExecMetric` above this flags a true local
+/// slowdown and marks *this* container as an upscaling candidate (Table II:
+/// any excess over the expected value).
+const EXEC_TH: f64 = 1.0;
 
 /// Everything Escalator knows about one local container at the start of a
 /// decision cycle.
@@ -69,20 +80,16 @@ impl ScoreBoard {
 ///
 /// Returns `(hinted, queue_violation, exec_violation)`.
 #[inline]
-pub fn conditions(
-    m: &WindowMetrics,
-    params: &ContainerParams,
-    cfg: &EscalatorConfig,
-) -> (bool, bool, bool) {
+pub fn conditions(m: &WindowMetrics, params: &ContainerParams) -> (bool, bool, bool) {
     // No traffic in the window means no evidence either way.
     if m.requests == 0 {
         return (false, false, false);
     }
     let hinted = m.upscale_hints > 0;
-    let queue_violation = m.queue_buildup > cfg.queue_th;
+    let queue_violation = m.queue_buildup > QUEUE_TH;
     let expected = params.expected_exec_metric.as_nanos() as f64;
     let exec_violation = if expected > 0.0 {
-        m.mean_exec_metric.as_nanos() as f64 / expected > cfg.exec_th
+        m.mean_exec_metric.as_nanos() as f64 / expected > EXEC_TH
     } else {
         false
     };
@@ -91,7 +98,7 @@ pub fn conditions(
 
 /// Run Table II over all observed containers and produce the cycle's
 /// [`ScoreBoard`].
-pub fn score_cycle(observations: &[ContainerObservation], cfg: &EscalatorConfig) -> ScoreBoard {
+pub fn score_cycle(observations: &[ContainerObservation]) -> ScoreBoard {
     let mut board = ScoreBoard {
         scores: observations.iter().map(|o| (o.id, 0u32)).collect(),
         set_hint: Vec::new(),
@@ -104,7 +111,7 @@ pub fn score_cycle(observations: &[ContainerObservation], cfg: &EscalatorConfig)
     };
 
     for obs in observations {
-        let (hinted, queue_violation, exec_violation) = conditions(&obs.metrics, &obs.params, cfg);
+        let (hinted, queue_violation, exec_violation) = conditions(&obs.metrics, &obs.params);
         if hinted {
             let i = slot_of(obs.id, &board).expect("own id always present");
             board.scores[i].1 += 1;
@@ -164,23 +171,18 @@ mod tests {
 
     #[test]
     fn table2_row1_hint_scores_self() {
-        let cfg = EscalatorConfig::default();
-        let board = score_cycle(&[obs(0, metrics(10, 100, 1.0, 3), params(200), &[])], &cfg);
+        let board = score_cycle(&[obs(0, metrics(10, 100, 1.0, 3), params(200), &[])]);
         assert_eq!(board.score_of(ContainerId(0)), 1);
         assert!(board.set_hint.is_empty());
     }
 
     #[test]
     fn table2_row2_queue_buildup_scores_downstream_and_sets_hint() {
-        let cfg = EscalatorConfig::default();
         // c0 has queue buildup; c1 is its local downstream and healthy.
-        let board = score_cycle(
-            &[
-                obs(0, metrics(10, 100, 3.0, 0), params(200), &[1]),
-                obs(1, metrics(10, 100, 1.0, 0), params(200), &[]),
-            ],
-            &cfg,
-        );
+        let board = score_cycle(&[
+            obs(0, metrics(10, 100, 3.0, 0), params(200), &[1]),
+            obs(1, metrics(10, 100, 1.0, 0), params(200), &[]),
+        ]);
         // The paper's Fig. 5(b) scenario: downstream (c1) is the candidate,
         // NOT the container that shows the inflated latency (c0).
         assert_eq!(board.score_of(ContainerId(0)), 0);
@@ -190,58 +192,47 @@ mod tests {
 
     #[test]
     fn table2_row3_exec_violation_scores_self() {
-        let cfg = EscalatorConfig::default();
-        // execMetric 300us vs expected 200us → ratio 1.5 > exec_th (1.0).
-        let board = score_cycle(&[obs(0, metrics(10, 300, 1.0, 0), params(200), &[])], &cfg);
+        // execMetric 300us vs expected 200us → ratio 1.5 > EXEC_TH (1.0).
+        let board = score_cycle(&[obs(0, metrics(10, 300, 1.0, 0), params(200), &[])]);
         assert_eq!(board.score_of(ContainerId(0)), 1);
     }
 
     #[test]
     fn conditions_stack_to_higher_scores() {
-        let cfg = EscalatorConfig::default();
         // c1: receives a hint AND has its own exec violation AND is
         // downstream of a queue-building c0 → score 3.
-        let board = score_cycle(
-            &[
-                obs(0, metrics(10, 100, 2.0, 0), params(200), &[1]),
-                obs(1, metrics(10, 500, 1.0, 2), params(200), &[]),
-            ],
-            &cfg,
-        );
+        let board = score_cycle(&[
+            obs(0, metrics(10, 100, 2.0, 0), params(200), &[1]),
+            obs(1, metrics(10, 500, 1.0, 2), params(200), &[]),
+        ]);
         assert_eq!(board.score_of(ContainerId(1)), 3);
         assert!(board.any_candidates());
     }
 
     #[test]
     fn healthy_containers_score_zero() {
-        let cfg = EscalatorConfig::default();
-        let board = score_cycle(
-            &[
-                obs(0, metrics(10, 100, 1.0, 0), params(200), &[1]),
-                obs(1, metrics(10, 50, 1.0, 0), params(200), &[]),
-            ],
-            &cfg,
-        );
+        let board = score_cycle(&[
+            obs(0, metrics(10, 100, 1.0, 0), params(200), &[1]),
+            obs(1, metrics(10, 50, 1.0, 0), params(200), &[]),
+        ]);
         assert!(!board.any_candidates());
     }
 
     #[test]
     fn empty_window_never_flags() {
-        let cfg = EscalatorConfig::default();
         // Even with absurd metric values, zero requests means no evidence.
         let mut m = metrics(0, 10_000, 99.0, 0);
         m.requests = 0;
-        let board = score_cycle(&[obs(0, m, params(1), &[])], &cfg);
+        let board = score_cycle(&[obs(0, m, params(1), &[])]);
         assert_eq!(board.score_of(ContainerId(0)), 0);
     }
 
     #[test]
     fn off_node_downstream_reached_via_hint_only() {
-        let cfg = EscalatorConfig::default();
         // c0 queue-builds, but its downstream c9 is NOT local (not in the
         // observation set). Nothing local is scored, but c0 must set the
         // packet hint so node hosting c9 learns about it.
-        let board = score_cycle(&[obs(0, metrics(10, 100, 3.0, 0), params(200), &[9])], &cfg);
+        let board = score_cycle(&[obs(0, metrics(10, 100, 3.0, 0), params(200), &[9])]);
         assert!(!board.any_candidates());
         assert_eq!(board.set_hint, vec![ContainerId(0)]);
     }
@@ -251,11 +242,7 @@ mod tests {
         // Under connection-per-request queueBuildup stays ~1 even during a
         // surge (paper §VI-B: this is why CaladanAlgo fails on hotel
         // workloads). The exec violation still fires.
-        let cfg = EscalatorConfig::default();
-        let board = score_cycle(
-            &[obs(0, metrics(100, 900, 1.0, 0), params(200), &[1])],
-            &cfg,
-        );
+        let board = score_cycle(&[obs(0, metrics(100, 900, 1.0, 0), params(200), &[1])]);
         assert_eq!(board.score_of(ContainerId(0)), 1, "exec violation only");
         assert!(board.set_hint.is_empty());
     }

@@ -65,14 +65,14 @@ impl Arm {
     pub fn factory(self) -> Box<dyn ControllerFactory> {
         match self {
             Arm::Static => Box::new(NoopFactory),
-            Arm::Parties => Box::new(PartiesFactory::default()),
-            Arm::Caladan => Box::new(CaladanFactory::default()),
+            Arm::Parties => Box::new(PartiesFactory),
+            Arm::Caladan => Box::new(CaladanFactory),
             Arm::SurgeGuard => Box::new(SurgeGuardFactory::full()),
             Arm::EscalatorOnly => Box::new(SurgeGuardFactory::escalator_only()),
             Arm::Ablation { metrics, sens } => Box::new(SurgeGuardFactory::ablation(metrics, sens)),
-            Arm::SgH => Box::new(SurgeGuardHFactory::default()),
-            Arm::Lsram => Box::new(LsramFactory::default()),
-            Arm::SmartHpa => Box::new(SmartHpaFactory::default()),
+            Arm::SgH => Box::new(SurgeGuardHFactory),
+            Arm::Lsram => Box::new(LsramFactory),
+            Arm::SmartHpa => Box::new(SmartHpaFactory),
             Arm::MlCentralized => Box::new(CentralizedFactory::default()),
             Arm::Hybrid => Box::new(HybridFactory::default()),
         }

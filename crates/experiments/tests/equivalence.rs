@@ -283,6 +283,6 @@ fn replica_zoo_run_is_backend_identical() {
     let cfg = configure(&pw, &p);
     let pattern = SpikePattern::periodic(pw.base_rate, 1.75, SimDuration::from_secs(3));
     let arrivals: Arc<[SimTime]> = pattern.arrivals(SimTime::ZERO, window_end(&p)).into();
-    let factory = SmartHpaFactory::default();
+    let factory = SmartHpaFactory;
     assert_backends_equivalent(&cfg, &factory, &arrivals, &ZOO_PINS);
 }

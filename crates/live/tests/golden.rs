@@ -4,7 +4,8 @@
 //! immediately before the replica subsystem landed; any drift means the
 //! 1-replica degenerate path is no longer free.
 
-use sg_controllers::{SurgeGuardConfig, SurgeGuardFactory};
+use sg_controllers::surgeguard::ESCALATOR_INTERVAL;
+use sg_controllers::SurgeGuardFactory;
 use sg_core::time::SimTime;
 use sg_live::conformance::{surge_arrivals, two_stage_cfg};
 use sg_sim::app::ConnModel;
@@ -44,7 +45,7 @@ fn one_replica_run_is_byte_identical_to_pre_replica_engine() {
     // per tick — plus the pop past `end` that stops the loop. There are
     // no fault edges. Tombstoned completions (11.2 events per request)
     // do not fit under this.
-    let ticks = end.as_nanos() / SurgeGuardConfig::default().escalator_interval.as_nanos();
+    let ticks = end.as_nanos() / ESCALATOR_INTERVAL.as_nanos();
     let control = ticks + r.packet_freq_boosts + ticks * r.profile.len() as u64 + 1;
     assert!(
         r.events <= 8 * r.injected + control,

@@ -10,8 +10,8 @@
 //!   beyond the spike protocol: diurnal day/night cycles, seeded 2-state
 //!   MMPP bursts, and trace-driven (CSV) rate timelines;
 //! * [`stream`] — pull-based arrival generation: any profile served as a
-//!   `sg_core::arrivals::ArrivalSource`, byte-identical to the batch
-//!   schedule without materializing it;
+//!   `sg_core::arrivals::ArrivalSource`, the one generator behind every
+//!   `arrivals()` schedule;
 //! * [`histogram`] — an HDR-style latency histogram (wrk2's reporting
 //!   structure);
 //! * [`report`] — per-run reports (violation volume, tails, cores,

@@ -11,28 +11,14 @@
 //! across reruns and thread counts, matching the parallel-harness
 //! determinism contract.
 //!
-//! All deterministic generators pace each constant-rate segment from its
-//! own start by arrival index ([`paced_offset`]) so long schedules never
-//! accumulate period-truncation drift.
+//! Every family renders through [`ArrivalProfile::stream`]: the spike,
+//! diurnal and trace shapes decompose into constant-rate segments that
+//! the stream paces by arrival index, and MMPP runs its seeded generator
+//! there.
 
 use crate::spike::SpikePattern;
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-use sg_core::time::{paced_offset, SimDuration, SimTime};
-
-/// Append the deterministically paced arrivals of a constant-rate segment
-/// `[start, end)` to `out`. Each timestamp is derived from its index so
-/// the segment's realized rate is exact to ±0.5 ns per arrival.
-pub(crate) fn pace_into(out: &mut Vec<SimTime>, start: SimTime, end: SimTime, rate: f64) {
-    assert!(rate > 0.0, "rate must be positive");
-    for i in 0u64.. {
-        let t = start + paced_offset(i, rate);
-        if t >= end {
-            break;
-        }
-        out.push(t);
-    }
-}
+use sg_core::arrivals::ArrivalSource;
+use sg_core::time::{SimDuration, SimTime};
 
 /// A piecewise-constant day/night request-rate cycle.
 ///
@@ -105,11 +91,7 @@ impl DiurnalCurve {
     /// Deterministic arrival schedule over `[start, end)`: each step
     /// boundary starts a fresh index-paced segment.
     pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        for (s, e, rate) in self.segments(start, end) {
-            pace_into(&mut out, s, e, rate);
-        }
-        out
+        ArrivalProfile::Diurnal(self.clone()).arrivals(start, end)
     }
 
     /// Constant-rate segments covering `[start, end)`, clamped to the
@@ -182,55 +164,9 @@ impl Mmpp {
     }
 
     /// Deterministic (seeded) arrival schedule over `[start, end)`.
-    ///
-    /// State switches are sampled first, arrivals within each dwell from
-    /// the same stream; crossing a state boundary discards the in-flight
-    /// exponential gap and redraws at the new rate, which is
-    /// distributionally exact for a Poisson process (memorylessness).
     pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        assert!(
-            self.low_rate > 0.0 && self.high_rate > 0.0,
-            "rates must be positive"
-        );
-        assert!(
-            !self.mean_dwell_low.is_zero() && !self.mean_dwell_high.is_zero(),
-            "dwell times must be positive"
-        );
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut out = Vec::new();
-        let mut t = start;
-        let mut high = false;
-        let mut state_end = start + exp_duration(&mut rng, self.mean_dwell_low);
-        while t < end {
-            let rate = if high { self.high_rate } else { self.low_rate };
-            let next = t + exp_duration(&mut rng, SimDuration::from_secs_f64(1.0 / rate));
-            if next >= state_end {
-                t = state_end;
-                high = !high;
-                let dwell = if high {
-                    self.mean_dwell_high
-                } else {
-                    self.mean_dwell_low
-                };
-                state_end = t + exp_duration(&mut rng, dwell);
-                continue;
-            }
-            t = next;
-            if t >= end {
-                break;
-            }
-            out.push(t);
-        }
-        out
+        ArrivalProfile::Mmpp(self.clone()).arrivals(start, end)
     }
-}
-
-/// One exponential draw with the given mean, floored at 1 ns so schedules
-/// always make progress.
-pub(crate) fn exp_duration(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
-    let u: f64 = rng.random();
-    mean.mul_f64(-(1.0 - u).ln())
-        .max(SimDuration::from_nanos(1))
 }
 
 /// A piecewise-constant rate timeline read from a CSV trace — the
@@ -355,11 +291,7 @@ impl TraceProfile {
     /// Deterministic arrival schedule over `[start, end)`: each trace
     /// segment (repeated cyclically) is an index-paced constant-rate run.
     pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        for (s, e, rate) in self.segments(start, end) {
-            pace_into(&mut out, s, e, rate);
-        }
-        out
+        ArrivalProfile::Trace(self.clone()).arrivals(start, end)
     }
 
     /// Constant-rate segments covering `[start, end)`, clamped to the
@@ -440,14 +372,12 @@ impl ArrivalProfile {
         }
     }
 
-    /// Render the deterministic arrival schedule over `[start, end)`.
+    /// Render the deterministic arrival schedule over `[start, end)`: the
+    /// whole of [`ArrivalProfile::stream`], collected.
     pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        match self {
-            ArrivalProfile::Spike(p) => p.arrivals(start, end),
-            ArrivalProfile::Diurnal(c) => c.arrivals(start, end),
-            ArrivalProfile::Mmpp(m) => m.arrivals(start, end),
-            ArrivalProfile::Trace(t) => t.arrivals(start, end),
-        }
+        let mut out = Vec::new();
+        self.stream(start, end).next_chunk(&mut out, usize::MAX);
+        out
     }
 }
 

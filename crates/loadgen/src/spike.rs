@@ -81,15 +81,7 @@ impl SpikePattern {
     /// rate of every segment stays within ±0.5 ns of nominal regardless
     /// of schedule length — no cumulative period-truncation drift.
     pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        assert!(
-            self.base_rate > 0.0 && self.spike_rate > 0.0,
-            "rates must be positive"
-        );
-        let mut out = Vec::new();
-        for (s, e, rate) in self.segments(start, end) {
-            crate::profile::pace_into(&mut out, s, e, rate);
-        }
-        out
+        crate::ArrivalProfile::Spike(*self).arrivals(start, end)
     }
 
     /// Decompose `[start, end)` into half-open constant-rate segments.

@@ -1,32 +1,25 @@
 //! Streaming (batched) arrival generation.
 //!
-//! [`ArrivalProfile::stream`] turns any profile into a pull-based
-//! [`ArrivalSource`] whose output is byte-identical to the fully
-//! materialized [`ArrivalProfile::arrivals`] schedule, while holding only
-//! cursor state: the current segment and in-segment arrival index for the
-//! index-paced profiles, or the generator's RNG and dwell state for MMPP.
-//! A cluster-scale run no longer pays O(total arrivals) memory for its
+//! [`ArrivalProfile::stream`] is the one arrival generator: it turns any
+//! profile into a pull-based [`ArrivalSource`] holding only cursor state —
+//! the current segment and in-segment arrival index for the index-paced
+//! profiles, or the generator's RNG and dwell state for MMPP. Every
+//! `arrivals()` method collects this stream, so a materialized schedule
+//! and a streamed one are the same timestamps by construction. A
+//! cluster-scale run no longer pays O(total arrivals) memory for its
 //! schedule — 10 million spike requests stream out of a few dozen
 //! segment descriptors (SCALING.md §3).
-//!
-//! Equivalence argument, per family:
-//!
-//! * **Spike / diurnal / trace** render through the same
-//!   segment-decomposition helpers the batch path uses, and each segment
-//!   is paced by arrival index exactly as `pace_into` does — same
-//!   segments, same per-index offsets, same timestamps.
-//! * **MMPP** replays the batch generator's loop verbatim with the dwell
-//!   state and RNG persisted across pulls; chunk boundaries never redraw.
 
-use crate::profile::{exp_duration, ArrivalProfile, Mmpp};
+use crate::profile::{ArrivalProfile, Mmpp};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use sg_core::arrivals::ArrivalSource;
 use sg_core::time::{paced_offset, SimDuration, SimTime};
 
 /// Walks a finite list of half-open constant-rate segments, pacing each
-/// from its own start by arrival index — the streaming twin of
-/// `pace_into` over the same list.
+/// from its own start by arrival index ([`paced_offset`]), so a segment's
+/// realized rate is exact to ±0.5 ns per arrival and long schedules never
+/// accumulate period-truncation drift.
 #[derive(Debug)]
 struct PacedSegments {
     /// `(start, end, rate)` segments, ascending and non-overlapping.
@@ -60,8 +53,22 @@ impl PacedSegments {
     }
 }
 
+/// One exponential draw with the given mean, floored at 1 ns so schedules
+/// always make progress.
+fn exp_duration(rng: &mut SmallRng, mean: SimDuration) -> SimDuration {
+    let u: f64 = rng.random();
+    mean.mul_f64(-(1.0 - u).ln())
+        .max(SimDuration::from_nanos(1))
+}
+
 /// The MMPP generator loop with its state (clock, phase, dwell boundary,
 /// RNG) persisted between pulls.
+///
+/// State switches are sampled first, arrivals within each dwell from the
+/// same stream; crossing a state boundary discards the in-flight
+/// exponential gap and redraws at the new rate, which is distributionally
+/// exact for a Poisson process (memorylessness). The dwell walk starts at
+/// the window start.
 #[derive(Debug)]
 struct MmppStream {
     low_rate: f64,
@@ -109,9 +116,6 @@ impl MmppStream {
             };
             let next = self.t + exp_duration(&mut self.rng, SimDuration::from_secs_f64(1.0 / rate));
             if next >= self.state_end {
-                // Crossing a dwell boundary discards the in-flight gap
-                // and redraws at the new rate (memorylessness) — exactly
-                // what the batch generator does.
                 self.t = self.state_end;
                 self.high = !self.high;
                 let dwell = if self.high {
@@ -140,8 +144,8 @@ enum Inner {
 
 /// A profile's arrival schedule served as a pull-based stream.
 ///
-/// Built by [`ArrivalProfile::stream`]; yields exactly the timestamps of
-/// the batch schedule over the same window, in order.
+/// Built by [`ArrivalProfile::stream`]; yields the schedule's timestamps
+/// in ascending order.
 #[derive(Debug)]
 pub struct ProfileStream {
     inner: Inner,
@@ -157,9 +161,8 @@ impl ArrivalSource for ProfileStream {
 }
 
 impl ArrivalProfile {
-    /// Stream the deterministic arrival schedule over `[start, end)`:
-    /// byte-identical to [`ArrivalProfile::arrivals`] without ever
-    /// materializing it.
+    /// Stream the deterministic arrival schedule over `[start, end)`
+    /// without ever materializing it.
     pub fn stream(&self, start: SimTime, end: SimTime) -> ProfileStream {
         let inner = match self {
             ArrivalProfile::Spike(p) => {
@@ -183,85 +186,79 @@ mod tests {
     use crate::profile::{DiurnalCurve, TraceProfile};
     use crate::spike::SpikePattern;
 
-    fn drain(mut s: ProfileStream) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        while let Some(t) = s.next_arrival() {
-            out.push(t);
-        }
-        out
+    /// FNV-1a over the schedule's little-endian nanosecond timestamps.
+    fn fnv1a(ts: &[SimTime]) -> u64 {
+        ts.iter()
+            .flat_map(|t| t.as_nanos().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            })
     }
 
-    fn assert_stream_matches(profile: ArrivalProfile, start: SimTime, end: SimTime) {
-        let full = profile.arrivals(start, end);
-        let streamed = drain(profile.stream(start, end));
-        assert_eq!(
-            full,
-            streamed,
-            "{} stream diverged from batch schedule",
-            profile.label()
-        );
+    /// Pin `(arrival count, FNV-1a)` of the schedule over each
+    /// `(start_ms, end_ms)` window. The pins were captured from the
+    /// per-family batch generators this stream replaced, so every
+    /// family's schedule still matches them byte for byte.
+    fn assert_pinned(profile: ArrivalProfile, pins: [(u64, u64, usize, u64); 2]) {
+        for (start_ms, end_ms, len, digest) in pins {
+            let (start, end) = (SimTime::from_millis(start_ms), SimTime::from_millis(end_ms));
+            let schedule = profile.arrivals(start, end);
+            assert_eq!(
+                (schedule.len(), fnv1a(&schedule)),
+                (len, digest),
+                "{} schedule over [{start_ms}, {end_ms}) ms drifted",
+                profile.label()
+            );
+        }
     }
 
     #[test]
     fn spike_stream_is_byte_identical() {
         let p = SpikePattern::periodic(1000.0, 2.0, SimDuration::from_secs(2));
-        assert_stream_matches(
+        // The second window is not aligned to spike boundaries.
+        assert_pinned(
             ArrivalProfile::Spike(p),
-            SimTime::ZERO,
-            SimTime::from_secs(30),
-        );
-        // Window not aligned to spike boundaries.
-        assert_stream_matches(
-            ArrivalProfile::Spike(p),
-            SimTime::from_millis(10_500),
-            SimTime::from_millis(23_750),
+            [
+                (0, 30_000, 34_000, 0x5f9f_6c40_bd61_ddfb),
+                (10_500, 23_750, 16_750, 0x6268_d22e_2691_21f1),
+            ],
         );
     }
 
     #[test]
     fn diurnal_stream_is_byte_identical() {
         let c = DiurnalCurve::day_night(600.0, 1600.0, SimDuration::from_secs(60));
-        assert_stream_matches(
-            ArrivalProfile::Diurnal(c.clone()),
-            SimTime::ZERO,
-            SimTime::from_secs(120),
-        );
-        assert_stream_matches(
+        assert_pinned(
             ArrivalProfile::Diurnal(c),
-            SimTime::from_secs(95),
-            SimTime::from_secs(130),
+            [
+                (0, 120_000, 132_000, 0xb87c_b0cf_8327_50f0),
+                (95_000, 130_000, 38_500, 0xd4be_4460_07ff_f65a),
+            ],
         );
     }
 
     #[test]
     fn mmpp_stream_is_byte_identical() {
-        let m = Mmpp::bursty(2000.0, 42);
-        assert_stream_matches(
-            ArrivalProfile::Mmpp(m.clone()),
-            SimTime::ZERO,
-            SimTime::from_secs(30),
-        );
         // Same profile, different window: the dwell walk starts at the
-        // window start (matching the batch generator's semantics).
-        assert_stream_matches(
-            ArrivalProfile::Mmpp(m),
-            SimTime::from_secs(3),
-            SimTime::from_secs(17),
+        // window start.
+        assert_pinned(
+            ArrivalProfile::Mmpp(Mmpp::bursty(2000.0, 42)),
+            [
+                (0, 30_000, 64_164, 0x0a52_b6c0_4b6b_90bc),
+                (3_000, 17_000, 28_936, 0x458e_009c_b4ba_a8f0),
+            ],
         );
     }
 
     #[test]
     fn trace_stream_is_byte_identical() {
         let t = TraceProfile::from_csv_str("0,100\n10,300\n20,200\n").unwrap();
-        assert_stream_matches(
-            ArrivalProfile::Trace(t.clone()),
-            SimTime::ZERO,
-            SimTime::from_secs(60),
-        );
-        assert_stream_matches(
+        assert_pinned(
             ArrivalProfile::Trace(t),
-            SimTime::from_secs(35),
-            SimTime::from_secs(55),
+            [
+                (0, 60_000, 12_000, 0x6391_00f7_4a4c_491e),
+                (35_000, 55_000, 4_500, 0x905c_14a0_a973_cffa),
+            ],
         );
     }
 

@@ -94,11 +94,6 @@ impl Network {
         self
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
     /// One-way delivery latency for a packet sent at `now` from `src` to
     /// `dst` node.
     pub fn latency(

@@ -367,28 +367,27 @@ impl TopK {
     }
 }
 
+/// Digest resolution in significant bits (ours): γ = 3.125 %.
+const SIG_BITS: u32 = 6;
+
+/// Per-node heavy-hitter stream capacity (ours).
+const TOPK_CAPACITY: usize = 8;
+
 /// Configuration for a per-node aggregation runtime.
 #[derive(Debug, Clone)]
 pub struct AggConfig {
     /// QoS deadline: completions above this are SLO violations and feed
     /// the heavy-hitter sketch with their excess latency.
     pub qos: SimDuration,
-    /// Digest resolution (significant bits).
-    pub sig_bits: u32,
-    /// Per-node heavy-hitter stream capacity.
-    pub topk_capacity: usize,
-    /// SLO burn-rate windows and thresholds.
+    /// SLO objective.
     pub slo: SloConfig,
 }
 
 impl AggConfig {
-    /// Defaults (6-bit digests, 8-entry sketches, SRE-style burn
-    /// windows) around the given QoS deadline.
+    /// The default 99.9 % objective around the given QoS deadline.
     pub fn new(qos: SimDuration) -> Self {
         AggConfig {
             qos,
-            sig_bits: 6,
-            topk_capacity: 8,
             slo: SloConfig::default(),
         }
     }
@@ -433,18 +432,13 @@ impl AggRuntime {
         let shards = (0..nodes)
             .map(|_| {
                 Mutex::new(NodeShard {
-                    digest: LatencyDigest::new(cfg.sig_bits),
-                    topk: TopK::new(cfg.topk_capacity),
+                    digest: LatencyDigest::new(SIG_BITS),
+                    topk: TopK::new(TOPK_CAPACITY),
                     slo: SloTracker::new(cfg.slo.clone()),
                 })
             })
             .collect();
         AggRuntime { cfg, shards }
-    }
-
-    /// The configuration this runtime was built with.
-    pub fn config(&self) -> &AggConfig {
-        &self.cfg
     }
 
     /// Number of node shards.
@@ -519,8 +513,8 @@ impl AggRuntime {
     /// Merge every node shard into one cluster view. Per the merge
     /// contract the result is independent of node order.
     pub fn merged(&self) -> ClusterAgg {
-        let mut digest = LatencyDigest::new(self.cfg.sig_bits);
-        let mut topk = TopK::new(self.cfg.topk_capacity);
+        let mut digest = LatencyDigest::new(SIG_BITS);
+        let mut topk = TopK::new(TOPK_CAPACITY);
         let mut slo = SloTracker::new(self.cfg.slo.clone());
         for shard in &self.shards {
             let s = shard.lock().unwrap();

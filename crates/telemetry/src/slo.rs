@@ -7,7 +7,7 @@
 //! spending the budget exactly at the sustainable rate). Two rules fire
 //! alerts: a **fast** burn over a short window (paging-grade: the
 //! budget is being torched *now*) and a **slow** burn over a long
-//! window (ticket-grade: a sustained leak). Default thresholds are the
+//! window (ticket-grade: a sustained leak). The thresholds are the
 //! workbook's 14.4× / 6× pair.
 //!
 //! [`SloTracker`] keeps good/bad counts in coarse time buckets
@@ -21,37 +21,35 @@
 use sg_core::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// SLO objective and burn-alert windows.
+/// Short alert window (paging-grade burn). The windows are compressed
+/// from the SRE workbook's 5 m / 1 h to fit the seconds-scale runs this
+/// repo drives (ours).
+const FAST_WINDOW: SimDuration = SimDuration::from_secs(5);
+
+/// Long alert window (ticket-grade burn; ours, see `FAST_WINDOW`).
+const SLOW_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// Fast-burn alert threshold (× the sustainable rate; SRE workbook).
+const FAST_BURN: f64 = 14.4;
+
+/// Slow-burn alert threshold (× the sustainable rate; SRE workbook).
+const SLOW_BURN: f64 = 6.0;
+
+/// Time-bucket granularity for windowed counts (ours).
+const BUCKET: SimDuration = SimDuration::from_millis(250);
+
+/// SLO objective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     /// Target good-request fraction in `(0,1)`, e.g. `0.999`. The error
     /// budget is `1 - objective`.
     pub objective: f64,
-    /// Short alert window (paging-grade burn).
-    pub fast_window: SimDuration,
-    /// Long alert window (ticket-grade burn).
-    pub slow_window: SimDuration,
-    /// Fast-burn alert threshold (× the sustainable rate).
-    pub fast_burn: f64,
-    /// Slow-burn alert threshold (× the sustainable rate).
-    pub slow_burn: f64,
-    /// Time-bucket granularity for windowed counts.
-    pub bucket: SimDuration,
 }
 
 impl Default for SloConfig {
-    /// 99.9% objective, 5 s / 60 s windows at 14.4× / 6× thresholds,
-    /// 250 ms buckets. The windows are compressed from the workbook's
-    /// 5 m / 1 h to fit the seconds-scale runs this repo drives.
+    /// 99.9% objective.
     fn default() -> Self {
-        SloConfig {
-            objective: 0.999,
-            fast_window: SimDuration::from_secs(5),
-            slow_window: SimDuration::from_secs(60),
-            fast_burn: 14.4,
-            slow_burn: 6.0,
-            bucket: SimDuration::from_millis(250),
-        }
+        SloConfig { objective: 0.999 }
     }
 }
 
@@ -79,9 +77,9 @@ pub struct BurnVerdict {
     pub fast: Option<f64>,
     /// Burn rate over the slow window (`None`: no traffic in window).
     pub slow: Option<f64>,
-    /// Fast rule firing (`fast >= fast_burn`).
+    /// Fast rule firing (`fast >= 14.4`).
     pub fast_alert: bool,
-    /// Slow rule firing (`slow >= slow_burn`).
+    /// Slow rule firing (`slow >= 6`).
     pub slow_alert: bool,
     /// Fraction of the whole-run error budget left (can go negative;
     /// 1.0 when no traffic has been observed).
@@ -99,7 +97,7 @@ impl BurnVerdict {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloTracker {
     cfg: SloConfig,
-    /// bucket index (`at / cfg.bucket`) → (total, bad).
+    /// bucket index (`at / BUCKET`) → (total, bad).
     buckets: BTreeMap<u64, (u64, u64)>,
     total: u64,
     bad: u64,
@@ -114,7 +112,6 @@ impl SloTracker {
             cfg.objective > 0.0 && cfg.objective < 1.0,
             "objective must be in (0,1)"
         );
-        assert!(!cfg.bucket.is_zero(), "bucket granularity must be nonzero");
         SloTracker {
             cfg,
             buckets: BTreeMap::new(),
@@ -122,11 +119,6 @@ impl SloTracker {
             bad: 0,
             last_ns: 0,
         }
-    }
-
-    /// The configuration this tracker was built with.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
     }
 
     /// Record one request finishing at `at`.
@@ -140,7 +132,7 @@ impl SloTracker {
     /// `slo` events as deltas in `sg-watch`).
     pub fn record_counts(&mut self, at: SimTime, total: u64, bad: u64) {
         debug_assert!(bad <= total);
-        let idx = at.as_nanos() / self.cfg.bucket.as_nanos();
+        let idx = at.as_nanos() / BUCKET.as_nanos();
         let b = self.buckets.entry(idx).or_insert((0, 0));
         b.0 += total;
         b.1 += bad;
@@ -184,14 +176,14 @@ impl SloTracker {
     /// exactly only over their retained range — cluster merges should
     /// happen before pruning (documented in DESIGN.md §11).
     pub fn prune(&mut self, retain: SimDuration) {
-        let cutoff = self.last_ns.saturating_sub(retain.as_nanos()) / self.cfg.bucket.as_nanos();
+        let cutoff = self.last_ns.saturating_sub(retain.as_nanos()) / BUCKET.as_nanos();
         self.buckets.retain(|&idx, _| idx >= cutoff);
     }
 
     /// `(total, bad)` over the window ending at `now` (bucket
     /// granularity; buckets overlapping the window count whole).
     fn window_counts(&self, window: SimDuration, now: SimTime) -> (u64, u64) {
-        let bucket_ns = self.cfg.bucket.as_nanos();
+        let bucket_ns = BUCKET.as_nanos();
         let start = now.as_nanos().saturating_sub(window.as_nanos()) / bucket_ns;
         let end = now.as_nanos() / bucket_ns;
         let mut total = 0u64;
@@ -221,13 +213,13 @@ impl SloTracker {
 
     /// Evaluate both burn rules at `now`.
     pub fn verdict(&self, now: SimTime) -> BurnVerdict {
-        let fast = self.burn_rate(self.cfg.fast_window, now);
-        let slow = self.burn_rate(self.cfg.slow_window, now);
+        let fast = self.burn_rate(FAST_WINDOW, now);
+        let slow = self.burn_rate(SLOW_WINDOW, now);
         BurnVerdict {
             fast,
             slow,
-            fast_alert: fast.is_some_and(|b| b >= self.cfg.fast_burn),
-            slow_alert: slow.is_some_and(|b| b >= self.cfg.slow_burn),
+            fast_alert: fast.is_some_and(|b| b >= FAST_BURN),
+            slow_alert: slow.is_some_and(|b| b >= SLOW_BURN),
             budget_remaining: self.budget_remaining(),
         }
     }

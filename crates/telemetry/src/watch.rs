@@ -27,7 +27,7 @@ use crate::slo::{BurnVerdict, SloConfig, SloTracker};
 use crate::span::SpanRecord;
 use serde_json::{json, Value};
 use sg_core::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 /// How many span records may wait for the deadline to become known
@@ -71,7 +71,7 @@ pub struct Watcher {
     window: SloTracker,
     /// Critical-path attribution, once the deadline is known.
     attributor: Option<StreamingAttributor>,
-    pending_spans: Vec<SpanRecord>,
+    pending_spans: VecDeque<SpanRecord>,
     qos_ns: Option<u64>,
     /// Events consumed.
     pub events: u64,
@@ -98,7 +98,7 @@ impl Watcher {
             topks: BTreeMap::new(),
             window: SloTracker::new(slo_cfg),
             attributor: None,
-            pending_spans: Vec::new(),
+            pending_spans: VecDeque::new(),
             qos_ns,
             events: 0,
             dropped: 0,
@@ -168,9 +168,9 @@ impl Watcher {
             TelemetryEvent::Span(record) => match &mut self.attributor {
                 Some(a) => a.push(record),
                 None => {
-                    self.pending_spans.push(record);
+                    self.pending_spans.push_back(record);
                     if self.pending_spans.len() > PENDING_SPAN_CAP {
-                        self.pending_spans.remove(0);
+                        self.pending_spans.pop_front();
                         self.spans_skipped += 1;
                     }
                     self.drain_pending_spans();
@@ -498,6 +498,35 @@ mod tests {
         w.push(snap(90, 5)); // went backwards
         assert_eq!(w.regressions, 1);
         assert!(!w.audit().is_empty());
+    }
+
+    /// With no deadline known, the backlog keeps the newest
+    /// `PENDING_SPAN_CAP` spans in arrival order and counts the rest.
+    #[test]
+    fn span_backlog_without_deadline_keeps_the_newest() {
+        let mut w = Watcher::new(WatchConfig::default());
+        let total = 3 * PENDING_SPAN_CAP as u64;
+        for trace in 0..total {
+            w.push(TelemetryEvent::Span(SpanRecord {
+                trace,
+                span: trace,
+                parent: None,
+                container: None,
+                node: None,
+                start: SimTime::ZERO,
+                end: SimTime::from_micros(1),
+                net_in: SimDuration::ZERO,
+                conn_wait: SimDuration::ZERO,
+                service: SimDuration::ZERO,
+                downstream: SimDuration::from_micros(1),
+                freq_level: 0,
+                slack_ns: 0,
+            }));
+        }
+        assert_eq!(w.spans_skipped, 2 * PENDING_SPAN_CAP as u64);
+        let kept: Vec<u64> = w.pending_spans.iter().map(|r| r.trace).collect();
+        let newest: Vec<u64> = (total - PENDING_SPAN_CAP as u64..total).collect();
+        assert_eq!(kept, newest);
     }
 
     #[test]

@@ -91,51 +91,50 @@ impl Workload {
     }
 }
 
-/// Calibration knobs (defaults follow the paper's §V protocol).
+/// Initial foreground core budget (§V: 34 of 52).
+const BUDGET_CORES: u32 = 34;
+
+/// Workload cores per node (§V: 52).
+const NODE_CORES: u32 = 52;
+
+/// Target utilization that places the base rate just below the knee
+/// (ours).
+const TARGET_UTILIZATION: f64 = 0.60;
+
+/// Safety margin on Little's-law pool sizing (ours). Pools must not bind
+/// on rate increases alone (the paper's 512-connection pools have
+/// order-of-magnitude headroom over the base in-flight count); they bind
+/// when DOWNSTREAM latency inflates during saturation — that is the
+/// Fig. 5(b) effect.
+const POOL_MARGIN: f64 = 4.0;
+
+/// Low-load profiling rate, as a fraction of the base rate (ours).
+const PROFILE_RATE_FRAC: f64 = 0.15;
+
+/// Profiling run length (ours).
+const PROFILE_DURATION: SimDuration = SimDuration::from_secs(3);
+
+/// QoS limit = this factor × P98 at base rate (static allocation; ours).
+const QOS_FACTOR: f64 = 1.5;
+
+/// Multiplier on low-load `timeFromStart` for the FirstResponder
+/// per-packet targets (ours). The paper uses 2× for both parameters but
+/// notes the factor "can be changed to set tighter or looser bounds"; at
+/// this testbed's base-rate queueing, 2× sits below the steady-state tail
+/// and makes the fast path false-fire, so the progress targets get a
+/// looser bound than the execution targets.
+const TFS_FACTOR: f64 = 4.0;
+
+/// Calibration inputs; the rest of the §V protocol is fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct CalibrationOptions {
-    /// Initial foreground core budget (the paper: 34 of 52).
-    pub budget_cores: u32,
-    /// Workload cores per node (the paper: 52).
-    pub node_cores: u32,
-    /// Target utilization that places the base rate just below the knee.
-    pub target_utilization: f64,
-    /// Safety margin on Little's-law pool sizing.
-    pub pool_margin: f64,
-    /// Low-load profiling rate, as a fraction of the base rate.
-    pub profile_rate_frac: f64,
-    /// Profiling run length.
-    pub profile_duration: SimDuration,
-    /// QoS limit = this factor × P98 at base rate (static allocation).
-    pub qos_factor: f64,
-    /// Multiplier on low-load `timeFromStart` for the FirstResponder
-    /// per-packet targets. The paper uses 2× for both parameters but notes
-    /// the factor "can be changed to set tighter or looser bounds"; at
-    /// this testbed's base-rate queueing, 2× sits below the steady-state
-    /// tail and makes the fast path false-fire, so the progress targets
-    /// get a looser bound than the execution targets.
-    pub tfs_factor: f64,
     /// Seed for dataset generation and calibration runs.
     pub dataset_seed: u64,
 }
 
 impl Default for CalibrationOptions {
     fn default() -> Self {
-        CalibrationOptions {
-            budget_cores: 34,
-            node_cores: 52,
-            target_utilization: 0.60,
-            // Pools must not bind on rate increases alone (the paper's
-            // 512-connection pools have order-of-magnitude headroom over
-            // the base in-flight count); they bind when DOWNSTREAM latency
-            // inflates during saturation — that is the Fig. 5(b) effect.
-            pool_margin: 4.0,
-            profile_rate_frac: 0.15,
-            profile_duration: SimDuration::from_secs(3),
-            qos_factor: 1.5,
-            tfs_factor: 4.0,
-            dataset_seed: 98,
-        }
+        CalibrationOptions { dataset_seed: 98 }
     }
 }
 
@@ -244,24 +243,24 @@ pub fn prepare(workload: Workload, nodes: u32, opts: CalibrationOptions) -> Prep
     };
 
     let constraints = AllocConstraints {
-        total_cores: opts.node_cores,
+        total_cores: NODE_CORES,
         min_cores: 2,
-        max_cores: opts.node_cores,
+        max_cores: NODE_CORES,
         core_step: 2,
     };
 
     // 1–2: allocation + base rate.
     let (base_rate, initial_cores) = solve_initial_allocation(
         &graph,
-        opts.budget_cores,
-        opts.target_utilization,
+        BUDGET_CORES,
+        TARGET_UTILIZATION,
         constraints.core_step,
         constraints.min_cores,
     );
 
     // 3: pool provisioning at the calibrated rate.
     let rtt_overhead = SimDuration::from_micros(100);
-    scale_pools(&mut graph, base_rate, rtt_overhead, opts.pool_margin);
+    scale_pools(&mut graph, base_rate, rtt_overhead, POOL_MARGIN);
 
     let mut cfg = SimConfig::new(graph, placement);
     cfg.constraints = constraints;
@@ -269,17 +268,17 @@ pub fn prepare(workload: Workload, nodes: u32, opts: CalibrationOptions) -> Prep
     cfg.seed = opts.dataset_seed;
 
     // 4: low-load profiling → per-container parameters (2× rule).
-    let low_rate = (base_rate * opts.profile_rate_frac).max(20.0);
+    let low_rate = (base_rate * PROFILE_RATE_FRAC).max(20.0);
     let outcome = profile_low_load(
         cfg.clone(),
         low_rate,
-        opts.profile_duration,
+        PROFILE_DURATION,
         PROFILE_TARGET_FACTOR,
     );
     cfg.params = outcome.params.clone();
-    // Looser per-packet progress targets (see `tfs_factor`).
+    // Looser per-packet progress targets (see `TFS_FACTOR`).
     for (p, prof) in cfg.params.iter_mut().zip(&outcome.result.profile) {
-        p.expected_time_from_start = prof.mean_time_from_start.mul_f64(opts.tfs_factor);
+        p.expected_time_from_start = prof.mean_time_from_start.mul_f64(TFS_FACTOR);
     }
     cfg.e2e_low_load = outcome.e2e_mean;
 
@@ -298,7 +297,7 @@ pub fn prepare(workload: Workload, nodes: u32, opts: CalibrationOptions) -> Prep
             .map(|p| p.latency)
             .collect();
         let p98 = percentile(&lats, 98.0).unwrap_or(outcome.e2e_mean * 3);
-        p98.mul_f64(opts.qos_factor)
+        p98.mul_f64(QOS_FACTOR)
     };
 
     PreparedWorkload {

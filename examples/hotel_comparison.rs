@@ -30,8 +30,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for factory in [
-        &PartiesFactory::default() as &dyn ControllerFactory,
-        &CaladanFactory::default(),
+        &PartiesFactory as &dyn ControllerFactory,
+        &CaladanFactory,
         &SurgeGuardFactory::full(),
     ] {
         let mut cfg = pw.cfg.clone();

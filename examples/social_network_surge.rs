@@ -49,8 +49,8 @@ fn main() {
     };
 
     for factory in [
-        &PartiesFactory::default() as &dyn ControllerFactory,
-        &CaladanFactory::default(),
+        &PartiesFactory as &dyn ControllerFactory,
+        &CaladanFactory,
         &SurgeGuardFactory::full(),
     ] {
         let mut cfg = pw.cfg.clone();

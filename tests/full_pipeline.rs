@@ -83,7 +83,7 @@ fn every_workload_calibrates_and_meets_qos_at_steady_state() {
 #[test]
 fn surgeguard_beats_parties_on_every_fixed_pool_workload() {
     for wl in [Workload::Chain, Workload::ReadUserTimeline] {
-        let (p, _) = run_workload(wl, &PartiesFactory::default(), 1.75, 5);
+        let (p, _) = run_workload(wl, &PartiesFactory, 1.75, 5);
         let (s, _) = run_workload(wl, &SurgeGuardFactory::full(), 1.75, 5);
         assert!(
             s.violation_volume <= p.violation_volume,
@@ -103,7 +103,7 @@ fn caladan_never_upscales_connection_per_request_workloads() {
     cfg.measure_start = SimTime::from_secs(2);
     cfg.trace_allocations = true;
     let arrivals = pattern.arrivals(SimTime::ZERO, SimTime::from_secs(14));
-    let r = Simulation::new(cfg, &CaladanFactory::default(), arrivals).run();
+    let r = Simulation::new(cfg, &CaladanFactory, arrivals).run();
     let upscales = r
         .alloc_trace
         .as_ref()
