@@ -1,35 +1,52 @@
 //! `sg-bench` — machine-readable perf baseline + regression gate.
 //!
-//! ```text
-//! sg-bench [--quick|--full] [--out PATH] [--compare OLD.json]
-//!          [--threshold PCT] [--only NAMES] [--demo-cluster]
-//!
-//!   --help, -h       print usage and exit 0
-//!   --quick          CI-sized iteration counts (default)
-//!   --full           more iterations for tighter quartiles
-//!   --out PATH       write the fresh baseline JSON to PATH
-//!   --compare OLD    run fresh, compare against a stored baseline, and
-//!                    exit 1 on any regression or missing scenario; a
-//!                    baseline recorded on another host is refused
-//!                    (exit 2) before anything runs
-//!   --threshold PCT  median regression threshold in percent (default 25)
-//!   --only NAMES     run only scenarios whose name contains one of the
-//!                    comma-separated substrings (e.g. cluster_scale_50);
-//!                    --compare then covers just those scenarios
-//!   --demo-cluster   instead of the scenario set, run the ROADMAP
-//!                    200-node / 5 001-container / 10M-request spike
-//!                    once and print its throughput
-//! ```
-//!
-//! An unknown flag, or a flag missing its value, exits 2 with usage on
-//! stderr. See BENCH.md for the scenario set and gate semantics.
+//! The flags are the table in [`SPEC`] (`--help`); BENCH.md describes the
+//! scenario set and the gate. Exit status: 0 on a pass, 1 on a perf
+//! regression or a missing scenario under `--compare`, 2 on a usage error
+//! or an IO, parse or cross-host error.
 
 use sg_bench::baseline::{recorded_calib, run_selected, to_json, BenchMode, Host};
 use sg_bench::compare::{compare, Verdict, DEFAULT_THRESHOLD_PCT};
 use sg_bench::ClusterScenario;
+use sg_core::cli::{Flag, Operands, Spec};
 use sg_core::time::SimTime;
 use sg_sim::controller::NoopFactory;
 use std::time::Instant;
+
+static SPEC: Spec = Spec {
+    name: "sg-bench",
+    flags: &[
+        Flag::switch("--quick", "CI-sized iteration counts (the default)"),
+        Flag::switch("--full", "more iterations for tighter quartiles"),
+        Flag::value("--out", "PATH", "write the fresh baseline JSON to PATH"),
+        Flag::value(
+            "--compare",
+            "OLD.json",
+            "run fresh, compare against a stored baseline, and exit 1 on any regression or \
+             missing scenario; a baseline recorded on another host is refused (exit 2) \
+             before anything runs",
+        ),
+        Flag::value(
+            "--threshold",
+            "PCT",
+            "median regression threshold in percent (default 25)",
+        ),
+        Flag::value(
+            "--only",
+            "NAMES",
+            "run only scenarios whose name contains one of the comma-separated substrings \
+             (e.g. cluster_scale_50); --compare then covers just those scenarios",
+        ),
+        Flag::switch(
+            "--demo-cluster",
+            "instead of the scenario set, run the 200-node / 5001-container / 10M-request \
+             spike once and print its throughput",
+        ),
+    ],
+    operands: Operands::None,
+    subcommands: &[],
+    notes: "",
+};
 
 /// `--demo-cluster`: the acceptance-scale run. 200 nodes × 25 backends,
 /// 500 req/s per node with 2× spikes (1 s every 10 s) for 95 simulated
@@ -102,49 +119,25 @@ fn demo_cluster() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode = BenchMode::Quick;
-    let mut out: Option<String> = None;
-    let mut compare_path: Option<String> = None;
-    let mut threshold = DEFAULT_THRESHOLD_PCT;
-    let mut only: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| match it.next() {
-            Some(v) if !v.starts_with("--") => v.clone(),
-            _ => usage(&format!("{arg} needs {what}")),
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return;
-            }
-            "--quick" => mode = BenchMode::Quick,
-            "--full" => mode = BenchMode::Full,
-            "--demo-cluster" => {
-                demo_cluster();
-                return;
-            }
-            "--only" => only = Some(value("NAMES")),
-            "--out" => out = Some(value("PATH")),
-            "--compare" => compare_path = Some(value("PATH")),
-            "--threshold" => {
-                let v = value("PCT");
-                threshold = v
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("--threshold expects a number, got '{v}'")));
-            }
-            other => usage(&format!("unknown argument '{other}'")),
-        }
+    let args = SPEC.parse_or_exit();
+    if args.has("--demo-cluster") {
+        demo_cluster();
+        return;
     }
+    let mode = if args.has("--full") {
+        BenchMode::Full
+    } else {
+        BenchMode::Quick
+    };
+    let threshold = args.number("--threshold").unwrap_or(DEFAULT_THRESHOLD_PCT);
+    let only = args.value("--only");
 
     // The stored baseline is read and its host checked before anything
     // runs: a cross-host compare is meaningless, so it costs nothing.
     let here = Host::detect();
-    let stored = compare_path.map(|path| {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
+    let stored = args.value("--compare").map(|path| {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
         let old =
             serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e:?}")));
         if let Err(e) = here.check(&old) {
@@ -159,7 +152,7 @@ fn main() {
         here.cpus,
         here.cpu
     );
-    let run = run_selected(mode, only.as_deref(), |s| {
+    let run = run_selected(mode, only, |s| {
         eprintln!(
             "  {:<18} median {:>10.3} {}  (p25 {:.3}, p75 {:.3}, n={})",
             s.name, s.median, s.unit, s.p25, s.p75, s.iters
@@ -170,7 +163,7 @@ fn main() {
     }
     let fresh = to_json(mode, &here, &run);
 
-    if let Some(path) = &out {
+    if let Some(path) = args.value("--out") {
         let text = serde_json::to_string_pretty(&fresh).unwrap();
         std::fs::write(path, text + "\n").unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
         eprintln!("sg-bench: baseline written to {path}");
@@ -179,7 +172,7 @@ fn main() {
     let Some((old_path, old)) = stored else {
         return;
     };
-    let report = compare(&old, &fresh, threshold, only.as_deref()).unwrap_or_else(|e| fail(&e));
+    let report = compare(&old, &fresh, threshold, only).unwrap_or_else(|e| fail(&e));
     eprintln!("sg-bench: compare vs {old_path} (threshold {threshold}%):");
     if Host::recorded(&old).is_none() {
         eprintln!(
@@ -221,17 +214,5 @@ fn main() {
 /// Exit 2: an IO, parse or cross-host error (not a perf verdict).
 fn fail(err: &str) -> ! {
     eprintln!("sg-bench: {err}");
-    std::process::exit(2);
-}
-
-const USAGE: &str = "\
-usage: sg-bench [--quick|--full] [--out PATH] [--compare OLD.json] \
-[--threshold PCT] [--only NAMES] [--demo-cluster]
-";
-
-/// Exit 2: a usage error, with usage on stderr.
-fn usage(err: &str) -> ! {
-    eprintln!("sg-bench: {err}");
-    eprint!("{USAGE}");
     std::process::exit(2);
 }

@@ -24,8 +24,11 @@
 //!   load generator's histogram and the mergeable telemetry digests.
 //! * [`fault`] — the deterministic fault-injection plan DSL shared by
 //!   both substrates (crash, node loss, pool leak, jitter, straggler).
+//! * [`cli`] — the one flag-table parser and exit-code contract every
+//!   binary in the workspace uses.
 //!
-//! Everything here is pure, deterministic, and free of I/O: the same code
+//! Apart from [`cli`], everything here is pure, deterministic, and free
+//! of I/O: the same code
 //! drives the discrete-event cluster in `sg-sim`, the live substrate in
 //! `sg-live`, the unit tests, and the `sg-bench` scenarios that check the
 //! fast path stays in the sub-microsecond regime the paper reports.
@@ -35,6 +38,7 @@
 
 pub mod allocator;
 pub mod arrivals;
+pub mod cli;
 pub mod config;
 pub mod escalator;
 pub mod fault;

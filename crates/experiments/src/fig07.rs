@@ -11,7 +11,7 @@
 //! [`sg_telemetry::timeline::TimelineSet`], and — the part that makes it
 //! a claim rather than a plot — every alloc and boost event in the
 //! decision trace is reconciled against the gauge series, exactly what
-//! `sg-timeline --reconcile` asserts.
+//! `sg-trace timeline --reconcile` asserts.
 
 use crate::output::{JsonSink, Table};
 use crate::suite::{Arm, Suite};

@@ -1,23 +1,17 @@
 //! `sg-experiments` — regenerate the paper's tables and figures. See
-//! [`sg_experiments::cli::USAGE`] for the command line.
+//! [`sg_experiments::cli::SPEC`] for the command line.
 
-use sg_experiments::cli::{parse_args, USAGE};
+use sg_experiments::cli::{parse_args, SPEC};
 use sg_experiments::{parallel, ExpProfile, JsonSink, Suite, FIGURES};
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) if cli.help => {
-            print!("{USAGE}");
-            return;
-        }
-        Ok(cli) => cli,
-        Err(e) => {
-            eprint!("sg-experiments: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let cli = parse_args(&args).unwrap_or_else(|e| SPEC.fail(&e));
+    if cli.help {
+        print!("{}", SPEC.usage());
+        return;
+    }
     if let Some(n) = cli.threads {
         parallel::set_threads(n);
     }

@@ -1,120 +1,257 @@
-//! `sg-trace` — summarize, audit, and watch telemetry JSONL streams.
+//! `sg-trace` — summarize, audit, watch and chart the telemetry JSONL
+//! streams `sg-loadtest` records. The modes, flags and exit codes are the
+//! tables below (`--help`).
 //!
-//! Usage:
-//!
-//! * `sg-trace [--json] [--qos MS] [--folded PATH] [--profile]
-//!   TRACE.jsonl` — summarize a recorded trace.
-//! * `sg-trace watch [--json] [--tail] [--qos MS] [--objective PCT]
-//!   [--topk N] [--idle-exit SECS] METRICS.jsonl` — fold a
-//!   metrics/span stream into a rolling cluster view: merged latency
-//!   digest percentiles, SLO burn rates with fast/slow alerts, and the
-//!   heavy-hitter loss table (see `sg_telemetry::watch`).
-//!
-//! Reads traces produced by `sg-loadtest --telemetry` / `--spans` /
-//! `--metrics` (or any `JsonlSink`) and prints the per-container
-//! allocation timeline, the boost→retire latency distribution, the
-//! decision-cycle action histogram, and — when the trace carries span
-//! records — the critical-path attribution report for deadline-violating
-//! requests.
-//!
-//! Flags (summarize mode):
-//!
-//! * `--json`     emit one JSON object (`{"decision": …, "spans": …}`)
-//!   instead of the human-readable report.
-//! * `--qos MS`   classify violations against this deadline in
-//!   milliseconds (fractional OK); defaults to self-calibrating on the
-//!   p99 of observed request durations.
-//! * `--folded PATH` write the attribution histogram as collapsed
-//!   stacks (`client;c0;c1;pool_queue 1234`) for inferno / speedscope.
-//! * `--profile`  render a self-profile recorded with `sg-loadtest
-//!   --profile-out`: phase table (% of wall, count, p50/p99), watermark
-//!   summary, and the explicit self-overhead line. `--folded` then
-//!   writes the phase stacks instead of the attribution stacks, and the
-//!   exit status reflects the profile audit (zero wall, inconsistent
-//!   sampling, live coverage below the floor).
-//!
-//! Flags (watch mode):
-//!
-//! * `--tail`     follow the file as it is appended (`tail -f`
-//!   semantics), re-rendering when new events arrive.
-//! * `--objective PCT` the SLO objective (default 99.9).
-//! * `--topk N`   heavy-hitter rows to print (default 8).
-//! * `--idle-exit SECS` with `--tail`: exit once no new data has
-//!   arrived for this long (CI uses this; default is to follow
-//!   forever).
-//!
-//! Input is **streamed** line-by-line in both modes — a multi-gigabyte
-//! `cluster_scale` export folds in constant memory (span records and
-//! profile events, which need whole-set analysis, are the only events
-//! retained).
-//!
-//! Any file whose `schema` header names an unknown version is still
-//! summarized, with a warning — never silently misparsed.
-//!
-//! Exit status: 0 on a clean trace, 1 when the clamp/reconciliation
-//! audit, the span structural audit, the profile audit, or the watch
-//! audit (no aggregation records, cumulative snapshots regressing)
-//! finds a mismatch, 2 on usage errors (`--help` exits 0). Unparseable
-//! lines are counted
-//! and reported, not fatal — a trace truncated by a crash should still
-//! summarize.
+//! Input is streamed line-by-line, so a multi-gigabyte export folds in
+//! constant memory; only span records and profile events, which need
+//! whole-set analysis, and a `--trace` for reconciliation are kept. A
+//! file whose `schema` header names an unknown or newer version is still
+//! read, with a warning. Unparseable lines are counted and reported, not
+//! fatal: a trace truncated by a crash should still summarize.
 
+use sg_core::cli::{Args, Flag, Operands, Spec};
 use sg_core::time::SimDuration;
 use sg_telemetry::{
-    schema_warning, stream_trace, EventFamily, ProfileReport, SpanRecord, SpanReport,
-    SummaryBuilder, TailStream, TelemetryEvent, WatchConfig, Watcher, PROFILE_SCHEMA,
+    schema_warning, stream_trace, timeline, EventFamily, ProfileReport, SpanRecord, SpanReport,
+    SummaryBuilder, TailStream, TelemetryEvent, TimelineSet, WatchConfig, Watcher, PROFILE_SCHEMA,
 };
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-usage: sg-trace [--json] [--qos MS] [--folded PATH] [--profile] TRACE.jsonl
-       sg-trace watch [--json] [--tail] [--qos MS] [--objective PCT] [--topk N]
-                      [--idle-exit SECS] METRICS.jsonl
-  summarize a telemetry trace recorded with sg-loadtest --telemetry/--spans,
-  render a self-profile (--profile), or watch a metrics/span stream (watch):
-  rolling latency digests, SLO burn rates, and heavy-hitter loss tables
-  exits nonzero when the reconciliation, span, profile, or watch audit fails
-";
+static SUMMARIZE: Spec = Spec {
+    name: "sg-trace",
+    flags: &[
+        Flag::switch(
+            "--json",
+            "emit one JSON object ({\"decision\": ..., \"spans\": ...}) instead of the report",
+        ),
+        Flag::value(
+            "--qos",
+            "MS",
+            "classify violations against this deadline in milliseconds (fractional OK); \
+             default: the p99 of observed request durations",
+        ),
+        Flag::value(
+            "--folded",
+            "PATH",
+            "write the attribution histogram (with --profile: the phase stacks) as \
+             collapsed stacks (client;c0;c1;pool_queue 1234) for inferno / speedscope",
+        ),
+        Flag::switch(
+            "--profile",
+            "render a self-profile recorded with sg-loadtest --profile-out: phase table \
+             (% of wall, count, p50/p99), watermarks and self-overhead; the exit status \
+             is the profile audit (zero wall, inconsistent sampling, live coverage below \
+             the floor)",
+        ),
+    ],
+    operands: Operands::One("TRACE.jsonl"),
+    subcommands: &[&WATCH, &TIMELINE],
+    notes: "\
+Summarizes a telemetry trace recorded with sg-loadtest --telemetry/--spans,
+renders a self-profile (--profile), watches a metrics/span stream (watch:
+rolling latency digests, SLO burn rates, heavy-hitter loss tables) or
+charts and reconciles the gauge timelines (timeline). Each subcommand takes
+--help. Exits 1 when the reconciliation, span, profile, watch or timeline
+audit fails, 2 on a usage error.
+",
+};
 
-/// `--help`: usage on stdout, success.
-fn help() -> ExitCode {
-    print!("{USAGE}");
-    ExitCode::SUCCESS
+static WATCH: Spec = Spec {
+    name: "sg-trace watch",
+    flags: &[
+        Flag::switch("--json", "emit the final view as one JSON object"),
+        Flag::switch(
+            "--tail",
+            "follow the file as it is appended (tail -f), re-rendering when new events arrive",
+        ),
+        Flag::value(
+            "--qos",
+            "MS",
+            "deadline in milliseconds; default: the one the stream carries",
+        ),
+        Flag::value(
+            "--objective",
+            "PCT",
+            "SLO objective in [0, 100) (default 99.9)",
+        ),
+        Flag::value("--topk", "N", "heavy-hitter rows to print (default 8)"),
+        Flag::value(
+            "--idle-exit",
+            "SECS",
+            "with --tail: exit once no new data has arrived for this long (default: follow \
+             forever)",
+        ),
+    ],
+    operands: Operands::One("METRICS.jsonl"),
+    subcommands: &[],
+    notes: "",
+};
+
+static TIMELINE: Spec = Spec {
+    name: "sg-trace timeline",
+    flags: &[
+        Flag::value(
+            "--trace",
+            "PATH",
+            "also load the decision trace recorded alongside the metrics (same run, \
+             sg-loadtest --telemetry)",
+        ),
+        Flag::switch(
+            "--reconcile",
+            "with --trace: every alloc event must be a step in the matching cores / \
+             freq_level gauge, every fr_boost a step in the fr_boosts counter; exits 1 on a \
+             mismatch or on drops in either stream",
+        ),
+        Flag::value(
+            "--svg",
+            "PATH",
+            "write an SVG strip chart (cores + DVFS level per container over time)",
+        ),
+        Flag::switch("--json", "machine-readable summary instead of tables"),
+        Flag::value(
+            "--grace-ms",
+            "MS",
+            "supersede/boundary grace window for --reconcile; default: the measured \
+             sampling interval (min 1 ms)",
+        ),
+    ],
+    operands: Operands::One("METRICS.jsonl"),
+    subcommands: &[],
+    notes: "",
+};
+
+fn main() -> ExitCode {
+    let args = SUMMARIZE.parse_or_exit();
+    let run = if args.is(&WATCH) {
+        watch(&args)
+    } else if args.is(&TIMELINE) {
+        timeline(&args)
+    } else {
+        summarize(&args)
+    };
+    match run {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(message) => {
+            eprintln!("sg-trace: {message}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-/// A usage error: usage on stderr, exit 2.
-fn usage() -> ExitCode {
-    eprint!("{USAGE}");
-    ExitCode::from(2)
+/// A mode's outcome: whether its audit passed, or why it could not run.
+type Verdict = Result<bool, String>;
+
+/// Stream `path`, checking each event's schema header before `f` sees
+/// it; returns the count of unparseable lines.
+fn read(path: &str, mut f: impl FnMut(TelemetryEvent)) -> Result<u64, String> {
+    let stream = stream_trace(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
+    stream
+        .for_each(|event| {
+            warn_schema(&event);
+            f(event);
+        })
+        .map_err(|e| format!("read error on {path}: {e}"))
 }
 
-fn print_schema_warning(event: &TelemetryEvent) {
+fn warn_schema(event: &TelemetryEvent) {
     if let Some(warning) = schema_warning(event) {
         eprintln!("sg-trace: warning: {warning}");
     }
 }
 
-/// `--profile` mode: rebuild and render the self-profile report; the
-/// exit code is its audit verdict.
-fn profile_mode(
+fn report_bad_lines(bad_lines: u64) {
+    if bad_lines > 0 {
+        eprintln!("sg-trace: skipped {bad_lines} unparseable line(s)");
+    }
+}
+
+fn print_audit<'a>(findings: impl IntoIterator<Item = &'a String>) {
+    for finding in findings {
+        eprintln!("sg-trace: AUDIT: {finding}");
+    }
+}
+
+/// `--qos MS` as a deadline; a value that is not positive is a usage error.
+fn deadline(args: &Args) -> Option<SimDuration> {
+    let ms: f64 = args.number("--qos")?;
+    if ms.is_nan() || ms <= 0.0 {
+        args.fail("--qos must be positive");
+    }
+    Some(SimDuration::from_nanos((ms * 1_000_000.0) as u64))
+}
+
+/// Summarize a recorded trace, or with `--profile` render its
+/// self-profile. Only span records (whole-set critical-path analysis) and
+/// profile events (whole-set phase accounting) are kept in memory.
+fn summarize(args: &Args) -> Verdict {
+    let (json, profile, qos) = (args.has("--json"), args.has("--profile"), deadline(args));
+    let folded = args.value("--folded");
+    let path = args.operand();
+    let mut builder = SummaryBuilder::new();
+    let mut spans: Vec<SpanRecord> = Vec::new();
+    let mut profile_events: Vec<TelemetryEvent> = Vec::new();
+    let bad_lines = read(path, |event| {
+        if let TelemetryEvent::Span(record) = &event {
+            spans.push(*record);
+        }
+        if profile && event.family() == EventFamily::Profile {
+            profile_events.push(event.clone());
+        }
+        builder.push(event);
+    })?;
+    if profile {
+        return render_profile(path, &profile_events, bad_lines, json, folded);
+    }
+
+    let summary = builder.finish();
+    let report = SpanReport::from_records(&spans, qos);
+    if let Some(folded) = folded {
+        std::fs::write(folded, report.folded_lines())
+            .map_err(|e| format!("cannot write {folded}: {e}"))?;
+    }
+    let decision_audit = summary.audit();
+    let span_audit = report.audit();
+    if json {
+        let spans_json = if report.spans > 0 {
+            report.to_json()
+        } else {
+            serde_json::Value::Null
+        };
+        let obj = serde_json::json!({
+            "decision": summary.to_json(),
+            "spans": spans_json,
+            "bad_lines": bad_lines,
+        });
+        println!("{obj}");
+    } else {
+        print!("{}", summary.render());
+        if report.spans > 0 {
+            print!("{}", report.render());
+        }
+        print_audit(decision_audit.iter().chain(span_audit.iter()));
+    }
+    report_bad_lines(bad_lines);
+    Ok(decision_audit.is_empty() && span_audit.is_empty())
+}
+
+/// `--profile`: rebuild and render the self-profile report; the verdict is
+/// its audit.
+fn render_profile(
     path: &str,
     events: &[TelemetryEvent],
     bad_lines: u64,
     json: bool,
     folded: Option<&str>,
-) -> ExitCode {
-    let Some(report) = ProfileReport::from_events(events) else {
-        eprintln!("sg-trace: no profile records in {path} (record with sg-loadtest --profile-out)");
-        return ExitCode::FAILURE;
-    };
-    if let Some(folded_path) = folded {
+) -> Verdict {
+    let report = ProfileReport::from_events(events).ok_or_else(|| {
+        format!("no profile records in {path} (record with sg-loadtest --profile-out)")
+    })?;
+    if let Some(folded) = folded {
         let mut text = report.folded_lines().join("\n");
         text.push('\n');
-        if let Err(e) = std::fs::write(folded_path, text) {
-            eprintln!("sg-trace: cannot write {folded_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(folded, text).map_err(|e| format!("cannot write {folded}: {e}"))?;
     }
     let audit = report.audit();
     if json {
@@ -152,120 +289,44 @@ fn profile_mode(
     } else {
         print!("{}", report.render());
         if let Err(findings) = &audit {
-            for finding in findings {
-                eprintln!("sg-trace: AUDIT: {finding}");
-            }
+            print_audit(findings);
         }
     }
-    if bad_lines > 0 {
-        eprintln!("sg-trace: skipped {bad_lines} unparseable line(s)");
-    }
-    if audit.is_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    report_bad_lines(bad_lines);
+    Ok(audit.is_ok())
 }
 
-fn parse_qos_ms(value: Option<&String>) -> Result<SimDuration, ExitCode> {
-    let Some(ms) = value.and_then(|v| v.parse::<f64>().ok()) else {
-        eprintln!("sg-trace: --qos needs a millisecond value");
-        return Err(usage());
-    };
-    if ms.is_nan() || ms <= 0.0 {
-        eprintln!("sg-trace: --qos must be positive");
-        return Err(usage());
+/// `watch`: fold a metrics/span stream into a rolling cluster view; the
+/// verdict is the watch audit.
+fn watch(args: &Args) -> Verdict {
+    let defaults = WatchConfig::default();
+    let objective_pct = args.number("--objective").unwrap_or(defaults.objective_pct);
+    if !(0.0..100.0).contains(&objective_pct) {
+        args.fail("--objective must be in [0, 100)");
     }
-    Ok(SimDuration::from_nanos((ms * 1_000_000.0) as u64))
-}
-
-/// `watch` subcommand: fold a metrics/span stream into a rolling
-/// cluster view. Exit code is the watch audit verdict.
-fn watch_mode(args: &[String]) -> ExitCode {
-    let mut cfg = WatchConfig::default();
-    let mut json = false;
-    let mut tail = false;
-    let mut idle_exit: Option<std::time::Duration> = None;
-    let mut path: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => return help(),
-            "--json" => json = true,
-            "--tail" => tail = true,
-            "--qos" => {
-                i += 1;
-                match parse_qos_ms(args.get(i)) {
-                    Ok(q) => cfg.qos = Some(q),
-                    Err(code) => return code,
-                }
-            }
-            "--objective" => {
-                i += 1;
-                let Some(pct) = args.get(i).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("sg-trace: --objective needs a percentage");
-                    return usage();
-                };
-                if !(0.0..100.0).contains(&pct) {
-                    eprintln!("sg-trace: --objective must be in [0, 100)");
-                    return usage();
-                }
-                cfg.objective_pct = pct;
-            }
-            "--topk" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("sg-trace: --topk needs a count");
-                    return usage();
-                };
-                cfg.topk = n.max(1);
-            }
-            "--idle-exit" => {
-                i += 1;
-                let Some(secs) = args.get(i).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("sg-trace: --idle-exit needs seconds");
-                    return usage();
-                };
-                idle_exit = Some(std::time::Duration::from_secs_f64(secs.max(0.0)));
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("sg-trace: unknown flag {flag}");
-                return usage();
-            }
-            p => {
-                if path.replace(p.to_string()).is_some() {
-                    eprintln!("sg-trace: more than one metrics file given");
-                    return usage();
-                }
-            }
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        return usage();
+    let cfg = WatchConfig {
+        qos: deadline(args),
+        objective_pct,
+        topk: args
+            .number("--topk")
+            .map_or(defaults.topk, |n: usize| n.max(1)),
     };
+    let idle_exit = args
+        .number("--idle-exit")
+        .map(|secs: f64| std::time::Duration::from_secs_f64(secs.max(0.0)));
+    let json = args.has("--json");
+    let path = args.operand();
 
     let mut watcher = Watcher::new(cfg);
-    let bad_lines;
-    if tail {
-        let mut stream = match TailStream::open(Path::new(&path)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sg-trace: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let bad_lines = if args.has("--tail") {
+        let mut stream =
+            TailStream::open(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
         let poll_every = std::time::Duration::from_millis(200);
         let mut idle = std::time::Duration::ZERO;
         loop {
-            let events = match stream.poll() {
-                Ok(events) => events,
-                Err(e) => {
-                    eprintln!("sg-trace: read error on {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let events = stream
+                .poll()
+                .map_err(|e| format!("read error on {path}: {e}"))?;
             if events.is_empty() {
                 idle += poll_every;
                 if idle_exit.is_some_and(|limit| idle >= limit) {
@@ -274,7 +335,7 @@ fn watch_mode(args: &[String]) -> ExitCode {
             } else {
                 idle = std::time::Duration::ZERO;
                 for event in events {
-                    print_schema_warning(&event);
+                    warn_schema(&event);
                     watcher.push(event);
                 }
                 if !json {
@@ -287,170 +348,103 @@ fn watch_mode(args: &[String]) -> ExitCode {
             }
             std::thread::sleep(poll_every);
         }
-        bad_lines = stream.bad_lines;
+        stream.bad_lines
     } else {
-        let stream = match stream_trace(Path::new(&path)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sg-trace: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        bad_lines = match stream.for_each(|event| {
-            print_schema_warning(&event);
-            watcher.push(event);
-        }) {
-            Ok(bad) => bad,
-            Err(e) => {
-                eprintln!("sg-trace: read error on {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
+        read(path, |event| watcher.push(event))?
+    };
 
     let audit = watcher.audit();
     if json {
         println!("{}", watcher.to_json());
     } else {
         print!("{}", watcher.render());
-        for finding in &audit {
-            eprintln!("sg-trace: AUDIT: {finding}");
-        }
+        print_audit(&audit);
     }
-    if bad_lines > 0 {
-        eprintln!("sg-trace: skipped {bad_lines} unparseable line(s)");
-    }
-    if audit.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    report_bad_lines(bad_lines);
+    Ok(audit.is_empty())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("watch") {
-        return watch_mode(&args[1..]);
+/// `timeline`: render the metrics timeline and, with `--trace` +
+/// `--reconcile`, cross-check it against the decision trace; the verdict
+/// is the reconciliation.
+fn timeline(args: &Args) -> Verdict {
+    let reconcile = args.has("--reconcile");
+    let trace_path = args.value("--trace");
+    if reconcile && trace_path.is_none() {
+        args.fail("--reconcile requires --trace");
     }
-    let mut json = false;
-    let mut profile = false;
-    let mut qos: Option<SimDuration> = None;
-    let mut folded: Option<String> = None;
-    let mut path: Option<String> = None;
+    let grace_ms: Option<f64> = args.number("--grace-ms");
+    if grace_ms.is_some_and(|ms| ms.is_nan() || ms < 0.0) {
+        args.fail("--grace-ms must be non-negative");
+    }
+    let metrics_path = args.operand();
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => return help(),
-            "--json" => json = true,
-            "--profile" => profile = true,
-            "--qos" => {
-                i += 1;
-                match parse_qos_ms(args.get(i)) {
-                    Ok(q) => qos = Some(q),
-                    Err(code) => return code,
-                }
-            }
-            "--folded" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
-                    eprintln!("sg-trace: --folded needs a path");
-                    return usage();
-                };
-                folded = Some(p.clone());
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("sg-trace: unknown flag {flag}");
-                return usage();
-            }
-            p => {
-                if path.replace(p.to_string()).is_some() {
-                    eprintln!("sg-trace: more than one trace file given");
-                    return usage();
-                }
-            }
-        }
-        i += 1;
+    // The metrics file is the large one on a cluster-scale run: fold its
+    // samples into the timeline as they stream by.
+    let mut set = TimelineSet::default();
+    let bad_lines = read(metrics_path, |event| set.push(&event))?;
+    set.seal();
+    // The decision trace is replayed as a whole event set.
+    let mut trace = Vec::new();
+    if let Some(path) = trace_path {
+        read(path, |event| trace.push(event))?;
     }
-    let Some(path) = path else {
-        return usage();
+
+    // Grace: the flag, else the measured sampling interval (the natural
+    // boundary-race window), floored at 1 ms.
+    let grace = match grace_ms {
+        Some(ms) => SimDuration::from_nanos((ms * 1_000_000.0) as u64),
+        None => set
+            .median_interval()
+            .unwrap_or(SimDuration::from_millis(1))
+            .max(SimDuration::from_millis(1)),
     };
+    let report = reconcile.then(|| timeline::reconcile(&set, &trace, grace));
 
-    // Stream the file once, folding the decision summary incrementally.
-    // Only span records (whole-set critical-path analysis) and profile
-    // events (whole-set phase accounting) are retained in memory.
-    let stream = match stream_trace(Path::new(&path)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sg-trace: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut builder = SummaryBuilder::new();
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut profile_events: Vec<TelemetryEvent> = Vec::new();
-    let bad_lines = match stream.for_each(|event| {
-        print_schema_warning(&event);
-        if let TelemetryEvent::Span(record) = &event {
-            spans.push(*record);
-        }
-        if profile && event.family() == EventFamily::Profile {
-            profile_events.push(event.clone());
-        }
-        builder.push(event);
-    }) {
-        Ok(bad) => bad,
-        Err(e) => {
-            eprintln!("sg-trace: read error on {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if profile {
-        return profile_mode(&path, &profile_events, bad_lines, json, folded.as_deref());
+    if let Some(svg) = args.value("--svg") {
+        std::fs::write(svg, set.render_svg()).map_err(|e| format!("cannot write {svg}: {e}"))?;
     }
-
-    let summary = builder.finish();
-    let report = SpanReport::from_records(&spans, qos);
-
-    if let Some(folded_path) = &folded {
-        if let Err(e) = std::fs::write(folded_path, report.folded_lines()) {
-            eprintln!("sg-trace: cannot write {folded_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let decision_audit = summary.audit();
-    let span_audit = report.audit();
-
-    if json {
-        let spans_json = if report.spans > 0 {
-            report.to_json()
-        } else {
-            serde_json::Value::Null
+    if args.has("--json") {
+        let reconcile_json = match &report {
+            Some(r) => serde_json::json!({
+                "passed": r.passed(),
+                "checked": r.checked,
+                "superseded": r.superseded,
+                "tail_skipped": r.tail_skipped,
+                "metrics_dropped": r.metrics_dropped,
+                "trace_dropped": r.trace_dropped,
+                "mismatches": r.mismatches.clone(),
+            }),
+            None => serde_json::Value::Null,
         };
         let obj = serde_json::json!({
-            "decision": summary.to_json(),
-            "spans": spans_json,
+            "schema_version": set.version,
+            "interval_ns": set.interval_ns,
+            "samples": set.samples,
+            "containers": set.containers(),
+            "dropped": set.dropped,
             "bad_lines": bad_lines,
+            "reconcile": reconcile_json,
         });
         println!("{obj}");
     } else {
-        print!("{}", summary.render());
-        if report.spans > 0 {
-            print!("{}", report.render());
+        println!(
+            "metrics timeline: {} sample(s), {} container(s), schema v{}",
+            set.samples,
+            set.containers().len(),
+            set.version.map_or("?".to_string(), |v| v.to_string()),
+        );
+        if set.dropped > 0 {
+            println!("  !! {} metrics sample(s) dropped in-flight", set.dropped);
         }
-        for finding in decision_audit.iter().chain(span_audit.iter()) {
-            eprintln!("sg-trace: AUDIT: {finding}");
+        print!("{}", set.render_tables(20));
+        println!();
+        print!("{}", set.render_ascii(72));
+        if let Some(r) = &report {
+            print!("{}", r.render());
+            println!("reconcile grace: {:.1} ms", grace.as_nanos() as f64 / 1e6);
         }
     }
-    if bad_lines > 0 {
-        eprintln!("sg-trace: skipped {bad_lines} unparseable line(s)");
-    }
-
-    if decision_audit.is_empty() && span_audit.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    report_bad_lines(bad_lines);
+    Ok(!matches!(&report, Some(r) if !r.passed()))
 }

@@ -40,7 +40,10 @@
 //! The `sg-trace` binary summarizes a recorded JSONL trace: per-container
 //! allocation timeline, boost→retire latency distribution, action
 //! histogram, a clamp/reconciliation audit (see [`summary`]; mismatches
-//! exit nonzero), and the span-side critical-path report.
+//! exit nonzero), and the span-side critical-path report. Its `watch`
+//! subcommand folds a metrics stream into the SLO view ([`watch`]) and
+//! its `timeline` subcommand charts and reconciles the gauge timelines
+//! ([`timeline`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

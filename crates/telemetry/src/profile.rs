@@ -46,7 +46,7 @@ use std::time::Instant;
 /// engine's calendar queue became the default backend. v1 files remain
 /// readable: every v1 mark kept its wire name — `heap_depth_high_water`
 /// now reports the *total pending events* high-water on either queue
-/// backend — and readers (`sg-trace`, `sg-timeline`) accept both
+/// backend — and the `sg-trace` readers accept both
 /// schema headers.
 pub const PROFILE_SCHEMA_VERSION: u32 = 2;
 

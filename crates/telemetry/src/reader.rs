@@ -1,7 +1,7 @@
 //! Shared JSONL trace reading for the CLI tools.
 //!
-//! `sg-trace` and `sg-timeline` consume the same wire format; this
-//! module is the single open-and-parse loop both binaries use, so the
+//! Every `sg-trace` mode consumes the same wire format; this module is
+//! the single open-and-parse loop they all use, so the
 //! tolerant-parsing policy (skip blank lines, count — don't fail on —
 //! unparseable ones) lives in exactly one place. A trace truncated by a
 //! crash should still summarize.

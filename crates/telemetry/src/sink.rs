@@ -324,7 +324,7 @@ impl Drop for JsonlSink {
 /// aggregation snapshots ([`TelemetryEvent::Digest`] /
 /// [`TelemetryEvent::Slo`] / [`TelemetryEvent::TopK`], see
 /// [`crate::agg`]) ride the same stream, so one metrics file feeds both
-/// `sg-timeline` and `sg-trace watch`.
+/// `sg-trace timeline` and `sg-trace watch`.
 pub struct DemuxSink {
     decision: Option<SharedSink>,
     span: Option<SharedSink>,

@@ -58,7 +58,7 @@ pub struct TraceSummary {
     /// [`crate::critical::SpanReport`]).
     pub spans: u64,
     /// Metrics samples/headers seen in the stream (summarized separately
-    /// by [`crate::timeline::TimelineSet`] / `sg-timeline`).
+    /// by [`crate::timeline::TimelineSet`] / `sg-trace timeline`).
     pub metric_samples: u64,
     /// Accepted (`Deferred`) `SetFreq` actions per container.
     pub freq_deferred: BTreeMap<u32, u64>,
@@ -372,7 +372,7 @@ impl TraceSummary {
         if self.metric_samples > 0 {
             let _ = writeln!(
                 out,
-                "  {} metrics samples (render with sg-timeline)",
+                "  {} metrics samples (render with sg-trace timeline)",
                 self.metric_samples
             );
         }

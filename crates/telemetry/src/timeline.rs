@@ -1,5 +1,4 @@
-//! Fig. 7/8-style timeline reconstruction behind the `sg-timeline`
-//! binary.
+//! Fig. 7/8-style timeline reconstruction behind `sg-trace timeline`.
 //!
 //! A metrics JSONL stream (see [`crate::metrics`]) is a flat list of
 //! `(at, node, container, metric, value)` samples; [`TimelineSet`]
