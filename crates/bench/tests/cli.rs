@@ -6,7 +6,9 @@
 //! any work starts.
 //!
 //! The binaries of the other packages are found next to `sg-bench`: a
-//! workspace `cargo test` builds every one of them.
+//! workspace `cargo test` builds every one of them. The values that
+//! `sg-experiments` and `sg-loadtest` refuse are checked in
+//! `crates/experiments/tests/cli.rs`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -22,43 +24,9 @@ const COMMANDS: [(&str, &[&str], &str); 6] = [
     ("sg-trace", &["timeline"], "--svg"),
 ];
 
-/// Command lines that parse but carry a value the binary refuses, and
+/// `sg-trace` command lines that parse but carry a value it refuses, and
 /// what its error says.
 const REFUSED: &[(&[&str], &str)] = &[
-    (&["sg-experiments", "fig99"], "unknown experiment 'fig99'"),
-    (
-        &["sg-experiments", "--threads", "0"],
-        "--threads expects a positive integer, got '0'",
-    ),
-    (&["sg-loadtest", "chain"], "unexpected argument 'chain'"),
-    (
-        &["sg-loadtest", "--nodes", "two"],
-        "--nodes expects a number, got 'two'",
-    ),
-    (
-        &["sg-loadtest", "--duration", "1.5"],
-        "--duration expects a number, got '1.5'",
-    ),
-    (
-        &["sg-loadtest", "--qos", "5ms"],
-        "--qos expects a number, got '5ms'",
-    ),
-    (
-        &["sg-loadtest", "--workload", "nope"],
-        "unknown workload 'nope'",
-    ),
-    (
-        &["sg-loadtest", "--span-sample", "3/2"],
-        "bad --span-sample '3/2'",
-    ),
-    (
-        &["sg-loadtest", "--metrics-listen", "127.0.0.1:9184"],
-        "--metrics-listen needs --backend live",
-    ),
-    (
-        &["sg-bench", "--threshold", "ten"],
-        "--threshold expects a number, got 'ten'",
-    ),
     (&["sg-trace"], "missing TRACE.jsonl"),
     (
         &["sg-trace", "a.jsonl", "b.jsonl"],
@@ -120,6 +88,43 @@ fn help_exits_0_and_a_bad_flag_exits_2() {
     }
     for (line, message) in REFUSED {
         assert_refused(line[0], &line[1..], message);
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for help in ["--help", "-h"] {
+        let out = run("sg-bench", &[help]);
+        assert_eq!(out.status.code(), Some(0), "{help}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: sg-bench "), "{help}: {stdout}");
+        for flag in [
+            "--quick",
+            "--full",
+            "--out",
+            "--compare",
+            "--threshold",
+            "--only",
+            "--demo-cluster",
+        ] {
+            assert!(stdout.contains(flag), "{help} lists no {flag}: {stdout}");
+        }
+    }
+}
+
+#[test]
+fn bad_arguments_exit_2_with_usage() {
+    for (args, message) in [
+        (&["--bogus"][..], "unknown flag '--bogus'"),
+        (&["--out"], "--out expects a value"),
+        (&["--out", "--full"], "--out expects a value"),
+        (&["--only", "--quick"], "--only expects a value"),
+        (
+            &["--threshold", "ten"],
+            "--threshold expects a number, got 'ten'",
+        ),
+    ] {
+        assert_refused("sg-bench", args, message);
     }
 }
 
