@@ -19,6 +19,7 @@
 //!   this is why its violation volume explodes on hotelReservation while
 //!   its energy use is far lower).
 
+use sg_core::allocator::{AllocConstraints, CoreLedger, HoldCounter};
 use sg_core::config::ContainerParams;
 use sg_core::ids::ContainerId;
 use sg_core::time::{SimDuration, SimTime};
@@ -47,10 +48,9 @@ const REVOKE_HOLD: u32 = 10;
 /// CaladanAlgo controller state for one node.
 pub struct Caladan {
     params: HashMap<ContainerId, ContainerParams>,
-    min_cores: u32,
-    max_cores: u32,
-    total_cores: u32,
-    idle_streak: HashMap<ContainerId, u32>,
+    /// The node's constraints with a core step of one hyperthread.
+    constraints: AllocConstraints,
+    idle: HoldCounter<ContainerId>,
 }
 
 impl Caladan {
@@ -58,10 +58,11 @@ impl Caladan {
     pub fn new(init: &NodeInit) -> Self {
         Caladan {
             params: init.containers.iter().map(|c| (c.id, c.params)).collect(),
-            min_cores: init.constraints.min_cores,
-            max_cores: init.constraints.max_cores,
-            total_cores: init.constraints.total_cores,
-            idle_streak: HashMap::new(),
+            constraints: AllocConstraints {
+                core_step: 1,
+                ..init.constraints
+            },
+            idle: HoldCounter::new(REVOKE_HOLD),
         }
     }
 }
@@ -77,27 +78,29 @@ impl Controller for Caladan {
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
         let mut actions = Vec::new();
-        let allocated: u32 = snapshot.containers.iter().map(|c| c.alloc.cores).sum();
-        let mut spare = self.total_cores.saturating_sub(allocated);
+        let mut ledger = CoreLedger::new(
+            self.constraints,
+            snapshot.containers.iter().map(|c| &c.alloc),
+        );
 
         // Congested containers sorted by buildup severity.
-        let mut congested: Vec<(ContainerId, f64, u32)> = snapshot
+        let mut congested: Vec<_> = snapshot
             .containers
             .iter()
             .filter(|c| c.metrics.requests > 0 && c.metrics.queue_buildup > CONGESTION_TH)
-            .map(|c| (c.id, c.metrics.queue_buildup, c.alloc.cores))
             .collect();
-        congested.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        congested.sort_by(|a, b| {
+            b.metrics
+                .queue_buildup
+                .total_cmp(&a.metrics.queue_buildup)
+                .then_with(|| a.id.cmp(&b.id))
+        });
 
-        for (id, _, cores) in &congested {
-            self.idle_streak.remove(id);
+        for c in congested {
+            self.idle.clear(c.id);
             // Caladan grants ONE hyperthread per congestion signal.
-            if *cores < self.max_cores && spare >= 1 {
-                spare -= 1;
-                actions.push(ControlAction::SetCores {
-                    id: *id,
-                    cores: cores + 1,
-                });
+            if let Some(cores) = ledger.try_grow(&c.alloc) {
+                actions.push(ControlAction::SetCores { id: c.id, cores });
             }
         }
 
@@ -113,18 +116,13 @@ impl Controller for Caladan {
             let idle = c.metrics.queue_buildup < IDLE_TH
                 && target > 0.0
                 && (c.metrics.mean_exec_time.as_nanos() as f64) < SURPLUS_RATIO * target;
-            if idle {
-                let streak = self.idle_streak.entry(c.id).or_insert(0);
-                *streak += 1;
-                if *streak >= REVOKE_HOLD && c.alloc.cores > self.min_cores {
-                    *streak = 0;
-                    actions.push(ControlAction::SetCores {
-                        id: c.id,
-                        cores: c.alloc.cores - 1,
-                    });
-                }
-            } else {
-                self.idle_streak.remove(&c.id);
+            if !idle {
+                self.idle.clear(c.id);
+            } else if self.idle.tick(c.id, ledger.can_shrink(&c.alloc)) {
+                let cores = ledger
+                    .try_shrink(&c.alloc)
+                    .expect("ready means it can shrink");
+                actions.push(ControlAction::SetCores { id: c.id, cores });
             }
         }
 
@@ -149,76 +147,14 @@ impl ControllerFactory for CaladanFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
-    use sg_core::ids::NodeId;
-    use sg_core::metrics::WindowMetrics;
-    use sg_sim::controller::{ContainerInit, ContainerSnapshot};
-
-    fn init(allocs: &[(u32, u32)]) -> NodeInit {
-        NodeInit {
-            node: NodeId(0),
-            containers: allocs
-                .iter()
-                .map(|&(id, cores)| ContainerInit {
-                    id: ContainerId(id),
-                    service: sg_core::ids::ServiceId(id),
-                    name: format!("svc{id}"),
-                    params: ContainerParams {
-                        expected_exec_metric: SimDuration::from_micros(1000),
-                        expected_time_from_start: SimDuration::from_micros(4000),
-                    },
-                    local_downstream: vec![],
-                    initial: ContainerAlloc {
-                        id: ContainerId(id),
-                        cores,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-            constraints: AllocConstraints {
-                total_cores: 16,
-                min_cores: 2,
-                max_cores: 16,
-                core_step: 2,
-            },
-            freq_table: FreqTable::cascade_lake(),
-            e2e_low_load: SimDuration::from_millis(2),
-            max_container_id: 8,
-            max_replicas: 1,
-        }
-    }
-
-    fn snap(entries: &[(u32, u32, u64, f64, u64)]) -> NodeSnapshot {
-        // (id, cores, exec_us, queue_buildup, requests)
-        NodeSnapshot {
-            node: NodeId(0),
-            containers: entries
-                .iter()
-                .map(|&(id, cores, exec_us, qb, requests)| ContainerSnapshot {
-                    id: ContainerId(id),
-                    metrics: WindowMetrics {
-                        requests,
-                        mean_exec_time: SimDuration::from_micros(exec_us),
-                        mean_exec_metric: SimDuration::from_micros((exec_us as f64 / qb) as u64),
-                        queue_buildup: qb,
-                        upscale_hints: 0,
-                    },
-                    alloc: ContainerAlloc {
-                        id: ContainerId(id),
-                        cores,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-        }
-    }
+    use crate::fixture::{node, snapshot, snapshot_queued};
 
     #[test]
     fn congestion_grants_exactly_one_hyperthread() {
-        let mut c = Caladan::new(&init(&[(0, 4), (1, 4)]));
+        let mut c = Caladan::new(&node(&[(0, 4), (1, 4)], 1000));
         let a = c.on_tick(
             SimTime::from_millis(20),
-            &snap(&[(0, 4, 2000, 2.0, 100), (1, 4, 500, 1.0, 100)]),
+            &snapshot_queued(&[(0, 4, 2000, 100, 2.0), (1, 4, 500, 100, 1.0)]),
         );
         assert_eq!(
             a,
@@ -234,11 +170,11 @@ mod tests {
     fn no_congestion_no_upscale_ever() {
         // Massive exec violation but queueBuildup = 1: CaladanAlgo is
         // blind (the paper's hotelReservation failure mode).
-        let mut c = Caladan::new(&init(&[(0, 4)]));
+        let mut c = Caladan::new(&node(&[(0, 4)], 1000));
         for i in 1..=20 {
             let a = c.on_tick(
                 SimTime::from_millis(20 * i),
-                &snap(&[(0, 4, 50_000, 1.0, 100)]),
+                &snapshot(&[(0, 4, 50_000, 100)]),
             );
             assert!(
                 !a.iter()
@@ -250,8 +186,8 @@ mod tests {
 
     #[test]
     fn idle_revocation_needs_a_long_quiet_streak() {
-        let mut c = Caladan::new(&init(&[(0, 8)]));
-        let quiet = snap(&[(0, 8, 100, 1.0, 50)]);
+        let mut c = Caladan::new(&node(&[(0, 8)], 1000));
+        let quiet = snapshot(&[(0, 8, 100, 50)]);
         for i in 1..REVOKE_HOLD as u64 {
             let a = c.on_tick(SimTime::from_millis(20 * i), &quiet);
             assert!(a.is_empty(), "tick {i}: hold, got {a:?}");
@@ -268,13 +204,16 @@ mod tests {
 
     #[test]
     fn congestion_resets_the_idle_streak() {
-        let mut c = Caladan::new(&init(&[(0, 8)]));
-        let quiet = snap(&[(0, 8, 100, 1.0, 50)]);
+        let mut c = Caladan::new(&node(&[(0, 8)], 1000));
+        let quiet = snapshot(&[(0, 8, 100, 50)]);
         for i in 1..=5 {
             let _ = c.on_tick(SimTime::from_millis(20 * i), &quiet);
         }
         // Congestion burst resets.
-        let _ = c.on_tick(SimTime::from_millis(120), &snap(&[(0, 8, 2000, 3.0, 100)]));
+        let _ = c.on_tick(
+            SimTime::from_millis(120),
+            &snapshot_queued(&[(0, 8, 2000, 100, 3.0)]),
+        );
         for i in 7..=12 {
             let a = c.on_tick(SimTime::from_millis(20 * i), &quiet);
             assert!(

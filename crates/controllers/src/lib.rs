@@ -32,6 +32,9 @@
 
 pub mod caladan;
 pub mod centralized;
+#[cfg(test)]
+mod fixture;
+mod groups;
 pub mod lsram;
 pub mod oracle;
 pub mod parties;

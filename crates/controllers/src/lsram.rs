@@ -21,6 +21,8 @@
 //! groups whose *primary* lives on its node, which is exactly the set
 //! the engine's cross-node contract lets it act on.
 
+use crate::groups::{local_primaries, slots_by_group};
+use sg_core::allocator::busy_ns;
 use sg_core::config::ContainerParams;
 use sg_core::ids::{ContainerId, ServiceId};
 use sg_core::replica::ReplicaLayout;
@@ -86,24 +88,19 @@ impl LsramController {
     /// Build from the node description.
     pub fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
-        let mut groups = Vec::new();
-        let mut params = HashMap::new();
+        let primaries = local_primaries(&layout, init);
         let mut capacity: HashMap<ServiceId, f64> = HashMap::new();
         for c in &init.containers {
-            let svc = layout.service_of(c.id.index());
-            if layout.is_primary(c.id.index()) {
-                groups.push(svc);
-                params.insert(svc, c.params);
-            }
             // Initial capacity = everything the group starts with.
-            *capacity.entry(svc).or_insert(0.0) += c.initial.cores as f64;
+            *capacity
+                .entry(layout.service_of(c.id.index()))
+                .or_insert(0.0) += c.initial.cores as f64;
         }
-        groups.sort_unstable();
         let peak = capacity.clone();
         LsramController {
+            groups: primaries.iter().map(|&(svc, _)| svc).collect(),
+            params: primaries.iter().map(|&(svc, c)| (svc, c.params)).collect(),
             layout,
-            groups,
-            params,
             capacity,
             peak,
             min_cores: init.constraints.min_cores,
@@ -130,25 +127,7 @@ impl Controller for LsramController {
     }
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
-        // Group the snapshot's active slots by service.
-        struct Member {
-            id: ContainerId,
-            cores: u32,
-            exec_ns: u64,
-            requests: u64,
-            queue_buildup: f64,
-        }
-        let mut members: HashMap<ServiceId, Vec<Member>> = HashMap::new();
-        for c in &snapshot.containers {
-            let svc = self.layout.service_of(c.id.index());
-            members.entry(svc).or_default().push(Member {
-                id: c.id,
-                cores: c.alloc.cores,
-                exec_ns: c.metrics.mean_exec_time.as_nanos(),
-                requests: c.metrics.requests,
-                queue_buildup: c.metrics.queue_buildup,
-            });
-        }
+        let mut members = slots_by_group(&self.layout, snapshot);
 
         // Pass 1 — the gradient step per group, accumulating the total
         // capacity demand for the normalisation below.
@@ -164,7 +143,7 @@ impl Controller for LsramController {
                 continue;
             };
             group.sort_unstable_by_key(|m| m.id);
-            let requests: u64 = group.iter().map(|m| m.requests).sum();
+            let requests: u64 = group.iter().map(|m| m.metrics.requests).sum();
             if requests == 0 {
                 continue;
             }
@@ -173,12 +152,12 @@ impl Controller for LsramController {
             // by the external latency signal alone.
             let exec_ns: f64 = group
                 .iter()
-                .map(|m| m.exec_ns as f64 * m.requests as f64)
+                .map(|m| busy_ns(m.metrics.mean_exec_time, m.metrics.requests))
                 .sum::<f64>()
                 / requests as f64;
             let queue_buildup: f64 = group
                 .iter()
-                .map(|m| m.queue_buildup * m.requests as f64)
+                .map(|m| m.metrics.queue_buildup * m.metrics.requests as f64)
                 .sum::<f64>()
                 / requests as f64;
             let target_ns = self.params[&svc].expected_exec_metric.as_nanos() as f64;
@@ -320,12 +299,12 @@ impl Controller for LsramController {
                 }
             }
             for m in group.iter() {
-                if m.cores != share {
+                if m.alloc.cores != share {
                     let action = ControlAction::SetCores {
                         id: m.id,
                         cores: share,
                     };
-                    if share < m.cores {
+                    if share < m.alloc.cores {
                         shrinks.push(action);
                     } else {
                         grows.push(action);
@@ -359,81 +338,12 @@ impl ControllerFactory for LsramFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
-    use sg_core::ids::NodeId;
-    use sg_sim::controller::{ContainerInit, ContainerSnapshot};
+    use crate::fixture::{node, snapshot, snapshot_queued, NodeInitExt};
 
     /// Two services, up to 4 replicas each: slots 0..2 are primaries,
     /// slots 2.. the spare replica slots.
     fn init(allocs: &[(u32, u32)], expected_us: u64) -> NodeInit {
-        NodeInit {
-            node: NodeId(0),
-            containers: allocs
-                .iter()
-                .map(|&(id, cores)| ContainerInit {
-                    id: ContainerId(id),
-                    service: sg_core::ids::ServiceId(id),
-                    name: format!("svc{id}"),
-                    params: ContainerParams {
-                        expected_exec_metric: SimDuration::from_micros(expected_us),
-                        expected_time_from_start: SimDuration::from_micros(expected_us * 4),
-                    },
-                    local_downstream: vec![],
-                    initial: ContainerAlloc {
-                        id: ContainerId(id),
-                        cores,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-            constraints: AllocConstraints {
-                total_cores: 32,
-                min_cores: 2,
-                max_cores: 8,
-                core_step: 2,
-            },
-            freq_table: FreqTable::cascade_lake(),
-            e2e_low_load: SimDuration::from_millis(2),
-            max_container_id: 7,
-            max_replicas: 4,
-        }
-    }
-
-    fn snapshot(entries: &[(u32, u32, u64, u64)]) -> NodeSnapshot {
-        // (id, cores, exec_us, requests)
-        snapshot_qb(
-            &entries
-                .iter()
-                .map(|&(id, cores, exec_us, requests)| (id, cores, exec_us, requests, 1.0))
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    fn snapshot_qb(entries: &[(u32, u32, u64, u64, f64)]) -> NodeSnapshot {
-        // (id, cores, exec_us, requests, queue_buildup)
-        NodeSnapshot {
-            node: NodeId(0),
-            containers: entries
-                .iter()
-                .map(
-                    |&(id, cores, exec_us, requests, queue_buildup)| ContainerSnapshot {
-                        id: ContainerId(id),
-                        metrics: sg_core::metrics::WindowMetrics {
-                            requests,
-                            mean_exec_time: SimDuration::from_micros(exec_us),
-                            mean_exec_metric: SimDuration::from_micros(exec_us),
-                            queue_buildup,
-                            upscale_hints: 0,
-                        },
-                        alloc: ContainerAlloc {
-                            id: ContainerId(id),
-                            cores,
-                            freq_level: 0,
-                        },
-                    },
-                )
-                .collect(),
-        }
+        node(allocs, expected_us).budget(32, 8).replicas(2, 4)
     }
 
     #[test]
@@ -548,7 +458,7 @@ mod tests {
         for i in 1..=6u64 {
             last = l.on_tick(
                 SimTime::from_millis(500 * i),
-                &snapshot_qb(&[
+                &snapshot_queued(&[
                     (0, 4, 30_000, 100, 1.0),
                     (1, 4, 30_000, 100, 9.0),
                     (2, 4, 30_000, 100, 1.0),

@@ -168,39 +168,10 @@ impl ControllerFactory for OracleFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
-    use sg_core::ids::NodeId;
-    use sg_sim::controller::{ContainerInit, NodeSnapshot};
+    use crate::fixture::{node, snapshot, NodeInitExt};
 
     fn init() -> NodeInit {
-        NodeInit {
-            node: NodeId(0),
-            containers: vec![ContainerInit {
-                id: ContainerId(0),
-                service: sg_core::ids::ServiceId(0),
-                name: "s0".into(),
-                params: sg_core::config::ContainerParams {
-                    expected_exec_metric: SimDuration::from_micros(1000),
-                    expected_time_from_start: SimDuration::from_micros(4000),
-                },
-                local_downstream: vec![],
-                initial: ContainerAlloc {
-                    id: ContainerId(0),
-                    cores: 4,
-                    freq_level: 0,
-                },
-            }],
-            constraints: AllocConstraints {
-                total_cores: 64,
-                min_cores: 2,
-                max_cores: 64,
-                core_step: 2,
-            },
-            freq_table: FreqTable::cascade_lake(),
-            e2e_low_load: SimDuration::from_millis(2),
-            max_container_id: 0,
-            max_replicas: 1,
-        }
+        node(&[(0, 4)], 1000).budget(64, 64)
     }
 
     fn cfg(delay_ms: u64) -> OracleConfig {
@@ -215,13 +186,6 @@ mod tests {
         }
     }
 
-    fn empty_snapshot() -> NodeSnapshot {
-        NodeSnapshot {
-            node: NodeId(0),
-            containers: vec![],
-        }
-    }
-
     #[test]
     fn engages_at_surge_start_plus_delay_and_reverts_after() {
         let knowledge = OracleKnowledge {
@@ -230,10 +194,10 @@ mod tests {
         let mut o = Oracle::new(cfg(500), knowledge, &init());
         // Before detection: nothing.
         assert!(o
-            .on_tick(SimTime::from_millis(10_400), &empty_snapshot())
+            .on_tick(SimTime::from_millis(10_400), &snapshot(&[]))
             .is_empty());
         // At detection: the exact surge allocation.
-        let engage = o.on_tick(SimTime::from_millis(10_500), &empty_snapshot());
+        let engage = o.on_tick(SimTime::from_millis(10_500), &snapshot(&[]));
         assert_eq!(engage.len(), 1);
         match engage[0] {
             ControlAction::SetCores { cores, .. } => {
@@ -244,10 +208,10 @@ mod tests {
         }
         // Holds through the surge.
         assert!(o
-            .on_tick(SimTime::from_millis(13_000), &empty_snapshot())
+            .on_tick(SimTime::from_millis(13_000), &snapshot(&[]))
             .is_empty());
         // Reverts after surge end + delay.
-        let revert = o.on_tick(SimTime::from_millis(14_500), &empty_snapshot());
+        let revert = o.on_tick(SimTime::from_millis(14_500), &snapshot(&[]));
         assert_eq!(
             revert,
             vec![ControlAction::SetCores {
@@ -256,9 +220,7 @@ mod tests {
             }]
         );
         // Never acts again.
-        assert!(o
-            .on_tick(SimTime::from_secs(20), &empty_snapshot())
-            .is_empty());
+        assert!(o.on_tick(SimTime::from_secs(20), &snapshot(&[])).is_empty());
     }
 
     #[test]
@@ -269,7 +231,7 @@ mod tests {
         let grab = |delay_ms: u64| {
             let mut o = Oracle::new(cfg(delay_ms), knowledge.clone(), &init());
             let at = SimTime::from_secs(10) + SimDuration::from_millis(delay_ms);
-            let a = o.on_tick(at, &empty_snapshot());
+            let a = o.on_tick(at, &snapshot(&[]));
             match a[0] {
                 ControlAction::SetCores { cores, .. } => cores,
                 _ => unreachable!(),

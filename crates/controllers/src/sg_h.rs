@@ -17,8 +17,9 @@
 //! are inherited from each primary), so replicas spawned at runtime get
 //! fast-path boosts and Escalator cores exactly like primaries do.
 
+use crate::groups::{local_primaries, GroupLoad};
 use crate::surgeguard::{SurgeGuard, SurgeGuardConfig};
-use sg_core::allocator::ContainerAlloc;
+use sg_core::allocator::{ContainerAlloc, HoldCounter};
 use sg_core::ids::{ContainerId, ServiceId};
 use sg_core::metadata::RpcMetadata;
 use sg_core::replica::ReplicaLayout;
@@ -27,7 +28,7 @@ use sg_sim::controller::{
     ContainerInit, ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot,
 };
 use sg_telemetry::{MetricSample, SharedSink};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Group utilization above which a sustained shortfall adds a replica
 /// (ours).
@@ -47,8 +48,8 @@ pub struct SurgeGuardH {
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
     groups: Vec<ServiceId>,
-    high_streak: HashMap<ServiceId, u32>,
-    low_streak: HashMap<ServiceId, u32>,
+    high_hold: HoldCounter<ServiceId>,
+    low_hold: HoldCounter<ServiceId>,
 }
 
 impl SurgeGuardH {
@@ -60,12 +61,9 @@ impl SurgeGuardH {
         // the primary's profile, and inactive slots start at a zero-core
         // floor so Escalator revocation can return them fully.
         let known: HashSet<usize> = init.containers.iter().map(|c| c.id.index()).collect();
+        let primaries = local_primaries(&layout, init);
         let mut expanded = init.clone();
-        for c in &init.containers {
-            if !layout.is_primary(c.id.index()) {
-                continue;
-            }
-            let svc = layout.service_of(c.id.index());
+        for &(svc, c) in &primaries {
             for slot in layout.slots_of(svc) {
                 if known.contains(&slot) {
                     continue;
@@ -84,19 +82,12 @@ impl SurgeGuardH {
                 });
             }
         }
-        let mut groups: Vec<ServiceId> = init
-            .containers
-            .iter()
-            .filter(|c| layout.is_primary(c.id.index()))
-            .map(|c| layout.service_of(c.id.index()))
-            .collect();
-        groups.sort_unstable();
         SurgeGuardH {
             inner: SurgeGuard::new(SurgeGuardConfig::default(), &expanded),
             layout,
-            groups,
-            high_streak: HashMap::new(),
-            low_streak: HashMap::new(),
+            groups: primaries.iter().map(|&(svc, _)| svc).collect(),
+            high_hold: HoldCounter::new(HOLD),
+            low_hold: HoldCounter::new(HOLD),
         }
     }
 }
@@ -132,62 +123,35 @@ impl Controller for SurgeGuardH {
         let mut actions = self.inner.on_tick(now, snapshot);
 
         // The horizontal tier: sustained group-level utilization.
-        struct Group {
-            replicas: u32,
-            cores: u32,
-            busy_ns: f64,
-            requests: u64,
-        }
-        let mut views: HashMap<ServiceId, Group> = HashMap::new();
-        for c in &snapshot.containers {
-            let svc = self.layout.service_of(c.id.index());
-            let g = views.entry(svc).or_insert(Group {
-                replicas: 0,
-                cores: 0,
-                busy_ns: 0.0,
-                requests: 0,
-            });
-            g.replicas += 1;
-            g.cores += c.alloc.cores;
-            g.busy_ns += c.metrics.mean_exec_time.as_nanos() as f64 * c.metrics.requests as f64;
-            g.requests += c.metrics.requests;
-        }
-        let interval_ns = self.tick_interval().as_nanos() as f64;
+        let views = GroupLoad::by_group(&self.layout, snapshot);
         for &svc in &self.groups {
             let Some(g) = views.get(&svc) else { continue };
-            if g.cores == 0 {
+            let Some(utilization) = g.utilization(self.tick_interval()) else {
                 continue;
-            }
-            let utilization = g.busy_ns / (interval_ns * g.cores as f64);
+            };
             let primary = ContainerId(self.layout.slot_of(svc, 0) as u32);
             if utilization > HIGH_UTILIZATION
                 && g.requests > 0
                 && g.replicas < self.layout.max_replicas
             {
-                self.low_streak.remove(&svc);
-                let streak = self.high_streak.entry(svc).or_insert(0);
-                *streak += 1;
-                if *streak >= HOLD {
-                    *streak = 0;
+                self.low_hold.clear(svc);
+                if self.high_hold.tick(svc, true) {
                     actions.push(ControlAction::SetReplicas {
                         id: primary,
                         replicas: g.replicas + 1,
                     });
                 }
             } else if utilization < LOW_UTILIZATION && g.replicas > 1 {
-                self.high_streak.remove(&svc);
-                let streak = self.low_streak.entry(svc).or_insert(0);
-                *streak += 1;
-                if *streak >= HOLD {
-                    *streak = 0;
+                self.high_hold.clear(svc);
+                if self.low_hold.tick(svc, true) {
                     actions.push(ControlAction::SetReplicas {
                         id: primary,
                         replicas: g.replicas - 1,
                     });
                 }
             } else {
-                self.high_streak.remove(&svc);
-                self.low_streak.remove(&svc);
+                self.high_hold.clear(svc);
+                self.low_hold.clear(svc);
             }
         }
         actions
@@ -211,74 +175,12 @@ impl ControllerFactory for SurgeGuardHFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::allocator::{AllocConstraints, FreqTable};
-    use sg_core::config::ContainerParams;
-    use sg_core::ids::NodeId;
-    use sg_core::metrics::WindowMetrics;
-    use sg_sim::controller::ContainerSnapshot;
+    use crate::fixture::{chain, snapshot, NodeInitExt};
 
     /// Two-service chain c0 → c1, up to 2 replicas each: slots 0 and 1
     /// are primaries, slot 2 is svc0's replica, slot 3 svc1's.
     fn init() -> NodeInit {
-        NodeInit {
-            node: NodeId(0),
-            containers: (0..2)
-                .map(|i| ContainerInit {
-                    id: ContainerId(i),
-                    service: sg_core::ids::ServiceId(i),
-                    name: format!("c{i}"),
-                    params: ContainerParams {
-                        expected_exec_metric: SimDuration::from_micros(1000),
-                        expected_time_from_start: SimDuration::from_micros(if i == 0 {
-                            500
-                        } else {
-                            2000
-                        }),
-                    },
-                    local_downstream: if i == 0 { vec![ContainerId(1)] } else { vec![] },
-                    initial: ContainerAlloc {
-                        id: ContainerId(i),
-                        cores: 4,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-            constraints: AllocConstraints {
-                total_cores: 16,
-                min_cores: 2,
-                max_cores: 8,
-                core_step: 2,
-            },
-            freq_table: FreqTable::cascade_lake(),
-            e2e_low_load: SimDuration::from_millis(2),
-            max_container_id: 3,
-            max_replicas: 2,
-        }
-    }
-
-    fn snapshot(entries: &[(u32, u32, u64, u64)]) -> NodeSnapshot {
-        // (id, cores, exec_us, requests)
-        NodeSnapshot {
-            node: NodeId(0),
-            containers: entries
-                .iter()
-                .map(|&(id, cores, exec_us, requests)| ContainerSnapshot {
-                    id: ContainerId(id),
-                    metrics: WindowMetrics {
-                        requests,
-                        mean_exec_time: SimDuration::from_micros(exec_us),
-                        mean_exec_metric: SimDuration::from_micros(exec_us),
-                        queue_buildup: 1.0,
-                        upscale_hints: 0,
-                    },
-                    alloc: ContainerAlloc {
-                        id: ContainerId(id),
-                        cores,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-        }
+        chain().budget(16, 8).replicas(2, 2)
     }
 
     #[test]

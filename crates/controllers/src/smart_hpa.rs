@@ -21,6 +21,8 @@
 //! primary its node hosts, and relies on the engine's drain-then-retire
 //! semantics for safe scale-in.
 
+use crate::groups::{local_primaries, GroupLoad};
+use sg_core::allocator::HoldCounter;
 use sg_core::ids::{ContainerId, ServiceId};
 use sg_core::replica::ReplicaLayout;
 use sg_core::time::{SimDuration, SimTime};
@@ -45,29 +47,23 @@ pub struct SmartHpaController {
     /// grants the calibrated initial allocation).
     spawn_cores: HashMap<ServiceId, u32>,
     total_cores: u32,
-    down_streak: HashMap<ServiceId, u32>,
+    down_hold: HoldCounter<ServiceId>,
 }
 
 impl SmartHpaController {
     /// Build from the node description.
     pub fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
-        let mut groups = Vec::new();
-        let mut spawn_cores = HashMap::new();
-        for c in &init.containers {
-            if layout.is_primary(c.id.index()) {
-                let svc = layout.service_of(c.id.index());
-                groups.push(svc);
-                spawn_cores.insert(svc, c.initial.cores);
-            }
-        }
-        groups.sort_unstable();
+        let primaries = local_primaries(&layout, init);
         SmartHpaController {
+            groups: primaries.iter().map(|&(svc, _)| svc).collect(),
+            spawn_cores: primaries
+                .iter()
+                .map(|&(svc, c)| (svc, c.initial.cores))
+                .collect(),
             layout,
-            groups,
-            spawn_cores,
             total_cores: init.constraints.total_cores,
-            down_streak: HashMap::new(),
+            down_hold: HoldCounter::new(DOWN_HOLD),
         }
     }
 }
@@ -82,58 +78,27 @@ impl Controller for SmartHpaController {
     }
 
     fn on_tick(&mut self, _now: SimTime, snapshot: &NodeSnapshot) -> Vec<ControlAction> {
-        // Per-group views of the node's active slots.
-        struct Group {
-            replicas: u32,
-            cores: u32,
-            utilization: f64,
-        }
-        let interval_ns = INTERVAL.as_nanos() as f64;
-        let mut views: HashMap<ServiceId, Group> = HashMap::new();
-        let mut allocated: u32 = 0;
-        for c in &snapshot.containers {
-            allocated += c.alloc.cores;
-            let svc = self.layout.service_of(c.id.index());
-            let g = views.entry(svc).or_insert(Group {
-                replicas: 0,
-                cores: 0,
-                utilization: 0.0,
-            });
-            g.replicas += 1;
-            g.cores += c.alloc.cores;
-            // Accumulate busy nanoseconds; divide by capacity below.
-            g.utilization += c.metrics.mean_exec_time.as_nanos() as f64 * c.metrics.requests as f64;
-        }
-        for g in views.values_mut() {
-            let capacity = interval_ns * g.cores as f64;
-            g.utilization = if capacity > 0.0 {
-                g.utilization / capacity
-            } else {
-                0.0
-            };
-        }
+        let views = GroupLoad::by_group(&self.layout, snapshot);
 
         // Microservice managers: the HPA formula per group.
         let mut releases: Vec<(ServiceId, u32, u32)> = Vec::new(); // (svc, desired, freed)
         let mut wants: Vec<(ServiceId, u32, f64)> = Vec::new(); // (svc, desired, util)
         for &svc in &self.groups {
             let Some(g) = views.get(&svc) else { continue };
-            let desired = ((g.replicas as f64 * g.utilization / TARGET_UTILIZATION).ceil() as u32)
+            let utilization = g.utilization(INTERVAL).unwrap_or(0.0);
+            let desired = ((g.replicas as f64 * utilization / TARGET_UTILIZATION).ceil() as u32)
                 .clamp(1, self.layout.max_replicas);
             if desired < g.replicas {
-                let streak = self.down_streak.entry(svc).or_insert(0);
-                *streak += 1;
-                if *streak >= DOWN_HOLD {
-                    *streak = 0;
+                if self.down_hold.tick(svc, true) {
                     // Credit the mean per-replica footprint of the
                     // replicas being drained back to the exchange.
                     let freed = (g.replicas - desired) * (g.cores / g.replicas.max(1));
                     releases.push((svc, desired, freed));
                 }
             } else {
-                self.down_streak.remove(&svc);
+                self.down_hold.clear(svc);
                 if desired > g.replicas {
-                    wants.push((svc, desired, g.utilization));
+                    wants.push((svc, desired, utilization));
                 }
             }
         }
@@ -141,6 +106,7 @@ impl Controller for SmartHpaController {
         // Resource-efficiency exchange: releases free budget first, then
         // the neediest groups are granted as far as the budget reaches.
         let mut actions = Vec::new();
+        let allocated: u32 = snapshot.containers.iter().map(|c| c.alloc.cores).sum();
         let mut budget = self.total_cores.saturating_sub(allocated);
         for &(svc, desired, freed) in &releases {
             budget += freed;
@@ -185,71 +151,13 @@ impl ControllerFactory for SmartHpaFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
-    use sg_core::config::ContainerParams;
-    use sg_core::ids::NodeId;
-    use sg_sim::controller::{ContainerInit, ContainerSnapshot};
+    use crate::fixture::{node, snapshot, NodeInitExt};
 
     /// Two services, up to 4 replicas each, on a `total`-core node:
     /// slots 0..2 are primaries; replica slots of svc0 are 2..5 and of
     /// svc1 are 5..8.
     fn init(allocs: &[(u32, u32)], total: u32) -> NodeInit {
-        NodeInit {
-            node: NodeId(0),
-            containers: allocs
-                .iter()
-                .map(|&(id, cores)| ContainerInit {
-                    id: ContainerId(id),
-                    service: sg_core::ids::ServiceId(id),
-                    name: format!("svc{id}"),
-                    params: ContainerParams {
-                        expected_exec_metric: SimDuration::from_micros(1000),
-                        expected_time_from_start: SimDuration::from_micros(4000),
-                    },
-                    local_downstream: vec![],
-                    initial: ContainerAlloc {
-                        id: ContainerId(id),
-                        cores,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-            constraints: AllocConstraints {
-                total_cores: total,
-                min_cores: 2,
-                max_cores: 8,
-                core_step: 2,
-            },
-            freq_table: FreqTable::cascade_lake(),
-            e2e_low_load: SimDuration::from_millis(2),
-            max_container_id: 7,
-            max_replicas: 4,
-        }
-    }
-
-    fn snapshot(entries: &[(u32, u32, u64, u64)]) -> NodeSnapshot {
-        // (id, cores, exec_us, requests)
-        NodeSnapshot {
-            node: NodeId(0),
-            containers: entries
-                .iter()
-                .map(|&(id, cores, exec_us, requests)| ContainerSnapshot {
-                    id: ContainerId(id),
-                    metrics: sg_core::metrics::WindowMetrics {
-                        requests,
-                        mean_exec_time: SimDuration::from_micros(exec_us),
-                        mean_exec_metric: SimDuration::from_micros(exec_us),
-                        queue_buildup: 1.0,
-                        upscale_hints: 0,
-                    },
-                    alloc: ContainerAlloc {
-                        id: ContainerId(id),
-                        cores,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-        }
+        node(allocs, 1000).budget(total, 8).replicas(2, 4)
     }
 
     #[test]

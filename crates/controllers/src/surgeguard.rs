@@ -357,89 +357,21 @@ impl ControllerFactory for SurgeGuardFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sg_core::allocator::{AllocConstraints, ContainerAlloc, FreqTable};
-    use sg_core::ids::NodeId;
-    use sg_core::metrics::WindowMetrics;
+    use crate::fixture::{chain, snapshot_queued};
     use sg_core::time::SimTime;
-    use sg_sim::controller::{ContainerInit, ContainerSnapshot};
 
-    fn init() -> NodeInit {
-        // Two-container chain on one node: c0 → c1.
-        NodeInit {
-            node: NodeId(0),
-            containers: vec![
-                ContainerInit {
-                    id: ContainerId(0),
-                    service: sg_core::ids::ServiceId(0),
-                    name: "c0".into(),
-                    params: ContainerParams {
-                        expected_exec_metric: SimDuration::from_micros(1000),
-                        expected_time_from_start: SimDuration::from_micros(500),
-                    },
-                    local_downstream: vec![ContainerId(1)],
-                    initial: ContainerAlloc {
-                        id: ContainerId(0),
-                        cores: 4,
-                        freq_level: 0,
-                    },
-                },
-                ContainerInit {
-                    id: ContainerId(1),
-                    service: sg_core::ids::ServiceId(1),
-                    name: "c1".into(),
-                    params: ContainerParams {
-                        expected_exec_metric: SimDuration::from_micros(1000),
-                        expected_time_from_start: SimDuration::from_micros(2000),
-                    },
-                    local_downstream: vec![],
-                    initial: ContainerAlloc {
-                        id: ContainerId(1),
-                        cores: 4,
-                        freq_level: 0,
-                    },
-                },
-            ],
-            constraints: AllocConstraints {
-                total_cores: 16,
-                min_cores: 2,
-                max_cores: 16,
-                core_step: 2,
-            },
-            freq_table: FreqTable::cascade_lake(),
-            e2e_low_load: SimDuration::from_millis(2),
-            max_container_id: 1,
-            max_replicas: 1,
-        }
-    }
-
+    /// Both chain containers at 100 requests of 500 µs execMetric on 4
+    /// cores, c0 with queueBuildup `qb0`.
     fn snap(qb0: f64) -> NodeSnapshot {
-        NodeSnapshot {
-            node: NodeId(0),
-            containers: (0..2)
-                .map(|i| ContainerSnapshot {
-                    id: ContainerId(i),
-                    metrics: WindowMetrics {
-                        requests: 100,
-                        mean_exec_time: SimDuration::from_micros(
-                            (500.0 * if i == 0 { qb0 } else { 1.0 }) as u64,
-                        ),
-                        mean_exec_metric: SimDuration::from_micros(500),
-                        queue_buildup: if i == 0 { qb0 } else { 1.0 },
-                        upscale_hints: 0,
-                    },
-                    alloc: ContainerAlloc {
-                        id: ContainerId(i),
-                        cores: 4,
-                        freq_level: 0,
-                    },
-                })
-                .collect(),
-        }
+        snapshot_queued(&[
+            (0, 4, (500.0 * qb0) as u64, 100, qb0),
+            (1, 4, 500, 100, 1.0),
+        ])
     }
 
     #[test]
     fn late_packet_boosts_dest_and_local_downstream() {
-        let mut sg = SurgeGuard::new(SurgeGuardConfig::default(), &init());
+        let mut sg = SurgeGuard::new(SurgeGuardConfig::default(), &chain());
         let meta = RpcMetadata::new_job(SimTime::ZERO);
         // c0 expects packets within 500us of job start; arrive at 5ms.
         let a = sg.on_packet(SimTime::from_millis(5), ContainerId(0), meta);
@@ -461,7 +393,7 @@ mod tests {
 
     #[test]
     fn escalator_only_variant_has_no_fast_path() {
-        let mut sg = SurgeGuard::new(SurgeGuardFactory::escalator_only().cfg.clone(), &init());
+        let mut sg = SurgeGuard::new(SurgeGuardFactory::escalator_only().cfg.clone(), &chain());
         let meta = RpcMetadata::new_job(SimTime::ZERO);
         assert!(sg
             .on_packet(SimTime::from_secs(1), ContainerId(0), meta)
@@ -471,7 +403,7 @@ mod tests {
 
     #[test]
     fn queue_buildup_sets_then_clears_egress_hints() {
-        let mut sg = SurgeGuard::new(SurgeGuardConfig::default(), &init());
+        let mut sg = SurgeGuard::new(SurgeGuardConfig::default(), &chain());
         // Cycle 1: c0 shows heavy queue buildup → hint set.
         let a1 = sg.on_tick(SimTime::from_millis(100), &snap(3.0));
         assert!(a1.contains(&ControlAction::SetEgressHint {

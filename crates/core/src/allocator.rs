@@ -6,10 +6,15 @@
 //! candidates, not in deciding which resources to allocate"), then drives
 //! an existing allocator (Parties in the paper). This module provides the
 //! shared bookkeeping those allocators need: per-node core accounting with
-//! step/min/max constraints, frequency levels, and the action vocabulary.
+//! step/min/max constraints ([`CoreLedger`]), the "N windows in a row,
+//! then act" hysteresis ([`HoldCounter`]), the busy-fraction estimate
+//! ([`utilization`]), frequency levels, and the action vocabulary.
 
 use crate::ids::ContainerId;
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// DVFS levels available to the controllers. Mirrors the paper's testbed:
 /// cores start at 1.6 GHz and can scale to the 3.x GHz turbo range.
@@ -25,16 +30,6 @@ impl FreqTable {
         FreqTable {
             levels_ghz: (0..=8).map(|i| 1.6 + 0.2 * i as f64).collect(),
         }
-    }
-
-    /// Number of levels.
-    pub fn len(&self) -> usize {
-        self.levels_ghz.len()
-    }
-
-    /// True if the table is empty (never the case for built-ins).
-    pub fn is_empty(&self) -> bool {
-        self.levels_ghz.is_empty()
     }
 
     /// Highest level index.
@@ -140,8 +135,11 @@ pub struct CoreLedger {
 
 impl CoreLedger {
     /// Start a ledger from the current allocations.
-    pub fn new(constraints: AllocConstraints, allocs: &[ContainerAlloc]) -> Self {
-        let allocated = allocs.iter().map(|a| a.cores).sum();
+    pub fn new<'a>(
+        constraints: AllocConstraints,
+        allocs: impl IntoIterator<Item = &'a ContainerAlloc>,
+    ) -> Self {
+        let allocated = allocs.into_iter().map(|a| a.cores).sum();
         CoreLedger {
             constraints,
             allocated,
@@ -158,11 +156,6 @@ impl CoreLedger {
         self.allocated
     }
 
-    /// The constraint set in force.
-    pub fn constraints(&self) -> &AllocConstraints {
-        &self.constraints
-    }
-
     /// Try to grow `alloc` by one step. Returns the new core count if the
     /// grant fits within the spare pool and per-container maximum.
     pub fn try_grow(&mut self, alloc: &ContainerAlloc) -> Option<u32> {
@@ -175,15 +168,88 @@ impl CoreLedger {
         Some(new)
     }
 
+    /// True if `alloc` can give up one step and stay at or above the
+    /// per-container minimum.
+    pub fn can_shrink(&self, alloc: &ContainerAlloc) -> bool {
+        alloc.cores >= self.constraints.min_cores + self.constraints.core_step
+    }
+
     /// Try to shrink `alloc` by one step. Returns the new core count if the
     /// container stays at or above the per-container minimum.
     pub fn try_shrink(&mut self, alloc: &ContainerAlloc) -> Option<u32> {
-        let step = self.constraints.core_step;
-        if alloc.cores < self.constraints.min_cores + step {
+        if !self.can_shrink(alloc) {
             return None;
         }
+        let step = self.constraints.core_step;
         self.allocated -= step;
         Some(alloc.cores - step)
+    }
+
+    /// Move one step from `from` to `to` (a steal when the spare pool is
+    /// dry). Returns both new core counts, or `None` — and changes nothing
+    /// — unless `from` can shrink and `to` can then grow.
+    pub fn try_move(&mut self, from: &ContainerAlloc, to: &ContainerAlloc) -> Option<(u32, u32)> {
+        let shrunk = self.try_shrink(from)?;
+        let grown = self.try_grow(to);
+        if grown.is_none() {
+            self.allocated += self.constraints.core_step;
+        }
+        Some((shrunk, grown?))
+    }
+}
+
+/// Total busy time behind a window's metrics: `mean × requests`, in ns.
+pub fn busy_ns(mean: SimDuration, requests: u64) -> f64 {
+    mean.as_nanos() as f64 * requests as f64
+}
+
+/// Estimated busy fraction of `cores` cores over `window`:
+/// `busy_ns / (window × cores)`. Zero cores or a zero window divide by
+/// zero; each caller decides what that means for it.
+pub fn utilization(busy_ns: f64, window: SimDuration, cores: u32) -> f64 {
+    busy_ns / (window.as_nanos() as f64 * cores as f64)
+}
+
+/// Counts consecutive windows in which a condition held, per key: the
+/// "`hold` windows in a row, then act" hysteresis threshold controllers
+/// put in front of a downscale or a replica move.
+#[derive(Debug, Clone)]
+pub struct HoldCounter<K> {
+    hold: u32,
+    streaks: HashMap<K, u32>,
+}
+
+impl<K: Copy + Eq + Hash> HoldCounter<K> {
+    /// A counter that fires after `hold` consecutive windows.
+    pub fn new(hold: u32) -> Self {
+        HoldCounter {
+            hold,
+            streaks: HashMap::new(),
+        }
+    }
+
+    /// Count one more window in which `key`'s condition held. Returns
+    /// true, and restarts the streak, once the streak has reached `hold`
+    /// and the caller is `ready` to act; until then the streak keeps
+    /// counting past `hold`, so it fires on the first ready window.
+    pub fn tick(&mut self, key: K, ready: bool) -> bool {
+        let streak = self.streaks.entry(key).or_insert(0);
+        *streak += 1;
+        let fire = *streak >= self.hold && ready;
+        if fire {
+            *streak = 0;
+        }
+        fire
+    }
+
+    /// `key`'s condition broke: its streak starts over.
+    pub fn clear(&mut self, key: K) {
+        self.streaks.remove(&key);
+    }
+
+    /// Clear every streak whose key fails `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(K) -> bool) {
+        self.streaks.retain(|k, _| keep(*k));
     }
 }
 
@@ -211,7 +277,7 @@ mod tests {
     #[test]
     fn freq_table_cascade_lake_range() {
         let t = FreqTable::cascade_lake();
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.levels_ghz.len(), 9);
         assert!((t.ghz(0) - 1.6).abs() < 1e-12);
         assert!((t.ghz(t.max_level()) - 3.2).abs() < 1e-12);
         assert!((t.speedup(t.max_level()) - 2.0).abs() < 1e-12);
@@ -260,6 +326,63 @@ mod tests {
         assert_eq!(ledger.spare(), 2);
         assert_eq!(ledger.try_grow(&alloc(1, 4)), Some(6));
         assert_eq!(ledger.spare(), 0);
+    }
+
+    #[test]
+    fn move_needs_a_donor_step_and_room_at_the_taker() {
+        let mut ledger = CoreLedger::new(constraints(), &[alloc(0, 6), alloc(1, 6)]);
+        assert_eq!(ledger.try_move(&alloc(0, 6), &alloc(1, 6)), Some((4, 8)));
+        assert_eq!(ledger.spare(), 0);
+        // The taker at its maximum: the donor keeps its step.
+        assert_eq!(ledger.try_move(&alloc(0, 4), &alloc(1, 8)), None);
+        assert_eq!(ledger.allocated(), 12);
+        // The donor at its minimum.
+        assert_eq!(ledger.try_move(&alloc(0, 2), &alloc(1, 4)), None);
+        assert_eq!(ledger.allocated(), 12);
+    }
+
+    #[test]
+    fn hold_counter_fires_exactly_at_hold_and_restarts() {
+        let mut hold = HoldCounter::new(3);
+        let fired: Vec<bool> = (0..7).map(|_| hold.tick(ContainerId(0), true)).collect();
+        assert_eq!(fired, [false, false, true, false, false, true, false]);
+    }
+
+    #[test]
+    fn hold_counter_not_ready_keeps_counting_past_hold() {
+        let mut hold = HoldCounter::new(3);
+        for window in 1..=5 {
+            assert!(!hold.tick(ContainerId(0), false), "window {window}");
+        }
+        assert!(hold.tick(ContainerId(0), true), "first ready window fires");
+        assert!(!hold.tick(ContainerId(0), true), "then the streak restarts");
+    }
+
+    #[test]
+    fn hold_counter_break_clears_the_streak() {
+        let mut hold = HoldCounter::new(3);
+        hold.tick(ContainerId(0), true);
+        hold.tick(ContainerId(0), true);
+        hold.tick(ContainerId(1), true);
+        hold.tick(ContainerId(1), true);
+        hold.clear(ContainerId(0));
+        hold.retain(|id| id != ContainerId(1));
+        for key in [ContainerId(0), ContainerId(1)] {
+            assert!(!hold.tick(key, true));
+            assert!(!hold.tick(key, true));
+            assert!(
+                hold.tick(key, true),
+                "{key:?}: a full streak after the break"
+            );
+        }
+    }
+
+    #[test]
+    fn utilization_spreads_busy_time_over_window_and_cores() {
+        let busy = busy_ns(SimDuration::from_micros(500), 2000);
+        assert_eq!(busy, 1e9);
+        assert_eq!(utilization(busy, SimDuration::from_millis(500), 4), 0.5);
+        assert!(utilization(busy, SimDuration::from_millis(500), 0).is_infinite());
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! drives the discrete-event harness, the unit tests, and (in a real
 //! deployment) a cgroups/MSR backend.
 
-use crate::allocator::{AllocAction, AllocConstraints, ContainerAlloc, CoreLedger, FreqTable};
+use crate::allocator::{
+    busy_ns, utilization, AllocAction, AllocConstraints, ContainerAlloc, CoreLedger, FreqTable,
+    HoldCounter,
+};
 use crate::config::EscalatorConfig;
 use crate::ids::ContainerId;
 use crate::metrics::WindowMetrics;
@@ -56,6 +59,12 @@ const DOWNSCALE_HOLD_CYCLES: u32 = 50;
 /// decisions forever).
 const SENS_MAX_AGE_CYCLES: u32 = 150;
 
+/// A core step is taken from a container only while its estimated busy
+/// fraction on the cores left stays at or below this (ours): a
+/// downstream service fed by a throttled upstream looks idle by latency
+/// but not by utilization.
+const MAX_SHAVE_UTILIZATION: f64 = 0.8;
+
 /// Per-cycle input for one container: its observation plus current
 /// allocation.
 #[derive(Debug, Clone)]
@@ -85,8 +94,8 @@ pub struct Escalator {
     freq_table: FreqTable,
     sens: SensitivityMatrix,
     /// Consecutive under-utilized cycles per container (for the
-    /// Parties-style downscale hold). Keyed by container id.
-    underutil_streak: HashMap<ContainerId, u32>,
+    /// Parties-style downscale hold).
+    underutil: HoldCounter<ContainerId>,
     /// Per-container core floors — the calibrated steady-state baseline.
     /// The paper's deployment model reserves the initial allocation for
     /// the foreground application and treats the remaining node cores as
@@ -118,7 +127,7 @@ impl Escalator {
             constraints,
             freq_table,
             sens,
-            underutil_streak: HashMap::new(),
+            underutil: HoldCounter::new(DOWNSCALE_HOLD_CYCLES),
             floors: HashMap::new(),
         }
     }
@@ -130,13 +139,11 @@ impl Escalator {
         self.floors = floors.into_iter().collect();
     }
 
-    /// The downscale floor for a container.
-    fn floor_of(&self, id: ContainerId) -> u32 {
-        self.floors
-            .get(&id)
-            .copied()
-            .unwrap_or(self.constraints.min_cores)
-            .max(self.constraints.min_cores)
+    /// True if a container on `cores` cores can give up one core step
+    /// without digging below its floor (falling back to `min_cores`).
+    fn above_floor(&self, id: ContainerId, cores: u32) -> bool {
+        let floor = self.floors.get(&id).copied().unwrap_or(0);
+        cores >= floor.max(self.constraints.min_cores) + self.constraints.core_step
     }
 
     /// Read-only view of the learned sensitivity matrix (for tracing and
@@ -190,21 +197,13 @@ impl Escalator {
             .collect();
         let board = score_cycle(&observations);
 
-        let mut decision = EscalatorDecision {
-            actions: Vec::new(),
-            set_hint: if self.cfg.use_new_metrics {
-                board.set_hint.clone()
-            } else {
-                Vec::new()
-            },
-            board: board.clone(),
-        };
-
         // Working copy of allocations, updated as actions accumulate so a
         // container is never granted and revoked within one cycle.
-        let mut allocs: HashMap<ContainerId, ContainerAlloc> =
-            inputs.iter().map(|i| (i.obs.id, i.alloc)).collect();
-        let mut ledger = CoreLedger::new(self.constraints, &inputs_allocs(inputs));
+        let mut plan = Plan {
+            ledger: CoreLedger::new(self.constraints, inputs.iter().map(|i| &i.alloc)),
+            allocs: inputs.iter().map(|i| (i.obs.id, i.alloc)).collect(),
+            actions: Vec::new(),
+        };
 
         // -- 3. upscale ------------------------------------------------
         // Candidates ordered by score desc, then sensitivity desc (unknown
@@ -219,8 +218,8 @@ impl Escalator {
         candidates.sort_by(|a, b| {
             b.1.cmp(&a.1)
                 .then_with(|| {
-                    let sa = self.upscale_rank(a.0, &allocs);
-                    let sb = self.upscale_rank(b.0, &allocs);
+                    let sa = self.upscale_rank(a.0, &plan.allocs);
+                    let sb = self.upscale_rank(b.0, &plan.allocs);
                     sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .then_with(|| a.0.cmp(&b.0))
@@ -233,51 +232,26 @@ impl Escalator {
         // saturated upstream throttles its input — a hole the controller
         // then cannot dig itself out of.
         let mut donor_used = false;
-        for (id, _) in &candidates {
-            let cur = allocs[id];
-            match ledger.try_grow(&cur) {
-                Some(new_cores) => {
-                    allocs.get_mut(id).unwrap().cores = new_cores;
-                    decision.actions.push(AllocAction::SetCores {
-                        id: *id,
-                        cores: new_cores,
-                    });
-                }
-                None => {
-                    // Try to free a step from a score-zero victim, then retry.
-                    if !donor_used
-                        && self.free_one_step(
-                            inputs,
-                            &board,
-                            window,
-                            &mut allocs,
-                            &mut ledger,
-                            &mut decision.actions,
-                        )
-                    {
-                        donor_used = true;
-                        if let Some(new_cores) = ledger.try_grow(&allocs[id]) {
-                            allocs.get_mut(id).unwrap().cores = new_cores;
-                            decision.actions.push(AllocAction::SetCores {
-                                id: *id,
-                                cores: new_cores,
-                            });
-                            continue;
-                        }
-                    }
-                    starved.push(*id);
+        for &(id, _) in &candidates {
+            if plan.grow(id) {
+                continue;
+            }
+            // Try to free a step from a score-zero victim, then retry.
+            if !donor_used && self.free_one_step(inputs, &board, window, &mut plan) {
+                donor_used = true;
+                if plan.grow(id) {
+                    continue;
                 }
             }
+            starved.push(id);
         }
 
         // Candidates that could not get cores are boosted in frequency
         // instead (Escalator manages both resources, §IV).
         for id in starved {
-            let cur = allocs[&id];
-            if cur.freq_level < self.freq_table.max_level() {
-                let level = cur.freq_level + 1;
-                allocs.get_mut(&id).unwrap().freq_level = level;
-                decision.actions.push(AllocAction::SetFreq { id, level });
+            let level = plan.allocs[&id].freq_level;
+            if level < self.freq_table.max_level() {
+                plan.set_freq(id, level + 1);
             }
         }
 
@@ -285,10 +259,10 @@ impl Escalator {
         for inp in inputs {
             let id = inp.obs.id;
             if board.score_of(id) > 0 {
-                self.underutil_streak.remove(&id);
+                self.underutil.clear(id);
                 continue;
             }
-            let cur = allocs[&id];
+            let cur = plan.allocs[&id];
 
             // -- 3½. frequency→core conversion ---------------------------
             // A container that is healthy only because FirstResponder is
@@ -308,17 +282,13 @@ impl Escalator {
                 let growth_cap = cur.cores + 2 * self.constraints.core_step;
                 let mut grown = cur;
                 while (grown.cores as f64) < target_capacity && grown.cores < growth_cap {
-                    match ledger.try_grow(&grown) {
+                    match plan.ledger.try_grow(&grown) {
                         Some(n) => grown.cores = n,
                         None => break,
                     }
                 }
                 if grown.cores != cur.cores {
-                    allocs.get_mut(&id).unwrap().cores = grown.cores;
-                    decision.actions.push(AllocAction::SetCores {
-                        id,
-                        cores: grown.cores,
-                    });
+                    plan.set_cores(id, grown.cores);
                 }
                 let residual = target_capacity / grown.cores as f64;
                 let level = if residual <= 1.0 {
@@ -333,8 +303,7 @@ impl Escalator {
                         .min(cur.freq_level.saturating_sub(1))
                 };
                 if level != cur.freq_level {
-                    allocs.get_mut(&id).unwrap().freq_level = level;
-                    decision.actions.push(AllocAction::SetFreq { id, level });
+                    plan.set_freq(id, level);
                 }
                 continue;
             }
@@ -344,24 +313,14 @@ impl Escalator {
             // predate a surge), so the utilization estimate must also
             // clear the revocation.
             let step = self.constraints.core_step as usize;
-            let revoke_busy_ok = {
-                let after = cur.cores.saturating_sub(self.constraints.core_step);
-                after > 0 && Self::busy_fraction(&inp.obs.metrics, window, after) <= 0.8
-            };
             if self.cfg.use_sensitivity
-                && revoke_busy_ok
-                && cur.cores >= self.floor_of(id) + self.constraints.core_step
+                && self.shave_fits(&inp.obs.metrics, window, cur.cores)
+                && self.above_floor(id, cur.cores)
                 && self
                     .sens
                     .can_revoke_step(id.index(), cur.cores as usize, step, SENS_REVOKE_TH)
             {
-                if let Some(new_cores) = ledger.try_shrink(&cur) {
-                    allocs.get_mut(&id).unwrap().cores = new_cores;
-                    decision.actions.push(AllocAction::SetCores {
-                        id,
-                        cores: new_cores,
-                    });
-                }
+                plan.shrink(id);
             } else {
                 // 4b. Parties-style under-utilization downscale — vetoed
                 // when the sensitivity matrix has *evidence* that the
@@ -384,34 +343,30 @@ impl Escalator {
                 // mid-tier container's execMetric is dominated by
                 // downstream time); require the post-shave utilization
                 // estimate to stay comfortable too.
-                let after = cur.cores.saturating_sub(self.constraints.core_step);
-                let busy_ok = after > 0 && Self::busy_fraction(m, window, after) <= 0.8;
                 let under = !vetoed
-                    && busy_ok
+                    && self.shave_fits(m, window, cur.cores)
                     && m.requests > 0
                     && expected > 0.0
                     && (self.exec_signal(m) as f64) < DOWNSCALE_FRAC * expected;
                 if under {
-                    let above_floor = cur.cores >= self.floor_of(id) + self.constraints.core_step;
-                    let streak = self.underutil_streak.entry(id).or_insert(0);
-                    *streak += 1;
-                    if *streak >= DOWNSCALE_HOLD_CYCLES && above_floor {
-                        if let Some(new_cores) = ledger.try_shrink(&cur) {
-                            allocs.get_mut(&id).unwrap().cores = new_cores;
-                            decision.actions.push(AllocAction::SetCores {
-                                id,
-                                cores: new_cores,
-                            });
-                        }
-                        *streak = 0;
+                    if self.underutil.tick(id, self.above_floor(id, cur.cores)) {
+                        plan.shrink(id);
                     }
                 } else {
-                    self.underutil_streak.remove(&id);
+                    self.underutil.clear(id);
                 }
             }
         }
 
-        decision
+        EscalatorDecision {
+            actions: plan.actions,
+            set_hint: if self.cfg.use_new_metrics {
+                board.set_hint.clone()
+            } else {
+                Vec::new()
+            },
+            board,
+        }
     }
 
     /// The execution-time signal used for scoring/sensitivity: `execMetric`
@@ -457,35 +412,32 @@ impl Escalator {
             .unwrap_or(f64::INFINITY)
     }
 
-    /// Estimated busy fraction of a container if it held `cores` cores:
-    /// total observed execMetric over the window, spread across the cores.
-    /// Over-estimates for mid-tier services (execMetric includes downstream
-    /// RPC time), which errs on the side of *not* raiding them.
-    fn busy_fraction(m: &WindowMetrics, window: SimDuration, cores: u32) -> f64 {
-        if window.is_zero() || cores == 0 {
-            return 1.0;
-        }
-        let busy_ns = m.mean_exec_metric.as_nanos() as f64 * m.requests as f64;
-        busy_ns / (window.as_nanos() as f64 * cores as f64)
+    /// True if a container on `cores` cores can give up one core step and
+    /// stay at or below `MAX_SHAVE_UTILIZATION`: total observed
+    /// execMetric over the window, spread across the cores left. This
+    /// over-estimates for mid-tier services (execMetric includes
+    /// downstream RPC time), which errs on the side of *not* raiding them.
+    fn shave_fits(&self, m: &WindowMetrics, window: SimDuration, cores: u32) -> bool {
+        let after = cores.saturating_sub(self.constraints.core_step);
+        after > 0
+            && !window.is_zero()
+            && utilization(busy_ns(m.mean_exec_metric, m.requests), window, after)
+                <= MAX_SHAVE_UTILIZATION
     }
 
     /// Free one core step from the best score-zero victim. Victim order:
     /// lowest revoke-sensitivity first (when known and the sensitivity
-    /// mechanism is enabled), then largest allocation. A container whose
-    /// estimated utilization *after* the shave would exceed 80 % is never a
-    /// victim — a downstream service fed by a throttled upstream looks
-    /// idle by latency but not by utilization. Returns true if a step was
-    /// freed.
+    /// mechanism is enabled), then largest allocation. A container that
+    /// fails [`Self::shave_fits`] is never a victim. Returns true if a
+    /// step was freed.
     fn free_one_step(
         &self,
         inputs: &[EscalatorObservation],
         board: &ScoreBoard,
         window: SimDuration,
-        allocs: &mut HashMap<ContainerId, ContainerAlloc>,
-        ledger: &mut CoreLedger,
-        actions: &mut Vec<AllocAction>,
+        plan: &mut Plan,
     ) -> bool {
-        const VICTIM_UTIL_CAP: f64 = 0.8;
+        let allocs = &plan.allocs;
         let mut victims: Vec<ContainerId> = board
             .scores
             .iter()
@@ -496,23 +448,15 @@ impl Escalator {
             // true bottleneck's resources to the container showing the
             // symptom.
             .filter(|id| allocs[id].freq_level == 0)
-            .filter(|id| {
-                allocs[id].cores
-                    >= self.floor_of(*id).max(self.constraints.min_cores)
-                        + self.constraints.core_step
-            })
+            .filter(|id| self.above_floor(*id, allocs[id].cores))
             .filter(|id| {
                 let inp = inputs
                     .iter()
                     .find(|i| i.obs.id == *id)
                     .expect("scored id came from inputs");
-                let after = allocs[id].cores - self.constraints.core_step;
-                Self::busy_fraction(&inp.obs.metrics, window, after) <= VICTIM_UTIL_CAP
+                self.shave_fits(&inp.obs.metrics, window, allocs[id].cores)
             })
             .collect();
-        if victims.is_empty() {
-            return false;
-        }
         victims.sort_by(|a, b| {
             let ra = self.victim_rank(*a, allocs);
             let rb = self.victim_rank(*b, allocs);
@@ -521,18 +465,7 @@ impl Escalator {
                 .then_with(|| allocs[b].cores.cmp(&allocs[a].cores))
                 .then_with(|| a.cmp(b))
         });
-        let victim = victims[0];
-        let cur = allocs[&victim];
-        if let Some(new_cores) = ledger.try_shrink(&cur) {
-            allocs.get_mut(&victim).unwrap().cores = new_cores;
-            actions.push(AllocAction::SetCores {
-                id: victim,
-                cores: new_cores,
-            });
-            true
-        } else {
-            false
-        }
+        victims.first().is_some_and(|&victim| plan.shrink(victim))
     }
 
     /// Victim ordering key: lower = revoked first.
@@ -550,8 +483,36 @@ impl Escalator {
     }
 }
 
-fn inputs_allocs(inputs: &[EscalatorObservation]) -> Vec<ContainerAlloc> {
-    inputs.iter().map(|i| i.alloc).collect()
+/// One cycle's working allocations: the core ledger, each container's
+/// allocation as actions accumulate, and the actions.
+struct Plan {
+    ledger: CoreLedger,
+    allocs: HashMap<ContainerId, ContainerAlloc>,
+    actions: Vec<AllocAction>,
+}
+
+impl Plan {
+    /// Grant `id` one core step if the ledger allows it.
+    fn grow(&mut self, id: ContainerId) -> bool {
+        let grown = self.ledger.try_grow(&self.allocs[&id]);
+        grown.inspect(|&cores| self.set_cores(id, cores)).is_some()
+    }
+
+    /// Take one core step from `id` if the ledger allows it.
+    fn shrink(&mut self, id: ContainerId) -> bool {
+        let shrunk = self.ledger.try_shrink(&self.allocs[&id]);
+        shrunk.inspect(|&cores| self.set_cores(id, cores)).is_some()
+    }
+
+    fn set_cores(&mut self, id: ContainerId, cores: u32) {
+        self.allocs.get_mut(&id).unwrap().cores = cores;
+        self.actions.push(AllocAction::SetCores { id, cores });
+    }
+
+    fn set_freq(&mut self, id: ContainerId, level: u8) {
+        self.allocs.get_mut(&id).unwrap().freq_level = level;
+        self.actions.push(AllocAction::SetFreq { id, level });
+    }
 }
 
 #[cfg(test)]

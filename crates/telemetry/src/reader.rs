@@ -10,9 +10,7 @@
 //! from a buffered reader, so a multi-gigabyte `cluster_scale` export
 //! summarizes in constant memory. [`TraceStream::for_each`] decodes on a
 //! reader thread of its own, a few batches ahead of the caller, so
-//! decoding overlaps whatever the caller does per event. [`read_trace`]
-//! (collect everything) is a convenience built on top for the
-//! small-trace paths that really do need the whole file. [`TailStream`]
+//! decoding overlaps whatever the caller does per event. [`TailStream`]
 //! adds a follow mode (`tail -f` semantics: poll for appended lines,
 //! hold partial trailing lines until their newline arrives) used by
 //! `sg-trace watch --tail`.
@@ -29,15 +27,6 @@ use std::sync::mpsc::{self, SyncSender};
 const BATCH: usize = 1024;
 /// Batches the reader thread may run ahead of the caller.
 const READ_AHEAD: usize = 4;
-
-/// A fully parsed trace file.
-#[derive(Debug, Default)]
-pub struct TraceFile {
-    /// Parsed events, in file order.
-    pub events: Vec<TelemetryEvent>,
-    /// Lines that failed to parse (counted, not fatal).
-    pub bad_lines: u64,
-}
 
 /// Streaming JSONL event reader: an iterator over parsed events that
 /// never holds more than one line in memory ([`TraceStream::for_each`]:
@@ -225,18 +214,6 @@ pub fn stream_trace(path: &Path) -> std::io::Result<TraceStream<std::fs::File>> 
     TraceStream::open(path)
 }
 
-/// Read a whole JSONL trace from `path` into memory. Blank lines are
-/// skipped; lines that fail to parse are counted in
-/// [`TraceFile::bad_lines`]. I/O errors (missing file, read failure)
-/// are returned to the caller. Prefer [`stream_trace`] for anything
-/// that can be folded incrementally — cluster-scale exports do not fit
-/// in memory.
-pub fn read_trace(path: &Path) -> std::io::Result<TraceFile> {
-    let mut events = Vec::new();
-    let bad_lines = stream_trace(path)?.for_each(|event| events.push(event))?;
-    Ok(TraceFile { events, bad_lines })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,15 +259,19 @@ mod tests {
             )
             .unwrap();
         }
-        let trace = read_trace(&path).unwrap();
-        assert_eq!(trace.events.len(), 2);
-        assert_eq!(trace.bad_lines, 2);
+        let mut events = Vec::new();
+        let bad_lines = stream_trace(&path)
+            .unwrap()
+            .for_each(|event| events.push(event))
+            .unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(bad_lines, 2);
         assert!(matches!(
-            trace.events[0],
+            events[0],
             TelemetryEvent::Dropped { count: 4, .. }
         ));
         assert!(matches!(
-            trace.events[1],
+            events[1],
             TelemetryEvent::Dropped { count: 5, .. }
         ));
         let _ = std::fs::remove_file(&path);
@@ -298,7 +279,6 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        assert!(read_trace(Path::new("/nonexistent/trace.jsonl")).is_err());
         assert!(stream_trace(Path::new("/nonexistent/trace.jsonl")).is_err());
     }
 

@@ -170,16 +170,6 @@ impl SloTracker {
         self.last_ns = self.last_ns.max(other.last_ns);
     }
 
-    /// Drop buckets that ended more than `retain` before the latest
-    /// observation. Bounds memory when tailing an unbounded stream;
-    /// cumulative totals are unaffected, but pruned trackers merge
-    /// exactly only over their retained range — cluster merges should
-    /// happen before pruning (documented in DESIGN.md §11).
-    pub fn prune(&mut self, retain: SimDuration) {
-        let cutoff = self.last_ns.saturating_sub(retain.as_nanos()) / BUCKET.as_nanos();
-        self.buckets.retain(|&idx, _| idx >= cutoff);
-    }
-
     /// `(total, bad)` over the window ending at `now` (bucket
     /// granularity; buckets overlapping the window count whole).
     fn window_counts(&self, window: SimDuration, now: SimTime) -> (u64, u64) {
@@ -302,20 +292,6 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab, whole);
         assert_eq!(ab.verdict_at_last(), whole.verdict_at_last());
-    }
-
-    #[test]
-    fn prune_keeps_windows_and_totals() {
-        let mut t = SloTracker::new(SloConfig::default());
-        for i in 0..100_000u64 {
-            t.record(ms(i), i % 100 == 0);
-        }
-        let before = t.verdict_at_last();
-        t.prune(SimDuration::from_secs(61));
-        let after = t.verdict_at_last();
-        assert_eq!(before, after);
-        assert_eq!(t.total(), 100_000);
-        assert!(t.buckets.len() <= 61_000 / 250 + 2);
     }
 
     #[test]
