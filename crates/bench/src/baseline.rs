@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema identifier embedded in every baseline document.
-pub const SCHEMA: &str = "sg-bench/v1";
+pub(crate) const SCHEMA: &str = "sg-bench/v1";
 
 /// Summary statistics for one timed scenario.
 #[derive(Debug, Clone)]
@@ -482,7 +482,7 @@ fn replica_scale_out(b: &mut Bench) {
     b.per_run(|_| {
         let mut cfg = sg_live::conformance::two_stage_cfg(ConnModel::FixedPool(4), horizon);
         cfg.max_replicas = 2;
-        let arrivals = sg_live::conformance::constant_arrivals(2000.0, horizon);
+        let arrivals = sg_sim::profile::constant_arrivals(2000.0, SimTime::ZERO, horizon);
         let (r, dt) = timed(|| Simulation::new(cfg, &ReplicaTogglerFactory, arrivals).run());
         assert!(r.completed > 0);
         (dt, 1)
@@ -557,7 +557,7 @@ fn cluster_scale(b: &mut Bench, nodes: u32) {
     let scenario = crate::ClusterScenario::new(nodes, 400.0, SimTime::ZERO + horizon);
     let factory = sg_sim::controller::NoopFactory;
     b.per_run(|_| {
-        let (r, dt) = timed(|| scenario.run(&factory));
+        let (r, dt) = timed(|| scenario.simulation(&factory).run());
         assert!(r.completed > 0, "cluster run produced no completions");
         assert_eq!(r.dropped, 0, "cluster run saturated the safety valve");
         (dt, r.events)
@@ -653,7 +653,7 @@ pub(crate) fn selects(only: Option<&str>, name: &str) -> bool {
 /// after the last scenario, it is the part of a baseline that says
 /// whether the host itself slowed down under the run (busy sibling
 /// vCPU, frequency drop).
-pub fn calibrate() -> f64 {
+pub(crate) fn calibrate() -> f64 {
     let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
     let dt = time_ops(1 << 22, |_| x = xorshift(black_box(x)));
     black_box(x);
@@ -665,7 +665,7 @@ pub fn calibrate() -> f64 {
 pub struct Run {
     /// One entry per scenario run, in the pinned order.
     pub scenarios: Vec<ScenarioStats>,
-    /// [`calibrate`] before the first and after the last scenario.
+    /// `calibrate` before the first and after the last scenario.
     pub calib_ns: [f64; 2],
 }
 
@@ -737,18 +737,22 @@ impl Host {
             cpu: host.get("cpu")?.as_str()?.to_string(),
         })
     }
+}
 
-    /// `Err` when `doc` records a host other than this one; a document
-    /// with no `host` passes (the caller prints that caveat).
-    pub fn check(&self, doc: &Value) -> Result<(), String> {
-        match Host::recorded(doc) {
-            Some(other) if other != *self => Err(format!(
-                "recorded on a different host; regenerate the baseline here \
-                 (recorded: {} x {}; here: {} x {})",
-                other.cpus, other.cpu, self.cpus, self.cpu
-            )),
-            _ => Ok(()),
-        }
+/// `Err` when the baseline `doc` was recorded on another host or in the
+/// other mode: neither compares. A document with no `host` (BENCH_4–15;
+/// the caller prints that caveat) or no `mode` passes that half.
+pub fn comparable(doc: &Value, host: &Host, mode: &str) -> Result<(), String> {
+    match (Host::recorded(doc), doc.get("mode").and_then(Value::as_str)) {
+        (Some(other), _) if other != *host => Err(format!(
+            "recorded on a different host; regenerate the baseline here \
+             (recorded: {} x {}; here: {} x {})",
+            other.cpus, other.cpu, host.cpus, host.cpu
+        )),
+        (_, Some(other)) if other != mode => Err(format!(
+            "recorded in {other} mode and this run is {mode}; rerun with --{other}"
+        )),
+        _ => Ok(()),
     }
 }
 

@@ -3,9 +3,9 @@
 //! The flags are the table in [`SPEC`] (`--help`); BENCH.md describes the
 //! scenario set and the gate. Exit status: 0 on a pass, 1 on a perf
 //! regression or a missing scenario under `--compare`, 2 on a usage error
-//! or an IO, parse or cross-host error.
+//! or an IO, parse, cross-host or cross-mode error.
 
-use sg_bench::baseline::{recorded_calib, run_selected, to_json, BenchMode, Host};
+use sg_bench::baseline::{comparable, recorded_calib, run_selected, to_json, BenchMode, Host};
 use sg_bench::compare::{compare, Verdict, DEFAULT_THRESHOLD_PCT};
 use sg_bench::ClusterScenario;
 use sg_core::cli::{Flag, Operands, Spec};
@@ -23,8 +23,8 @@ static SPEC: Spec = Spec {
             "--compare",
             "OLD.json",
             "run fresh, compare against a stored baseline, and exit 1 on any regression or \
-             missing scenario; a baseline recorded on another host is refused (exit 2) \
-             before anything runs",
+             missing scenario; a baseline recorded on another host, or in the other of \
+             quick and full mode, is refused (exit 2) before anything runs",
         ),
         Flag::value(
             "--threshold",
@@ -132,15 +132,15 @@ fn main() {
     let threshold = args.number("--threshold").unwrap_or(DEFAULT_THRESHOLD_PCT);
     let only = args.value("--only");
 
-    // The stored baseline is read and its host checked before anything
-    // runs: a cross-host compare is meaningless, so it costs nothing.
+    // The stored baseline is read and its host and mode checked before
+    // anything runs: a cross-host or cross-mode compare costs nothing.
     let here = Host::detect();
     let stored = args.value("--compare").map(|path| {
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
         let old =
             serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e:?}")));
-        if let Err(e) = here.check(&old) {
+        if let Err(e) = comparable(&old, &here, mode.label()) {
             fail(&format!("{path} was {e}"));
         }
         (path, old)
@@ -211,7 +211,7 @@ fn main() {
     eprintln!("sg-bench: PASSED");
 }
 
-/// Exit 2: an IO, parse or cross-host error (not a perf verdict).
+/// Exit 2: an IO, parse or cross-host/mode error (not a perf verdict).
 fn fail(err: &str) -> ! {
     eprintln!("sg-bench: {err}");
     std::process::exit(2);

@@ -4,7 +4,7 @@
 //! threshold AND the fresh p25 clears the baseline p75 (the IQR noise
 //! guard, so ordinary run-to-run jitter cannot fail a build).
 
-use crate::baseline::{scenario_field, scenario_names, selects, Host};
+use crate::baseline::{comparable, scenario_field, scenario_names, selects, Host};
 use serde_json::Value;
 
 /// Default regression threshold (percent over the baseline median).
@@ -59,15 +59,15 @@ impl CompareReport {
 /// separated, not just the medians). Selected scenarios in the stored
 /// baseline but absent from the fresh run are failures; extra fresh
 /// scenarios are ignored (forward-compatible). `Err` when both documents
-/// record a host and the two differ.
+/// record a host, or a mode, and the two differ.
 pub fn compare(
     old: &Value,
     new: &Value,
     threshold_pct: f64,
     only: Option<&str>,
 ) -> Result<CompareReport, String> {
-    if let Some(here) = Host::recorded(new) {
-        here.check(old)?;
+    if let (Some(host), Some(mode)) = (Host::recorded(new), new.get("mode")) {
+        comparable(old, &host, mode.as_str().unwrap_or_default())?;
     }
     let mut verdicts = Vec::new();
     for name in scenario_names(old) {
@@ -105,20 +105,23 @@ mod tests {
     use serde_json::json;
 
     /// A baseline document with `(name, median, p25, p75)` scenarios,
-    /// recorded on `host` (`None` = a pre-BENCH_16 file); the gate reads
-    /// nothing else.
-    fn doc_on(host: Option<&str>, entries: &[(&str, f64, f64, f64)]) -> Value {
+    /// recorded on `host` (`None` = a pre-BENCH_16 file) in `mode`; the
+    /// gate reads nothing else.
+    fn doc_on(host: Option<&str>, mode: &str, entries: &[(&str, f64, f64, f64)]) -> Value {
         let scenarios = entries.iter().map(|&(name, median, p25, p75)| {
             let stats = json!({ "median": median, "p25": p25, "p75": p75 });
             (name.to_string(), stats)
         });
-        let mut doc = vec![("scenarios".to_string(), Value::Object(scenarios.collect()))];
+        let mut doc = vec![
+            ("scenarios".to_string(), Value::Object(scenarios.collect())),
+            ("mode".to_string(), json!(mode)),
+        ];
         doc.extend(host.map(|cpu| ("host".into(), json!({ "cpus": 2u64, "cpu": cpu }))));
         Value::Object(doc)
     }
 
     fn doc(entries: &[(&str, f64, f64, f64)]) -> Value {
-        doc_on(Some("this box"), entries)
+        doc_on(Some("this box"), "quick", entries)
     }
 
     fn gate(old: &Value, new: &Value, threshold_pct: f64) -> CompareReport {
@@ -196,11 +199,31 @@ mod tests {
     fn cross_host_compare_is_refused() {
         let entries = [("a", 10.0, 9.0, 11.0)];
         let new = doc(&entries);
-        let err = compare(&doc_on(Some("another box"), &entries), &new, 25.0, None).unwrap_err();
+        let other_box = doc_on(Some("another box"), "quick", &entries);
+        let err = compare(&other_box, &new, 25.0, None).unwrap_err();
         assert!(err.contains("recorded on a different host"), "{err}");
         // BENCH_4–15 carry no host: compared, the caller prints the caveat.
-        let unrecorded = doc_on(None, &entries);
+        let unrecorded = doc_on(None, "quick", &entries);
         assert_eq!(Host::recorded(&unrecorded), None);
         assert!(!gate(&unrecorded, &new, 25.0).failed());
+    }
+
+    #[test]
+    fn quick_against_full_is_refused() {
+        let entries = [("a", 10.0, 9.0, 11.0)];
+        let in_mode = |mode| doc_on(Some("this box"), mode, &entries);
+        let (quick, full) = (in_mode("quick"), in_mode("full"));
+        let err = compare(&full, &quick, 25.0, None).unwrap_err();
+        assert!(err.contains("recorded in full mode"), "{err}");
+        assert!(err.contains("rerun with --full"), "{err}");
+        let err = compare(&quick, &full, 25.0, None).unwrap_err();
+        assert!(err.contains("rerun with --quick"), "{err}");
+        assert!(!gate(&full, &full, 25.0).failed());
+        // A baseline with no mode is compared, as one with no host is.
+        let mut unrecorded = full.clone();
+        if let Value::Object(fields) = &mut unrecorded {
+            fields.retain(|(key, _)| key != "mode");
+        }
+        assert!(!gate(&unrecorded, &quick, 25.0).failed());
     }
 }

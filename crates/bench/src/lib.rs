@@ -5,11 +5,12 @@
 //! FirstResponder decision the paper budgets in §VI-D — and write it as
 //! a machine-readable baseline (`results/BENCH_*.json`); [`compare`] is
 //! the `--compare` regression gate over two of them. See BENCH.md. This file holds the two
-//! scaled-down workloads those scenarios run: [`BenchScenario`] (one
+//! scaled-down workloads those scenarios run: `BenchScenario` (one
 //! calibrated CHAIN surge trial) and [`ClusterScenario`] (the
 //! cluster-scale fan-out).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod baseline;
@@ -27,7 +28,7 @@ use sg_workloads::{prepare, CalibrationOptions, PreparedWorkload, Workload};
 use std::sync::Arc;
 
 /// A short calibrated scenario: the `sim_trial*` unit of work.
-pub struct BenchScenario {
+pub(crate) struct BenchScenario {
     /// The calibrated workload.
     pub pw: PreparedWorkload,
     /// Surge pattern under test.
@@ -39,7 +40,7 @@ pub struct BenchScenario {
 impl BenchScenario {
     /// CHAIN with 1.75× surges, 6 s horizon — small enough to iterate,
     /// large enough to exercise every code path.
-    pub fn chain_surge() -> Self {
+    pub(crate) fn chain_surge() -> Self {
         let pw = prepare(Workload::Chain, 1, CalibrationOptions::default());
         let pattern = SpikePattern {
             base_rate: pw.base_rate,
@@ -57,7 +58,7 @@ impl BenchScenario {
 
     /// The configured simulation (config, rendered arrivals, controllers
     /// from `factory`), ready for `.with_*` observers and `.run()`.
-    pub fn simulation(&self, factory: &dyn ControllerFactory, seed: u64) -> Simulation {
+    pub(crate) fn simulation(&self, factory: &dyn ControllerFactory, seed: u64) -> Simulation {
         let mut cfg = self.pw.cfg.clone();
         cfg.end = self.horizon + SimDuration::from_millis(100);
         cfg.measure_start = SimTime::from_secs(1);
@@ -71,7 +72,7 @@ impl BenchScenario {
 /// scenarios: 25 backends/node + the shared gateway puts exactly
 /// 26 × 2 = 52 initial cores on node 0, the default per-node budget —
 /// so 200 nodes is 5 001 containers without touching the constraints.
-pub const BACKENDS_PER_NODE: u32 = 25;
+pub(crate) const BACKENDS_PER_NODE: u32 = 25;
 
 /// A synthetic cluster-scale workload: one gateway service on node 0
 /// fanning out (one backend per request, [`CallMode::OneOf`]) across
@@ -156,30 +157,21 @@ impl ClusterScenario {
 
     /// The configured simulation with streamed (batched) arrivals — the
     /// cluster-scale path: the spike schedule is never materialized.
-    fn simulation(&self, factory: &dyn ControllerFactory) -> Simulation {
+    pub(crate) fn simulation(&self, factory: &dyn ControllerFactory) -> Simulation {
         let stream = ArrivalProfile::Spike(self.pattern).stream(SimTime::ZERO, self.horizon);
         Simulation::new_streaming(self.cfg.clone(), factory, Box::new(stream))
     }
 
-    /// Run once.
-    pub fn run(&self, factory: &dyn ControllerFactory) -> RunResult {
-        self.simulation(factory).run()
-    }
-
-    /// QoS deadline used for the scenario's SLO/heavy-hitter layer: the
-    /// per-request path is gateway + one 200 µs backend plus queueing,
-    /// so 2 ms marks genuine tail trouble without firing on noise.
-    pub fn qos(&self) -> SimDuration {
-        SimDuration::from_millis(2)
-    }
-
-    /// [`ClusterScenario::run`] with the mergeable aggregation layer on:
+    /// One run with the mergeable aggregation layer on:
     /// every node shard folds its own completions, and the per-node
     /// digests/sketches/windows are merged into one exact cluster view
     /// at teardown (order-independent — see `sg_telemetry::agg`).
     pub fn run_with_agg(&self, factory: &dyn ControllerFactory) -> (RunResult, ClusterAgg) {
+        // The SLO deadline: the per-request path is gateway + one 200 µs
+        // backend plus queueing, so 2 ms marks genuine tail trouble
+        // without firing on noise.
         let agg = Arc::new(AggRuntime::new(
-            AggConfig::new(self.qos()),
+            AggConfig::new(SimDuration::from_millis(2)),
             self.nodes as usize,
         ));
         let result = self.simulation(factory).with_agg(Arc::clone(&agg)).run();
@@ -205,7 +197,7 @@ mod tests {
         assert_eq!(sc.cfg.graph.len(), 101, "gateway + 25 backends/node");
         assert_eq!(sc.cfg.placement.nodes, 4);
         sc.cfg.validate().expect("cluster config must validate");
-        let r = sc.run(&NoopFactory);
+        let r = sc.simulation(&NoopFactory).run();
         assert!(r.completed > 0);
         assert_eq!(r.dropped, 0);
     }
@@ -247,7 +239,7 @@ mod tests {
         let run_with = |queue| {
             let mut sc = ClusterScenario::new(2, 200.0, SimTime::from_secs(2));
             sc.cfg.queue = queue;
-            sc.run(&NoopFactory)
+            sc.simulation(&NoopFactory).run()
         };
         let heap = run_with(sg_sim::QueueKind::Heap);
         let wheel = run_with(sg_sim::QueueKind::Wheel);

@@ -55,7 +55,7 @@ pub struct Caladan {
 
 impl Caladan {
     /// Build from the node description.
-    pub fn new(init: &NodeInit) -> Self {
+    pub(crate) fn new(init: &NodeInit) -> Self {
         Caladan {
             params: init.containers.iter().map(|c| (c.id, c.params)).collect(),
             constraints: AllocConstraints {

@@ -45,13 +45,13 @@ const ML_GRACE: SimDuration = SimDuration::from_millis(200);
 /// the brain derives the cluster-wide rate and the demand-proportional
 /// allocation.
 #[derive(Debug, Default)]
-pub struct Brain {
+pub(crate) struct Brain {
     /// Most recent per-container request counts per window.
     observed: HashMap<ContainerId, u64>,
 }
 
 /// Per-node instance of the centralized controller.
-pub struct Centralized {
+pub(crate) struct Centralized {
     brain: Arc<Mutex<Brain>>,
     /// Per-request work of each local container (the model's knowledge).
     work: HashMap<ContainerId, SimDuration>,
@@ -71,7 +71,7 @@ const POLL: SimDuration = SimDuration::from_millis(100);
 
 impl Centralized {
     /// Build a node instance around the shared brain.
-    pub fn new(
+    pub(crate) fn new(
         brain: Arc<Mutex<Brain>>,
         init: &NodeInit,
         work: HashMap<ContainerId, SimDuration>,
@@ -170,7 +170,7 @@ impl Controller for Centralized {
     }
 }
 
-/// Factory for [`Centralized`]; all node instances share one brain.
+/// Factory for `Centralized`; all node instances share one brain.
 #[derive(Clone, Default)]
 pub struct CentralizedFactory {
     brain: Arc<Mutex<Brain>>,

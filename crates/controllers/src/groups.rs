@@ -55,7 +55,10 @@ pub(crate) struct GroupLoad {
 
 impl GroupLoad {
     /// Every group's load in `snapshot`.
-    pub fn by_group(layout: &ReplicaLayout, snapshot: &NodeSnapshot) -> HashMap<ServiceId, Self> {
+    pub(crate) fn by_group(
+        layout: &ReplicaLayout,
+        snapshot: &NodeSnapshot,
+    ) -> HashMap<ServiceId, Self> {
         let load = |slots: Vec<&ContainerSnapshot>| GroupLoad {
             replicas: slots.len() as u32,
             cores: slots.iter().map(|c| c.alloc.cores).sum(),
@@ -73,7 +76,7 @@ impl GroupLoad {
 
     /// Busy fraction of the group's cores over `window`; `None` when the
     /// group holds no cores.
-    pub fn utilization(&self, window: SimDuration) -> Option<f64> {
+    pub(crate) fn utilization(&self, window: SimDuration) -> Option<f64> {
         (self.cores > 0).then(|| utilization(self.busy_ns, window, self.cores))
     }
 }

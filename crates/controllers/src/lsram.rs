@@ -68,7 +68,7 @@ const PEAK_FLOOR: f64 = 0.9;
 const STEP_CLAMP: f64 = 1.5;
 
 /// LSRAM controller state for one node.
-pub struct LsramController {
+pub(crate) struct LsramController {
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
     groups: Vec<ServiceId>,
@@ -86,7 +86,7 @@ pub struct LsramController {
 
 impl LsramController {
     /// Build from the node description.
-    pub fn new(init: &NodeInit) -> Self {
+    pub(crate) fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
         let primaries = local_primaries(&layout, init);
         let mut capacity: HashMap<ServiceId, f64> = HashMap::new();
@@ -321,7 +321,7 @@ impl Controller for LsramController {
     }
 }
 
-/// Factory for [`LsramController`].
+/// Factory for `LsramController`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LsramFactory;
 

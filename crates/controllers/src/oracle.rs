@@ -54,7 +54,7 @@ pub struct OracleKnowledge {
 }
 
 /// Oracle controller state for one node.
-pub struct Oracle {
+pub(crate) struct Oracle {
     cfg: OracleConfig,
     knowledge: OracleKnowledge,
     initial: Vec<(ContainerId, u32)>,
@@ -66,7 +66,7 @@ pub struct Oracle {
 
 impl Oracle {
     /// Build from the node description.
-    pub fn new(cfg: OracleConfig, knowledge: OracleKnowledge, init: &NodeInit) -> Self {
+    pub(crate) fn new(cfg: OracleConfig, knowledge: OracleKnowledge, init: &NodeInit) -> Self {
         Oracle {
             cfg,
             knowledge,
@@ -146,7 +146,7 @@ impl Controller for Oracle {
     }
 }
 
-/// Factory for [`Oracle`].
+/// Factory for `Oracle`.
 #[derive(Debug, Clone)]
 pub struct OracleFactory {
     /// Surge schedule + delay.

@@ -55,7 +55,7 @@ pub struct Parties {
 
 impl Parties {
     /// Build from the node description.
-    pub fn new(init: &NodeInit) -> Self {
+    pub(crate) fn new(init: &NodeInit) -> Self {
         Parties {
             params: init.containers.iter().map(|c| (c.id, c.params)).collect(),
             constraints: init.constraints,

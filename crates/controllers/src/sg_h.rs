@@ -43,7 +43,7 @@ const LOW_UTILIZATION: f64 = 0.25;
 const HOLD: u32 = 5;
 
 /// The per-node SurgeGuard-H instance.
-pub struct SurgeGuardH {
+pub(crate) struct SurgeGuardH {
     inner: SurgeGuard,
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
@@ -54,7 +54,7 @@ pub struct SurgeGuardH {
 
 impl SurgeGuardH {
     /// Build from the node description.
-    pub fn new(init: &NodeInit) -> Self {
+    pub(crate) fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
         // Hand the inner controller every replica slot of the node's
         // groups, not just the initially active ones: replicas inherit
@@ -158,7 +158,7 @@ impl Controller for SurgeGuardH {
     }
 }
 
-/// Factory for [`SurgeGuardH`].
+/// Factory for `SurgeGuardH`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SurgeGuardHFactory;
 

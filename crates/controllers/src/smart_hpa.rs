@@ -39,7 +39,7 @@ const TARGET_UTILIZATION: f64 = 0.5;
 const DOWN_HOLD: u32 = 3;
 
 /// Smart HPA controller state for one node.
-pub struct SmartHpaController {
+pub(crate) struct SmartHpaController {
     layout: ReplicaLayout,
     /// Local service groups (by primary), ascending for determinism.
     groups: Vec<ServiceId>,
@@ -52,7 +52,7 @@ pub struct SmartHpaController {
 
 impl SmartHpaController {
     /// Build from the node description.
-    pub fn new(init: &NodeInit) -> Self {
+    pub(crate) fn new(init: &NodeInit) -> Self {
         let layout = ReplicaLayout::from_bounds(init.max_container_id, init.max_replicas);
         let primaries = local_primaries(&layout, init);
         SmartHpaController {
@@ -134,7 +134,7 @@ impl Controller for SmartHpaController {
     }
 }
 
-/// Factory for [`SmartHpaController`].
+/// Factory for `SmartHpaController`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SmartHpaFactory;
 

@@ -78,7 +78,7 @@ pub struct SurgeGuard {
 
 impl SurgeGuard {
     /// Build from the node description.
-    pub fn new(cfg: SurgeGuardConfig, init: &NodeInit) -> Self {
+    pub(crate) fn new(cfg: SurgeGuardConfig, init: &NodeInit) -> Self {
         let n = init.max_container_id + 1;
         let fr = cfg.enable_firstresponder.then(|| {
             let mut expected = vec![None; n];
@@ -121,11 +121,6 @@ impl SurgeGuard {
             hinted: HashSet::new(),
             sink: None,
         }
-    }
-
-    /// Diagnostics: FirstResponder boost count.
-    pub fn fr_boosts(&self) -> u64 {
-        self.fr.as_ref().map_or(0, |f| f.boosts_issued())
     }
 }
 
@@ -388,7 +383,6 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(sg.fr_boosts(), 1);
     }
 
     #[test]
@@ -398,7 +392,7 @@ mod tests {
         assert!(sg
             .on_packet(SimTime::from_secs(1), ContainerId(0), meta)
             .is_empty());
-        assert_eq!(sg.fr_boosts(), 0);
+        assert!(sg.fr.is_none());
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl CoreLedger {
     }
 
     /// Cores not currently assigned to any container.
-    pub fn spare(&self) -> u32 {
+    pub(crate) fn spare(&self) -> u32 {
         self.constraints.total_cores.saturating_sub(self.allocated)
     }
 

@@ -591,7 +591,7 @@ mod tests {
             make_input(1, 4, 100, 1.0, 0, 200, &[]),
         ];
         let d = e.decide(&inputs, SimDuration::from_millis(100));
-        assert!(!d.board.any_candidates());
+        assert!(d.board.scores.iter().all(|&(_, s)| s == 0));
         assert!(d
             .actions
             .iter()

@@ -158,7 +158,7 @@ pub enum FaultNotice {
 
 /// Parse a duration literal: `250ns`, `15us`, `500ms`, `1.5s`, or a bare
 /// number meaning milliseconds.
-pub fn parse_duration(text: &str) -> Result<SimDuration, String> {
+pub(crate) fn parse_duration(text: &str) -> Result<SimDuration, String> {
     let t = text.trim();
     let (num, scale_ns) = if let Some(v) = t.strip_suffix("ns") {
         (v, 1.0)
@@ -310,7 +310,7 @@ impl FaultPlan {
     /// Parse a JSON plan: `{"faults": [{"at": "1s", "inject": "crash",
     /// "on": "svc:1", "for": "500ms"}, ...]}`. Durations are strings with
     /// units or bare numbers in milliseconds.
-    pub fn from_json(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(text: &str) -> Result<Self, String> {
         let root = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e:?}"))?;
         let faults = root
             .get("faults")
@@ -341,7 +341,7 @@ impl FaultPlan {
 
     /// Parse a TOML-subset plan: repeated `[[fault]]` tables of
     /// `key = value` lines (quoted strings, numbers, `#` comments).
-    pub fn from_toml(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_toml(text: &str) -> Result<Self, String> {
         let mut tables: Vec<RawFault> = Vec::new();
         for (lineno, raw_line) in text.lines().enumerate() {
             let line = match raw_line.split_once('#') {

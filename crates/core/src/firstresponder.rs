@@ -71,10 +71,6 @@ pub struct FirstResponderConfig {
 pub struct FirstResponder {
     cfg: FirstResponderConfig,
     cooldown: CooldownTable,
-    /// Count of packets inspected (diagnostics).
-    packets_seen: u64,
-    /// Count of boosts issued (diagnostics).
-    boosts_issued: u64,
 }
 
 impl FirstResponder {
@@ -85,8 +81,6 @@ impl FirstResponder {
         FirstResponder {
             cfg,
             cooldown: CooldownTable::new(paths, window),
-            packets_seen: 0,
-            boosts_issued: 0,
         }
     }
 
@@ -102,7 +96,6 @@ impl FirstResponder {
         meta: RpcMetadata,
         now: SimTime,
     ) -> Option<BoostDecision> {
-        self.packets_seen += 1;
         let expected = (*self.cfg.expected_time_from_start.get(dest.index())?)?;
         let slack = per_packet_slack(expected, now, meta.start_time);
         if !is_violation(slack) {
@@ -111,7 +104,6 @@ impl FirstResponder {
         if !self.cooldown.try_fire(dest.index(), now) {
             return None;
         }
-        self.boosts_issued += 1;
         let mut targets = Vec::with_capacity(
             1 + self
                 .cfg
@@ -128,65 +120,41 @@ impl FirstResponder {
             level: self.cfg.max_freq_level,
         })
     }
-
-    /// Packets inspected so far.
-    pub fn packets_seen(&self) -> u64 {
-        self.packets_seen
-    }
-
-    /// Boost decisions issued so far.
-    pub fn boosts_issued(&self) -> u64 {
-        self.boosts_issued
-    }
 }
 
 // ---------------------------------------------------------------------
 // Real two-thread runtime (Fig. 9)
 // ---------------------------------------------------------------------
 
-/// The `shFreq` analogue: per-container frequency levels shared between
-/// FirstResponder's worker thread and Escalator. Atomic bytes — readers
+/// The `shFreq` analogue: per-container frequency levels the worker
+/// publishes after each applied update (Fig. 9). Nothing reads them back
+/// here: on both substrates Escalator reads each container's level from
+/// the allocation its observations carry. Atomic bytes — a reader would
 /// never block the packet path.
 #[derive(Debug)]
-pub struct SharedFreq {
+pub(crate) struct SharedFreq {
     levels: Vec<AtomicU8>,
 }
 
 impl SharedFreq {
     /// All containers start at `initial` level.
-    pub fn new(containers: usize, initial: u8) -> Arc<Self> {
+    pub(crate) fn new(containers: usize, initial: u8) -> Arc<Self> {
         Arc::new(SharedFreq {
             levels: (0..containers).map(|_| AtomicU8::new(initial)).collect(),
         })
     }
 
-    /// Read the published level for a container.
-    pub fn load(&self, c: ContainerId) -> u8 {
-        self.levels[c.index()].load(Ordering::Acquire)
-    }
-
-    /// Publish a new level (worker thread / Escalator).
-    pub fn store(&self, c: ContainerId, level: u8) {
+    /// Publish a new level (worker thread).
+    pub(crate) fn store(&self, c: ContainerId, level: u8) {
         self.levels[c.index()].store(level, Ordering::Release);
-    }
-
-    /// Number of containers tracked.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// True when no containers are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
     }
 }
 
 /// Coordinator/worker runtime: the coordinator (caller of
 /// [`FrRuntime::submit`]) stays on the critical path; the worker thread
-/// applies updates off-path and publishes them to [`SharedFreq`].
+/// applies updates off-path and publishes them to `SharedFreq`.
 pub struct FrRuntime {
     queue: Arc<ArrayQueue<FreqUpdate>>,
-    shfreq: Arc<SharedFreq>,
     stop: Arc<AtomicBool>,
     worker: Option<JoinHandle<u64>>,
     /// Updates dropped because the bounded queue was full (never blocks
@@ -235,7 +203,6 @@ impl FrRuntime {
 
         FrRuntime {
             queue,
-            shfreq,
             stop,
             worker: Some(worker),
             dropped: 0,
@@ -253,11 +220,6 @@ impl FrRuntime {
                 false
             }
         }
-    }
-
-    /// The shared frequency table (Escalator's read side).
-    pub fn shared_freq(&self) -> Arc<SharedFreq> {
-        Arc::clone(&self.shfreq)
     }
 
     /// Updates dropped due to a full queue.
@@ -313,8 +275,6 @@ mod tests {
         let meta = RpcMetadata::new_job(SimTime::from_micros(0));
         let out = f.on_packet(ContainerId(0), meta, SimTime::from_micros(300));
         assert!(out.is_none());
-        assert_eq!(f.packets_seen(), 1);
-        assert_eq!(f.boosts_issued(), 0);
     }
 
     #[test]
@@ -342,7 +302,6 @@ mod tests {
         assert!(f
             .on_packet(ContainerId(0), meta, SimTime::from_micros(1600))
             .is_some());
-        assert_eq!(f.boosts_issued(), 2);
     }
 
     #[test]
@@ -367,7 +326,6 @@ mod tests {
         let mut rt = FrRuntime::spawn(4, 0, 64, move |_u| {
             applied2.fetch_add(1, Ordering::Relaxed);
         });
-        let shfreq = rt.shared_freq();
         for i in 0..4u32 {
             assert!(rt.submit(FreqUpdate {
                 from: NodeId(0),
@@ -378,9 +336,6 @@ mod tests {
         let total = rt.shutdown();
         assert_eq!(total, 4);
         assert_eq!(applied.load(Ordering::Relaxed), 4);
-        for i in 0..4u32 {
-            assert_eq!(shfreq.load(ContainerId(i)), 8, "shFreq published");
-        }
     }
 
     #[test]
@@ -406,15 +361,5 @@ mod tests {
         assert!(rt.dropped() >= 1, "full queue must drop, got {ok} accepted");
         drop(tx);
         rt.shutdown();
-    }
-
-    #[test]
-    fn shared_freq_roundtrip() {
-        let s = SharedFreq::new(3, 2);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.load(ContainerId(1)), 2);
-        s.store(ContainerId(1), 7);
-        assert_eq!(s.load(ContainerId(1)), 7);
-        assert_eq!(s.load(ContainerId(0)), 2);
     }
 }

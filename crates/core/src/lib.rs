@@ -34,6 +34,7 @@
 //! fast path stays in the sub-microsecond regime the paper reports.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod allocator;
@@ -58,10 +59,10 @@ pub mod violation;
 pub use allocator::{AllocAction, AllocConstraints, ContainerAlloc, FreqTable};
 pub use arrivals::{ArrivalSource, ScheduleSource};
 pub use config::{ContainerParams, EscalatorConfig, PROFILE_TARGET_FACTOR};
-pub use escalator::{Escalator, EscalatorDecision, EscalatorObservation};
+pub use escalator::{Escalator, EscalatorObservation};
 pub use fault::{FaultKind, FaultNotice, FaultPlan, FaultSpec};
-pub use firstresponder::{BoostDecision, FirstResponder, FirstResponderConfig};
-pub use ids::{ContainerId, NodeId, RequestId, ServiceId};
+pub use firstresponder::{FirstResponder, FirstResponderConfig};
+pub use ids::{ContainerId, NodeId, ServiceId};
 pub use metadata::RpcMetadata;
 pub use metrics::{MetricsWindow, RequestSample, WindowMetrics};
 pub use replica::ReplicaLayout;

@@ -20,17 +20,6 @@ pub fn threadpool_size(req_rate: f64, downstream_latency: SimDuration) -> u32 {
     (in_flight.ceil() as u32).max(1)
 }
 
-/// Inverse view: the highest request rate a pool of `size` connections can
-/// sustain when each call holds a connection for `downstream_latency`.
-/// Returns `f64::INFINITY` for a zero latency.
-pub fn max_rate_for_pool(size: u32, downstream_latency: SimDuration) -> f64 {
-    let lat = downstream_latency.as_secs_f64();
-    if lat <= 0.0 {
-        return f64::INFINITY;
-    }
-    size as f64 / lat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,16 +38,8 @@ mod tests {
     }
 
     #[test]
-    fn inverse_relationship() {
-        let lat = SimDuration::from_millis(5);
-        let rate = max_rate_for_pool(512, lat);
-        assert!((rate - 102_400.0).abs() < 1e-6);
-        // Sizing for that rate returns the original pool.
-        assert_eq!(threadpool_size(rate, lat), 512);
-    }
-
-    #[test]
-    fn zero_latency_is_unbounded() {
-        assert!(max_rate_for_pool(8, SimDuration::ZERO).is_infinite());
+    fn table3_pool_at_its_rate() {
+        // 512 connections each held 5 ms carry exactly 102 400 req/s.
+        assert_eq!(threadpool_size(102_400.0, SimDuration::from_millis(5)), 512);
     }
 }

@@ -174,11 +174,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// Discard all state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 #[cfg(test)]
@@ -303,8 +298,6 @@ mod tests {
         assert_eq!(e.update(100.0), 100.0);
         assert_eq!(e.update(200.0), 150.0);
         assert_eq!(e.update(200.0), 175.0);
-        e.reset();
-        assert_eq!(e.value(), None);
     }
 
     #[test]

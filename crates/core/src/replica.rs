@@ -10,7 +10,7 @@
 //! every slot is a primary — which is what keeps the default
 //! configuration byte-identical to the pre-replica engine.
 
-use crate::ids::{ContainerId, ServiceId};
+use crate::ids::ServiceId;
 
 /// Maps `(service, replica)` pairs to dense container slots and back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,11 +81,6 @@ impl ReplicaLayout {
         }
     }
 
-    /// Primary slot (replica 0) of the service owning `slot`.
-    pub fn primary_of(&self, slot: usize) -> usize {
-        self.service_of(slot).0 as usize
-    }
-
     /// True when `slot` is a service's replica 0.
     pub fn is_primary(&self, slot: usize) -> bool {
         slot < self.services
@@ -95,11 +90,6 @@ impl ReplicaLayout {
     pub fn slots_of(&self, s: ServiceId) -> impl Iterator<Item = usize> + '_ {
         let copy = *self;
         (0..self.max_replicas).map(move |r| copy.slot_of(s, r))
-    }
-
-    /// The canonical `ContainerId` of a slot.
-    pub fn container_of(&self, slot: usize) -> ContainerId {
-        ContainerId(slot as u32)
     }
 }
 
@@ -150,7 +140,6 @@ mod tests {
                 seen[slot] = true;
                 assert_eq!(l.service_of(slot), ServiceId(s));
                 assert_eq!(l.replica_of(slot), r);
-                assert_eq!(l.primary_of(slot), s as usize);
                 assert_eq!(l.is_primary(slot), r == 0);
             }
         }

@@ -62,17 +62,12 @@ pub struct ScoreBoard {
 
 impl ScoreBoard {
     /// Score of a specific container (0 if not present).
-    pub fn score_of(&self, id: ContainerId) -> u32 {
+    pub(crate) fn score_of(&self, id: ContainerId) -> u32 {
         self.scores
             .iter()
             .find(|(c, _)| *c == id)
             .map(|(_, s)| *s)
             .unwrap_or(0)
-    }
-
-    /// True if any container is an upscaling candidate.
-    pub fn any_candidates(&self) -> bool {
-        self.scores.iter().any(|(_, s)| *s > 0)
     }
 }
 
@@ -80,7 +75,7 @@ impl ScoreBoard {
 ///
 /// Returns `(hinted, queue_violation, exec_violation)`.
 #[inline]
-pub fn conditions(m: &WindowMetrics, params: &ContainerParams) -> (bool, bool, bool) {
+pub(crate) fn conditions(m: &WindowMetrics, params: &ContainerParams) -> (bool, bool, bool) {
     // No traffic in the window means no evidence either way.
     if m.requests == 0 {
         return (false, false, false);
@@ -98,7 +93,7 @@ pub fn conditions(m: &WindowMetrics, params: &ContainerParams) -> (bool, bool, b
 
 /// Run Table II over all observed containers and produce the cycle's
 /// [`ScoreBoard`].
-pub fn score_cycle(observations: &[ContainerObservation]) -> ScoreBoard {
+pub(crate) fn score_cycle(observations: &[ContainerObservation]) -> ScoreBoard {
     let mut board = ScoreBoard {
         scores: observations.iter().map(|o| (o.id, 0u32)).collect(),
         set_hint: Vec::new(),
@@ -206,7 +201,6 @@ mod tests {
             obs(1, metrics(10, 500, 1.0, 2), params(200), &[]),
         ]);
         assert_eq!(board.score_of(ContainerId(1)), 3);
-        assert!(board.any_candidates());
     }
 
     #[test]
@@ -215,7 +209,7 @@ mod tests {
             obs(0, metrics(10, 100, 1.0, 0), params(200), &[1]),
             obs(1, metrics(10, 50, 1.0, 0), params(200), &[]),
         ]);
-        assert!(!board.any_candidates());
+        assert!(board.scores.iter().all(|&(_, s)| s == 0));
     }
 
     #[test]
@@ -233,7 +227,7 @@ mod tests {
         // observation set). Nothing local is scored, but c0 must set the
         // packet hint so node hosting c9 learns about it.
         let board = score_cycle(&[obs(0, metrics(10, 100, 3.0, 0), params(200), &[9])]);
-        assert!(!board.any_candidates());
+        assert!(board.scores.iter().all(|&(_, s)| s == 0));
         assert_eq!(board.set_hint, vec![ContainerId(0)]);
     }
 

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 /// Default cell expiry: with the 100 ms Escalator cycle this is ~5 s of
 /// trust in an unrefreshed measurement.
-pub const DEFAULT_MAX_AGE: u32 = 50;
+pub(crate) const DEFAULT_MAX_AGE: u32 = 50;
 
 /// Sensitivity matrix for one node's containers.
 ///
@@ -98,16 +98,6 @@ impl SensitivityMatrix {
         }
     }
 
-    /// Number of containers tracked.
-    pub fn containers(&self) -> usize {
-        self.exec_avg.len()
-    }
-
-    /// Largest core count tracked.
-    pub fn max_cores(&self) -> usize {
-        self.max_cores
-    }
-
     /// Record an observed mean execution time (ns) for `container` while it
     /// held `cores` cores. Observations at zero cores or above `max_cores`
     /// are ignored (they cannot arise from a valid allocator).
@@ -125,7 +115,7 @@ impl SensitivityMatrix {
 
     /// Age (in ticks since last refresh) of the cell at (`container`,
     /// `cores`), if present.
-    pub fn cell_age(&self, container: usize, cores: usize) -> Option<u32> {
+    pub(crate) fn cell_age(&self, container: usize, cores: usize) -> Option<u32> {
         self.exec_avg
             .get(container)
             .and_then(|row| row.get(cores))
@@ -138,7 +128,7 @@ impl SensitivityMatrix {
     /// cells were measured within `max_age_gap` ticks of each other —
     /// comparing a fresh measurement against one from a different load
     /// regime (e.g. mid-surge vs steady state) predicts nothing.
-    pub fn revoke_sens_step_fresh(
+    pub(crate) fn revoke_sens_step_fresh(
         &self,
         container: usize,
         cores: usize,
@@ -170,7 +160,7 @@ impl SensitivityMatrix {
     /// Sensitivity of moving `container` from `cores` to `cores + 1`
     /// (fractional exec-time reduction). `None` when either cell has never
     /// been observed.
-    pub fn sens(&self, container: usize, cores: usize) -> Option<f64> {
+    pub(crate) fn sens(&self, container: usize, cores: usize) -> Option<f64> {
         let at = self.exec_avg(container, cores)?;
         let plus = self.exec_avg(container, cores + 1)?;
         if at <= 0.0 {
@@ -179,23 +169,19 @@ impl SensitivityMatrix {
         Some(1.0 - plus / at)
     }
 
-    /// Sensitivity *lost* by revoking one core (moving from `cores` down to
-    /// `cores − 1`): `sens[c][cores−1]` in the paper's notation. `None` when
-    /// unobserved or already at one core.
-    pub fn revoke_sens(&self, container: usize, cores: usize) -> Option<f64> {
-        if cores <= 1 {
-            return None;
-        }
-        self.sens(container, cores - 1)
-    }
-
-    /// Step-aware variant of [`SensitivityMatrix::revoke_sens`]: the
-    /// fractional slowdown expected from dropping `container` from `cores`
-    /// to `cores − step` (`1 − execAvg[cores] / execAvg[cores − step]`).
+    /// Sensitivity *lost* by revoking `step` cores: the fractional
+    /// slowdown expected from dropping `container` from `cores` to
+    /// `cores − step` (`1 − execAvg[cores] / execAvg[cores − step]`).
+    /// `None` when unobserved or when `step` would take the last core.
     /// Needed because real allocators move whole physical cores (two
     /// hyperthreads) at a time, so the single-core cells in between are
     /// never observed.
-    pub fn revoke_sens_step(&self, container: usize, cores: usize, step: usize) -> Option<f64> {
+    pub(crate) fn revoke_sens_step(
+        &self,
+        container: usize,
+        cores: usize,
+        step: usize,
+    ) -> Option<f64> {
         if step == 0 || cores <= step {
             return None;
         }
@@ -207,9 +193,16 @@ impl SensitivityMatrix {
         Some(1.0 - at / lower)
     }
 
-    /// Step-aware variant of [`SensitivityMatrix::upscale_sens`]: fractional
-    /// exec-time reduction expected from growing `cores` by `step`.
-    pub fn upscale_sens_step(&self, container: usize, cores: usize, step: usize) -> Option<f64> {
+    /// Upscale priority: the fractional exec-time reduction expected from
+    /// growing `container` from `cores` by `step`, or `None` if unknown.
+    /// Escalator ranks `None` above low-but-known sensitivities, so the
+    /// matrix fills in during transients.
+    pub(crate) fn upscale_sens_step(
+        &self,
+        container: usize,
+        cores: usize,
+        step: usize,
+    ) -> Option<f64> {
         let at = self.exec_avg(container, cores)?;
         let higher = self.exec_avg(container, cores + step)?;
         if at <= 0.0 {
@@ -218,20 +211,13 @@ impl SensitivityMatrix {
         Some(1.0 - higher / at)
     }
 
-    /// True when revoking one core from `container` (currently at `cores`)
-    /// is predicted to cost less than `threshold` fractional slowdown.
+    /// True when revoking `step` cores from `container` (currently at
+    /// `cores`) is predicted to cost less than `threshold` fractional
+    /// slowdown.
     ///
     /// Unobserved cells return `false`: without evidence we never revoke,
     /// matching the paper's conservative use of the matrix.
-    pub fn can_revoke(&self, container: usize, cores: usize, threshold: f64) -> bool {
-        match self.revoke_sens(container, cores) {
-            Some(s) => s < threshold,
-            None => false,
-        }
-    }
-
-    /// Step-aware variant of [`SensitivityMatrix::can_revoke`].
-    pub fn can_revoke_step(
+    pub(crate) fn can_revoke_step(
         &self,
         container: usize,
         cores: usize,
@@ -242,16 +228,6 @@ impl SensitivityMatrix {
             Some(s) => s < threshold,
             None => false,
         }
-    }
-
-    /// Upscale priority for `container` currently at `cores`: the known
-    /// marginal sensitivity `sens[c][cores]`, or `None` if unknown.
-    ///
-    /// Escalator treats unknown sensitivity as "worth exploring": callers
-    /// typically rank `None` above low-but-known sensitivities so the matrix
-    /// fills in during transients.
-    pub fn upscale_sens(&self, container: usize, cores: usize) -> Option<f64> {
-        self.sens(container, cores)
     }
 
     /// Read-only snapshot of every *known* marginal sensitivity for one
@@ -266,7 +242,7 @@ impl SensitivityMatrix {
     }
 
     /// Forget everything about one container (e.g. after re-placement).
-    pub fn reset_container(&mut self, container: usize) {
+    pub(crate) fn reset_container(&mut self, container: usize) {
         for cell in &mut self.exec_avg[container] {
             *cell = None;
         }
@@ -316,20 +292,23 @@ mod tests {
         // Flat curve between 6 and 7 cores: 1% difference.
         m.observe(0, 6, 1000.0);
         m.observe(0, 7, 990.0);
-        let rs = m.revoke_sens(0, 7).unwrap();
+        let rs = m.revoke_sens_step(0, 7, 1).unwrap();
         assert!((rs - 0.01).abs() < 1e-9);
-        assert!(m.can_revoke(0, 7, 0.02));
-        assert!(!m.can_revoke(0, 7, 0.005));
+        assert!(m.can_revoke_step(0, 7, 1, 0.02));
+        assert!(!m.can_revoke_step(0, 7, 1, 0.005));
     }
 
     #[test]
     fn never_revoke_without_evidence_or_below_one_core() {
         let m = SensitivityMatrix::new(1, 8, 0.5);
-        assert!(!m.can_revoke(0, 5, 0.02));
+        assert!(!m.can_revoke_step(0, 5, 1, 0.02));
         let mut m = SensitivityMatrix::new(1, 8, 0.5);
         m.observe(0, 1, 500.0);
         m.observe(0, 2, 500.0);
-        assert!(!m.can_revoke(0, 1, 0.02), "cannot revoke the last core");
+        assert!(
+            !m.can_revoke_step(0, 1, 1, 0.02),
+            "cannot revoke the last core"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Signed slack in nanoseconds. Negative = request is behind schedule.
-pub type SlackNs = i64;
+pub(crate) type SlackNs = i64;
 
 /// Compute the per-packet slack (Eqs. 4–5).
 ///
@@ -39,7 +39,7 @@ pub fn per_packet_slack(
 
 /// True when `slack` indicates a violation.
 #[inline]
-pub fn is_violation(slack: SlackNs) -> bool {
+pub(crate) fn is_violation(slack: SlackNs) -> bool {
     slack < 0
 }
 
@@ -94,26 +94,6 @@ impl CooldownTable {
             window,
             hold_until: vec![SimTime::ZERO; paths],
         }
-    }
-
-    /// The hold window currently in force.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Replace the hold window (e.g. after re-profiling end-to-end latency).
-    pub fn set_window(&mut self, window: SimDuration) {
-        self.window = window;
-    }
-
-    /// Number of tracked paths.
-    pub fn len(&self) -> usize {
-        self.hold_until.len()
-    }
-
-    /// True if no paths are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.hold_until.is_empty()
     }
 
     /// Returns true if an update on `path` is currently allowed, and if so

@@ -26,8 +26,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable instant (used as an "infinitely far" sentinel).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -75,7 +73,7 @@ impl SimTime {
     /// Signed difference `self - other` in nanoseconds. Used by the slack
     /// computation, where a negative result is meaningful.
     #[inline]
-    pub fn signed_delta_ns(self, other: SimTime) -> i64 {
+    pub(crate) fn signed_delta_ns(self, other: SimTime) -> i64 {
         self.0 as i64 - other.0 as i64
     }
 }
@@ -121,18 +119,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds, truncated.
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Milliseconds, truncated.
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds (for reporting and rate math).
@@ -294,8 +280,8 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs(1).as_millis(), 1000);
-        assert_eq!(SimDuration::from_millis(1).as_micros(), 1000);
+        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
+        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
     }
 
     #[test]
@@ -333,7 +319,10 @@ mod tests {
 
     #[test]
     fn from_secs_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1500);
+        assert_eq!(
+            SimDuration::from_secs_f64(1.5),
+            SimDuration::from_millis(1500)
+        );
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
     }
 

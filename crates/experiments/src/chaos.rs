@@ -27,10 +27,10 @@ use sg_sim::app::ConnModel;
 use sg_workloads::{PreparedWorkload, Workload};
 
 /// The evaluated line-up; Parties first — rows normalize to it.
-pub const ARMS: [Arm; 4] = [Arm::Parties, Arm::Caladan, Arm::SurgeGuard, Arm::SgH];
+pub(crate) const ARMS: [Arm; 4] = [Arm::Parties, Arm::Caladan, Arm::SurgeGuard, Arm::SgH];
 
 /// Fault classes, `none` first (the per-arm degradation baseline).
-pub const FAULTS: [&str; 6] = [
+pub(crate) const FAULTS: [&str; 6] = [
     "none",
     "crash",
     "node-loss",
@@ -84,7 +84,7 @@ pub fn plan_for(fault: &str, pw: &PreparedWorkload, profile: &ExpProfile) -> Fau
 /// Run the experiment: CHAIN over two nodes (round-robin placement, so
 /// node 1 hosts services 1 and 3 and every edge is a remote hop — the
 /// node-loss and jitter faults need both).
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let profile = suite.profile;
     let grid = suite.grid(FAULTS, ARMS, |fault, arm| {
         BatchKey::new(Workload::Chain, 2, PatternSpec::Constant, arm, profile)

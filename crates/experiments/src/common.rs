@@ -36,7 +36,7 @@ impl ExpProfile {
     }
 
     /// Paper-scale profile: 30 s warmup, 60 s measurement, 17 trials.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         ExpProfile {
             trials: 17,
             warmup: SimDuration::from_secs(30),
@@ -56,7 +56,7 @@ impl ExpProfile {
 
     /// True for the paper-scale profile (Fig. 13 then covers all five
     /// workloads).
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         *self == Self::full()
     }
 
@@ -106,7 +106,7 @@ pub fn run_one(
 /// Safe ratio for normalized reporting (paper figures normalize to
 /// Parties): returns 1.0 when the baseline is ~zero and the value is too,
 /// +inf when only the baseline is ~zero.
-pub fn ratio(value: f64, baseline: f64) -> f64 {
+pub(crate) fn ratio(value: f64, baseline: f64) -> f64 {
     const EPS: f64 = 1e-12;
     if baseline.abs() < EPS {
         if value.abs() < EPS {

@@ -16,10 +16,10 @@ use sg_loadgen::SpikePattern;
 use sg_workloads::Workload;
 
 /// Detection delays evaluated: SurgeGuard-class, Parties-class, ML-class.
-pub const DELAYS_MS: [f64; 3] = [0.2, 500.0, 1000.0];
+pub(crate) const DELAYS_MS: [f64; 3] = [0.2, 500.0, 1000.0];
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let seed = suite.profile.base_seed;
     let mut pw = (*suite.prepared(Workload::Chain, 1)).clone();
     // Fig. 4 is the paper's illustrative example, not part of the 52-core

@@ -19,10 +19,10 @@ use sg_workloads::Workload;
 use std::sync::Arc;
 
 /// Sweep range of logical cores.
-pub const CORE_SWEEP: [u32; 6] = [2, 4, 6, 8, 10, 12];
+pub(crate) const CORE_SWEEP: [u32; 6] = [2, 4, 6, 8, 10, 12];
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let seed = suite.profile.base_seed;
     let pw = suite.prepared(Workload::ReadUserTimeline, 1);
     let targets = ["post-storage-mongodb", "user-timeline-service"].map(|name| {

@@ -16,10 +16,10 @@ use sg_core::time::SimDuration;
 use sg_workloads::Workload;
 
 /// Surge lengths (µs) evaluated; 20× instantaneous rate, every 100 ms.
-pub const SURGE_US: [u64; 4] = [500, 1000, 2000, 5000];
+pub(crate) const SURGE_US: [u64; 4] = [500, 1000, 2000, 5000];
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     // Short-surge profile: lots of surges, shorter window is enough.
     let mut prof = suite.profile;
     prof.measure = SimDuration::from_secs(10).min(prof.measure);

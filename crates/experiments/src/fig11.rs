@@ -14,10 +14,10 @@ use serde_json::json;
 use sg_workloads::Workload;
 
 /// Surge magnitudes evaluated (×base rate).
-pub const MAGNITUDES: [f64; 3] = [1.25, 1.5, 1.75];
+pub(crate) const MAGNITUDES: [f64; 3] = [1.25, 1.5, 1.75];
 
 /// Run the experiment; returns the printed tables.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let profile = suite.profile;
     let rows = MAGNITUDES.map(|m| Workload::all().map(|wl| (m, wl)));
     let grid = suite.grid(rows.into_iter().flatten(), Arm::PAPER, |(m, wl), arm| {

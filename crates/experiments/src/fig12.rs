@@ -15,7 +15,7 @@ use serde_json::json;
 use sg_workloads::Workload;
 
 /// Surge durations in milliseconds.
-pub const DURATIONS_MS: [u64; 5] = [100, 500, 1000, 2000, 5000];
+pub(crate) const DURATIONS_MS: [u64; 5] = [100, 500, 1000, 2000, 5000];
 
 /// Run the experiment.
 pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {

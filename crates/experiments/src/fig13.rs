@@ -16,11 +16,11 @@ use serde_json::json;
 use sg_workloads::Workload;
 
 /// Node counts evaluated.
-pub const NODES: [u32; 3] = [1, 2, 4];
+pub(crate) const NODES: [u32; 3] = [1, 2, 4];
 
 /// Run the experiment. The quick profile averages two representative
 /// workloads; the full profile uses all five.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let profile = suite.profile;
     let workloads: Vec<Workload> = if profile.is_full() {
         Workload::all().to_vec()

@@ -19,14 +19,14 @@ use sg_loadgen::SpikePattern;
 use sg_workloads::Workload;
 
 /// Services plotted, matching the paper's figure.
-pub const SERVICES: [&str; 3] = [
+pub(crate) const SERVICES: [&str; 3] = [
     "user-timeline-service",
     "post-storage-service",
     "post-storage-memcached",
 ];
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let seed = suite.profile.base_seed;
     let pw = suite.prepared(Workload::ReadUserTimeline, 1);
     let pattern = SpikePattern {

@@ -15,7 +15,7 @@ use sg_loadgen::trimmed_mean;
 use sg_workloads::Workload;
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let arms = [Arm::MlCentralized, Arm::SurgeGuard, Arm::Hybrid];
     let pattern = PatternSpec::periodic(1.75, 2000);
     let keys =

@@ -7,49 +7,50 @@
 //!
 //! | module | paper artifact |
 //! |---|---|
-//! | [`table1`] | Table I — controller comparison |
-//! | [`fig04`] | Fig. 4 — detection delay vs violation volume |
-//! | [`fig05`] | Fig. 5 — threading-model upscaling demo |
-//! | [`fig06`] | Fig. 6 — sensitivity curves |
-//! | [`fig07`] | Figs. 7/8 — internal-state timelines during a surge |
-//! | [`fig10`] | Fig. 10 — short surges (FirstResponder) |
-//! | [`fig11`] | Fig. 11 — long surges across workloads |
-//! | [`fig12`] | Fig. 12 — surge-duration sweep |
-//! | [`fig13`] | Fig. 13 — node scaling |
-//! | [`fig14`] | Fig. 14 — allocation timeline |
-//! | [`fig15`] | Fig. 15 — Escalator component breakdown |
-//! | [`hybrid`] | §VII extension — ML-class + SurgeGuard hybrid |
-//! | [`netsurge`] | extension — network-latency surges (abstract claim) |
-//! | [`zoo`] | extension — horizontal autoscalers vs vertical scaling |
-//! | [`chaos`] | extension — controllers under fault injection |
+//! | `table1` | Table I — controller comparison |
+//! | `fig04` | Fig. 4 — detection delay vs violation volume |
+//! | `fig05` | Fig. 5 — threading-model upscaling demo |
+//! | `fig06` | Fig. 6 — sensitivity curves |
+//! | `fig07` | Figs. 7/8 — internal-state timelines during a surge |
+//! | `fig10` | Fig. 10 — short surges (FirstResponder) |
+//! | `fig11` | Fig. 11 — long surges across workloads |
+//! | `fig12` | Fig. 12 — surge-duration sweep |
+//! | `fig13` | Fig. 13 — node scaling |
+//! | `fig14` | Fig. 14 — allocation timeline |
+//! | `fig15` | Fig. 15 — Escalator component breakdown |
+//! | `hybrid` | §VII extension — ML-class + SurgeGuard hybrid |
+//! | `netsurge` | extension — network-latency surges (abstract claim) |
+//! | `zoo` | extension — horizontal autoscalers vs vertical scaling |
+//! | `chaos` | extension — controllers under fault injection |
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod cli;
-pub mod common;
-pub mod fig04;
+mod common;
+mod fig04;
 pub mod fig05;
-pub mod fig06;
+mod fig06;
 pub mod fig07;
-pub mod fig10;
-pub mod fig11;
+mod fig10;
+mod fig11;
 pub mod fig12;
-pub mod fig13;
-pub mod fig14;
+mod fig13;
+mod fig14;
 pub mod fig15;
-pub mod hybrid;
-pub mod netsurge;
-pub mod output;
+mod hybrid;
+mod netsurge;
+mod output;
 pub mod parallel;
-pub mod suite;
-pub mod table1;
-pub mod zoo;
+mod suite;
+mod table1;
+mod zoo;
 
 pub use common::{run_one, ExpProfile};
 pub use output::{JsonSink, Table};
-pub use suite::{Arm, Batch, BatchKey, PatternSpec, Suite, SuiteStats, Tweak};
+pub use suite::{Arm, Suite, SuiteStats};
 
 /// A figure's entry point: run it in `suite`, push its JSON rows to the
 /// sink, return its printed tables.

@@ -17,11 +17,11 @@ use sg_sim::network::LatencySurge;
 use sg_workloads::Workload;
 
 /// Extra one-way fabric latencies injected.
-pub const EXTRA_US: [u64; 3] = [200, 500, 1000];
+pub(crate) const EXTRA_US: [u64; 3] = [200, 500, 1000];
 
 /// The injected surge: `extra_us` on every cross-node hop, from 5 s to
 /// 7 s into the measurement window.
-pub fn surge(extra_us: u64, profile: &ExpProfile) -> LatencySurge {
+pub(crate) fn surge(extra_us: u64, profile: &ExpProfile) -> LatencySurge {
     LatencySurge {
         start: SimTime::ZERO + profile.warmup + SimDuration::from_secs(5),
         end: SimTime::ZERO + profile.warmup + SimDuration::from_secs(7),
@@ -31,7 +31,7 @@ pub fn surge(extra_us: u64, profile: &ExpProfile) -> LatencySurge {
 
 /// Run the experiment: 2-node readUserTimeline (so RPCs actually cross
 /// the fabric), constant base load, one 2 s latency surge.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let profile = suite.profile;
     let arms = [Arm::Static, Arm::Parties, Arm::SurgeGuard];
     let grid = suite.grid(EXTRA_US, arms, |us, arm| {

@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// New table with a title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub(crate) fn new(title: &str, header: &[&str]) -> Self {
         Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -22,7 +22,7 @@ impl Table {
     }
 
     /// Append a row (must match the header width).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
     }
@@ -61,7 +61,7 @@ impl Table {
 }
 
 /// Format a float ratio (e.g. normalized VV) compactly.
-pub fn fr(v: f64) -> String {
+pub(crate) fn fr(v: f64) -> String {
     if v.is_infinite() {
         "inf".to_string()
     } else if v >= 100.0 {
@@ -72,7 +72,7 @@ pub fn fr(v: f64) -> String {
 }
 
 /// Format a percentage change relative to 1.0 ("-38%" for 0.62).
-pub fn pct_change(ratio: f64) -> String {
+pub(crate) fn pct_change(ratio: f64) -> String {
     if ratio.is_infinite() {
         return "inf".to_string();
     }
@@ -92,7 +92,7 @@ impl JsonSink {
     }
 
     /// Record one row.
-    pub fn push(&mut self, row: Value) {
+    pub(crate) fn push(&mut self, row: Value) {
         self.rows.push(row);
     }
 

@@ -1,7 +1,7 @@
 //! Minimal scoped-thread fork-join pool for the experiment harness.
 //!
 //! Every trial is an independent `(config, seed)` pure function, so
-//! [`crate::suite::Suite::run_batches`] fans all trials of all new
+//! `crate::suite::Suite::run_batches` fans all trials of all new
 //! batches out at once through [`par_map`]. Two properties the harness
 //! relies on:
 //!
@@ -45,12 +45,6 @@ pub fn threads() -> usize {
     }
 }
 
-/// True when called from inside a `par_map` worker (nested calls run
-/// inline).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
 /// Map `f` over `items` on up to [`threads`] scoped workers, returning
 /// results in input order. Falls back to a plain serial loop when one
 /// thread suffices or when already inside a worker.
@@ -61,7 +55,8 @@ where
     F: Fn(T) -> R + Sync,
 {
     let workers = threads().min(items.len());
-    if workers <= 1 || in_worker() {
+    // Nested calls, from inside a worker, run inline.
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
         return items.into_iter().map(f).collect();
     }
 
@@ -104,7 +99,7 @@ mod tests {
     #[test]
     fn nested_par_map_runs_inline() {
         let out = par_map(vec![0usize, 1, 2, 3], |i| {
-            assert!(in_worker() || threads() == 1);
+            assert!(IN_WORKER.with(Cell::get) || threads() == 1);
             // Nested call must not spawn another layer of workers.
             let inner = par_map((0..10).collect::<Vec<usize>>(), |j| j + i);
             inner.iter().sum::<usize>()

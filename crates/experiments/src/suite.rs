@@ -1,5 +1,5 @@
-//! The one runner every batch figure shares: a hashable [`BatchKey`]
-//! names a trial batch, [`Suite::run_batches`] runs the batches it has
+//! The one runner every batch figure shares: a hashable `BatchKey`
+//! names a trial batch, `Suite::run_batches` runs the batches it has
 //! not seen yet and hands back the ones it has.
 //!
 //! Memoising is exact: a trial is a pure function of its key (workload,
@@ -58,7 +58,7 @@ pub enum Arm {
 
 impl Arm {
     /// The paper's line-up: Parties, CaladanAlgo, SurgeGuard.
-    pub const PAPER: [Arm; 3] = [Arm::Parties, Arm::Caladan, Arm::SurgeGuard];
+    pub(crate) const PAPER: [Arm; 3] = [Arm::Parties, Arm::Caladan, Arm::SurgeGuard];
 
     /// A fresh factory. Built once per trial, so no controller state —
     /// such as the centralized brain a run's nodes share — crosses runs.
@@ -79,7 +79,7 @@ impl Arm {
     }
 
     /// Row label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Arm::Static => "static",
             Arm::Parties => "parties",
@@ -103,7 +103,7 @@ impl Arm {
 
 /// What a batch changes on top of the calibrated workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tweak {
+pub(crate) enum Tweak {
     /// The calibrated workload as is.
     None,
     /// The zoo's replica ceiling and per-container core cap ([`zoo::cap`]).
@@ -117,7 +117,7 @@ pub enum Tweak {
 /// A batch's arrival pattern relative to the workload's calibrated base
 /// rate, with floats stored as integers so the key hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PatternSpec {
+pub(crate) enum PatternSpec {
     /// The base rate throughout.
     Constant,
     /// The §VI-B protocol: `milli / 1000 ×` base for `spike_ms`, every 10 s.
@@ -136,7 +136,7 @@ pub enum PatternSpec {
 
 impl PatternSpec {
     /// [`PatternSpec::Periodic`] from a float magnitude.
-    pub fn periodic(magnitude: f64, spike_ms: u64) -> Self {
+    pub(crate) fn periodic(magnitude: f64, spike_ms: u64) -> Self {
         PatternSpec::Periodic {
             milli: (magnitude * 1000.0).round() as u32,
             spike_ms,
@@ -144,7 +144,7 @@ impl PatternSpec {
     }
 
     /// The concrete pattern for a workload calibrated to `base_rate`.
-    pub fn pattern(self, base_rate: f64) -> SpikePattern {
+    pub(crate) fn pattern(self, base_rate: f64) -> SpikePattern {
         match self {
             PatternSpec::Constant => SpikePattern::constant(base_rate),
             PatternSpec::Periodic { milli, spike_ms } => SpikePattern::periodic(
@@ -165,7 +165,7 @@ impl PatternSpec {
 
 /// Everything a trial batch is a function of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BatchKey {
+pub(crate) struct BatchKey {
     /// Which workload.
     pub workload: Workload,
     /// Nodes the services spread over.
@@ -182,7 +182,7 @@ pub struct BatchKey {
 
 impl BatchKey {
     /// A key with no tweak.
-    pub fn new(
+    pub(crate) fn new(
         workload: Workload,
         nodes: u32,
         pattern: PatternSpec,
@@ -200,7 +200,7 @@ impl BatchKey {
     }
 
     /// The same key with `tweak` applied.
-    pub fn tweaked(self, tweak: Tweak) -> Self {
+    pub(crate) fn tweaked(self, tweak: Tweak) -> Self {
         BatchKey { tweak, ..self }
     }
 }
@@ -208,7 +208,7 @@ impl BatchKey {
 /// One batch's per-trial results and their trimmed-mean aggregate,
 /// which it derefs to.
 #[derive(Debug, Clone)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// The paper's trimmed-mean aggregate over `reports`.
     pub agg: AggregateReport,
     /// Trial `i`'s report.
@@ -258,7 +258,7 @@ impl Suite {
     }
 
     /// `workload` calibrated over `nodes` nodes, once per suite.
-    pub fn prepared(&mut self, workload: Workload, nodes: u32) -> Arc<PreparedWorkload> {
+    pub(crate) fn prepared(&mut self, workload: Workload, nodes: u32) -> Arc<PreparedWorkload> {
         let stats = &mut self.stats;
         let pw = self.prepared.entry((workload, nodes)).or_insert_with(|| {
             stats.prepares += 1;
@@ -268,7 +268,7 @@ impl Suite {
     }
 
     /// The workload and arrival pattern `key`'s trials run.
-    pub fn scenario(&mut self, key: &BatchKey) -> (PreparedWorkload, SpikePattern) {
+    pub(crate) fn scenario(&mut self, key: &BatchKey) -> (PreparedWorkload, SpikePattern) {
         let mut pw = (*self.prepared(key.workload, key.nodes)).clone();
         let profile = &key.profile;
         match key.tweak {
@@ -283,7 +283,7 @@ impl Suite {
 
     /// The batch for each key, in order. Batches this suite has not run
     /// yet run now, every trial of every one of them fanned out at once.
-    pub fn run_batches(&mut self, keys: &[BatchKey]) -> Vec<Arc<Batch>> {
+    pub(crate) fn run_batches(&mut self, keys: &[BatchKey]) -> Vec<Arc<Batch>> {
         let mut missing: Vec<BatchKey> = Vec::new();
         for key in keys {
             if self.batches.contains_key(key) || missing.contains(key) {
@@ -331,7 +331,7 @@ impl Suite {
 
     /// Run `key(row, arm)` for every row and arm in one fan-out and hand
     /// back each row with its arms' batches, in order.
-    pub fn grid<R: Copy, const N: usize>(
+    pub(crate) fn grid<R: Copy, const N: usize>(
         &mut self,
         rows: impl IntoIterator<Item = R>,
         arms: [Arm; N],
@@ -349,7 +349,7 @@ impl Suite {
 
 /// `{arm label: f(batch)}` over `arms`, in order — the per-controller
 /// objects of the figures' JSON rows.
-pub fn by_arm(arms: &[Arm], batches: &[Arc<Batch>], f: impl Fn(&Batch) -> f64) -> Value {
+pub(crate) fn by_arm(arms: &[Arm], batches: &[Arc<Batch>], f: impl Fn(&Batch) -> f64) -> Value {
     Value::Object(
         arms.iter()
             .zip(batches)

@@ -13,7 +13,7 @@ use sg_loadgen::SpikePattern;
 use sg_workloads::Workload;
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let pw = suite.prepared(Workload::Chain, 1);
     let seed = suite.profile.base_seed;
     let pattern = SpikePattern::constant(pw.base_rate);

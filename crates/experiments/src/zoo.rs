@@ -32,15 +32,15 @@ use sg_workloads::{PreparedWorkload, Workload};
 use std::sync::Arc;
 
 /// Replica ceiling per service group.
-pub const MAX_REPLICAS: u32 = 3;
+pub(crate) const MAX_REPLICAS: u32 = 3;
 
 /// Per-container core cap. This is the knob that makes the comparison
 /// interesting: well below the node budget, so a vertical controller
 /// saturates per container while a horizontal one keeps going.
-pub const MAX_CORES: u32 = 12;
+pub(crate) const MAX_CORES: u32 = 12;
 
 /// The evaluated line-up; Parties first — the zoo normalizes to it.
-pub const ARMS: [Arm; 5] = [
+pub(crate) const ARMS: [Arm; 5] = [
     Arm::Parties,
     Arm::SurgeGuard,
     Arm::Lsram,
@@ -50,7 +50,7 @@ pub const ARMS: [Arm; 5] = [
 
 /// Horizontal scaling enabled and the per-container cap applied
 /// (identically for every arm).
-pub fn cap(pw: &mut PreparedWorkload) {
+pub(crate) fn cap(pw: &mut PreparedWorkload) {
     pw.cfg.max_replicas = MAX_REPLICAS;
     pw.cfg.constraints.max_cores = MAX_CORES;
     for c in &mut pw.cfg.initial_cores {
@@ -59,7 +59,7 @@ pub fn cap(pw: &mut PreparedWorkload) {
 }
 
 /// Run the experiment.
-pub fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
+pub(crate) fn run(suite: &mut Suite, sink: &mut JsonSink) -> Vec<Table> {
     let profile = suite.profile;
     // The standard periodic spike protocol (Fig. 12) at its longest
     // surge duration: 5 s at 1.75x every 10 s — long enough that

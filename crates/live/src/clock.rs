@@ -16,13 +16,13 @@ const SLEEP_SLICE: Duration = Duration::from_millis(20);
 
 /// The run's timebase.
 #[derive(Debug, Clone)]
-pub struct LiveClock {
+pub(crate) struct LiveClock {
     origin: Instant,
 }
 
 impl LiveClock {
     /// Start the clock; `SimTime::ZERO` is *now*.
-    pub fn start() -> Self {
+    pub(crate) fn start() -> Self {
         LiveClock {
             origin: Instant::now(),
         }
@@ -30,28 +30,24 @@ impl LiveClock {
 
     /// Current time on the run's clock.
     #[inline]
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime::from_nanos(self.origin.elapsed().as_nanos() as u64)
     }
 
     /// The wall-clock instant corresponding to simulated time `t`.
     #[inline]
-    pub fn instant_at(&self, t: SimTime) -> Instant {
+    pub(crate) fn instant_at(&self, t: SimTime) -> Instant {
         self.origin + Duration::from_nanos(t.as_nanos())
     }
 
     /// Sleep until simulated time `t` (returns immediately if already past).
-    pub fn sleep_until(&self, t: SimTime) {
-        let target = self.instant_at(t);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
+    pub(crate) fn sleep_until(&self, t: SimTime) {
+        std::thread::sleep(self.instant_at(t).saturating_duration_since(Instant::now()));
     }
 
     /// Sleep until `t` in short slices, aborting early when `stop` is set.
     /// Returns `true` if `t` was reached, `false` on stop.
-    pub fn sleep_until_or_stop(&self, t: SimTime, stop: &AtomicBool) -> bool {
+    pub(crate) fn sleep_until_or_stop(&self, t: SimTime, stop: &AtomicBool) -> bool {
         let target = self.instant_at(t);
         loop {
             if stop.load(Ordering::Relaxed) {

@@ -51,7 +51,7 @@ impl Inner {
 
 /// Cluster-wide allocation state shared by tick threads, the rx hook, and
 /// the FirstResponder apply worker.
-pub struct ClusterState {
+pub(crate) struct ClusterState {
     clock: LiveClock,
     freq_table: FreqTable,
     /// Service/replica ↔ slot mapping (one slot per container, replicas
@@ -76,7 +76,7 @@ pub struct ClusterState {
 impl ClusterState {
     /// Build from a validated config; gates start at the initial
     /// allocation and base frequency.
-    pub fn new(cfg: &SimConfig, clock: LiveClock) -> Self {
+    pub(crate) fn new(cfg: &SimConfig, clock: LiveClock) -> Self {
         let ledger = AllocLedger::new(cfg);
         let layout = *ledger.layout();
         let n_slots = layout.n_slots();
@@ -115,7 +115,7 @@ impl ClusterState {
 
     /// Enable allocation-change telemetry. Call before sharing the state
     /// across threads (the sink handle is immutable afterwards).
-    pub fn with_telemetry(mut self, sink: SharedSink) -> Self {
+    pub(crate) fn with_telemetry(mut self, sink: SharedSink) -> Self {
         self.sink = Some(sink);
         self
     }
@@ -125,12 +125,12 @@ impl ClusterState {
     }
 
     /// True when `slot` is in lifecycle state `state` (lock-free read).
-    pub fn replica_is(&self, slot: usize, state: ReplicaState) -> bool {
+    pub(crate) fn replica_is(&self, slot: usize, state: ReplicaState) -> bool {
         self.replica_state[slot].load(Ordering::SeqCst) == state as u8
     }
 
     /// Active (non-draining) replicas of a service group (lock-free).
-    pub fn active_replicas(&self, svc: ServiceId) -> u32 {
+    pub(crate) fn active_replicas(&self, svc: ServiceId) -> u32 {
         self.layout
             .slots_of(svc)
             .filter(|&slot| self.replica_is(slot, ReplicaState::Active))
@@ -138,34 +138,38 @@ impl ClusterState {
     }
 
     /// Node a container runs on.
-    pub fn node_of(&self, id: ContainerId) -> NodeId {
+    pub(crate) fn node_of(&self, id: ContainerId) -> NodeId {
         self.owners.node_of(id.index())
     }
 
     /// Snapshot of a container's current allocation.
-    pub fn alloc_of(&self, id: ContainerId) -> ContainerAlloc {
+    pub(crate) fn alloc_of(&self, id: ContainerId) -> ContainerAlloc {
         self.lock().ledger.alloc(id.index())
     }
 
     /// Actions clamped or rejected so far.
-    pub fn clamped(&self) -> u64 {
+    pub(crate) fn clamped(&self) -> u64 {
         self.owners.clamped()
     }
 
     /// What `node`'s controller learns at start-up.
-    pub fn node_init(&self, cfg: &SimConfig, node: NodeId) -> NodeInit {
+    pub(crate) fn node_init(&self, cfg: &SimConfig, node: NodeId) -> NodeInit {
         NodeInit::for_node(cfg, &self.lock().ledger, node)
     }
 
     /// What one edge of a fault does to its target slots (see
     /// [`AllocLedger::fault_edge`]).
-    pub fn fault_edge(&self, kind: FaultKind, active: bool) -> Vec<(usize, Option<f64>, bool)> {
+    pub(crate) fn fault_edge(
+        &self,
+        kind: FaultKind,
+        active: bool,
+    ) -> Vec<(usize, Option<f64>, bool)> {
         self.lock().ledger.fault_edge(kind, active)
     }
 
     /// Reset the energy meter's measurement window (once, at
     /// `measure_start`).
-    pub fn reset_meter_window(&self, at: SimTime) {
+    pub(crate) fn reset_meter_window(&self, at: SimTime) {
         let mut inner = self.lock();
         let at = inner.meter_time(at);
         inner.meter.reset_window(at);
@@ -173,7 +177,11 @@ impl ClusterState {
 
     /// Finalize: average cores and energy over the measurement window,
     /// plus the recorded allocation trace.
-    pub fn finish(&self, end: SimTime, measure_start: SimTime) -> (f64, f64, Option<AllocTrace>) {
+    pub(crate) fn finish(
+        &self,
+        end: SimTime,
+        measure_start: SimTime,
+    ) -> (f64, f64, Option<AllocTrace>) {
         let mut inner = self.lock();
         let end = inner.meter_time(end);
         let avg_cores = inner.meter.avg_cores(end, measure_start);
@@ -186,7 +194,7 @@ impl ClusterState {
     /// deferred `SetFreq` to the FirstResponder ring, spawning workers
     /// for a spawned replica — stays in `fx` for the caller. `inflight`
     /// is the caller's per-slot in-flight ledger.
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         from: NodeId,
         action: ControlAction,
@@ -219,7 +227,7 @@ impl ClusterState {
 
     /// A deferred `SetFreq` lands (FirstResponder worker thread, after
     /// the configured apply delay).
-    pub fn land_freq(&self, id: ContainerId, level: u8) {
+    pub(crate) fn land_freq(&self, id: ContainerId, level: u8) {
         let mut inner = self.lock();
         if let Some(effect) = inner.ledger.land_freq(id, level) {
             self.apply(&mut inner, effect);
@@ -228,7 +236,7 @@ impl ClusterState {
 
     /// Retire `slot` if it is draining and its in-flight count reached
     /// zero. Called by the request path after each in-flight decrement.
-    pub fn try_retire(&self, slot: usize, inflight: &AtomicU64) {
+    pub(crate) fn try_retire(&self, slot: usize, inflight: &AtomicU64) {
         if self.replica_is(slot, ReplicaState::Draining) {
             self.retire_if_idle(&mut self.lock(), slot, inflight);
         }
@@ -291,7 +299,7 @@ impl ClusterState {
     }
 
     /// Close all gates (shutdown).
-    pub fn close_gates(&self) {
+    pub(crate) fn close_gates(&self) {
         for gate in &self.gates {
             gate.close();
         }

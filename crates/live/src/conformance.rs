@@ -295,12 +295,6 @@ pub fn surge_arrivals(base: f64, end: SimTime) -> Vec<SimTime> {
     .arrivals(SimTime::ZERO, end)
 }
 
-/// Constant-rate schedule (the pool-exhaustion scenarios).
-pub fn constant_arrivals(rate: f64, end: SimTime) -> Vec<SimTime> {
-    use sg_loadgen::SpikePattern;
-    SpikePattern::constant(rate).arrivals(SimTime::ZERO, end)
-}
-
 /// A four-service chain spread round-robin over two nodes: containers
 /// 0 and 2 land on node 0, containers 1 and 3 on node 1. Short enough
 /// for a live run, long enough for several decision cycles.

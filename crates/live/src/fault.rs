@@ -63,7 +63,7 @@ impl LiveCluster {
     /// Injector thread body: walk every fault boundary in time order
     /// (starts before ends on ties, then plan order — the sim engine's
     /// tie-break), aborting promptly on shutdown.
-    pub fn fault_loop(self: Arc<Self>) {
+    pub(crate) fn fault_loop(self: Arc<Self>) {
         let mut boundaries: Vec<(SimTime, bool, usize)> = Vec::new();
         for (i, f) in self.cfg.faults.faults.iter().enumerate() {
             boundaries.push((f.at, false, i));

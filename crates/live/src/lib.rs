@@ -26,20 +26,19 @@
 //! [`conformance`] module holds the shared directional assertions that
 //! `tests/conformance.rs` runs against both substrates.
 
-pub mod clock;
-pub mod cluster;
+#![warn(unreachable_pub)]
+
+mod clock;
+mod cluster;
 pub mod conformance;
-pub mod driver;
-pub mod fault;
+mod driver;
+mod fault;
 pub mod net;
 pub mod pool;
-pub mod scrape;
-pub mod sync;
+mod scrape;
+mod sync;
 pub mod throttle;
-pub mod worker;
+mod worker;
 
-pub use clock::LiveClock;
 pub use conformance::{run_backend, Backend};
 pub use driver::{run_live, run_live_with_stats, LiveOpts, LiveStats};
-pub use pool::PoolStats;
-pub use scrape::MetricsServer;

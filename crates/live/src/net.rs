@@ -73,7 +73,7 @@ impl DelayLine {
 
     /// Like [`DelayLine::spawn`], recording each delivery's timer slop
     /// (actual minus requested fire time) into `profiler` when given.
-    pub fn spawn_profiled(profiler: Option<Arc<LiveProfiler>>) -> Self {
+    pub(crate) fn spawn_profiled(profiler: Option<Arc<LiveProfiler>>) -> Self {
         let inner = Arc::new(DelayInner {
             heap: Mutex::new(BinaryHeap::new()),
             cv: Condvar::new(),

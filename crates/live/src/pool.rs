@@ -129,7 +129,7 @@ impl LiveConnPool {
     /// capacity to `cap - leaked`. Saturates at the capacity (a fully
     /// leaked pool admits nothing); no-op on unbounded pools — there is
     /// nothing to exhaust, same as the sim.
-    pub fn leak(&self, n: u32) {
+    pub(crate) fn leak(&self, n: u32) {
         let mut s = self.state.lock().unwrap();
         if let Some(cap) = s.capacity {
             s.leaked = (s.leaked + n).min(cap);
@@ -138,7 +138,7 @@ impl LiveConnPool {
 
     /// The leak's fault window ends: reclaim `n` leaked connections and
     /// wake waiters that now fit under the effective capacity.
-    pub fn unleak(&self, n: u32) {
+    pub(crate) fn unleak(&self, n: u32) {
         let mut s = self.state.lock().unwrap();
         s.leaked = s.leaked.saturating_sub(n);
         drop(s);
@@ -156,7 +156,7 @@ impl LiveConnPool {
     }
 
     /// Unblock all waiters; subsequent acquires fail fast.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.cv.notify_all();
     }

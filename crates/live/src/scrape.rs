@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 /// Runtime-health inputs served alongside the registry: uptime, ring
 /// drop pressure, fault-boundary count, and (when profiling) the live
 /// profiler snapshot.
-pub struct ScrapeHealth {
+pub(crate) struct ScrapeHealth {
     /// When the run started (uptime reference).
     pub started: Instant,
     /// The telemetry relay ring, for drop counters (None on trace-less
@@ -69,7 +69,7 @@ impl ScrapeHealth {
 }
 
 /// A running scrape listener.
-pub struct MetricsServer {
+pub(crate) struct MetricsServer {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
@@ -78,7 +78,7 @@ pub struct MetricsServer {
 impl MetricsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9184`, or port 0 for ephemeral) and
     /// serve `registry` + `health` until [`MetricsServer::shutdown`].
-    pub fn bind(
+    pub(crate) fn bind(
         addr: &str,
         registry: Arc<MetricsRegistry>,
         health: ScrapeHealth,
@@ -114,12 +114,12 @@ impl MetricsServer {
     }
 
     /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub(crate) fn local_addr(&self) -> std::net::SocketAddr {
         self.local_addr
     }
 
     /// Stop accepting and join the listener thread.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();

@@ -13,7 +13,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Where a finished invocation sends its response.
-pub enum ReplyTo {
+pub(crate) enum ReplyTo {
     /// Root service: respond to the open-loop client.
     Client {
         /// `(trace, root span id)` when this request is traced: the
@@ -35,7 +35,7 @@ pub enum ReplyTo {
 
 /// A request on the wire: what `send_request` carries through the delay
 /// line to the destination's rx hook.
-pub struct Dispatch {
+pub(crate) struct Dispatch {
     /// End-to-end job start (client send time).
     pub req_start: SimTime,
     /// Metadata to deliver.
@@ -50,7 +50,7 @@ pub struct Dispatch {
 
 /// One request as seen by a container: everything a worker thread needs to
 /// execute it and route the response.
-pub struct Job {
+pub(crate) struct Job {
     /// End-to-end job start (client send time).
     pub req_start: SimTime,
     /// Metadata as received.
@@ -65,7 +65,7 @@ pub struct Job {
 
 /// Unbounded blocking MPMC queue feeding one container's worker threads.
 #[derive(Default)]
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
 }
@@ -78,12 +78,12 @@ struct QueueState {
 
 impl JobQueue {
     /// Empty open queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Enqueue a job; one idle worker wakes.
-    pub fn push(&self, job: Job) {
+    pub(crate) fn push(&self, job: Job) {
         let mut s = self.state.lock().unwrap();
         if s.closed {
             return;
@@ -94,7 +94,7 @@ impl JobQueue {
     }
 
     /// Block until a job is available; `None` once the queue is closed.
-    pub fn pop(&self) -> Option<Job> {
+    pub(crate) fn pop(&self) -> Option<Job> {
         let mut s = self.state.lock().unwrap();
         loop {
             if s.closed {
@@ -108,7 +108,7 @@ impl JobQueue {
     }
 
     /// Close the queue: workers drain out, queued jobs are abandoned.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.cv.notify_all();
     }
@@ -116,19 +116,19 @@ impl JobQueue {
 
 /// One-shot completion signal for a child RPC.
 #[derive(Default)]
-pub struct ReplySlot {
+pub(crate) struct ReplySlot {
     done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl ReplySlot {
     /// Fresh, incomplete slot.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Mark the RPC answered; the waiting parent thread wakes.
-    pub fn complete(&self) {
+    pub(crate) fn complete(&self) {
         *self.done.lock().unwrap() = true;
         self.cv.notify_all();
     }
@@ -136,7 +136,7 @@ impl ReplySlot {
     /// Park until the response arrives. Polls the run-wide `shutdown` flag
     /// so abandoned requests cannot deadlock teardown; returns `false` if
     /// shutdown struck first.
-    pub fn wait(&self, shutdown: &AtomicBool) -> bool {
+    pub(crate) fn wait(&self, shutdown: &AtomicBool) -> bool {
         let mut done = self.done.lock().unwrap();
         while !*done {
             if shutdown.load(Ordering::Relaxed) {

@@ -93,7 +93,7 @@ impl CoreGate {
 
     /// Apply a new allocation (cores / DVFS level / bandwidth cap change).
     /// Preserves any fault-injection multiplier currently in force.
-    pub fn set_capacity(&self, cores: u32, speedup: f64, bw_cap: Option<f64>) {
+    pub(crate) fn set_capacity(&self, cores: u32, speedup: f64, bw_cap: Option<f64>) {
         let mut s = self.state.lock().unwrap();
         s.refill();
         s.base_rate = effective_rate(cores, speedup, bw_cap);
@@ -107,7 +107,7 @@ impl CoreGate {
     /// sim container's `set_fault_speed`: scales the earn rate only, so a
     /// crashed container freezes aggregate progress while shutdown and
     /// capacity changes are still noticed promptly.
-    pub fn set_fault_speed(&self, speed: f64) {
+    pub(crate) fn set_fault_speed(&self, speed: f64) {
         assert!(speed > 0.0, "fault speed must be positive");
         let mut s = self.state.lock().unwrap();
         s.refill();
@@ -118,7 +118,7 @@ impl CoreGate {
     }
 
     /// Unblock all waiters; subsequent `run` calls fail fast.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.cv.notify_all();
     }

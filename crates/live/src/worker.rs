@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Per-container profile accumulators (atomics; workers update them
 /// concurrently).
 #[derive(Default)]
-pub struct ProfileAcc {
+pub(crate) struct ProfileAcc {
     pub requests: AtomicU64,
     pub sum_exec_metric: AtomicU64,
     pub sum_exec_time: AtomicU64,
@@ -61,7 +61,7 @@ pub struct ProfileAcc {
 }
 
 /// Everything the live run shares between its threads.
-pub struct LiveCluster {
+pub(crate) struct LiveCluster {
     pub cfg: SimConfig,
     pub clock: LiveClock,
     pub network: Network,
@@ -138,7 +138,7 @@ impl LiveCluster {
     /// packet-hook `SetFreq` as FirstResponder boosts — same attribution
     /// as the sim. [`ClusterState::decide`] applies the allocation-state
     /// effects; what is left here is the request path's share.
-    pub fn apply_actions(
+    pub(crate) fn apply_actions(
         self: &Arc<Self>,
         node: NodeId,
         actions: Vec<ControlAction>,
@@ -180,7 +180,7 @@ impl LiveCluster {
     /// Threads outlive retirement (the queue stays open; a retired slot
     /// simply receives no new jobs) and are joined at run teardown, so a
     /// later re-activation reuses them.
-    pub fn ensure_workers(self: &Arc<Self>, slot: usize) {
+    pub(crate) fn ensure_workers(self: &Arc<Self>, slot: usize) {
         if self.workers_spawned[slot].swap(true, Ordering::AcqRel) {
             return;
         }
@@ -202,7 +202,7 @@ impl LiveCluster {
     /// in-flight count (the caller's dispatch is now committed), with a
     /// recheck loop so a retire racing the pick never receives the job.
     /// A single active replica is picked without consuming randomness.
-    pub fn pick_replica(&self, svc: ServiceId, rng: &mut SmallRng) -> usize {
+    pub(crate) fn pick_replica(&self, svc: ServiceId, rng: &mut SmallRng) -> usize {
         loop {
             let active: Vec<usize> = self
                 .state
@@ -240,7 +240,7 @@ impl LiveCluster {
     /// Deliver one request packet to container `dest`: run the node's rx
     /// hook, then hand the job to the container's worker pool. Runs on the
     /// delay-line thread — the live analogue of the kernel receive path.
-    pub fn deliver_request(self: &Arc<Self>, dest: ContainerId, dispatch: Dispatch) {
+    pub(crate) fn deliver_request(self: &Arc<Self>, dest: ContainerId, dispatch: Dispatch) {
         if self.profiler.is_some() {
             let t0 = Instant::now();
             self.deliver_request_inner(dest, dispatch);
@@ -298,7 +298,7 @@ impl LiveCluster {
 
     /// Schedule a request packet: sample the network latency and submit
     /// the delivery.
-    pub fn send_request(
+    pub(crate) fn send_request(
         self: &Arc<Self>,
         src: NodeId,
         dest: ContainerId,
@@ -558,7 +558,7 @@ impl LiveCluster {
     }
 
     /// Worker thread body: pull jobs until the queue closes.
-    pub fn worker_loop(self: Arc<Self>, c: usize, worker_idx: usize) {
+    pub(crate) fn worker_loop(self: Arc<Self>, c: usize, worker_idx: usize) {
         // Distinct deterministic stream per worker thread.
         let mut rng = SmallRng::seed_from_u64(
             self.cfg
@@ -590,7 +590,7 @@ impl LiveCluster {
 
     /// Tick thread body for one node: flush windows into a snapshot, run
     /// the controller, apply its actions — on the controller's own cadence.
-    pub fn tick_loop(self: Arc<Self>, node: usize) {
+    pub(crate) fn tick_loop(self: Arc<Self>, node: usize) {
         let interval = self.controllers[node].lock().unwrap().tick_interval();
         let mut next = SimTime::ZERO + interval;
         loop {
@@ -644,7 +644,7 @@ impl LiveCluster {
     /// decision cycle. Samples go through the ring front-end, so a slow
     /// disk drops samples (testified in-stream) rather than perturbing
     /// the run.
-    pub fn sampler_loop(self: Arc<Self>, interval: SimDuration) {
+    pub(crate) fn sampler_loop(self: Arc<Self>, interval: SimDuration) {
         let Some(sink) = self.metrics_sink.clone() else {
             return;
         };

@@ -10,12 +10,13 @@ use sg_core::time::{SimDuration, SimTime};
 use sg_live::conformance::{
     assert_boost_retires, assert_cross_node_control_rejected, assert_first_responder_reacted,
     assert_pool_exhaustion_queues_upstream, assert_scale_out_drains_upstream_pool,
-    assert_span_tree_conformance, constant_arrivals, run_backend, run_backend_with_agg,
-    run_backend_with_opts, run_backend_with_spans, surge_arrivals, two_node_cfg, two_stage_cfg,
-    Backend, CrossNodeMeddlerFactory, ScaleOutOnceFactory,
+    assert_span_tree_conformance, run_backend, run_backend_with_agg, run_backend_with_opts,
+    run_backend_with_spans, surge_arrivals, two_node_cfg, two_stage_cfg, Backend,
+    CrossNodeMeddlerFactory, ScaleOutOnceFactory,
 };
 use sg_sim::app::ConnModel;
 use sg_sim::controller::NoopFactory;
+use sg_sim::profile::constant_arrivals;
 use sg_telemetry::{LossClass, SpanReport, SpanSampler, TelemetryEvent};
 
 /// With a `FixedPool(1)` parent→child edge under steady load, connection
@@ -26,7 +27,7 @@ use sg_telemetry::{LossClass, SpanReport, SpanSampler, TelemetryEvent};
 fn pool_exhaustion_queues_upstream_on_both_backends() {
     let end = SimTime::from_millis(400);
     for backend in Backend::both() {
-        let arrivals = constant_arrivals(4000.0, end);
+        let arrivals = constant_arrivals(4000.0, SimTime::ZERO, end);
         let (fixed, _) = run_backend(
             backend,
             two_stage_cfg(ConnModel::FixedPool(1), end),
@@ -87,7 +88,12 @@ fn cross_node_freq_and_hint_rejected_on_both_backends() {
         cfg.max_replicas = 2;
         cfg.trace_allocations = true;
         let factory = CrossNodeMeddlerFactory::new();
-        let (result, _) = run_backend(backend, cfg, &factory, constant_arrivals(200.0, end));
+        let (result, _) = run_backend(
+            backend,
+            cfg,
+            &factory,
+            constant_arrivals(200.0, SimTime::ZERO, end),
+        );
         assert!(
             result.completed > 0,
             "[{}] two-node scenario completed no requests",
@@ -125,7 +131,7 @@ fn scale_out_drains_upstream_pool_on_both_backends() {
             workers_per_container: 32,
             ..sg_live::LiveOpts::default()
         };
-        let arrivals = constant_arrivals(rate, end);
+        let arrivals = constant_arrivals(rate, SimTime::ZERO, end);
         let (single, _) =
             run_backend_with_opts(backend, cfg.clone(), &NoopFactory, arrivals.clone(), opts());
         let (scaled, _) = run_backend_with_opts(
@@ -243,7 +249,7 @@ fn threadpool_surge_attributes_downstream_pool_queue_on_both_backends() {
             backend,
             cfg,
             &NoopFactory,
-            constant_arrivals(rate, end),
+            constant_arrivals(rate, SimTime::ZERO, end),
             SpanSampler::all(),
             opts,
         );
@@ -309,7 +315,7 @@ fn sim_sampling_rate_is_within_one_of_exact() {
         Backend::Sim,
         two_stage_cfg(ConnModel::PerRequest, end),
         &NoopFactory,
-        constant_arrivals(4000.0, traffic_end),
+        constant_arrivals(4000.0, SimTime::ZERO, traffic_end),
         SpanSampler::rate(1, 7, 42),
         sg_live::LiveOpts::default(),
     );
@@ -344,7 +350,7 @@ fn agg_digest_matches_exact_histogram_on_both_backends() {
             backend,
             cfg,
             &NoopFactory,
-            constant_arrivals(1000.0, end),
+            constant_arrivals(1000.0, SimTime::ZERO, end),
             SimDuration::from_millis(5),
         );
         let label = backend.label();
@@ -387,7 +393,7 @@ fn slo_burn_verdicts_agree_directionally_on_both_backends() {
             backend,
             cfg.clone(),
             &NoopFactory,
-            constant_arrivals(1000.0, end),
+            constant_arrivals(1000.0, SimTime::ZERO, end),
             SimDuration::from_nanos(1),
         );
         assert!(result.completed > 0, "[{label}] no completions");
@@ -416,7 +422,7 @@ fn slo_burn_verdicts_agree_directionally_on_both_backends() {
             backend,
             cfg,
             &NoopFactory,
-            constant_arrivals(1000.0, end),
+            constant_arrivals(1000.0, SimTime::ZERO, end),
             SimDuration::from_secs(600),
         );
         assert!(result.completed > 0, "[{label}] no completions");

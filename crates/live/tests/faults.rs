@@ -15,14 +15,15 @@ use sg_core::fault::{FaultKind, FaultPlan, FaultSpec};
 use sg_core::ids::{ContainerId, NodeId, ServiceId};
 use sg_core::time::{SimDuration, SimTime};
 use sg_live::conformance::{
-    assert_fault_degrades, constant_arrivals, mean_latency, run_backend, run_backend_with_opts,
-    two_node_cfg, two_stage_cfg, upstream_conn_wait, Backend,
+    assert_fault_degrades, mean_latency, run_backend, run_backend_with_opts, two_node_cfg,
+    two_stage_cfg, upstream_conn_wait, Backend,
 };
 use sg_live::LiveOpts;
 use sg_sim::app::ConnModel;
 use sg_sim::controller::{
     ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot, NoopFactory,
 };
+use sg_sim::profile::constant_arrivals;
 
 /// One fault over `[100 ms, 250 ms)`.
 fn one_fault(kind: FaultKind) -> FaultPlan {
@@ -43,7 +44,7 @@ fn one_fault(kind: FaultKind) -> FaultPlan {
 fn container_crash_degrades_on_both_backends() {
     let end = SimTime::from_millis(400);
     for backend in Backend::both() {
-        let arrivals = constant_arrivals(500.0, end);
+        let arrivals = constant_arrivals(500.0, SimTime::ZERO, end);
         let (clean, _) = run_backend(
             backend,
             two_stage_cfg(ConnModel::PerRequest, end),
@@ -66,7 +67,7 @@ fn container_crash_degrades_on_both_backends() {
 fn node_loss_degrades_on_both_backends() {
     let end = SimTime::from_millis(400);
     for backend in Backend::both() {
-        let arrivals = constant_arrivals(300.0, end);
+        let arrivals = constant_arrivals(300.0, SimTime::ZERO, end);
         let (clean, _) = run_backend(backend, two_node_cfg(end), &NoopFactory, arrivals.clone());
         let mut cfg = two_node_cfg(end);
         cfg.faults = one_fault(FaultKind::NodeLoss { node: NodeId(1) });
@@ -90,7 +91,7 @@ fn pool_leak_inflates_upstream_wait_on_both_backends() {
             workers_per_container: 32,
             ..LiveOpts::default()
         };
-        let arrivals = constant_arrivals(400.0, end);
+        let arrivals = constant_arrivals(400.0, SimTime::ZERO, end);
         let (clean, _) = run_backend_with_opts(
             backend,
             two_stage_cfg(ConnModel::FixedPool(2), end),
@@ -123,7 +124,7 @@ fn pool_leak_inflates_upstream_wait_on_both_backends() {
 fn network_jitter_degrades_on_both_backends() {
     let end = SimTime::from_millis(400);
     for backend in Backend::both() {
-        let arrivals = constant_arrivals(300.0, end);
+        let arrivals = constant_arrivals(300.0, SimTime::ZERO, end);
         let (clean, _) = run_backend(backend, two_node_cfg(end), &NoopFactory, arrivals.clone());
         let mut cfg = two_node_cfg(end);
         cfg.faults = one_fault(FaultKind::NetworkJitter {
@@ -144,7 +145,7 @@ fn network_jitter_degrades_on_both_backends() {
 fn straggler_replica_degrades_on_both_backends() {
     let end = SimTime::from_millis(400);
     for backend in Backend::both() {
-        let arrivals = constant_arrivals(500.0, end);
+        let arrivals = constant_arrivals(500.0, SimTime::ZERO, end);
         let mut base = two_stage_cfg(ConnModel::PerRequest, end);
         base.max_replicas = 2;
         base.initial_replicas = vec![1, 2];
@@ -209,7 +210,7 @@ fn straggler_speed_does_not_outlive_a_retired_replica_on_both_backends() {
         ])
     };
     for backend in Backend::both() {
-        let mut arrivals = constant_arrivals(300.0, SimTime::from_millis(550));
+        let mut arrivals = constant_arrivals(300.0, SimTime::ZERO, SimTime::from_millis(550));
         arrivals.retain(|&t| t >= SimTime::from_millis(320));
         let mut base = two_stage_cfg(ConnModel::PerRequest, end);
         base.max_replicas = 2;

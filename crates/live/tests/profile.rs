@@ -15,10 +15,11 @@
 //! time and pass the structural audit.
 
 use sg_core::time::SimTime;
-use sg_live::conformance::{constant_arrivals, two_stage_cfg};
+use sg_live::conformance::two_stage_cfg;
 use sg_live::LiveOpts;
 use sg_sim::app::ConnModel;
 use sg_sim::controller::NoopFactory;
+use sg_sim::profile::constant_arrivals;
 use sg_sim::runner::Simulation;
 use sg_telemetry::{EventFamily, ProfileReport, SharedSink, SpanSampler, TelemetryEvent, VecSink};
 use std::sync::Arc;
@@ -43,7 +44,7 @@ struct SimRun {
 fn sim_run(profiled: bool) -> SimRun {
     let end = SimTime::from_millis(300);
     let cfg = two_stage_cfg(ConnModel::PerRequest, end);
-    let arrivals = constant_arrivals(400.0, end);
+    let arrivals = constant_arrivals(400.0, SimTime::ZERO, end);
     let decision = VecSink::shared();
     let spans = VecSink::shared();
     let metrics = VecSink::shared();
@@ -131,7 +132,7 @@ fn sim_profile_report_is_structurally_sound() {
 #[test]
 fn live_profiler_silent_when_off_and_covering_when_on() {
     let end = SimTime::from_millis(300);
-    let arrivals = constant_arrivals(400.0, end);
+    let arrivals = constant_arrivals(400.0, SimTime::ZERO, end);
 
     // Off: every stream open, profiler absent.
     let decision = VecSink::shared();

@@ -27,7 +27,7 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     /// Histogram with `sig_bits` significant bits (1.0/2^sig_bits max
     /// relative error). 6 bits is the wrk2-like default.
-    pub fn new(sig_bits: u32) -> Self {
+    pub(crate) fn new(sig_bits: u32) -> Self {
         logbucket::assert_sig_bits(sig_bits);
         LatencyHistogram {
             sig_bits,
@@ -89,7 +89,7 @@ impl LatencyHistogram {
     }
 
     /// Exact mean of recorded values.
-    pub fn mean(&self) -> Option<SimDuration> {
+    pub(crate) fn mean(&self) -> Option<SimDuration> {
         (self.total > 0).then(|| SimDuration::from_nanos((self.sum_ns / self.total as u128) as u64))
     }
 
@@ -115,15 +115,6 @@ impl LatencyHistogram {
             }
         }
         Some(SimDuration::from_nanos(self.max_ns))
-    }
-
-    /// Reset to empty while keeping the bucket allocation.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.max_ns = 0;
-        self.min_ns = u64::MAX;
-        self.sum_ns = 0;
     }
 
     /// Merge another histogram (must share `sig_bits`).
@@ -220,32 +211,6 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.max(), Some(us(1000)));
         assert_eq!(a.min(), Some(us(10)));
-    }
-
-    /// `clear` must be indistinguishable from a fresh histogram.
-    #[test]
-    fn clear_resets_to_fresh_state() {
-        let mut h = LatencyHistogram::with_default_resolution();
-        for i in 1..=1000 {
-            h.record(us(i));
-        }
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(99.0), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.min(), None);
-        // Refill: statistics must match a never-cleared histogram.
-        let mut fresh = LatencyHistogram::with_default_resolution();
-        for i in 500..=600 {
-            h.record(us(i));
-            fresh.record(us(i));
-        }
-        for q in [50.0, 98.0, 100.0] {
-            assert_eq!(h.percentile(q), fresh.percentile(q), "q{q}");
-        }
-        assert_eq!(h.mean(), fresh.mean());
-        assert_eq!(h.len(), fresh.len());
     }
 
     #[test]

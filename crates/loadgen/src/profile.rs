@@ -33,7 +33,7 @@ pub struct DiurnalCurve {
 
 impl DiurnalCurve {
     /// Build a curve from explicit `(length, rate)` steps.
-    pub fn new(steps: Vec<(SimDuration, f64)>) -> Self {
+    pub(crate) fn new(steps: Vec<(SimDuration, f64)>) -> Self {
         assert!(!steps.is_empty(), "diurnal curve needs at least one step");
         assert!(
             steps
@@ -47,7 +47,7 @@ impl DiurnalCurve {
     /// The canonical day/night shape: night trough at `night_rate`, day
     /// plateau at `day_rate`, with half-way ramps in between — four equal
     /// quarters of `cycle` (night, morning, day, evening).
-    pub fn day_night(night_rate: f64, day_rate: f64, cycle: SimDuration) -> Self {
+    pub(crate) fn day_night(night_rate: f64, day_rate: f64, cycle: SimDuration) -> Self {
         let quarter = SimDuration::from_nanos((cycle.as_nanos() / 4).max(1));
         let mid = (night_rate + day_rate) / 2.0;
         DiurnalCurve::new(vec![
@@ -59,39 +59,10 @@ impl DiurnalCurve {
     }
 
     /// Length of one full cycle.
-    pub fn cycle_len(&self) -> SimDuration {
+    pub(crate) fn cycle_len(&self) -> SimDuration {
         self.steps
             .iter()
             .fold(SimDuration::ZERO, |acc, &(len, _)| acc + len)
-    }
-
-    /// Time-weighted mean rate over one cycle.
-    pub fn mean_rate(&self) -> f64 {
-        let total = self.cycle_len().as_secs_f64();
-        self.steps
-            .iter()
-            .map(|&(len, rate)| rate * len.as_secs_f64())
-            .sum::<f64>()
-            / total
-    }
-
-    /// Instantaneous rate at `t` (cycles repeat from time zero).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        let cycle = self.cycle_len().as_nanos();
-        let mut into = t.as_nanos() % cycle;
-        for &(len, rate) in &self.steps {
-            if into < len.as_nanos() {
-                return rate;
-            }
-            into -= len.as_nanos();
-        }
-        self.steps.last().unwrap().1
-    }
-
-    /// Deterministic arrival schedule over `[start, end)`: each step
-    /// boundary starts a fresh index-paced segment.
-    pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        ArrivalProfile::Diurnal(self.clone()).arrivals(start, end)
     }
 
     /// Constant-rate segments covering `[start, end)`, clamped to the
@@ -156,13 +127,6 @@ impl Mmpp {
         }
     }
 
-    /// Long-run mean rate: dwell-weighted average of the two state rates.
-    pub fn mean_rate(&self) -> f64 {
-        let lo = self.mean_dwell_low.as_secs_f64();
-        let hi = self.mean_dwell_high.as_secs_f64();
-        (self.low_rate * lo + self.high_rate * hi) / (lo + hi)
-    }
-
     /// Deterministic (seeded) arrival schedule over `[start, end)`.
     pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
         ArrivalProfile::Mmpp(self.clone()).arrivals(start, end)
@@ -186,7 +150,7 @@ pub struct TraceProfile {
 impl TraceProfile {
     /// Parse a trace from CSV text. Lines starting with `#` and a
     /// non-numeric header row are skipped.
-    pub fn from_csv_str(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_csv_str(text: &str) -> Result<Self, String> {
         let mut points: Vec<(SimDuration, f64)> = Vec::new();
         let mut last_line = 0;
         for (lineno, raw) in text.lines().enumerate() {
@@ -240,19 +204,14 @@ impl TraceProfile {
     }
 
     /// Load a trace from a CSV file on disk.
-    pub fn load(path: &str) -> Result<Self, String> {
+    pub(crate) fn load(path: &str) -> Result<Self, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
         Self::from_csv_str(&text)
     }
 
-    /// Total trace length (the period at which it repeats).
-    pub fn trace_len(&self) -> SimDuration {
-        self.len
-    }
-
     /// Time-weighted mean rate over one trace period.
-    pub fn mean_rate(&self) -> f64 {
+    pub(crate) fn mean_rate(&self) -> f64 {
         let mut weighted = 0.0;
         for (i, &(off, rate)) in self.points.iter().enumerate() {
             let seg_end = self.points.get(i + 1).map(|&(o, _)| o).unwrap_or(self.len);
@@ -264,34 +223,13 @@ impl TraceProfile {
     /// Rescale all rates so the trace's mean rate equals `target` —
     /// calibrated workloads keep their knee-anchored base rate while the
     /// trace contributes only its *shape*.
-    pub fn scaled_to_mean(mut self, target: f64) -> Self {
+    pub(crate) fn scaled_to_mean(mut self, target: f64) -> Self {
         assert!(target > 0.0, "target mean rate must be positive");
         let k = target / self.mean_rate();
         for (_, rate) in &mut self.points {
             *rate *= k;
         }
         self
-    }
-
-    /// Instantaneous rate at `t` (the trace repeats cyclically).
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        let into = SimDuration::from_nanos(t.as_nanos() % self.len.as_nanos());
-        let mut rate = self.points.last().unwrap().1;
-        for &(off, r) in self.points.iter().rev() {
-            if into >= off {
-                return r;
-            }
-            rate = r;
-        }
-        // Before the first breakpoint (possible when the trace does not
-        // start at offset 0): hold the first row's rate.
-        rate
-    }
-
-    /// Deterministic arrival schedule over `[start, end)`: each trace
-    /// segment (repeated cyclically) is an index-paced constant-rate run.
-    pub fn arrivals(&self, start: SimTime, end: SimTime) -> Vec<SimTime> {
-        ArrivalProfile::Trace(self.clone()).arrivals(start, end)
     }
 
     /// Constant-rate segments covering `[start, end)`, clamped to the
@@ -385,26 +323,36 @@ impl ArrivalProfile {
 mod tests {
     use super::*;
 
+    /// The rate of the one segment covering `[s, s + 1 ns)`, `s` in seconds.
+    fn rate_at(segs: impl Fn(SimTime, SimTime) -> Vec<(SimTime, SimTime, f64)>, s: u64) -> f64 {
+        let t = SimTime::from_secs(s);
+        let segs = segs(t, t + SimDuration::from_nanos(1));
+        assert_eq!(segs.len(), 1, "{segs:?}");
+        segs[0].2
+    }
+
     #[test]
     fn diurnal_rate_follows_steps() {
         let c = DiurnalCurve::day_night(600.0, 1600.0, SimDuration::from_secs(60));
+        let at = |s| rate_at(|a, b| c.segments(a, b), s);
         assert_eq!(c.cycle_len(), SimDuration::from_secs(60));
-        assert_eq!(c.rate_at(SimTime::ZERO), 600.0);
-        assert_eq!(c.rate_at(SimTime::from_secs(20)), 1100.0);
-        assert_eq!(c.rate_at(SimTime::from_secs(35)), 1600.0);
-        assert_eq!(c.rate_at(SimTime::from_secs(50)), 1100.0);
+        assert_eq!(at(0), 600.0);
+        assert_eq!(at(20), 1100.0);
+        assert_eq!(at(35), 1600.0);
+        assert_eq!(at(50), 1100.0);
         // Cycles repeat.
-        assert_eq!(c.rate_at(SimTime::from_secs(95)), 1600.0);
-        assert!((c.mean_rate() - 1100.0).abs() < 1e-9);
+        assert_eq!(at(95), 1600.0);
     }
 
     #[test]
     fn diurnal_mean_rate_converges_within_one_percent() {
         let c = DiurnalCurve::day_night(600.0, 1600.0, SimDuration::from_secs(60));
         let dur = 600.0; // 10 cycles
-        let a = c.arrivals(SimTime::ZERO, SimTime::from_secs(600));
+        let a = ArrivalProfile::Diurnal(c).arrivals(SimTime::ZERO, SimTime::from_secs(600));
         let realized = a.len() as f64 / dur;
-        let err = (realized - c.mean_rate()).abs() / c.mean_rate();
+        // Four equal quarters at 600, 1100, 1600, 1100 req/s.
+        let mean = 1100.0;
+        let err = (realized - mean).abs() / mean;
         assert!(err < 0.01, "diurnal mean off by {:.3}%", err * 100.0);
         assert!(a.windows(2).all(|w| w[0] < w[1]));
     }
@@ -412,6 +360,7 @@ mod tests {
     #[test]
     fn diurnal_windows_not_aligned_to_cycle() {
         let c = DiurnalCurve::day_night(100.0, 300.0, SimDuration::from_secs(40));
+        let c = ArrivalProfile::Diurnal(c);
         let a = c.arrivals(SimTime::from_secs(95), SimTime::from_secs(130));
         assert!(!a.is_empty());
         assert!(*a.first().unwrap() >= SimTime::from_secs(95));
@@ -475,7 +424,9 @@ mod tests {
         let dur = 600.0;
         let a = m.arrivals(SimTime::ZERO, SimTime::from_secs(600));
         let realized = a.len() as f64 / dur;
-        let err = (realized - m.mean_rate()).abs() / m.mean_rate();
+        // Dwell-weighted: (700 × 0.5 + 2200 × 0.125) / 0.625 = 1000.
+        let mean = 1000.0;
+        let err = (realized - mean).abs() / mean;
         assert!(err < 0.01, "mmpp mean off by {:.3}%", err * 100.0);
     }
 
@@ -483,19 +434,19 @@ mod tests {
     fn trace_parses_scales_and_loops() {
         let t = TraceProfile::from_csv_str("# demo trace\ntime_s,rate\n0,100\n10,300\n20,200\n")
             .unwrap();
-        assert_eq!(t.trace_len(), SimDuration::from_secs(30));
+        let at = |s| rate_at(|a, b| t.segments(a, b), s);
         assert!((t.mean_rate() - 200.0).abs() < 1e-9);
-        assert_eq!(t.rate_at(SimTime::from_secs(5)), 100.0);
-        assert_eq!(t.rate_at(SimTime::from_secs(15)), 300.0);
-        assert_eq!(t.rate_at(SimTime::from_secs(25)), 200.0);
-        // Cyclic repetition.
-        assert_eq!(t.rate_at(SimTime::from_secs(35)), 100.0);
+        assert_eq!(at(5), 100.0);
+        assert_eq!(at(15), 300.0);
+        assert_eq!(at(25), 200.0);
+        // Cyclic repetition: the trace is 30 s long.
+        assert_eq!(at(35), 100.0);
 
         let scaled = t.clone().scaled_to_mean(1000.0);
         assert!((scaled.mean_rate() - 1000.0).abs() < 1e-6);
 
         // Arrival counts per segment are exact (index pacing).
-        let a = t.arrivals(SimTime::ZERO, SimTime::from_secs(60));
+        let a = ArrivalProfile::Trace(t).arrivals(SimTime::ZERO, SimTime::from_secs(60));
         assert_eq!(a.len(), 2 * (1000 + 3000 + 2000));
         assert!(a.windows(2).all(|w| w[0] < w[1]));
     }
@@ -533,11 +484,8 @@ mod tests {
         assert_eq!(d.label(), "diurnal");
         let m = ArrivalProfile::parse("mmpp", spike, 1).unwrap();
         assert_eq!(m.label(), "mmpp");
-        if let ArrivalProfile::Mmpp(m) = &m {
-            assert!((m.mean_rate() - 1000.0).abs() < 1e-9);
-        } else {
-            panic!("expected mmpp variant");
-        }
+        // Quiet 0.7× for 2 s, bursting 2.2× for 0.5 s: a mean of exactly 1×.
+        assert_eq!(m, ArrivalProfile::Mmpp(Mmpp::bursty(1000.0, 1)));
         assert!(ArrivalProfile::parse("nope", spike, 1).is_err());
         assert!(ArrivalProfile::parse("trace:/no/such/file.csv", spike, 1).is_err());
     }

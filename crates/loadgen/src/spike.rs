@@ -49,30 +49,6 @@ impl SpikePattern {
         }
     }
 
-    /// Instantaneous rate at `t`.
-    ///
-    /// Spike windows are half-open: at `into_period == spike_len` exactly
-    /// the rate is already back to base. A zero `period` (possible for
-    /// hand-built `constant()`-like patterns) never divides — the pattern
-    /// is simply flat at the base rate.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        if self.spike_len.is_zero() || self.period.is_zero() || t < self.first_spike {
-            return self.base_rate;
-        }
-        let since = t.saturating_since(self.first_spike);
-        let into_period = SimDuration::from_nanos(since.as_nanos() % self.period.as_nanos());
-        if into_period < self.spike_len {
-            self.spike_rate
-        } else {
-            self.base_rate
-        }
-    }
-
-    /// True if `t` falls inside a spike window.
-    pub fn in_spike(&self, t: SimTime) -> bool {
-        self.spike_len > SimDuration::ZERO && self.rate_at(t) == self.spike_rate
-    }
-
     /// Deterministically paced arrival schedule over `[start, end)`.
     ///
     /// The window is decomposed into constant-rate segments (base/spike
@@ -85,6 +61,8 @@ impl SpikePattern {
     }
 
     /// Decompose `[start, end)` into half-open constant-rate segments.
+    /// Spike windows are half-open: at `into_period == spike_len` exactly
+    /// the rate is already back to base.
     pub(crate) fn segments(&self, start: SimTime, end: SimTime) -> Vec<(SimTime, SimTime, f64)> {
         let mut segs = Vec::new();
         let mut cursor = start;
@@ -137,12 +115,19 @@ pub fn short_surge(base_rate: f64, surge_len: SimDuration, period: SimDuration) 
 mod tests {
     use super::*;
 
+    /// The rate the schedule runs at instant `t`: that of the one segment
+    /// covering `[t, t + 1 ns)`.
+    fn rate_at(p: &SpikePattern, t: SimTime) -> f64 {
+        let segs = p.segments(t, t + SimDuration::from_nanos(1));
+        assert_eq!(segs.len(), 1, "{segs:?}");
+        segs[0].2
+    }
+
     #[test]
     fn constant_pattern_is_flat() {
         let p = SpikePattern::constant(1000.0);
-        assert_eq!(p.rate_at(SimTime::ZERO), 1000.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(100)), 1000.0);
-        assert!(!p.in_spike(SimTime::from_secs(15)));
+        assert_eq!(rate_at(&p, SimTime::ZERO), 1000.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(100)), 1000.0);
         let a = p.arrivals(SimTime::ZERO, SimTime::from_secs(1));
         assert_eq!(a.len(), 1000);
     }
@@ -151,15 +136,14 @@ mod tests {
     fn periodic_pattern_alternates() {
         let p = SpikePattern::periodic(1000.0, 1.75, SimDuration::from_secs(2));
         // Before the first spike.
-        assert_eq!(p.rate_at(SimTime::from_secs(5)), 1000.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(5)), 1000.0);
         // Inside the first spike [10, 12).
-        assert_eq!(p.rate_at(SimTime::from_secs(10)), 1750.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(11)), 1750.0);
-        assert!(p.in_spike(SimTime::from_secs(11)));
+        assert_eq!(rate_at(&p, SimTime::from_secs(10)), 1750.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(11)), 1750.0);
         // After it.
-        assert_eq!(p.rate_at(SimTime::from_secs(13)), 1000.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(13)), 1000.0);
         // Second spike [20, 22).
-        assert_eq!(p.rate_at(SimTime::from_secs(21)), 1750.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(21)), 1750.0);
     }
 
     #[test]
@@ -207,14 +191,13 @@ mod tests {
     fn spike_end_boundary_is_exclusive() {
         let p = SpikePattern::periodic(1000.0, 1.75, SimDuration::from_secs(2));
         // First spike covers [10, 12): 12.0 exactly is base again.
-        assert_eq!(p.rate_at(SimTime::from_secs(12)), 1000.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(12)), 1000.0);
         assert_eq!(
-            p.rate_at(SimTime::from_secs(12) - SimDuration::from_nanos(1)),
+            rate_at(&p, SimTime::from_secs(12) - SimDuration::from_nanos(1)),
             1750.0
         );
         // Same at every later period boundary.
-        assert_eq!(p.rate_at(SimTime::from_secs(22)), 1000.0);
-        assert!(!p.in_spike(SimTime::from_secs(12)));
+        assert_eq!(rate_at(&p, SimTime::from_secs(22)), 1000.0);
     }
 
     /// A pattern whose first spike starts at time zero is already spiking
@@ -225,8 +208,8 @@ mod tests {
             first_spike: SimTime::ZERO,
             ..SpikePattern::periodic(1000.0, 2.0, SimDuration::from_secs(2))
         };
-        assert_eq!(p.rate_at(SimTime::ZERO), 2000.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(2)), 1000.0);
+        assert_eq!(rate_at(&p, SimTime::ZERO), 2000.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(2)), 1000.0);
         let a = p.arrivals(SimTime::ZERO, SimTime::from_secs(10));
         // [0,2) spike at 2000 + [2,10) base at 1000.
         assert_eq!(a.len(), 4000 + 8000);
@@ -241,8 +224,8 @@ mod tests {
             period: SimDuration::ZERO,
             ..SpikePattern::constant(500.0)
         };
-        assert_eq!(p.rate_at(SimTime::ZERO), 500.0);
-        assert_eq!(p.rate_at(SimTime::from_secs(100)), 500.0);
+        assert_eq!(rate_at(&p, SimTime::ZERO), 500.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(100)), 500.0);
         assert!(p
             .spike_windows(SimTime::ZERO, SimTime::from_secs(100))
             .is_empty());
@@ -253,7 +236,7 @@ mod tests {
             spike_len: SimDuration::from_secs(1),
             ..SpikePattern::constant(500.0)
         };
-        assert_eq!(p.rate_at(SimTime::from_secs(50)), 500.0);
+        assert_eq!(rate_at(&p, SimTime::from_secs(50)), 500.0);
         assert!(p
             .spike_windows(SimTime::ZERO, SimTime::from_secs(100))
             .is_empty());
@@ -294,7 +277,7 @@ mod tests {
         );
         assert_eq!(p.spike_rate, 40_000.0);
         // Inside the first surge window at t = period.
-        assert!(p.in_spike(SimTime::from_millis(50)));
-        assert!(!p.in_spike(SimTime::from_millis(51)));
+        assert_eq!(rate_at(&p, SimTime::from_millis(50)), 40_000.0);
+        assert_eq!(rate_at(&p, SimTime::from_millis(51)), 2000.0);
     }
 }

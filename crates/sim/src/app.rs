@@ -158,7 +158,7 @@ impl TaskGraph {
     }
 
     /// Direct children of `s`.
-    pub fn children(&self, s: ServiceId) -> impl Iterator<Item = ServiceId> + '_ {
+    pub(crate) fn children(&self, s: ServiceId) -> impl Iterator<Item = ServiceId> + '_ {
         self.services[s.index()].children.iter().map(|e| e.child)
     }
 
@@ -175,15 +175,6 @@ impl TaskGraph {
             }
         }
         out
-    }
-
-    /// Sum of `work_mean` over all services, weighted by how many times
-    /// each service is invoked per request (1 in a tree). Used by the
-    /// analytic calibrator.
-    pub fn total_work(&self) -> SimDuration {
-        self.services
-            .iter()
-            .fold(SimDuration::ZERO, |acc, s| acc + s.work_mean)
     }
 
     /// Expected low-load end-to-end *critical-path* service time: local
@@ -208,14 +199,6 @@ impl TaskGraph {
                 .fold(SimDuration::ZERO, |acc, w| acc + w),
         };
         spec.work_mean + child_time
-    }
-
-    /// True when every edge of the graph uses `PerRequest` connections
-    /// (the hotelReservation configuration in Table III).
-    pub fn is_connection_per_request(&self) -> bool {
-        self.services
-            .iter()
-            .all(|s| s.children.iter().all(|e| e.conn == ConnModel::PerRequest))
     }
 }
 
@@ -262,15 +245,7 @@ mod tests {
         assert!(g.validate().is_ok());
         assert_eq!(g.len(), 5);
         assert_eq!(g.depth(), 5);
-        assert_eq!(g.total_work(), us(500));
         assert_eq!(g.critical_path_work(TaskGraph::ROOT), us(500));
-        assert!(!g.is_connection_per_request());
-    }
-
-    #[test]
-    fn per_request_detection() {
-        let g = linear_chain("g", &[us(10); 3], ConnModel::PerRequest, 0.0);
-        assert!(g.is_connection_per_request());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A cluster is `placement.nodes` worker nodes plus one virtual client
 //! node ([`Placement::client_node`]) that injects arrivals and receives
 //! responses. Every service's container slots live on one worker node
-//! ([`Placement::node`]); controllers are per-node and strictly
+//! (`Placement::node`); controllers are per-node and strictly
 //! node-local — all cross-node interaction flows through RPC edges and
 //! piggybacked metadata, never shared state. [`SimConfig`] gathers the
 //! whole run description (graph, placement, constraints, faults, power,
@@ -57,7 +57,7 @@ impl Placement {
     }
 
     /// Hosting node of a service.
-    pub fn node(&self, s: ServiceId) -> NodeId {
+    pub(crate) fn node(&self, s: ServiceId) -> NodeId {
         self.node_of[s.index()]
     }
 
@@ -68,7 +68,7 @@ impl Placement {
     }
 
     /// Services hosted on `node`.
-    pub fn services_on(&self, node: NodeId) -> Vec<ServiceId> {
+    pub(crate) fn services_on(&self, node: NodeId) -> Vec<ServiceId> {
         self.node_of
             .iter()
             .enumerate()
@@ -180,7 +180,7 @@ impl SimConfig {
     }
 
     /// Initially active replicas of service `s` (1 when unspecified).
-    pub fn initial_replicas_of(&self, s: usize) -> u32 {
+    pub(crate) fn initial_replicas_of(&self, s: usize) -> u32 {
         self.initial_replicas.get(s).copied().unwrap_or(1)
     }
 

@@ -61,29 +61,19 @@ impl ConnPool {
     }
 
     /// Invocations queued waiting for a connection.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.waiters.len()
     }
 
     /// Lifetime count of acquires that had to queue.
-    pub fn queued_total(&self) -> u64 {
+    pub(crate) fn queued_total(&self) -> u64 {
         self.queued_total
-    }
-
-    /// Peak simultaneous connections in use.
-    pub fn peak_in_use(&self) -> u32 {
-        self.peak_in_use
-    }
-
-    /// Connections currently leaked by a fault injection.
-    pub fn leaked(&self) -> u32 {
-        self.leaked
     }
 
     /// Leak `n` connections: they count against capacity but nobody can
     /// release them. Capped at the pool capacity; a no-op on unbounded
     /// pools (connection-per-request callers have nothing to leak).
-    pub fn leak(&mut self, n: u32) {
+    pub(crate) fn leak(&mut self, n: u32) {
         if let Some(cap) = self.capacity {
             self.leaked = (self.leaked + n).min(cap);
         }
@@ -92,7 +82,7 @@ impl ConnPool {
     /// Reclaim up to `n` leaked connections, handing freed capacity to
     /// FIFO waiters. Returns the granted `(waiter, enqueue_time)` pairs —
     /// each now holds a connection and the caller must issue its RPC.
-    pub fn unleak(&mut self, n: u32) -> Vec<(InvocationId, SimTime)> {
+    pub(crate) fn unleak(&mut self, n: u32) -> Vec<(InvocationId, SimTime)> {
         self.leaked = self.leaked.saturating_sub(n);
         let mut granted = Vec::new();
         if let Some(cap) = self.capacity {
@@ -235,7 +225,7 @@ mod tests {
         p.release();
         p.release();
         assert_eq!(p.in_use(), 3);
-        assert_eq!(p.peak_in_use(), 5);
+        assert_eq!(p.peak_in_use, 5);
     }
 
     #[test]
@@ -255,7 +245,7 @@ mod tests {
         let granted = p.unleak(2);
         assert_eq!(granted, vec![(3, t(1))]);
         assert_eq!(p.in_use(), 3);
-        assert_eq!(p.leaked(), 0);
+        assert_eq!(p.leaked, 0);
         assert_eq!(p.acquire(t(2), 4), Acquire::Granted, "full capacity back");
     }
 
@@ -279,7 +269,7 @@ mod tests {
     fn leak_is_inert_on_unbounded_pools() {
         let mut p = ConnPool::new(None);
         p.leak(100);
-        assert_eq!(p.leaked(), 0);
+        assert_eq!(p.leaked, 0);
         assert_eq!(p.acquire(t(0), 1), Acquire::Granted);
         assert!(p.unleak(100).is_empty());
     }
@@ -288,7 +278,7 @@ mod tests {
     fn leak_saturates_at_capacity() {
         let mut p = ConnPool::new(Some(3));
         p.leak(10);
-        assert_eq!(p.leaked(), 3);
+        assert_eq!(p.leaked, 3);
         assert_eq!(p.acquire(t(0), 1), Acquire::Queued, "fully leaked");
         let granted = p.unleak(10);
         assert_eq!(granted, vec![(1, t(0))]);

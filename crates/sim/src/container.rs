@@ -149,81 +149,35 @@ impl Containers {
         self.node.len() - 1
     }
 
-    /// Number of container slots.
-    pub fn len(&self) -> usize {
-        self.node.len()
-    }
-
-    /// True when no slots exist.
-    pub fn is_empty(&self) -> bool {
-        self.node.is_empty()
-    }
-
     /// Hosting node of slot `i`.
     #[inline]
-    pub fn node(&self, i: usize) -> NodeId {
+    pub(crate) fn node(&self, i: usize) -> NodeId {
         self.node[i]
-    }
-
-    /// Service run by slot `i`.
-    #[inline]
-    pub fn service(&self, i: usize) -> ServiceId {
-        self.service[i]
     }
 
     /// Egress hint level of slot `i`.
     #[inline]
-    pub fn egress_hint(&self, i: usize) -> u8 {
+    pub(crate) fn egress_hint(&self, i: usize) -> u8 {
         self.egress_hint[i]
     }
 
     /// Set the egress hint level of slot `i` (no epoch bump — hints do
     /// not affect the PS schedule).
     #[inline]
-    pub fn set_egress_hint(&mut self, i: usize, hops: u8) {
+    pub(crate) fn set_egress_hint(&mut self, i: usize, hops: u8) {
         self.egress_hint[i] = hops;
     }
 
     /// Mutable metric window of slot `i`.
     #[inline]
-    pub fn window_mut(&mut self, i: usize) -> &mut MetricsWindow {
+    pub(crate) fn window_mut(&mut self, i: usize) -> &mut MetricsWindow {
         &mut self.window[i]
-    }
-
-    /// Logical cores currently allocated to slot `i`.
-    #[inline]
-    pub fn cores(&self, i: usize) -> u32 {
-        self.cores[i]
-    }
-
-    /// Current DVFS speedup of slot `i` relative to base frequency.
-    #[inline]
-    pub fn freq_speedup(&self, i: usize) -> f64 {
-        self.freq_speedup[i]
-    }
-
-    /// Current memory-bandwidth cap of slot `i`, if any.
-    #[inline]
-    pub fn bw_cap(&self, i: usize) -> Option<f64> {
-        self.bw_cap[i]
-    }
-
-    /// Current fault-injection execution multiplier of slot `i`.
-    #[inline]
-    pub fn fault_speed(&self, i: usize) -> f64 {
-        self.fault_speed[i]
-    }
-
-    /// Number of runnable threads (active work phases) of slot `i`.
-    #[inline]
-    pub fn active_threads(&self, i: usize) -> usize {
-        self.phases[i].len()
     }
 
     /// Change counter of slot `i`: differs from the epoch the slot's
     /// completion timer was armed under iff the slot changed since.
     #[inline]
-    pub fn epoch(&self, i: usize) -> u64 {
+    pub(crate) fn epoch(&self, i: usize) -> u64 {
         self.epoch[i]
     }
 
@@ -247,7 +201,7 @@ impl Containers {
 
     /// Advance slot `i`'s virtual clock to `now`.
     #[inline]
-    pub fn advance(&mut self, i: usize, now: SimTime) {
+    pub(crate) fn advance(&mut self, i: usize, now: SimTime) {
         debug_assert!(now >= self.last_update[i], "container clock went backwards");
         if now > self.last_update[i] {
             let dt = now.saturating_since(self.last_update[i]).as_nanos() as f64;
@@ -271,7 +225,7 @@ impl Containers {
     }
 
     /// Change slot `i`'s core allocation. Bumps the epoch.
-    pub fn set_cores(&mut self, i: usize, now: SimTime, cores: u32) {
+    pub(crate) fn set_cores(&mut self, i: usize, now: SimTime, cores: u32) {
         assert!(cores >= 1, "cannot allocate zero cores");
         self.advance(i, now);
         self.cores[i] = cores;
@@ -280,7 +234,7 @@ impl Containers {
 
     /// Change slot `i`'s memory-bandwidth cap (base-frequency
     /// core-equivalents; `None` removes the cap). Bumps the epoch.
-    pub fn set_bw_cap(&mut self, i: usize, now: SimTime, cap: Option<f64>) {
+    pub(crate) fn set_bw_cap(&mut self, i: usize, now: SimTime, cap: Option<f64>) {
         if let Some(c) = cap {
             assert!(c > 0.0, "bandwidth cap must be positive");
         }
@@ -292,7 +246,7 @@ impl Containers {
     /// Change slot `i`'s fault-injection execution multiplier (1.0 =
     /// healthy; must be positive so in-flight phases keep a finite
     /// completion time). Bumps the epoch.
-    pub fn set_fault_speed(&mut self, i: usize, now: SimTime, speed: f64) {
+    pub(crate) fn set_fault_speed(&mut self, i: usize, now: SimTime, speed: f64) {
         assert!(speed > 0.0, "fault speed must be positive");
         self.advance(i, now);
         self.fault_speed[i] = speed;
@@ -391,7 +345,7 @@ mod tests {
         let done_at = ct.next_completion(0, t0).unwrap();
         assert_eq!(done_at, t0 + us(100));
         assert_eq!(ct.pop_completed(0, done_at), vec![1]);
-        assert_eq!(ct.active_threads(0), 0);
+        assert_eq!(ct.phases[0].len(), 0);
     }
 
     #[test]
@@ -599,9 +553,9 @@ mod tests {
         );
         assert_eq!(cs.next_completion(2, t0).unwrap(), SimTime::from_micros(50));
         assert_eq!(cs.next_completion(1, t0), None);
-        assert_eq!(cs.len(), 3);
+        assert_eq!(cs.node.len(), 3);
         assert_eq!(cs.node(1), NodeId(1));
-        assert_eq!(cs.service(2), ServiceId(2));
+        assert_eq!(cs.service[2], ServiceId(2));
     }
 
     #[test]

@@ -281,7 +281,7 @@ pub trait ControllerFactory {
 /// A controller that never acts — the static-allocation baseline used for
 /// profiling runs and load–latency calibration.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopController;
+pub(crate) struct NoopController;
 
 impl Controller for NoopController {
     fn name(&self) -> &'static str {
@@ -297,7 +297,7 @@ impl Controller for NoopController {
     }
 }
 
-/// Factory for [`NoopController`].
+/// Factory for `NoopController`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopFactory;
 

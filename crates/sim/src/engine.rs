@@ -53,12 +53,12 @@
 //!
 //! * **[`QueueKind::Wheel`]** (default) — a hierarchical timer wheel
 //!   (calendar queue): [`WHEEL_LEVELS`] levels of 64 slots each, with a
-//!   slot granularity of 2^[`WHEEL_GRANULARITY_BITS`] ns at level 0 and
+//!   slot granularity of 2^`WHEEL_GRANULARITY_BITS` ns at level 0 and
 //!   64× coarser per level, giving O(1) amortized insert and pop. Events
 //!   beyond the ~19.5 h wheel horizon go to an overflow heap and are
 //!   promoted back as the clock approaches them. Slot occupancy per
 //!   level is exposed to the profiler via
-//!   [`Engine::wheel_high_water`].
+//!   `Engine::wheel_high_water`.
 //! * **[`QueueKind::Heap`]** — the original global binary heap, kept as
 //!   the reference implementation; equivalence tests pin that both
 //!   backends pop the identical `(time, seq)` sequence (see
@@ -115,7 +115,7 @@ pub const WHEEL_LEVELS: usize = 6;
 /// log2 of the level-0 slot width in nanoseconds (1024 ns). Events
 /// closer together than this share a slot and are ordered by `seq` when
 /// the slot is drained.
-pub const WHEEL_GRANULARITY_BITS: u32 = 10;
+pub(crate) const WHEEL_GRANULARITY_BITS: u32 = 10;
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64
@@ -602,14 +602,6 @@ impl Engine {
         }
     }
 
-    /// Which queue backend this engine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        match self.queue {
-            Queue::Heap(_) => QueueKind::Heap,
-            Queue::Wheel(_) => QueueKind::Wheel,
-        }
-    }
-
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -632,14 +624,14 @@ impl Engine {
     /// construction (events, not bytes), regardless of backend. The name
     /// predates the wheel backend and is kept for profile-schema
     /// continuity.
-    pub fn heap_high_water(&self) -> usize {
+    pub(crate) fn heap_high_water(&self) -> usize {
         self.high_water
     }
 
     /// Per-level slot-occupancy high-water marks of the wheel backend
     /// (level 0 first), or `None` on the heap backend. Feeds the
     /// profiler's `wheel_l*_high_water` marks.
-    pub fn wheel_high_water(&self) -> Option<[usize; WHEEL_LEVELS]> {
+    pub(crate) fn wheel_high_water(&self) -> Option<[usize; WHEEL_LEVELS]> {
         match &self.queue {
             Queue::Heap(_) => None,
             Queue::Wheel(w) => Some(w.level_high),
@@ -648,7 +640,7 @@ impl Engine {
 
     /// High-water mark of the wheel's far-future overflow heap, or
     /// `None` on the heap backend.
-    pub fn wheel_overflow_high_water(&self) -> Option<usize> {
+    pub(crate) fn wheel_overflow_high_water(&self) -> Option<usize> {
         match &self.queue {
             Queue::Heap(_) => None,
             Queue::Wheel(w) => Some(w.overflow_high),

@@ -4,7 +4,7 @@
 //! (see [`crate::engine`]) move events freely between wheel slots,
 //! overflow storage, and scratch buffers, so payloads must be cheap to
 //! copy and carry no heap state. Anything per-request and variable
-//! sized lives in the invocation slab, keyed by [`InvocationId`].
+//! sized lives in the invocation slab, keyed by `InvocationId`.
 //!
 //! Events also derive `Ord`: the engine's total order is `(time, seq)`
 //! with `seq` assigned at schedule time, so event *payload* ordering is
@@ -24,7 +24,7 @@ use sg_core::ids::{ContainerId, NodeId};
 use sg_core::metadata::RpcMetadata;
 
 /// Index of an invocation in the simulation's invocation slab.
-pub type InvocationId = u32;
+pub(crate) type InvocationId = u32;
 
 /// What a network packet carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

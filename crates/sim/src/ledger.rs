@@ -237,7 +237,7 @@ impl AllocLedger {
     }
 
     /// Active (non-draining) replicas of a service group.
-    pub fn active_replicas(&self, svc: ServiceId) -> u32 {
+    pub(crate) fn active_replicas(&self, svc: ServiceId) -> u32 {
         self.layout
             .slots_of(svc)
             .filter(|&slot| self.state[slot] == ReplicaState::Active)

@@ -27,6 +27,7 @@
 //! one seeded `SmallRng`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod app;
@@ -55,6 +56,6 @@ pub use event::Event;
 pub use ledger::{AllocLedger, Effect, ReplicaState};
 pub use network::{LatencySurge, NetworkConfig};
 pub use power::PowerModel;
-pub use profile::{constant_arrivals, profile_low_load, ProfileOutcome};
+pub use profile::{constant_arrivals, profile_low_load};
 pub use runner::{ProfileStats, RunResult, Simulation};
 pub use trace::AllocTrace;

@@ -88,12 +88,6 @@ impl Network {
         }
     }
 
-    /// Install a latency surge window.
-    pub fn with_surge(mut self, surge: LatencySurge) -> Self {
-        self.surges.push(surge);
-        self
-    }
-
     /// One-way delivery latency for a packet sent at `now` from `src` to
     /// `dst` node.
     pub fn latency(
@@ -171,11 +165,14 @@ mod tests {
             jitter_mean: SimDuration::ZERO,
             ..Default::default()
         };
-        let net = Network::new(cfg).with_surge(LatencySurge {
-            start: SimTime::from_millis(10),
-            end: SimTime::from_millis(20),
-            extra: SimDuration::from_millis(1),
-        });
+        let net = Network {
+            cfg,
+            surges: vec![LatencySurge {
+                start: SimTime::from_millis(10),
+                end: SimTime::from_millis(20),
+                extra: SimDuration::from_millis(1),
+            }],
+        };
         let mut r = rng();
         let before = net.latency(SimTime::from_millis(5), NodeId(0), NodeId(1), &mut r);
         let during = net.latency(SimTime::from_millis(15), NodeId(0), NodeId(1), &mut r);
@@ -193,16 +190,21 @@ mod tests {
             jitter_mean: SimDuration::ZERO,
             ..Default::default()
         };
-        let net = Network::new(cfg).with_surge(LatencySurge {
-            start: SimTime::from_millis(10),
-            end: SimTime::from_millis(30),
-            extra: SimDuration::from_millis(1),
-        });
-        let net = net.with_surge(LatencySurge {
-            start: SimTime::from_millis(20),
-            end: SimTime::from_millis(40),
-            extra: SimDuration::from_micros(500),
-        });
+        let net = Network {
+            cfg,
+            surges: vec![
+                LatencySurge {
+                    start: SimTime::from_millis(10),
+                    end: SimTime::from_millis(30),
+                    extra: SimDuration::from_millis(1),
+                },
+                LatencySurge {
+                    start: SimTime::from_millis(20),
+                    end: SimTime::from_millis(40),
+                    extra: SimDuration::from_micros(500),
+                },
+            ],
+        };
         let mut r = rng();
         let only_first = net.latency(SimTime::from_millis(15), NodeId(0), NodeId(1), &mut r);
         let both = net.latency(SimTime::from_millis(25), NodeId(0), NodeId(1), &mut r);

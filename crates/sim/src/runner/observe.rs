@@ -56,7 +56,7 @@ impl Simulation {
 
     /// Enable the self-profiler: event dispatch is counted per event
     /// class (with 1-in-2^k sampled timing on the per-packet classes —
-    /// see [`sg_telemetry::profile::SIM_SAMPLE_SHIFT`]), heap-depth /
+    /// see `sg_telemetry::profile::SIM_SAMPLE_SHIFT`), heap-depth /
     /// invocation-table high-water marks are tracked, and the finished
     /// [`sg_telemetry::ProfileReport`] is emitted into `sink` at the end
     /// of the run. Profiling reads the

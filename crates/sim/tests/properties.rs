@@ -379,3 +379,25 @@ proptest! {
         prop_assert!(run(speedup) <= run(1.0));
     }
 }
+
+/// `sg_sim::profile::constant_arrivals` and loadgen's constant
+/// `SpikePattern` are the same index-paced schedule, so the substrate
+/// tests and the figures can use either one.
+#[test]
+fn constant_arrivals_match_the_constant_spike_pattern() {
+    use sg_loadgen::SpikePattern;
+    use sg_sim::profile::constant_arrivals;
+    let horizons = [
+        SimTime::from_nanos(1),
+        SimTime::from_millis(550),
+        SimTime::from_secs(1),
+        SimTime::from_millis(7_300),
+    ];
+    for rate in [1.0, 3.0, 200.0, 997.0, 2997.0, 4000.0, 30_000.0] {
+        for end in horizons {
+            let sim = constant_arrivals(rate, SimTime::ZERO, end);
+            let loadgen = SpikePattern::constant(rate).arrivals(SimTime::ZERO, end);
+            assert_eq!(sim, loadgen, "rate {rate}, end {end:?}");
+        }
+    }
+}

@@ -68,7 +68,7 @@ pub struct LatencyDigest {
 
 impl LatencyDigest {
     /// Empty digest with `sig_bits` significant bits.
-    pub fn new(sig_bits: u32) -> Self {
+    pub(crate) fn new(sig_bits: u32) -> Self {
         logbucket::assert_sig_bits(sig_bits);
         LatencyDigest {
             sig_bits,
@@ -88,7 +88,7 @@ impl LatencyDigest {
     /// Rebuild a digest from its wire parts (the `digest` JSONL event).
     /// Rejects invalid resolutions, out-of-range buckets, and count
     /// sums that disagree with `total`.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         sig_bits: u32,
         buckets: Vec<(u32, u64)>,
         min_ns: u64,
@@ -157,21 +157,6 @@ impl LatencyDigest {
         self.total == 0
     }
 
-    /// Exact minimum recorded value.
-    pub fn min(&self) -> Option<SimDuration> {
-        (self.total > 0).then(|| SimDuration::from_nanos(self.min_ns))
-    }
-
-    /// Exact maximum recorded value.
-    pub fn max(&self) -> Option<SimDuration> {
-        (self.total > 0).then(|| SimDuration::from_nanos(self.max_ns))
-    }
-
-    /// Mean of recorded values (exact unless `sum_ns` saturated).
-    pub fn mean(&self) -> Option<SimDuration> {
-        (self.total > 0).then(|| SimDuration::from_nanos(self.sum_ns / self.total))
-    }
-
     /// Quantile `q` in `[0,100]`: upper bucket edge clamped to the
     /// observed maximum — identical semantics (and identical output for
     /// identical inputs) to `LatencyHistogram::percentile`.
@@ -224,7 +209,7 @@ impl LatencyDigest {
 /// Layout: `container << 3 | class_code` (code 0 = whole-request loss,
 /// 1–4 = [`LossClass::code`]). Keys order first by container, then by
 /// class, which makes tie-breaking and report ordering deterministic.
-pub fn topk_key(container: ContainerId, class: Option<LossClass>) -> u64 {
+pub(crate) fn topk_key(container: ContainerId, class: Option<LossClass>) -> u64 {
     ((container.0 as u64) << 3) | class.map_or(0, |c| c.code() as u64)
 }
 
@@ -239,7 +224,7 @@ pub fn topk_unpack(key: u64) -> (ContainerId, Option<LossClass>) {
 /// One heavy-hitter entry: estimated weight and overestimation bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKEntry {
-    /// Packed key (see [`topk_key`]).
+    /// Packed key (see `topk_key`).
     pub key: u64,
     /// Estimated total weight charged to this key (upper bound on the
     /// true weight; exact when `err == 0`).
@@ -285,12 +270,12 @@ impl TopK {
 
     /// Number of keys currently tracked (may exceed `capacity` after a
     /// merge; see type docs).
-    pub fn tracked(&self) -> usize {
+    pub(crate) fn tracked(&self) -> usize {
         self.entries.len()
     }
 
     /// Rebuild a sketch from wire parts (the `topk` JSONL event).
-    pub fn from_parts(capacity: usize, entries: Vec<TopKEntry>) -> Result<Self, String> {
+    pub(crate) fn from_parts(capacity: usize, entries: Vec<TopKEntry>) -> Result<Self, String> {
         if capacity < 1 {
             return Err("topk capacity must be at least 1".into());
         }
@@ -441,11 +426,6 @@ impl AggRuntime {
         AggRuntime { cfg, shards }
     }
 
-    /// Number of node shards.
-    pub fn nodes(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Record one completed request: `container` (the root replica slot)
     /// on `node`, completing at `at` with end-to-end `latency`.
     pub fn record(&self, node: NodeId, container: ContainerId, at: SimTime, latency: SimDuration) {
@@ -458,16 +438,6 @@ impl AggRuntime {
             let loss = latency.as_nanos() - self.cfg.qos.as_nanos();
             shard.topk.observe(topk_key(container, None), loss);
         }
-    }
-
-    /// Charge critical-path loss for `container`/`class` on `node`
-    /// (span-side attribution; see [`crate::critical`]).
-    pub fn attribute(&self, node: NodeId, container: ContainerId, class: LossClass, loss_ns: u64) {
-        let idx = node.index().min(self.shards.len() - 1);
-        let mut shard = self.shards[idx].lock().unwrap();
-        shard
-            .topk
-            .observe(topk_key(container, Some(class)), loss_ns);
     }
 
     /// Snapshot one node's state as cumulative telemetry events

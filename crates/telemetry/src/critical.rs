@@ -13,7 +13,6 @@
 //! serialized the work.
 
 use crate::agg::{topk_key, LatencyDigest, TopK};
-use crate::event::TelemetryEvent;
 use crate::span::SpanRecord;
 use serde_json::{json, Value};
 use sg_core::ids::ContainerId;
@@ -50,7 +49,7 @@ impl LossClass {
     /// Stable small-integer code, used when a class is packed into a
     /// heavy-hitter sketch key (see [`crate::agg::topk_key`]). Code 0 is
     /// reserved for "no class" (whole-request loss).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             LossClass::PoolQueue => 1,
             LossClass::Service => 2,
@@ -60,7 +59,7 @@ impl LossClass {
     }
 
     /// Inverse of [`LossClass::code`]; `None` for 0 or unknown codes.
-    pub fn from_code(code: u8) -> Option<LossClass> {
+    pub(crate) fn from_code(code: u8) -> Option<LossClass> {
         match code {
             1 => Some(LossClass::PoolQueue),
             2 => Some(LossClass::Service),
@@ -120,28 +119,8 @@ pub struct SpanReport {
 }
 
 impl SpanReport {
-    /// Build a report from a telemetry event stream, keeping span and
-    /// drop records and ignoring decision events. `qos` of `None`
-    /// self-calibrates the deadline to the p99 root duration.
-    pub fn from_events<I: IntoIterator<Item = TelemetryEvent>>(
-        events: I,
-        qos: Option<SimDuration>,
-    ) -> Self {
-        let mut records = Vec::new();
-        let mut dropped = 0;
-        for event in events {
-            match event {
-                TelemetryEvent::Span(r) => records.push(r),
-                TelemetryEvent::Dropped { count, .. } => dropped += count,
-                _ => {}
-            }
-        }
-        let mut report = Self::from_records(&records, qos);
-        report.dropped = dropped;
-        report
-    }
-
-    /// Build a report from bare span records.
+    /// Build a report from span records. `qos` of `None` self-calibrates
+    /// the deadline to the p99 root duration.
     pub fn from_records(records: &[SpanRecord], qos: Option<SimDuration>) -> Self {
         let mut report = SpanReport {
             spans: records.len() as u64,
@@ -240,7 +219,7 @@ impl SpanReport {
     }
 
     /// Percentile of the root-span duration distribution, ns.
-    pub fn root_percentile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn root_percentile(&self, q: f64) -> Option<u64> {
         percentile(&self.root_durations, q)
     }
 
@@ -465,7 +444,7 @@ fn dominant_child<'s>(parent: u64, spans: &'s [&SpanRecord]) -> Option<&'s &'s S
 /// `max_pending`: the oldest (lowest trace id) is evicted and counted,
 /// so memory stays flat no matter how long the tail runs.
 #[derive(Debug)]
-pub struct StreamingAttributor {
+pub(crate) struct StreamingAttributor {
     qos: SimDuration,
     max_pending: usize,
     pending: BTreeMap<u64, Vec<SpanRecord>>,
@@ -487,7 +466,7 @@ impl StreamingAttributor {
     /// Attributor judging violations against `qos`, tracking
     /// `topk_capacity` heavy hitters and buffering at most
     /// `max_pending` rootless traces.
-    pub fn new(qos: SimDuration, topk_capacity: usize, max_pending: usize) -> Self {
+    pub(crate) fn new(qos: SimDuration, topk_capacity: usize, max_pending: usize) -> Self {
         StreamingAttributor {
             qos,
             max_pending: max_pending.max(1),
@@ -501,18 +480,8 @@ impl StreamingAttributor {
         }
     }
 
-    /// The deadline violations are judged against.
-    pub fn qos(&self) -> SimDuration {
-        self.qos
-    }
-
-    /// Rootless traces currently buffered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Feed one span record. Root spans finalize their trace.
-    pub fn push(&mut self, record: SpanRecord) {
+    pub(crate) fn push(&mut self, record: SpanRecord) {
         if record.is_root() {
             let mut spans = self.pending.remove(&record.trace).unwrap_or_default();
             spans.push(record);
@@ -679,17 +648,14 @@ mod tests {
     }
 
     #[test]
-    fn from_events_collects_spans_and_drops() {
-        let events = vec![
-            TelemetryEvent::Span(span(1, 0, None, None, 0, 100)),
-            TelemetryEvent::Dropped {
-                count: 4,
-                family: None,
-            },
-        ];
-        let report = SpanReport::from_events(events, Some(SimDuration::from_millis(1)));
+    fn dropped_records_fail_the_audit() {
+        let mut report = SpanReport::from_records(
+            &[span(1, 0, None, None, 0, 100)],
+            Some(SimDuration::from_millis(1)),
+        );
         assert_eq!(report.spans, 1);
-        assert_eq!(report.dropped, 4);
+        assert!(report.audit().is_empty());
+        report.dropped = 4;
         assert!(!report.audit().is_empty(), "drops must fail the audit");
         let v = report.to_json();
         assert_eq!(v.get("dropped").and_then(Value::as_u64), Some(4));

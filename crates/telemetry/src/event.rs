@@ -315,7 +315,7 @@ pub enum TelemetryEvent {
         /// `true` at injection, `false` when the fault clears.
         active: bool,
     },
-    /// One span of a traced request (see [`crate::span`]).
+    /// One span of a traced request (see `crate::span`).
     Span(SpanRecord),
     /// One sampled point of an internal-state series (see
     /// [`crate::metrics`]).
@@ -390,7 +390,7 @@ pub enum TelemetryEvent {
     },
     /// Header of a self-profile report (see [`crate::profile`]).
     ProfileMeta {
-        /// [`crate::profile::PROFILE_SCHEMA_VERSION`] at write time.
+        /// `crate::profile::PROFILE_SCHEMA_VERSION` at write time.
         version: u32,
         /// `"sim"` or `"live"`.
         substrate: String,

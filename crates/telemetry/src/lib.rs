@@ -23,15 +23,15 @@
 //! * [`TelemetryEvent::Scoreboard`] — the Escalator's Table II candidate
 //!   scoreboard plus a human-readable reason per emitted action.
 //! * [`TelemetryEvent::Span`] — one span of a traced request's RPC call
-//!   graph (see [`span`]): per-hop arrival, connection-pool wait,
+//!   graph (a [`SpanRecord`]): per-hop arrival, connection-pool wait,
 //!   service and downstream time, network delay, and the frequency/slack
 //!   state the rx hook saw on entry.
 //! * [`TelemetryEvent::Dropped`] — events lost in a bounded relay
 //!   (explicit, never silent).
 //!
 //! Per-request tracing is sampled deterministically
-//! ([`span::SpanSampler`], seeded N-out-of-M) and analyzed by
-//! [`critical::SpanReport`]: for every deadline-violating request the
+//! ([`SpanSampler`], seeded N-out-of-M) and analyzed by
+//! [`SpanReport`]: for every deadline-violating request the
 //! span tree is walked to the dominant hop and the loss classified
 //! (pool queue vs service vs network vs pre-boost frequency), producing
 //! a per-container attribution histogram and folded-stack output for
@@ -39,34 +39,33 @@
 //!
 //! The `sg-trace` binary summarizes a recorded JSONL trace: per-container
 //! allocation timeline, boost→retire latency distribution, action
-//! histogram, a clamp/reconciliation audit (see [`summary`]; mismatches
+//! histogram, a clamp/reconciliation audit (see [`TraceSummary`]; mismatches
 //! exit nonzero), and the span-side critical-path report. Its `watch`
-//! subcommand folds a metrics stream into the SLO view ([`watch`]) and
+//! subcommand folds a metrics stream into the SLO view ([`Watcher`]) and
 //! its `timeline` subcommand charts and reconciles the gauge timelines
 //! ([`timeline`]).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod agg;
-pub mod critical;
-pub mod event;
+mod critical;
+mod event;
 pub mod metrics;
 pub mod profile;
-pub mod reader;
-pub mod ring;
-pub mod sink;
+mod reader;
+mod ring;
+mod sink;
 pub mod slo;
-pub mod span;
-pub mod summary;
+mod span;
+mod summary;
 pub mod timeline;
-pub mod watch;
+mod watch;
 mod wire;
 
-pub use agg::{
-    topk_key, topk_unpack, AggConfig, AggRuntime, ClusterAgg, LatencyDigest, TopK, TopKEntry,
-};
-pub use critical::{Attribution, LossClass, SpanReport, StreamingAttributor};
+pub use agg::{topk_unpack, AggConfig, AggRuntime, ClusterAgg, LatencyDigest, TopK, TopKEntry};
+pub use critical::{Attribution, LossClass, SpanReport};
 pub use event::{
     ActionKind, ActionOrigin, ActionOutcome, EventFamily, ReplicaPhase, ScoredAction,
     TelemetryEvent, SPANS_SCHEMA, TRACE_SCHEMA,
@@ -74,13 +73,12 @@ pub use event::{
 pub use metrics::{MetricId, MetricSample, MetricsRegistry, METRICS_SCHEMA_VERSION};
 pub use profile::{
     LiveProfiler, ProfileMark, ProfilePhase, ProfileReport, SimProfiler, PROFILE_SCHEMA,
-    PROFILE_SCHEMA_V1, PROFILE_SCHEMA_VERSION,
 };
 pub use reader::{schema_warning, stream_trace, TailStream, TraceStream};
 pub use ring::{RingDrainer, RingSink, RingStats};
 pub use sink::{DemuxSink, FanoutSink, JsonlSink, SharedSink, TelemetrySink, VecSink};
-pub use slo::{BurnVerdict, SloConfig, SloTracker};
+pub use slo::{SloConfig, SloTracker};
 pub use span::{HopSpan, SpanRecord, SpanSampler};
 pub use summary::{SummaryBuilder, TraceSummary};
-pub use timeline::{ReconcileReport, TimelineSet};
+pub use timeline::TimelineSet;
 pub use watch::{WatchConfig, Watcher};

@@ -22,8 +22,7 @@ use crate::sink::TelemetrySink;
 use sg_core::ids::{ContainerId, NodeId};
 use sg_core::time::SimTime;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Version stamped into the `metrics_meta` header line. Bump when the
 /// set of metric names or their meanings changes incompatibly.
@@ -34,7 +33,7 @@ pub const METRICS_SCHEMA_VERSION: u32 = 3;
 
 /// How a series behaves over time (drives the Prometheus `# TYPE` line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Instantaneous value; may move in any direction.
     Gauge,
     /// Monotonically non-decreasing total.
@@ -43,7 +42,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// Prometheus type name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MetricKind::Gauge => "gauge",
             MetricKind::Counter => "counter",
@@ -129,7 +128,7 @@ impl MetricId {
     }
 
     /// Gauge or counter.
-    pub fn kind(self) -> MetricKind {
+    pub(crate) fn kind(self) -> MetricKind {
         match self {
             MetricId::FrBoosts | MetricId::UpscaleHints | MetricId::PoolQueuedTotal => {
                 MetricKind::Counter
@@ -139,7 +138,7 @@ impl MetricId {
     }
 
     /// Decode from the wire name (+ optional `arm` field).
-    pub fn from_wire(name: &str, arm: Option<u8>) -> Option<MetricId> {
+    pub(crate) fn from_wire(name: &str, arm: Option<u8>) -> Option<MetricId> {
         Some(match (name, arm) {
             ("cores", None) => MetricId::Cores,
             ("freq_level", None) => MetricId::FreqLevel,
@@ -198,7 +197,6 @@ impl MetricSample {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     current: Mutex<BTreeMap<(u32, u32, MetricId), f64>>,
-    samples: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -207,15 +205,9 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// An empty registry, pre-wrapped for sharing.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::new())
-    }
-
     /// Record one sample (last write wins per series).
     pub fn record(&self, sample: &MetricSample) {
         let sample = sample.sanitized();
-        self.samples.fetch_add(1, Ordering::Relaxed);
         self.current
             .lock()
             .expect("MetricsRegistry poisoned")
@@ -223,16 +215,6 @@ impl MetricsRegistry {
                 (sample.node.0, sample.container.0, sample.metric),
                 sample.value,
             );
-    }
-
-    /// Samples recorded so far (across all series).
-    pub fn samples(&self) -> u64 {
-        self.samples.load(Ordering::Relaxed)
-    }
-
-    /// Distinct series seen so far.
-    pub fn series(&self) -> usize {
-        self.current.lock().expect("MetricsRegistry poisoned").len()
     }
 
     /// Latest value of one series, if it has been sampled.
@@ -335,8 +317,6 @@ mod tests {
             Some(3.0)
         );
         assert_eq!(reg.get(NodeId(0), ContainerId(3), MetricId::Cores), None);
-        assert_eq!(reg.samples(), 3);
-        assert_eq!(reg.series(), 2);
     }
 
     #[test]
@@ -346,7 +326,10 @@ mod tests {
             count: 3,
             family: None,
         });
-        assert_eq!(reg.samples(), 0);
+        assert_eq!(
+            reg.render_prometheus(),
+            MetricsRegistry::new().render_prometheus()
+        );
     }
 
     #[test]

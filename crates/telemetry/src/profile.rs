@@ -48,17 +48,17 @@ use std::time::Instant;
 /// now reports the *total pending events* high-water on either queue
 /// backend — and the `sg-trace` readers accept both
 /// schema headers.
-pub const PROFILE_SCHEMA_VERSION: u32 = 2;
+pub(crate) const PROFILE_SCHEMA_VERSION: u32 = 2;
 
 /// Schema string stamped as line 1 of `--profile-out` files.
 pub const PROFILE_SCHEMA: &str = "sg-profile/v2";
 
 /// Previous schema string, still accepted by readers.
-pub const PROFILE_SCHEMA_V1: &str = "sg-profile/v1";
+pub(crate) const PROFILE_SCHEMA_V1: &str = "sg-profile/v1";
 
 /// Minimum fraction of wall time the phase totals must cover for a
 /// live-substrate report to pass [`ProfileReport::audit`].
-pub const LIVE_COVERAGE_FLOOR: f64 = 0.90;
+pub(crate) const LIVE_COVERAGE_FLOOR: f64 = 0.90;
 
 /// A profiled runtime phase. Sim phases partition the event-dispatch
 /// loop by event class; live phases cover the hot paths of the
@@ -98,7 +98,7 @@ pub enum ProfilePhase {
 }
 
 /// Number of phases (array sizing).
-pub const N_PHASES: usize = 13;
+pub(crate) const N_PHASES: usize = 13;
 
 impl ProfilePhase {
     /// Every phase, in index order.
@@ -138,7 +138,7 @@ impl ProfilePhase {
     }
 
     /// Folded flamegraph stack for this phase.
-    pub fn stack(self) -> &'static str {
+    pub(crate) fn stack(self) -> &'static str {
         match self {
             ProfilePhase::SimArrival => "sim;dispatch;arrival",
             ProfilePhase::SimDeliverRequest => "sim;dispatch;deliver_request",
@@ -157,7 +157,7 @@ impl ProfilePhase {
     }
 
     /// Parse a wire name.
-    pub fn from_wire(s: &str) -> Option<ProfilePhase> {
+    pub(crate) fn from_wire(s: &str) -> Option<ProfilePhase> {
         ProfilePhase::ALL.into_iter().find(|p| p.name() == s)
     }
 
@@ -165,7 +165,7 @@ impl ProfilePhase {
     /// timer slop) rather than work done. Blocked phases are excluded
     /// from the live coverage sum — a worker's wall is already fully
     /// accounted by service + idle, and slop/pool-wait overlap those.
-    pub fn is_blocking(self) -> bool {
+    pub(crate) fn is_blocking(self) -> bool {
         matches!(
             self,
             ProfilePhase::PoolWait | ProfilePhase::TimerSlop | ProfilePhase::WorkerIdle
@@ -210,7 +210,7 @@ pub enum ProfileMark {
 }
 
 /// Number of marks (array sizing).
-pub const N_MARKS: usize = 12;
+pub(crate) const N_MARKS: usize = 12;
 
 impl ProfileMark {
     /// Every mark, in index order.
@@ -260,7 +260,7 @@ impl ProfileMark {
     }
 
     /// Parse a wire name.
-    pub fn from_wire(s: &str) -> Option<ProfileMark> {
+    pub(crate) fn from_wire(s: &str) -> Option<ProfileMark> {
         ProfileMark::ALL.into_iter().find(|m| m.name() == s)
     }
 }
@@ -270,7 +270,7 @@ impl ProfileMark {
 /// as the geometric midpoint of the covering bucket — ±50% resolution,
 /// plenty for a "where do cycles go" report, at 512 bytes per phase.
 #[derive(Debug, Clone)]
-pub struct Hist {
+pub(crate) struct Hist {
     buckets: [u64; 64],
 }
 
@@ -299,12 +299,12 @@ fn bucket_value(idx: usize) -> u64 {
 impl Hist {
     /// Count one duration.
     #[inline]
-    pub fn record(&mut self, ns: u64) {
+    pub(crate) fn record(&mut self, ns: u64) {
         self.buckets[bucket_of(ns)] += 1;
     }
 
     /// Quantile `q` in `[0, 1]` (nearest-rank over buckets); 0 if empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total: u64 = self.buckets.iter().sum();
         if total == 0 {
             return 0;
@@ -344,7 +344,7 @@ pub struct PhaseStat {
 /// `sg-trace --profile` renders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
-    /// [`PROFILE_SCHEMA_VERSION`] at write time.
+    /// `PROFILE_SCHEMA_VERSION` at write time.
     pub version: u32,
     /// `"sim"` or `"live"`.
     pub substrate: String,
@@ -470,7 +470,7 @@ impl ProfileReport {
     /// code. Errors (not warnings): zero wall time, a phase row with
     /// `sampled > count` or `sampled == 0 < count` on the live
     /// substrate, and live phase coverage below
-    /// [`LIVE_COVERAGE_FLOOR`] of wall. The sim substrate is sampled by
+    /// `LIVE_COVERAGE_FLOOR` of wall. The sim substrate is sampled by
     /// design, so its coverage is reported but not gated.
     pub fn audit(&self) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
@@ -619,7 +619,7 @@ pub struct SimProfiler {
 /// dispatch classes. 1-in-128 keeps the enabled `sim_trial` overhead
 /// within the 2% gate while still timing tens of thousands of events
 /// per trial.
-pub const SIM_SAMPLE_SHIFT: u32 = 7;
+pub(crate) const SIM_SAMPLE_SHIFT: u32 = 7;
 
 impl Default for SimProfiler {
     fn default() -> Self {
@@ -686,12 +686,6 @@ impl SimProfiler {
         if v > *m {
             *m = v;
         }
-    }
-
-    /// Add to a counter mark.
-    #[inline]
-    pub fn mark_add(&mut self, mark: ProfileMark, v: u64) {
-        self.marks[mark as usize] += v;
     }
 
     /// Finalize into a report. Phase totals for sampled phases are the
@@ -779,15 +773,6 @@ impl LiveProfiler {
         self.total_ns[i].fetch_add(ns, Ordering::Relaxed);
         self.max_ns[i].fetch_max(ns, Ordering::Relaxed);
         self.buckets[i][bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Time `f` and record it under `phase`.
-    #[inline]
-    pub fn time<R>(&self, phase: ProfilePhase, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.record(phase, t0.elapsed().as_nanos() as u64);
-        r
     }
 
     /// Raise a watermark to at least `v`.

@@ -60,7 +60,7 @@ impl<R: Read> TraceStream<R> {
     /// `Ok(None)` at end of input; I/O errors are returned to the
     /// caller.
     #[allow(clippy::should_implement_trait)] // fallible next: io::Result
-    pub fn next(&mut self) -> std::io::Result<Option<TelemetryEvent>> {
+    pub(crate) fn next(&mut self) -> std::io::Result<Option<TelemetryEvent>> {
         loop {
             self.line.clear();
             if self.reader.read_until(b'\n', &mut self.line)? == 0 {

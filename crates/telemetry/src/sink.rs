@@ -58,7 +58,7 @@ pub struct VecSink {
 
 impl VecSink {
     /// An empty sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -70,16 +70,6 @@ impl VecSink {
     /// Remove and return everything recorded so far.
     pub fn take(&self) -> Vec<TelemetryEvent> {
         std::mem::take(&mut self.events.lock().expect("VecSink poisoned"))
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("VecSink poisoned").len()
-    }
-
-    /// True when nothing has been recorded (or everything was taken).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -138,7 +128,6 @@ enum Job {
 /// What the writer thread reports.
 #[derive(Default)]
 struct Status {
-    written: AtomicU64,
     write_errors: AtomicU64,
     last_error: Mutex<Option<String>>,
 }
@@ -193,11 +182,8 @@ fn write_jobs(jobs: Receiver<Job>, file: File, status: &Status) {
                     line.clear();
                     event.write_json_line(&mut line);
                     line.push(b'\n');
-                    match out.write_all(&line) {
-                        Ok(()) => {
-                            status.written.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => status.record_error(&e),
+                    if let Err(e) = out.write_all(&line) {
+                        status.record_error(&e);
                     }
                 }
             }
@@ -238,30 +224,10 @@ impl JsonlSink {
         })
     }
 
-    /// Events written so far. Waits until the writer has taken every
-    /// event emitted before the call.
-    pub fn written(&self) -> u64 {
-        let _ = self.sync(false);
-        self.status.written.load(Ordering::Relaxed)
-    }
-
-    /// Write or flush failures so far. Waits like [`JsonlSink::written`].
-    pub fn write_errors(&self) -> u64 {
-        let _ = self.sync(false);
-        self.status.write_errors.load(Ordering::Relaxed)
-    }
-
-    /// The most recent write/flush error, if any. Waits like
-    /// [`JsonlSink::written`].
-    pub fn last_error(&self) -> Option<String> {
-        let _ = self.sync(false);
-        self.status.last_error()
-    }
-
     /// Write and flush everything emitted before the call, surfacing the
     /// flush error to the caller (unlike the fire-and-forget trait
     /// `flush`).
-    pub fn try_flush(&self) -> io::Result<()> {
+    pub(crate) fn try_flush(&self) -> io::Result<()> {
         self.sync(true)
     }
 
@@ -429,13 +395,12 @@ mod tests {
     #[test]
     fn vec_sink_records_and_takes() {
         let sink = VecSink::shared();
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty());
         sink.emit(dropped(1));
         sink.emit(dropped(2));
-        assert_eq!(sink.len(), 2);
         let events = sink.take();
         assert_eq!(events.len(), 2);
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty());
     }
 
     #[test]
@@ -451,8 +416,7 @@ mod tests {
             freq_ghz: 1.8,
         });
         sink.emit(dropped(0));
-        assert_eq!(sink.written(), 2);
-        sink.flush();
+        sink.try_flush().expect("flush");
         let body = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<_> = body.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -474,8 +438,6 @@ mod tests {
             for count in 0..n {
                 sink.emit(dropped(count));
             }
-            assert_eq!(sink.written(), n);
-            assert_eq!(sink.write_errors(), 0);
             // No flush: Drop must do it.
         }
         let body = std::fs::read_to_string(&path).expect("read back");
@@ -502,8 +464,6 @@ mod tests {
         };
         sink.emit(dropped(1));
         assert!(sink.try_flush().is_err(), "flush to /dev/full must fail");
-        assert!(sink.write_errors() > 0);
-        assert!(sink.last_error().is_some());
     }
 
     /// What a sink must write for `events`: each one's line and a
@@ -698,7 +658,7 @@ mod tests {
         let fan = FanoutSink::new(vec![a.clone() as SharedSink, b.clone() as SharedSink]);
         fan.emit(metric_event());
         fan.emit(dropped(1));
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 2);
+        assert_eq!(a.take().len(), 2);
+        assert_eq!(b.take().len(), 2);
     }
 }

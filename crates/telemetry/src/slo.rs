@@ -65,7 +65,7 @@ impl SloConfig {
     }
 
     /// Error budget: allowed bad fraction.
-    pub fn budget(&self) -> f64 {
+    pub(crate) fn budget(&self) -> f64 {
         1.0 - self.objective
     }
 }
@@ -123,7 +123,7 @@ impl SloTracker {
 
     /// Record one request finishing at `at`.
     #[inline]
-    pub fn record(&mut self, at: SimTime, bad: bool) {
+    pub(crate) fn record(&mut self, at: SimTime, bad: bool) {
         self.record_counts(at, 1, u64::from(bad));
     }
 
@@ -152,7 +152,7 @@ impl SloTracker {
     }
 
     /// Latest event timestamp observed.
-    pub fn last_at(&self) -> SimTime {
+    pub(crate) fn last_at(&self) -> SimTime {
         SimTime::from_nanos(self.last_ns)
     }
 
@@ -188,13 +188,13 @@ impl SloTracker {
     /// Burn rate over `window` ending at `now`: the window's bad
     /// fraction divided by the error budget. `None` when the window saw
     /// no traffic.
-    pub fn burn_rate(&self, window: SimDuration, now: SimTime) -> Option<f64> {
+    pub(crate) fn burn_rate(&self, window: SimDuration, now: SimTime) -> Option<f64> {
         let (total, bad) = self.window_counts(window, now);
         (total > 0).then(|| (bad as f64 / total as f64) / self.cfg.budget())
     }
 
     /// Fraction of the cumulative error budget remaining.
-    pub fn budget_remaining(&self) -> f64 {
+    pub(crate) fn budget_remaining(&self) -> f64 {
         if self.total == 0 {
             return 1.0;
         }

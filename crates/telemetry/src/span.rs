@@ -218,11 +218,6 @@ impl SpanSampler {
         }
     }
 
-    /// The configured `(n, m)` ratio.
-    pub fn ratio(&self) -> (u64, u64) {
-        (self.n, self.m)
-    }
-
     /// Should the request with this trace id be traced?
     #[inline]
     pub fn sampled(&self, trace: u64) -> bool {

@@ -241,15 +241,6 @@ impl SummaryBuilder {
 }
 
 impl TraceSummary {
-    /// Aggregate a stream of events.
-    pub fn from_events<I: IntoIterator<Item = TelemetryEvent>>(events: I) -> Self {
-        let mut b = SummaryBuilder::new();
-        for event in events {
-            b.push(event);
-        }
-        b.finish()
-    }
-
     /// Clamp/reconciliation audit: every observed allocation change must
     /// be explainable by an accepted action in the same trace, and the
     /// recording pipeline must not have dropped events. Returns one line
@@ -337,7 +328,7 @@ impl TraceSummary {
     }
 
     /// Percentile (0.0–1.0) of the boost→retire distribution, ns.
-    pub fn boost_retire_percentile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn boost_retire_percentile(&self, q: f64) -> Option<u64> {
         if self.boost_retire_ns.is_empty() {
             return None;
         }
@@ -346,7 +337,7 @@ impl TraceSummary {
     }
 
     /// Total cross-node rejections.
-    pub fn cross_node_total(&self) -> u64 {
+    pub(crate) fn cross_node_total(&self) -> u64 {
         self.cross_node_rejections.values().sum()
     }
 
@@ -478,6 +469,14 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn summarize(events: impl IntoIterator<Item = TelemetryEvent>) -> TraceSummary {
+        let mut b = SummaryBuilder::new();
+        for event in events {
+            b.push(event);
+        }
+        b.finish()
+    }
     use crate::event::{ActionKind, ActionOrigin, TelemetryEvent};
     use sg_core::ids::{ContainerId, NodeId};
 
@@ -504,7 +503,7 @@ mod tests {
 
     #[test]
     fn boost_retire_episodes_are_paired() {
-        let s = TraceSummary::from_events(vec![
+        let s = summarize(vec![
             alloc(100, 8), // boost opens
             alloc(150, 8), // still boosted: same episode
             alloc(300, 0), // retires: 200us episode
@@ -518,7 +517,7 @@ mod tests {
 
     #[test]
     fn audit_counts_rejections_and_clamps_separately() {
-        let s = TraceSummary::from_events(vec![
+        let s = summarize(vec![
             action(ActionOutcome::Applied),
             action(ActionOutcome::Clamped),
             action(ActionOutcome::RejectedCrossNode),
@@ -539,7 +538,7 @@ mod tests {
 
     #[test]
     fn render_survives_empty_trace() {
-        let report = TraceSummary::from_events(vec![]).render();
+        let report = summarize(vec![]).render();
         assert!(report.contains("0 events"));
     }
 
@@ -557,7 +556,7 @@ mod tests {
     #[test]
     fn reconciled_trace_passes_the_audit() {
         // One accepted boost explains one observed DVFS change.
-        let s = TraceSummary::from_events(vec![deferred_freq(2), alloc(50, 8), alloc(300, 8)]);
+        let s = summarize(vec![deferred_freq(2), alloc(50, 8), alloc(300, 8)]);
         assert_eq!(s.freq_changes.get(&2), Some(&1));
         assert_eq!(s.freq_deferred.get(&2), Some(&1));
         assert!(s.audit().is_empty(), "{:?}", s.audit());
@@ -567,7 +566,7 @@ mod tests {
     fn unexplained_alloc_change_fails_the_audit() {
         // The level moved 0 -> 8 -> 0 (two changes) on one accepted
         // action: the second change has no action to explain it.
-        let s = TraceSummary::from_events(vec![deferred_freq(2), alloc(50, 8), alloc(300, 0)]);
+        let s = summarize(vec![deferred_freq(2), alloc(50, 8), alloc(300, 0)]);
         assert_eq!(s.freq_changes.get(&2), Some(&2));
         let issues = s.audit();
         assert_eq!(issues.len(), 1, "{issues:?}");
@@ -590,7 +589,7 @@ mod tests {
                 freq_ghz: 1.8,
             },
         ];
-        let s = TraceSummary::from_events(core_events);
+        let s = summarize(core_events);
         let issues = s.audit();
         assert_eq!(issues.len(), 1, "{issues:?}");
         assert!(issues[0].contains("core change"));
@@ -598,7 +597,7 @@ mod tests {
 
     #[test]
     fn dropped_events_fail_the_audit() {
-        let s = TraceSummary::from_events(vec![TelemetryEvent::Dropped {
+        let s = summarize(vec![TelemetryEvent::Dropped {
             count: 2,
             family: None,
         }]);
@@ -617,7 +616,7 @@ mod tests {
             phase,
             active,
         };
-        let s = TraceSummary::from_events(vec![
+        let s = summarize(vec![
             life(100, ReplicaPhase::Spawned, 2),
             life(500, ReplicaPhase::Draining, 1),
             life(600, ReplicaPhase::Retired, 1),
@@ -647,7 +646,7 @@ mod tests {
             target: "svc:1".to_string(),
             active,
         };
-        let s = TraceSummary::from_events(vec![
+        let s = summarize(vec![
             fault(100, "crash", true),
             fault(200, "crash", false),
             fault(300, "straggler", true),
@@ -665,7 +664,7 @@ mod tests {
 
     #[test]
     fn json_summary_has_the_key_fields() {
-        let s = TraceSummary::from_events(vec![
+        let s = summarize(vec![
             deferred_freq(2),
             alloc(50, 8),
             TelemetryEvent::Dropped {

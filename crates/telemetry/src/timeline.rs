@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 
 /// One point of one series.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
+pub(crate) struct SeriesPoint {
     /// Sample time.
     pub at: SimTime,
     /// Sampled value.
@@ -111,12 +111,12 @@ impl TimelineSet {
     }
 
     /// The node a container was sampled on.
-    pub fn node_of(&self, container: u32) -> Option<u32> {
+    pub(crate) fn node_of(&self, container: u32) -> Option<u32> {
         self.node_of.get(&container).copied()
     }
 
     /// One series, time-ordered.
-    pub fn series(&self, container: u32, metric: MetricId) -> Option<&[SeriesPoint]> {
+    pub(crate) fn series(&self, container: u32, metric: MetricId) -> Option<&[SeriesPoint]> {
         self.series.get(&(container, metric)).map(|v| v.as_slice())
     }
 
@@ -132,7 +132,7 @@ impl TimelineSet {
     }
 
     /// First and last sample time across every series.
-    pub fn time_range(&self) -> Option<(SimTime, SimTime)> {
+    pub(crate) fn time_range(&self) -> Option<(SimTime, SimTime)> {
         let mut range: Option<(SimTime, SimTime)> = None;
         for points in self.series.values() {
             let (Some(first), Some(last)) = (points.first(), points.last()) else {

@@ -108,11 +108,6 @@ impl Watcher {
         }
     }
 
-    /// The deadline in effect, once known.
-    pub fn qos(&self) -> Option<SimDuration> {
-        self.qos_ns.map(SimDuration::from_nanos)
-    }
-
     /// Fold one event.
     pub fn push(&mut self, event: TelemetryEvent) {
         self.events += 1;
@@ -199,7 +194,7 @@ impl Watcher {
     /// Merge the latest per-node digests into one cluster digest.
     /// `None` when no digest snapshot has arrived (or resolutions
     /// disagree — counted as a regression).
-    pub fn merged_digest(&mut self) -> Option<LatencyDigest> {
+    pub(crate) fn merged_digest(&mut self) -> Option<LatencyDigest> {
         let mut nodes = self.digests.values();
         let mut merged = nodes.next()?.clone();
         for d in nodes {
@@ -214,14 +209,14 @@ impl Watcher {
 
     /// Cluster-wide cumulative `(total, bad)` from the latest
     /// snapshots.
-    pub fn totals(&self) -> (u64, u64) {
+    pub(crate) fn totals(&self) -> (u64, u64) {
         self.counters
             .values()
             .fold((0, 0), |(t, b), &(nt, nb)| (t + nt, b + nb))
     }
 
     /// Merged whole-request heavy hitters across nodes.
-    pub fn merged_topk(&self) -> Option<TopK> {
+    pub(crate) fn merged_topk(&self) -> Option<TopK> {
         let mut nodes = self.topks.values();
         let mut merged = nodes.next()?.clone();
         for t in nodes {
@@ -233,13 +228,13 @@ impl Watcher {
     }
 
     /// Burn-rate verdict at the latest snapshot time.
-    pub fn verdict(&self) -> BurnVerdict {
+    pub(crate) fn verdict(&self) -> BurnVerdict {
         self.window.verdict(self.last_at)
     }
 
     /// True when the stream carried any aggregation snapshots or
     /// attributable spans.
-    pub fn has_data(&self) -> bool {
+    pub(crate) fn has_data(&self) -> bool {
         !self.digests.is_empty()
             || !self.counters.is_empty()
             || self.attributor.as_ref().is_some_and(|a| a.traces > 0)
@@ -459,7 +454,7 @@ mod tests {
         assert_eq!(w.merged_digest().unwrap(), merged.digest);
         assert_eq!(w.totals(), (merged.slo.total(), merged.slo.bad()));
         assert_eq!(w.merged_topk().unwrap(), merged.topk);
-        assert_eq!(w.qos(), Some(us(500)));
+        assert_eq!(w.qos_ns, Some(500_000));
         assert!(w.audit().is_empty(), "{:?}", w.audit());
     }
 

@@ -5,22 +5,18 @@
 //! threadpool model as the DeathStarBench workloads. Work is nearly
 //! deterministic (a vector accumulate has almost no variance).
 
+use crate::NOMINAL_POOL;
 use sg_core::time::SimDuration;
 use sg_sim::app::{linear_chain, ConnModel, TaskGraph};
 
 /// Number of services in the chain.
-pub const CHAIN_LEN: usize = 5;
+pub(crate) const CHAIN_LEN: usize = 5;
 
 /// Per-service work (single-core time at base frequency).
-pub const CHAIN_WORK: SimDuration = SimDuration::from_micros(1200);
-
-/// Nominal Thrift threadpool size from Table III. The simulator scales
-/// pools to the calibrated request rate via Little's law (Eq. 1); see
-/// `setup::scale_pools`.
-pub const NOMINAL_POOL: u32 = 512;
+pub(crate) const CHAIN_WORK: SimDuration = SimDuration::from_micros(1200);
 
 /// Build the CHAIN task graph.
-pub fn chain() -> TaskGraph {
+pub(crate) fn chain() -> TaskGraph {
     let mut g = linear_chain(
         "CHAIN",
         &[CHAIN_WORK; CHAIN_LEN],
@@ -41,7 +37,10 @@ mod tests {
         assert!(g.validate().is_ok());
         assert_eq!(g.len(), 5);
         assert_eq!(g.depth(), 5, "Table III: depth 5");
-        assert!(!g.is_connection_per_request(), "Thrift fixed pool");
+        assert!(
+            crate::edges(&g).all(|c| c == ConnModel::FixedPool(NOMINAL_POOL)),
+            "Thrift fixed pool"
+        );
     }
 
     #[test]

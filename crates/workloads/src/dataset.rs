@@ -14,18 +14,16 @@ use rand::{RngExt, SeedableRng};
 
 /// A synthetic social graph in the style of `socfb-Reed98`.
 #[derive(Debug, Clone)]
-pub struct SocialGraph {
+pub(crate) struct SocialGraph {
     /// Degree (friend count) per user.
     pub degrees: Vec<u32>,
-    /// Stored posts per user (the paper stores 30 per user; lengths vary).
+    /// Stored posts per user (the paper stores 30 per user).
     pub posts_per_user: Vec<u32>,
-    /// Post lengths in characters, flattened.
-    pub post_lengths: Vec<u32>,
 }
 
 /// Parameters for the synthetic graph generator.
 #[derive(Debug, Clone, Copy)]
-pub struct SocialGraphConfig {
+pub(crate) struct SocialGraphConfig {
     /// Number of users (socfb-Reed98 has 962).
     pub users: usize,
     /// Posts stored per user (the paper uses 30).
@@ -34,8 +32,6 @@ pub struct SocialGraphConfig {
     pub degree_alpha: f64,
     /// Minimum degree.
     pub degree_min: u32,
-    /// Mean post length (characters).
-    pub post_len_mean: u32,
 }
 
 impl Default for SocialGraphConfig {
@@ -45,14 +41,13 @@ impl Default for SocialGraphConfig {
             posts_per_user: 30,
             degree_alpha: 1.8,
             degree_min: 5,
-            post_len_mean: 140,
         }
     }
 }
 
 impl SocialGraph {
     /// Generate a graph deterministically from `seed`.
-    pub fn generate(cfg: SocialGraphConfig, seed: u64) -> Self {
+    pub(crate) fn generate(cfg: SocialGraphConfig, seed: u64) -> Self {
         assert!(cfg.users > 0 && cfg.degree_alpha > 1.0);
         let mut rng = SmallRng::seed_from_u64(seed);
         let degrees: Vec<u32> = (0..cfg.users)
@@ -64,36 +59,16 @@ impl SocialGraph {
                 (d.round() as u32).min(cfg.users as u32 - 1)
             })
             .collect();
-        let posts_per_user = vec![cfg.posts_per_user; cfg.users];
-        let post_lengths: Vec<u32> = (0..cfg.users * cfg.posts_per_user as usize)
-            .map(|_| {
-                // Exponential lengths with a 10-char floor.
-                let u: f64 = rng.random::<f64>();
-                let len = -(cfg.post_len_mean as f64 - 10.0) * (1.0f64 - u).max(1e-12).ln();
-                10 + len.round() as u32
-            })
-            .collect();
         SocialGraph {
             degrees,
-            posts_per_user,
-            post_lengths,
+            posts_per_user: vec![cfg.posts_per_user; cfg.users],
         }
-    }
-
-    /// Number of users.
-    pub fn users(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// Mean user degree.
-    pub fn mean_degree(&self) -> f64 {
-        self.degrees.iter().map(|&d| d as f64).sum::<f64>() / self.degrees.len() as f64
     }
 
     /// Coefficient of variation of the per-request "timeline read cost"
     /// proxy: posts × mean post length weighted by degree. This seeds the
     /// `work_cv` of the storage services in the socialNetwork graph.
-    pub fn timeline_cost_cv(&self) -> f64 {
+    pub(crate) fn timeline_cost_cv(&self) -> f64 {
         let costs: Vec<f64> = self
             .degrees
             .iter()
@@ -104,11 +79,6 @@ impl SocialGraph {
         let mean = costs.iter().sum::<f64>() / n;
         let var = costs.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / n;
         (var.sqrt() / mean).clamp(0.0, 1.0)
-    }
-
-    /// Mean post length in characters.
-    pub fn mean_post_length(&self) -> f64 {
-        self.post_lengths.iter().map(|&l| l as f64).sum::<f64>() / self.post_lengths.len() as f64
     }
 }
 
@@ -121,7 +91,6 @@ mod tests {
         let a = SocialGraph::generate(SocialGraphConfig::default(), 1);
         let b = SocialGraph::generate(SocialGraphConfig::default(), 1);
         assert_eq!(a.degrees, b.degrees);
-        assert_eq!(a.post_lengths, b.post_lengths);
         let c = SocialGraph::generate(SocialGraphConfig::default(), 2);
         assert_ne!(a.degrees, c.degrees);
     }
@@ -129,15 +98,14 @@ mod tests {
     #[test]
     fn matches_reed98_scale() {
         let g = SocialGraph::generate(SocialGraphConfig::default(), 42);
-        assert_eq!(g.users(), 962);
-        assert_eq!(g.posts_per_user[0], 30);
-        assert_eq!(g.post_lengths.len(), 962 * 30);
+        assert_eq!(g.degrees.len(), 962);
+        assert_eq!(g.posts_per_user, vec![30; 962]);
     }
 
     #[test]
     fn degrees_have_heavy_tail() {
         let g = SocialGraph::generate(SocialGraphConfig::default(), 42);
-        let mean = g.mean_degree();
+        let mean = g.degrees.iter().map(|&d| d as f64).sum::<f64>() / 962.0;
         let max = *g.degrees.iter().max().unwrap() as f64;
         assert!(mean >= 5.0, "mean {mean}");
         assert!(max > 4.0 * mean, "tail should reach well past the mean");
@@ -149,13 +117,5 @@ mod tests {
         let g = SocialGraph::generate(SocialGraphConfig::default(), 42);
         let cv = g.timeline_cost_cv();
         assert!(cv > 0.0 && cv <= 1.0, "cv {cv}");
-    }
-
-    #[test]
-    fn post_lengths_have_floor_and_sane_mean() {
-        let g = SocialGraph::generate(SocialGraphConfig::default(), 42);
-        assert!(g.post_lengths.iter().all(|&l| l >= 10));
-        let mean = g.mean_post_length();
-        assert!((100.0..200.0).contains(&mean), "mean {mean}");
     }
 }

@@ -14,58 +14,44 @@
 //! DeathStarBench call graph that preserves the Table III depth, framework
 //! and threading properties.
 
-use sg_core::ids::ServiceId;
-use sg_core::time::SimDuration;
-use sg_sim::app::{CallMode, ConnModel, EdgeSpec, ServiceSpec, TaskGraph};
+use crate::svc;
+use sg_sim::app::{CallMode, ConnModel, TaskGraph};
 
-fn svc(name: &str, work_us: u64, cv: f64, children: Vec<u32>) -> ServiceSpec {
-    ServiceSpec {
-        name: name.to_string(),
-        work_mean: SimDuration::from_micros(work_us),
-        work_cv: cv,
-        pre_fraction: 0.7,
-        children: children
-            .into_iter()
-            .map(|c| EdgeSpec {
-                child: ServiceId(c),
-                conn: ConnModel::PerRequest,
-            })
-            .collect(),
-        call_mode: CallMode::Sequential,
-    }
-}
+/// Every hotelReservation call is a sequential gRPC call over a
+/// connection of its own.
+const GRPC: (ConnModel, CallMode) = (ConnModel::PerRequest, CallMode::Sequential);
 
 /// `searchHotel`: depth 11 (a chain through geo, rate and reservation,
 /// each with cache and database tiers).
-pub fn search_hotel() -> TaskGraph {
+pub(crate) fn search_hotel() -> TaskGraph {
     TaskGraph {
         name: "hotelReservation:searchHotel".to_string(),
         services: vec![
-            svc("frontend", 400, 0.1, vec![1]),               // 0
-            svc("search", 1000, 0.2, vec![2]),                // 1
-            svc("geo", 800, 0.2, vec![3]),                    // 2
-            svc("geo-memcached", 400, 0.3, vec![4]),          // 3
-            svc("geo-mongodb", 1100, 0.3, vec![5]),           // 4
-            svc("rate", 800, 0.2, vec![6]),                   // 5
-            svc("rate-memcached", 400, 0.3, vec![7]),         // 6
-            svc("rate-mongodb", 1100, 0.3, vec![8]),          // 7
-            svc("reservation", 800, 0.2, vec![9]),            // 8
-            svc("reservation-memcached", 400, 0.3, vec![10]), // 9
-            svc("reservation-mongodb", 1100, 0.3, vec![]),    // 10
+            svc(GRPC, "frontend", 400, 0.1, vec![1]),               // 0
+            svc(GRPC, "search", 1000, 0.2, vec![2]),                // 1
+            svc(GRPC, "geo", 800, 0.2, vec![3]),                    // 2
+            svc(GRPC, "geo-memcached", 400, 0.3, vec![4]),          // 3
+            svc(GRPC, "geo-mongodb", 1100, 0.3, vec![5]),           // 4
+            svc(GRPC, "rate", 800, 0.2, vec![6]),                   // 5
+            svc(GRPC, "rate-memcached", 400, 0.3, vec![7]),         // 6
+            svc(GRPC, "rate-mongodb", 1100, 0.3, vec![8]),          // 7
+            svc(GRPC, "reservation", 800, 0.2, vec![9]),            // 8
+            svc(GRPC, "reservation-memcached", 400, 0.3, vec![10]), // 9
+            svc(GRPC, "reservation-mongodb", 1100, 0.3, vec![]),    // 10
         ],
     }
 }
 
 /// `recommendHotel`: depth 5.
-pub fn recommend_hotel() -> TaskGraph {
+pub(crate) fn recommend_hotel() -> TaskGraph {
     TaskGraph {
         name: "hotelReservation:recommendHotel".to_string(),
         services: vec![
-            svc("frontend", 400, 0.1, vec![1]),          // 0
-            svc("recommendation", 1000, 0.2, vec![2]),   // 1
-            svc("profile", 800, 0.2, vec![3]),           // 2
-            svc("profile-memcached", 500, 0.3, vec![4]), // 3
-            svc("profile-mongodb", 1300, 0.3, vec![]),   // 4
+            svc(GRPC, "frontend", 400, 0.1, vec![1]),          // 0
+            svc(GRPC, "recommendation", 1000, 0.2, vec![2]),   // 1
+            svc(GRPC, "profile", 800, 0.2, vec![3]),           // 2
+            svc(GRPC, "profile-memcached", 500, 0.3, vec![4]), // 3
+            svc(GRPC, "profile-mongodb", 1300, 0.3, vec![]),   // 4
         ],
     }
 }
@@ -79,10 +65,6 @@ mod tests {
         let g = search_hotel();
         assert!(g.validate().is_ok());
         assert_eq!(g.depth(), 11, "Table III: depth 11");
-        assert!(
-            g.is_connection_per_request(),
-            "Table III: threadpool size ∞ (gRPC)"
-        );
     }
 
     #[test]
@@ -90,17 +72,12 @@ mod tests {
         let g = recommend_hotel();
         assert!(g.validate().is_ok());
         assert_eq!(g.depth(), 5, "Table III: depth 5");
-        assert!(g.is_connection_per_request());
     }
 
     #[test]
     fn no_fixed_pools_anywhere() {
         for g in [search_hotel(), recommend_hotel()] {
-            for s in &g.services {
-                for e in &s.children {
-                    assert_eq!(e.conn, ConnModel::PerRequest);
-                }
-            }
+            assert!(crate::edges(&g).all(|c| c == ConnModel::PerRequest));
         }
     }
 }

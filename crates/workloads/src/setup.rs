@@ -72,7 +72,7 @@ impl Workload {
     }
 
     /// Build the task graph (dataset-backed workloads take a seed).
-    pub fn graph(self, dataset_seed: u64) -> TaskGraph {
+    pub(crate) fn graph(self, dataset_seed: u64) -> TaskGraph {
         match self {
             Workload::Chain => chain::chain(),
             Workload::ReadUserTimeline => social::read_user_timeline(dataset_seed),
@@ -80,14 +80,6 @@ impl Workload {
             Workload::SearchHotel => hotel::search_hotel(),
             Workload::RecommendHotel => hotel::recommend_hotel(),
         }
-    }
-
-    /// True for Thrift-style fixed-threadpool workloads.
-    pub fn uses_fixed_pool(self) -> bool {
-        matches!(
-            self,
-            Workload::Chain | Workload::ReadUserTimeline | Workload::ComposePost
-        )
     }
 }
 
@@ -217,7 +209,12 @@ pub fn solve_initial_allocation(
 
 /// Replace nominal fixed pools with Little's-law-sized pools for the
 /// calibrated `rate` (Eq. 1 with a margin). Per-request edges untouched.
-pub fn scale_pools(graph: &mut TaskGraph, rate: f64, rtt_overhead: SimDuration, margin: f64) {
+pub(crate) fn scale_pools(
+    graph: &mut TaskGraph,
+    rate: f64,
+    rtt_overhead: SimDuration,
+    margin: f64,
+) {
     for s in 0..graph.len() {
         for e in 0..graph.services[s].children.len() {
             let conn = graph.services[s].children[e].conn;

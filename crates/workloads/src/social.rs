@@ -17,33 +17,12 @@
 //! the synthetic social dataset (`dataset` module).
 
 use crate::dataset::{SocialGraph, SocialGraphConfig};
-use sg_core::ids::ServiceId;
-use sg_core::time::SimDuration;
-use sg_sim::app::{CallMode, ConnModel, EdgeSpec, ServiceSpec, TaskGraph};
+use crate::{svc, NOMINAL_POOL};
+use sg_sim::app::{CallMode, ConnModel, TaskGraph};
 
-/// Nominal Thrift threadpool size (Table III).
-pub const NOMINAL_POOL: u32 = 512;
-
-fn us(v: u64) -> SimDuration {
-    SimDuration::from_micros(v)
-}
-
-fn svc(name: &str, work_us: u64, cv: f64, children: Vec<u32>, mode: CallMode) -> ServiceSpec {
-    ServiceSpec {
-        name: name.to_string(),
-        work_mean: us(work_us),
-        work_cv: cv,
-        pre_fraction: 0.7,
-        children: children
-            .into_iter()
-            .map(|c| EdgeSpec {
-                child: ServiceId(c),
-                conn: ConnModel::FixedPool(NOMINAL_POOL),
-            })
-            .collect(),
-        call_mode: mode,
-    }
-}
+/// Every socialNetwork call is a sequential Thrift call over a fixed
+/// pool (Table III).
+const THRIFT: (ConnModel, CallMode) = (ConnModel::FixedPool(NOMINAL_POOL), CallMode::Sequential);
 
 /// `ReadUserTimeline`: depth 5, 6 services.
 ///
@@ -53,7 +32,7 @@ fn svc(name: &str, work_us: u64, cv: f64, children: Vec<u32>, mode: CallMode) ->
 ///                                      ─► post-storage-memcached
 ///                                            ─► post-storage-mongodb
 /// ```
-pub fn read_user_timeline(dataset_seed: u64) -> TaskGraph {
+pub(crate) fn read_user_timeline(dataset_seed: u64) -> TaskGraph {
     let ds = SocialGraph::generate(SocialGraphConfig::default(), dataset_seed);
     let storage_cv = ds.timeline_cost_cv();
     TaskGraph {
@@ -61,47 +40,17 @@ pub fn read_user_timeline(dataset_seed: u64) -> TaskGraph {
         services: vec![
             // 0: frontend proxy — light, flat sensitivity beyond a couple
             // of cores.
-            svc("nginx", 300, 0.1, vec![1], CallMode::Sequential),
+            svc(THRIFT, "nginx", 300, 0.1, vec![1]),
             // 1: the service Fig. 14 shows being over-scaled by Parties.
-            svc(
-                "user-timeline-service",
-                1200,
-                0.2,
-                vec![2, 3],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "user-timeline-service", 1200, 0.2, vec![2, 3]),
             // 2: redis lookup — cheap.
-            svc(
-                "user-timeline-redis",
-                500,
-                storage_cv,
-                vec![],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "user-timeline-redis", 500, storage_cv, vec![]),
             // 3: the true downstream bottleneck during surges.
-            svc(
-                "post-storage-service",
-                900,
-                0.2,
-                vec![4],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "post-storage-service", 900, 0.2, vec![4]),
             // 4: memcached — light per-hit cost.
-            svc(
-                "post-storage-memcached",
-                500,
-                storage_cv,
-                vec![5],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "post-storage-memcached", 500, storage_cv, vec![5]),
             // 5: mongodb — the heavy tail of the chain.
-            svc(
-                "post-storage-mongodb",
-                1500,
-                storage_cv,
-                vec![],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "post-storage-mongodb", 1500, storage_cv, vec![]),
         ],
     }
 }
@@ -113,7 +62,7 @@ pub fn read_user_timeline(dataset_seed: u64) -> TaskGraph {
 ///                     │        └► url-shorten          ─► ps-memcached
 ///                     └► unique-id                        ─► ps-mongodb
 /// ```
-pub fn compose_post(dataset_seed: u64) -> TaskGraph {
+pub(crate) fn compose_post(dataset_seed: u64) -> TaskGraph {
     let ds = SocialGraph::generate(SocialGraphConfig::default(), dataset_seed);
     let storage_cv = ds.timeline_cost_cv();
     // Post length drives text-processing cost dispersion.
@@ -122,67 +71,25 @@ pub fn compose_post(dataset_seed: u64) -> TaskGraph {
         name: "socialNetwork:composePost".to_string(),
         services: vec![
             // 0
-            svc("nginx", 300, 0.1, vec![1], CallMode::Sequential),
+            svc(THRIFT, "nginx", 300, 0.1, vec![1]),
             // 1
-            svc(
-                "compose-post-service",
-                1000,
-                0.2,
-                vec![2, 8],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "compose-post-service", 1000, 0.2, vec![2, 8]),
             // 2
-            svc(
-                "text-service",
-                800,
-                text_cv,
-                vec![3, 9],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "text-service", 800, text_cv, vec![3, 9]),
             // 3
-            svc(
-                "user-mention-service",
-                700,
-                text_cv,
-                vec![4],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "user-mention-service", 700, text_cv, vec![4]),
             // 4
-            svc("user-service", 800, 0.2, vec![5], CallMode::Sequential),
+            svc(THRIFT, "user-service", 800, 0.2, vec![5]),
             // 5
-            svc(
-                "post-storage-service",
-                900,
-                0.2,
-                vec![6],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "post-storage-service", 900, 0.2, vec![6]),
             // 6
-            svc(
-                "post-storage-memcached",
-                500,
-                storage_cv,
-                vec![7],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "post-storage-memcached", 500, storage_cv, vec![7]),
             // 7
-            svc(
-                "post-storage-mongodb",
-                1400,
-                storage_cv,
-                vec![],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "post-storage-mongodb", 1400, storage_cv, vec![]),
             // 8
-            svc("unique-id-service", 300, 0.05, vec![], CallMode::Sequential),
+            svc(THRIFT, "unique-id-service", 300, 0.05, vec![]),
             // 9
-            svc(
-                "url-shorten-service",
-                400,
-                text_cv,
-                vec![],
-                CallMode::Sequential,
-            ),
+            svc(THRIFT, "url-shorten-service", 400, text_cv, vec![]),
         ],
     }
 }
@@ -196,7 +103,10 @@ mod tests {
         let g = read_user_timeline(42);
         assert!(g.validate().is_ok());
         assert_eq!(g.depth(), 5, "Table III: depth 5");
-        assert!(!g.is_connection_per_request(), "Thrift fixed pools");
+        assert!(
+            crate::edges(&g).all(|c| c == THRIFT.0),
+            "Thrift fixed pools"
+        );
         assert_eq!(g.len(), 6);
         // Fig. 14 names exist.
         let names: Vec<&str> = g.services.iter().map(|s| s.name.as_str()).collect();
@@ -210,7 +120,7 @@ mod tests {
         let g = compose_post(42);
         assert!(g.validate().is_ok());
         assert_eq!(g.depth(), 8, "Table III: depth 8");
-        assert!(!g.is_connection_per_request());
+        assert!(crate::edges(&g).all(|c| c == THRIFT.0));
         assert_eq!(g.len(), 10);
     }
 
