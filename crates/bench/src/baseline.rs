@@ -21,6 +21,7 @@ use sg_core::metadata::RpcMetadata;
 use sg_core::metrics::{MetricsWindow, RequestSample};
 use sg_core::replica::p2c_winner;
 use sg_core::time::{SimDuration, SimTime};
+use sg_loadgen::{ArrivalProfile, Mmpp};
 use sg_sim::app::ConnModel;
 use sg_sim::controller::{ControlAction, Controller, ControllerFactory, NodeInit, NodeSnapshot};
 use sg_sim::engine::Engine;
@@ -536,7 +537,7 @@ fn window_record(b: &mut Bench) {
 fn mmpp_schedule(b: &mut Bench) {
     let horizon = SimTime::ZERO + SimDuration::from_secs(60);
     b.per_run(|i| {
-        let profile = sg_loadgen::Mmpp::bursty(3000.0, 42 + i as u64);
+        let profile = ArrivalProfile::Mmpp(Mmpp::bursty(3000.0, 42 + i as u64));
         let (arrivals, dt) = timed(|| black_box(profile.arrivals(SimTime::ZERO, horizon)));
         assert!(arrivals.len() > 100_000, "schedule suspiciously short");
         (dt, 1)

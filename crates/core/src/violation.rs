@@ -21,6 +21,38 @@ pub struct LatencyPoint {
     pub latency: SimDuration,
 }
 
+/// How far from the end [`insert_in_completion_order`] looks before it
+/// falls back to a binary search.
+const NEAR_TAIL: usize = 8;
+
+/// Insert `p` into `points`, which is sorted by completion, at its place
+/// in completion order: after every point that completes at or before
+/// it, so ties keep insertion order. A log built this way equals a
+/// stable `sort_by_key(|p| p.completion)` of the insertion order.
+///
+/// A recorder that stamps a point with a completion a little after the
+/// moment it records it (a response is recorded when sent, stamped with
+/// its delivery) puts each new point at most a few places from the end:
+/// a backward scan of at most 8 points finds it, and the insert moves
+/// only the points after it. A point further back (delays that fall
+/// after a network surge) is placed by binary search, so the search
+/// stays logarithmic however far it lands.
+pub fn insert_in_completion_order(points: &mut Vec<LatencyPoint>, p: LatencyPoint) {
+    let n = points.len();
+    let tail = &points[n.saturating_sub(NEAR_TAIL)..];
+    let later = tail
+        .iter()
+        .rev()
+        .take_while(|q| q.completion > p.completion)
+        .count();
+    let at = if later < tail.len() {
+        n - later
+    } else {
+        points[..n - later].partition_point(|q| q.completion <= p.completion)
+    };
+    points.insert(at, p);
+}
+
 /// Violation volume of a latency timeline against QoS target `qos`,
 /// in **second²** (latency-seconds integrated over wall-clock seconds).
 ///
@@ -124,6 +156,7 @@ pub fn percentile(latencies: &[SimDuration], q: f64) -> Option<SimDuration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pt(completion_ms: u64, latency_ms: u64) -> LatencyPoint {
         LatencyPoint {
@@ -231,5 +264,65 @@ mod tests {
     fn percentile_single_element() {
         let one = vec![SimDuration::from_micros(7)];
         assert_eq!(percentile(&one, 99.0), Some(SimDuration::from_micros(7)));
+    }
+
+    /// Each point's latency is its recording index, so equal
+    /// completions show which order they kept.
+    fn log_of(completions: &[u64]) -> (Vec<LatencyPoint>, Vec<LatencyPoint>) {
+        let recorded: Vec<LatencyPoint> = completions
+            .iter()
+            .zip(0..)
+            .map(|(&c, i)| LatencyPoint {
+                completion: SimTime::from_nanos(c),
+                latency: SimDuration::from_nanos(i),
+            })
+            .collect();
+        let mut log = Vec::new();
+        for &p in &recorded {
+            insert_in_completion_order(&mut log, p);
+        }
+        (recorded, log)
+    }
+
+    fn stable_sorted(mut points: Vec<LatencyPoint>) -> Vec<LatencyPoint> {
+        points.sort_by_key(|p| p.completion);
+        points
+    }
+
+    #[test]
+    fn ties_follow_their_equals_near_the_end_and_far_back() {
+        // 0..20 in order, then a 3 that lands 16 places back (past the
+        // backward scan) and an 18 that lands 1 place back (inside it).
+        let mut completions: Vec<u64> = (0..20).collect();
+        completions.extend([3, 18]);
+        let (recorded, log) = log_of(&completions);
+        assert_eq!(log[4], recorded[20], "the late 3 follows the first 3");
+        assert_eq!(log[20], recorded[21], "the late 18 follows the first 18");
+        assert_eq!(log, stable_sorted(recorded));
+    }
+
+    // A recorder's clock only moves forward (steps of 0 repeat an
+    // instant); each point completes a delay after it is recorded.
+    // Three delays in four are 0-3 ticks (ties, and landings a few
+    // places back); one in four is 50-99 ticks, as in a network
+    // surge, so the points recorded after it land past the backward
+    // scan.
+    proptest! {
+        #[test]
+        fn the_in_order_log_is_a_stable_sort_of_the_recording_order(
+            words in prop::collection::vec(any::<u64>(), 0..400),
+        ) {
+            let mut clock = 0;
+            let completions: Vec<u64> = words
+                .iter()
+                .map(|w| {
+                    clock += w % 3;
+                    let delay = if w >> 2 & 3 == 0 { 50 + (w >> 8) % 50 } else { (w >> 8) % 4 };
+                    clock + delay
+                })
+                .collect();
+            let (recorded, log) = log_of(&completions);
+            prop_assert_eq!(log, stable_sorted(recorded));
+        }
     }
 }

@@ -438,10 +438,15 @@ impl Simulation {
                     let root = SpanRecord::request(s.trace, s.parent, req_start, completion);
                     sink.emit(TelemetryEvent::Span(root));
                 }
-                self.points.push(LatencyPoint {
-                    completion,
-                    latency,
-                });
+                // Recorded now, stamped with the delivery: it lands a few
+                // places from the end of the completion-ordered log.
+                insert_in_completion_order(
+                    &mut self.points,
+                    LatencyPoint {
+                        completion,
+                        latency,
+                    },
+                );
                 // Fold into the node shard only once measurement starts,
                 // so digest percentiles describe the same population as
                 // the warmup-trimmed RunReport.

@@ -23,7 +23,7 @@ use sg_core::metrics::RequestSample;
 use sg_core::replica::p2c_winner;
 use sg_core::slack::{annotate_entry, per_packet_slack};
 use sg_core::time::{SimDuration, SimTime};
-use sg_core::violation::LatencyPoint;
+use sg_core::violation::{insert_in_completion_order, LatencyPoint};
 use sg_telemetry::metrics::slack_p50_p99;
 use sg_telemetry::profile::{ProfileMark, ProfilePhase, SimProfiler};
 use sg_telemetry::{
@@ -91,7 +91,9 @@ pub struct ProfileStats {
 /// Everything a run produces.
 #[derive(Debug, Clone)]
 pub struct RunResult {
-    /// Completed end-to-end requests, in completion order.
+    /// Completed end-to-end requests, in completion order; requests that
+    /// complete at the same instant keep the order their responses were
+    /// sent in.
     pub points: Vec<LatencyPoint>,
     /// Requests injected by the open-loop client.
     pub injected: u64,
@@ -158,6 +160,8 @@ pub struct Simulation {
     meter: EnergyMeter,
     trace: Option<AllocTrace>,
     profile: Vec<ProfileAcc>,
+    /// The completion log, kept in completion order as it is written
+    /// (the only state held per finished request).
     points: Vec<LatencyPoint>,
     injected: u64,
     completed: u64,
@@ -372,12 +376,6 @@ impl Simulation {
                 self.dispatch(now, event);
             }
         }
-
-        // Responses are recorded at send time but stamped with their
-        // client-delivery completion, so near-simultaneous completions can
-        // land slightly out of order; analysis code expects completion
-        // order.
-        self.points.sort_by_key(|p| p.completion);
 
         let end_time = end;
         let avg_cores = self.meter.avg_cores(end_time, self.cfg.measure_start);

@@ -191,10 +191,17 @@ fn summarize(args: &Args) -> Verdict {
     let path = args.operand();
     let mut builder = SummaryBuilder::new();
     let mut spans: Vec<SpanRecord> = Vec::new();
+    let mut span_drops = 0;
     let mut profile_events: Vec<TelemetryEvent> = Vec::new();
     let bad_lines = read(path, |event| {
-        if let TelemetryEvent::Span(record) = &event {
-            spans.push(*record);
+        // Each drop reports to its family's audit: span drops to the
+        // span report, every other family's to the summary.
+        match &event {
+            TelemetryEvent::Span(record) => spans.push(*record),
+            TelemetryEvent::Dropped { count, .. } if event.family() == EventFamily::Span => {
+                span_drops += count
+            }
+            _ => {}
         }
         if profile && event.family() == EventFamily::Profile {
             profile_events.push(event.clone());
@@ -206,7 +213,8 @@ fn summarize(args: &Args) -> Verdict {
     }
 
     let summary = builder.finish();
-    let report = SpanReport::from_records(&spans, qos);
+    let mut report = SpanReport::from_records(&spans, qos);
+    report.dropped = span_drops;
     if let Some(folded) = folded {
         std::fs::write(folded, report.folded_lines())
             .map_err(|e| format!("cannot write {folded}: {e}"))?;
@@ -214,7 +222,7 @@ fn summarize(args: &Args) -> Verdict {
     let decision_audit = summary.audit();
     let span_audit = report.audit();
     if json {
-        let spans_json = if report.spans > 0 {
+        let spans_json = if report.spans > 0 || report.dropped > 0 {
             report.to_json()
         } else {
             serde_json::Value::Null
@@ -227,7 +235,7 @@ fn summarize(args: &Args) -> Verdict {
         println!("{obj}");
     } else {
         print!("{}", summary.render());
-        if report.spans > 0 {
+        if report.spans > 0 || report.dropped > 0 {
             print!("{}", report.render());
         }
         print_audit(decision_audit.iter().chain(span_audit.iter()));

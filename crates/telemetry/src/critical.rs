@@ -114,7 +114,9 @@ pub struct SpanReport {
     pub duplicate_spans: u64,
     /// Structural: traces with more than one root span.
     pub multi_root_traces: u64,
-    /// Events the recording pipeline dropped (from `Dropped` records).
+    /// Span records the recording pipeline dropped (from span-family
+    /// `Dropped` records; [`SpanReport::from_records`] sees only spans,
+    /// so whoever reads the stream sets this).
     pub dropped: u64,
 }
 
@@ -128,15 +130,21 @@ impl SpanReport {
             ..SpanReport::default()
         };
 
-        // Group by trace, in trace order: a stable sort keeps record
-        // order within each trace.
-        let mut by_trace: Vec<&SpanRecord> = records.iter().collect();
-        by_trace.sort_by_key(|r| r.trace);
-        let traces = || by_trace.chunk_by(|a, b| a.trace == b.trace);
+        // Group by trace, in trace order, record order kept within a
+        // trace. Each pass gathers one trace at a time into `spans`.
+        let order = trace_order(records);
+        let traces =
+            || order.chunk_by(|&a, &b| records[a as usize].trace == records[b as usize].trace);
+        let mut spans: Vec<&SpanRecord> = Vec::new();
+        let gather = |spans: &mut Vec<_>, trace: &[u32]| {
+            spans.clear();
+            spans.extend(trace.iter().map(|&i| &records[i as usize]));
+        };
 
         // Integrity pass + root-duration collection.
         let mut ids: Vec<u64> = Vec::new();
-        for spans in traces() {
+        for trace in traces() {
+            gather(&mut spans, trace);
             ids.clear();
             ids.extend(spans.iter().map(|s| s.span));
             ids.sort_unstable();
@@ -152,7 +160,7 @@ impl SpanReport {
                 }
             }
 
-            for child in spans {
+            for child in &spans {
                 let Some(parent_id) = child.parent else {
                     continue;
                 };
@@ -177,7 +185,8 @@ impl SpanReport {
         };
 
         // Critical-path walk over every violating trace.
-        for spans in traces() {
+        for trace in traces() {
+            gather(&mut spans, trace);
             let Some(root) = spans.iter().find(|s| s.is_root()) else {
                 continue;
             };
@@ -187,7 +196,7 @@ impl SpanReport {
             }
             report.violations += 1;
             let excess = duration - report.qos_ns;
-            match walk_critical_path(root, spans) {
+            match walk_critical_path(root, &spans) {
                 Some((container, class, path)) => {
                     let bucket = report.attribution.entry((container, class)).or_default();
                     bucket.count += 1;
@@ -253,7 +262,7 @@ impl SpanReport {
         }
         if self.dropped > 0 {
             issues.push(format!(
-                "{} event(s) dropped by the recording pipeline",
+                "{} span record(s) dropped by the recording pipeline",
                 self.dropped
             ));
         }
@@ -335,7 +344,7 @@ impl SpanReport {
         if self.dropped > 0 {
             let _ = writeln!(
                 out,
-                "  !! {} events dropped by the recording pipeline",
+                "  !! {} span records dropped by the recording pipeline",
                 self.dropped
             );
         }
@@ -365,6 +374,45 @@ impl SpanReport {
         }
         out
     }
+}
+
+/// The indices of `records` ordered by trace id, record order kept
+/// within a trace: what a stable sort by trace gives, in one `u32` per
+/// record plus at most one more as scratch.
+///
+/// When the trace ids span fewer values than there are records (every
+/// unsampled run: a trace has several spans, and ids are injection
+/// indices), a counting sort places each record by its id's offset from
+/// the lowest: one pass over the records counts, one places, both in
+/// file order, with a `u32` count per id value. Sparser ids (a sampled
+/// stream, or ids from elsewhere) fall back to a stable comparison
+/// sort, whose scratch is half to one index per record.
+fn trace_order(records: &[SpanRecord]) -> Vec<u32> {
+    let n = u32::try_from(records.len()).expect("fewer than 2^32 span records fit in memory");
+    let (lo, hi) = records.iter().fold((u64::MAX, 0), |(lo, hi), r| {
+        (lo.min(r.trace), hi.max(r.trace))
+    });
+    let spread = hi.saturating_sub(lo);
+    if spread >= u64::from(n) {
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by_key(|&i| records[i as usize].trace);
+        return order;
+    }
+    // `at[k]`: where the next record of id `lo + k` goes.
+    let mut at = vec![0u32; spread as usize + 2];
+    for r in records {
+        at[(r.trace - lo) as usize + 1] += 1;
+    }
+    for k in 1..at.len() {
+        at[k] += at[k - 1];
+    }
+    let mut order = vec![0u32; records.len()];
+    for (r, i) in records.iter().zip(0..) {
+        let k = (r.trace - lo) as usize;
+        order[at[k] as usize] = i;
+        at[k] += 1;
+    }
+    order
 }
 
 fn percentile(sorted: &[u64], q: f64) -> Option<u64> {
@@ -685,6 +733,34 @@ mod tests {
         assert_eq!((report.violations, report.unattributed), (1, 1));
     }
 
+    /// Trace 7 holds span 1 twice, [10, 900] and [500, 600], with trace
+    /// 8 interleaved. Nesting looks a child's parent up with `find`, the
+    /// first copy in record order, so the order of records within a
+    /// trace decides whether child 2 ([100, 200]) nests.
+    #[test]
+    fn record_order_within_a_trace_picks_the_duplicate_parent() {
+        let wide = span(7, 1, Some(0), Some(0), 10, 900);
+        let narrow = span(7, 1, Some(0), Some(0), 500, 600);
+        let records = |first, second| {
+            vec![
+                span(8, 0, None, None, 0, 3000),
+                span(7, 2, Some(1), Some(1), 100, 200),
+                first,
+                span(8, 1, Some(0), Some(0), 5, 2900),
+                second,
+                span(7, 0, None, None, 0, 1000),
+            ]
+        };
+        let qos = Some(SimDuration::from_millis(1));
+        for (first, second, escapes) in [(wide, narrow, 0), (narrow, wide, 1)] {
+            let records = records(first, second);
+            let report = SpanReport::from_records(&records, qos);
+            assert_eq!(report.duplicate_spans, 1);
+            assert_eq!(report.nesting_violations, escapes);
+            assert_eq!(report, grouped_by_map(&records, qos));
+        }
+    }
+
     /// `from_records` as it grouped before the sort: a map of traces,
     /// roots collected into a vector, a fresh id vector per trace.
     fn grouped_by_map(records: &[SpanRecord], qos: Option<SimDuration>) -> SpanReport {
@@ -804,6 +880,24 @@ mod tests {
                 SpanReport::from_records(&records, qos),
                 grouped_by_map(&records, qos)
             );
+        }
+
+        // Trace ids over 1 to 64 bits above any base: the narrow
+        // spreads take the counting sort (with ties), the wide ones the
+        // comparison sort.
+        #[test]
+        fn trace_order_is_a_stable_sort_by_trace(
+            ids in prop::collection::vec(any::<u64>(), 0..300),
+            spread in 0u32..64,
+            base in any::<u64>(),
+        ) {
+            let records: Vec<SpanRecord> = ids
+                .iter()
+                .map(|&id| span(base.wrapping_add(id >> (63 - spread)), 0, None, None, 0, 0))
+                .collect();
+            let mut stable: Vec<u32> = (0..records.len() as u32).collect();
+            stable.sort_by_key(|&i| records[i as usize].trace);
+            prop_assert_eq!(trace_order(&records), stable);
         }
     }
 }

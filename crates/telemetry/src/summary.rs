@@ -6,7 +6,7 @@
 //! histogram (by origin × kind × outcome), and the clamp/rejection
 //! audit, plus the explicit drop count.
 
-use crate::event::{ActionKind, ActionOutcome, TelemetryEvent};
+use crate::event::{ActionKind, ActionOutcome, EventFamily, TelemetryEvent};
 use serde_json::{json, Value};
 use sg_core::time::SimTime;
 use std::collections::BTreeMap;
@@ -52,7 +52,8 @@ pub struct TraceSummary {
     /// Window records observed.
     pub windows: u64,
     /// Events the recording pipeline itself dropped (from `Dropped`
-    /// records in the trace).
+    /// records in the trace), span-family drops excepted: those are
+    /// [`crate::critical::SpanReport::dropped`].
     pub dropped: u64,
     /// Span records seen in the stream (summarized separately by
     /// [`crate::critical::SpanReport`]).
@@ -197,6 +198,12 @@ impl SummaryBuilder {
                         *s.fault_starts.entry(fault).or_insert(0) += 1;
                     }
                 }
+                // Span-family drops fail the span audit instead (see
+                // `SpanReport::dropped`).
+                TelemetryEvent::Dropped {
+                    family: Some(EventFamily::Span),
+                    ..
+                } => {}
                 TelemetryEvent::Dropped { count, .. } => s.dropped += count,
                 TelemetryEvent::Schema { schema } => s.schemas.push(schema),
                 TelemetryEvent::ProfileMeta { .. }
@@ -602,6 +609,22 @@ mod tests {
             family: None,
         }]);
         assert!(!s.audit().is_empty());
+    }
+
+    /// Untagged and decision-family drops are the decision audit's; a
+    /// span-family drop is the span audit's and leaves this one clean.
+    #[test]
+    fn only_span_family_drops_stay_out_of_the_decision_audit() {
+        let dropped = |family| TelemetryEvent::Dropped { count: 1, family };
+        let s = summarize(vec![
+            dropped(None),
+            dropped(Some(EventFamily::Decision)),
+            dropped(Some(EventFamily::Metrics)),
+        ]);
+        assert_eq!(s.dropped, 3);
+        let s = summarize(vec![dropped(Some(EventFamily::Span))]);
+        assert_eq!(s.dropped, 0);
+        assert!(s.audit().is_empty(), "{:?}", s.audit());
     }
 
     #[test]
