@@ -197,21 +197,38 @@ impl ControllerFactory for ReplicaScript {
 /// scaled back out after the window closed, and must then serve at full
 /// speed. Traffic only starts after the respawn, so every request sees
 /// the respawned replica; the run must look like the same scale-in/out
-/// without the fault. (A gate left at 1/50 earns tokens too slowly to
-/// ever admit a request on the live substrate, so there the symptom is
-/// lost completions; on the simulator it is latency.)
+/// without the fault.
+///
+/// Signal and noise, per substrate. The signal is what a scratch
+/// mutation that leaves the respawned replica at 1/50 speed does; the
+/// noise is what eight correct runs did with two CPU hogs beside the
+/// test on a 2-vCPU host:
+/// - *Live:* a gate left at 1/50 earns tokens too slowly to ever admit
+///   a request, so the symptom is lost completions: 30 of 1 000 complete
+///   (97 % lost), against 1 000 of 1 000 in every correct run. The mean
+///   latency of what does complete carries no signal (0.98× the clean
+///   mean) but wall-clock noise: 0.80–1.37× here, and 2.8× once on a
+///   busy host over ~70 requests (300 req/s for 230 ms). So live
+///   checks completions against a 10 % bound, and latency only against
+///   a 10× bound, above any noise seen.
+/// - *Sim:* every request completes, slowly: the mean reads 9.5× the
+///   clean mean at this load (4.3× at 300 req/s for 230 ms). The simulator
+///   is deterministic, so its noise is nil and the 2× bound stands.
 #[test]
 fn straggler_speed_does_not_outlive_a_retired_replica_on_both_backends() {
-    let end = SimTime::from_millis(600);
+    // 1 000 requests over [320 ms, 1 320 ms), 200 ms to drain.
+    let (start, stop) = (SimTime::from_millis(320), SimTime::from_millis(1_320));
+    let end = SimTime::from_millis(1_520);
     let script = || {
         ReplicaScript(vec![
             (SimTime::from_millis(120), 1),
             (SimTime::from_millis(300), 2),
         ])
     };
+    let mut failures = Vec::new();
     for backend in Backend::both() {
-        let mut arrivals = constant_arrivals(300.0, SimTime::ZERO, SimTime::from_millis(550));
-        arrivals.retain(|&t| t >= SimTime::from_millis(320));
+        let mut arrivals = constant_arrivals(1_000.0, SimTime::ZERO, stop);
+        arrivals.retain(|&t| t >= start);
         let mut base = two_stage_cfg(ConnModel::PerRequest, end);
         base.max_replicas = 2;
         base.initial_replicas = vec![1, 2];
@@ -224,18 +241,24 @@ fn straggler_speed_does_not_outlive_a_retired_replica_on_both_backends() {
         });
         let (faulted, _) = run_backend(backend, cfg, &script(), arrivals);
         let label = backend.label();
-        assert!(clean.completed > 50, "[{label}] scenario too thin");
-        assert!(
-            faulted.completed * 10 >= clean.completed * 9,
-            "[{label}] respawned replica lost requests: {} completed vs {} without the fault",
-            faulted.completed,
-            clean.completed
-        );
+        assert!(clean.completed > 900, "[{label}] scenario too thin");
+        if faulted.completed * 10 < clean.completed * 9 {
+            failures.push(format!(
+                "[{label}] respawned replica lost requests: {} completed vs {} without the fault",
+                faulted.completed, clean.completed
+            ));
+        }
+        let slow = match backend {
+            Backend::Sim => 2,
+            Backend::Live => 10,
+        };
         let (clean_mean, faulted_mean) = (mean_latency(&clean), mean_latency(&faulted));
-        assert!(
-            faulted_mean < clean_mean * 2,
-            "[{label}] respawned replica still runs slow: mean {faulted_mean} vs {clean_mean} \
-             without the fault"
-        );
+        if faulted_mean >= clean_mean * slow {
+            failures.push(format!(
+                "[{label}] respawned replica still runs slow: mean {faulted_mean} vs \
+                 {clean_mean} without the fault"
+            ));
+        }
     }
+    assert!(failures.is_empty(), "{}", failures.join("; "));
 }

@@ -510,14 +510,13 @@ impl TelemetryEvent {
 
     /// Decode one JSON line produced by [`Self::to_json_line`].
     pub fn from_json_line(line: &str) -> Result<TelemetryEvent, String> {
-        crate::wire::decode(line)
+        crate::wire::decode(line.as_bytes())
     }
 
     /// Decode one line as read from a file: bytes that are not UTF-8
     /// are a decode error like any other.
     pub fn from_json_bytes(line: &[u8]) -> Result<TelemetryEvent, String> {
-        let line = std::str::from_utf8(line).map_err(|e| e.to_string())?;
-        Self::from_json_line(line)
+        crate::wire::decode(line)
     }
 }
 

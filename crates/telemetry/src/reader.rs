@@ -6,37 +6,38 @@
 //! unparseable ones) lives in exactly one place. A trace truncated by a
 //! crash should still summarize.
 //!
-//! Reading is **streaming**: [`TraceStream`] yields one event at a time
-//! from a buffered reader, so a multi-gigabyte `cluster_scale` export
-//! summarizes in constant memory. [`TraceStream::for_each`] decodes on a
-//! reader thread of its own, a few batches ahead of the caller, so
-//! decoding overlaps whatever the caller does per event. [`TailStream`]
-//! adds a follow mode (`tail -f` semantics: poll for appended lines,
-//! hold partial trailing lines until their newline arrives) used by
-//! `sg-trace watch --tail`.
+//! Reading is **streaming**: [`TraceStream::for_each`] holds a bounded
+//! number of blocks in memory, so a multi-gigabyte `cluster_scale`
+//! export summarizes in constant memory. A reader thread cuts the input
+//! into blocks of whole lines, which are decoded on as many threads as
+//! there are CPUs (at most four), while the callback sees the events in
+//! file order on the caller's thread. [`TailStream`] adds a follow mode (`tail -f`
+//! semantics: poll for appended lines, hold partial trailing lines
+//! until their newline arrives) used by `sg-trace watch --tail`.
 
 use crate::event::{TelemetryEvent, SPANS_SCHEMA, TRACE_SCHEMA};
 use crate::metrics::METRICS_SCHEMA_VERSION;
 use crate::profile::{PROFILE_SCHEMA, PROFILE_SCHEMA_V1, PROFILE_SCHEMA_VERSION};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, Read};
 use std::path::Path;
-use std::sync::mpsc::{self, SyncSender};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 
-/// Events the reader thread of [`TraceStream::for_each`] decodes into one
-/// batch.
-const BATCH: usize = 1024;
-/// Batches the reader thread may run ahead of the caller.
-const READ_AHEAD: usize = 4;
+/// Bytes the reader thread reads into one block before it cuts the
+/// block after its last newline. Small, so what is in flight stays
+/// small; a longer line makes its block longer.
+const BLOCK: usize = 64 * 1024;
+/// Blocks on their way to the caller, at most.
+const QUEUE: usize = 4;
+/// Most decoding threads, the reader thread and the caller included:
+/// past about this many the caller, who takes every event on one
+/// thread, sets the pace.
+const MAX_DECODERS: usize = 4;
 
-/// Streaming JSONL event reader: an iterator over parsed events that
-/// never holds more than one line in memory ([`TraceStream::for_each`]:
-/// a few batches of events).
+/// Streaming JSONL event reader over any [`Read`]; see
+/// [`TraceStream::for_each`].
 #[derive(Debug)]
 pub struct TraceStream<R> {
-    reader: BufReader<R>,
-    line: Vec<u8>,
-    /// Lines that failed to parse so far (counted, not fatal).
-    pub bad_lines: u64,
+    inner: R,
 }
 
 impl TraceStream<std::fs::File> {
@@ -49,76 +50,205 @@ impl TraceStream<std::fs::File> {
 impl<R: Read> TraceStream<R> {
     /// Stream events from any reader.
     pub fn new(inner: R) -> Self {
-        TraceStream {
-            reader: BufReader::with_capacity(64 * 1024, inner),
-            line: Vec::new(),
-            bad_lines: 0,
-        }
-    }
-
-    /// Next parsed event, skipping blank lines and counting bad ones.
-    /// `Ok(None)` at end of input; I/O errors are returned to the
-    /// caller.
-    #[allow(clippy::should_implement_trait)] // fallible next: io::Result
-    pub(crate) fn next(&mut self) -> std::io::Result<Option<TelemetryEvent>> {
-        loop {
-            self.line.clear();
-            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
-                return Ok(None);
-            }
-            // A line without a trailing newline is a partial write at
-            // the file's end (crash or in-progress append): parse it
-            // like any other — at end-of-file it is all we will get.
-            if let Some(event) = parse_line(&self.line, &mut self.bad_lines) {
-                return Ok(Some(event));
-            }
-        }
+        TraceStream { inner }
     }
 
     /// Drain the stream through `f`, on the caller's thread and in file
-    /// order, while a scoped reader thread reads and decodes ahead.
-    /// Returns the bad-line count; an I/O error is returned after `f`
-    /// has seen every event before it. The reader thread is joined
-    /// before this returns, also when `f` panics.
-    pub fn for_each<F: FnMut(TelemetryEvent)>(self, mut f: F) -> std::io::Result<u64>
+    /// order. A scoped reader thread cuts the input into blocks of whole
+    /// lines, and each block is decoded by whichever decoder is free: a
+    /// spawned worker, the caller when it has run short of blocks, or
+    /// else the reader thread. There are as many decoders as
+    /// [`std::thread::available_parallelism`] reports, at most four; with
+    /// one, the reader thread decodes everything. Returns the bad-line
+    /// count; an I/O error is returned after `f` has seen every event
+    /// before it. Every thread is joined before this returns, also when
+    /// `f` panics.
+    pub fn for_each<F: FnMut(TelemetryEvent)>(self, f: F) -> std::io::Result<u64>
     where
         R: Send,
     {
-        let (to_caller, batches) = mpsc::sync_channel(READ_AHEAD);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.for_each_on(cpus.min(MAX_DECODERS), BLOCK, f)
+    }
+
+    /// [`Self::for_each`] with `decoders` decoders, cutting blocks after
+    /// `block` bytes.
+    fn for_each_on<F: FnMut(TelemetryEvent)>(
+        self,
+        decoders: usize,
+        block: usize,
+        mut f: F,
+    ) -> std::io::Result<u64>
+    where
+        R: Send,
+    {
+        // A rendezvous: a job is taken only by a worker waiting for one.
+        let (to_workers, jobs) = mpsc::sync_channel::<Job>(0);
+        let jobs = std::sync::Mutex::new(jobs);
         std::thread::scope(|scope| {
-            let reader = scope.spawn(move || self.read_ahead(&to_caller));
-            // If `f` panics, unwinding drops `batches` first, so a reader
-            // blocked on a full queue wakes up and ends before the scope
-            // joins it.
-            for batch in batches {
-                batch.into_iter().for_each(&mut f);
+            let (to_caller, blocks) = mpsc::sync_channel(QUEUE);
+            for _ in 2..decoders {
+                let jobs = &jobs;
+                scope.spawn(move || loop {
+                    let job = jobs
+                        .lock()
+                        .expect("no worker panics holding the queue")
+                        .recv();
+                    let Ok(Job { block, to }) = job else { return };
+                    // The caller may have unwound and dropped `to`'s end.
+                    let _ = to.send(Decoded::of(&block));
+                });
             }
-            reader
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            let hands = Hands {
+                caller: to_caller,
+                caller_decodes: decoders > 1,
+                workers: (decoders > 2).then_some(to_workers),
+            };
+            let reader = scope.spawn(move || self.deal(block, &hands));
+            // The blocks come in file order. When `f` panics or a worker
+            // has, dropping `blocks` wakes a reader thread blocked on a
+            // full queue; it ends before the scope joins it.
+            let mut bad_lines = 0;
+            for block in blocks {
+                let decoded = match block {
+                    Block::Raw(block) => {
+                        bad_lines += decode(&block, &mut f);
+                        continue;
+                    }
+                    Block::Decoded(decoded) => decoded,
+                    Block::Pending(decoded) => match decoded.recv() {
+                        Ok(decoded) => decoded,
+                        Err(_) => break, // the worker panicked
+                    },
+                };
+                bad_lines += decoded.bad_lines;
+                decoded.events.into_iter().for_each(&mut f);
+            }
+            let end = reader.join();
+            end.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                .map(|()| bad_lines)
         })
     }
 
-    /// The reader thread of `for_each`: decode batches into `to_caller`
-    /// until end of input, an I/O error (sent after the events before
-    /// it), or the caller hanging up.
-    fn read_ahead(mut self, to_caller: &SyncSender<Vec<TelemetryEvent>>) -> std::io::Result<u64> {
-        let mut batch = Vec::with_capacity(BATCH);
-        let end = loop {
-            match self.next() {
-                Ok(Some(event)) => batch.push(event),
-                end => break end.map(|_| self.bad_lines),
+    /// The reader thread: cut the input into blocks of whole lines and
+    /// hand each one over. Ends at end of input, at an I/O error
+    /// (returned once the whole lines read before it are handed over),
+    /// or when the caller hangs up.
+    fn deal(mut self, size: usize, hands: &Hands) -> std::io::Result<()> {
+        let mut carry = Vec::new();
+        loop {
+            let mut block = Vec::with_capacity(size + carry.len());
+            block.append(&mut carry);
+            // `carry` holds no newline, so each read need only be searched
+            // from where the one before it ended.
+            let (cut, end) = loop {
+                let searched = block.len();
+                let read = (&mut self.inner).take(size as u64).read_to_end(&mut block);
+                let newline = block[searched..].iter().rposition(|&b| b == b'\n');
+                let cut = newline.map_or(0, |i| searched + i + 1);
+                match read {
+                    // A last line without a newline is a partial write at
+                    // the file's end (crash or in-progress append): parse it
+                    // like any other — it is all we will get.
+                    Ok(n) if n < size => break (block.len(), Some(Ok(()))),
+                    Ok(_) if cut > 0 => break (cut, None),
+                    Ok(_) => {}
+                    Err(e) => break (cut, Some(Err(e))),
+                }
+            };
+            carry = block.split_off(cut);
+            if !block.is_empty() && hands.take(block).is_err() {
+                return Ok(()); // the caller unwound
             }
-            if batch.len() == BATCH {
-                let full = std::mem::replace(&mut batch, Vec::with_capacity(BATCH));
-                if to_caller.send(full).is_err() {
-                    return Ok(self.bad_lines); // the caller unwound
+            if let Some(end) = end {
+                return end;
+            }
+        }
+    }
+}
+
+/// One block's events, in file order, and its count of bad lines.
+struct Decoded {
+    events: Vec<TelemetryEvent>,
+    bad_lines: u64,
+}
+
+impl Decoded {
+    fn of(block: &[u8]) -> Decoded {
+        let mut events = Vec::with_capacity(block.len() / 200 + 1);
+        let bad_lines = decode(block, |event| events.push(event));
+        Decoded { events, bad_lines }
+    }
+}
+
+/// A block on its way to the caller.
+enum Block {
+    /// For the caller to decode.
+    Raw(Vec<u8>),
+    /// Decoded by the reader thread.
+    Decoded(Decoded),
+    /// Being decoded by a worker, which sends it here.
+    Pending(mpsc::Receiver<Decoded>),
+}
+
+/// A block for a worker, and where its decoded events go.
+struct Job {
+    block: Vec<u8>,
+    to: SyncSender<Decoded>,
+}
+
+/// Where the reader thread hands its blocks.
+struct Hands {
+    /// The blocks in file order.
+    caller: SyncSender<Block>,
+    /// Whether the caller decodes a block when its queue has room.
+    caller_decodes: bool,
+    /// Workers, if there are any.
+    workers: Option<SyncSender<Job>>,
+}
+
+impl Hands {
+    /// Hand `block` to whoever can decode it soonest: a worker waiting
+    /// for one, else the caller if its queue has room, else this thread.
+    /// `Err` when the caller has hung up.
+    fn take(&self, block: Vec<u8>) -> Result<(), ()> {
+        let block = match &self.workers {
+            Some(workers) => {
+                let (to, decoded) = mpsc::sync_channel(1);
+                match workers.try_send(Job { block, to }) {
+                    Ok(()) => return self.caller.send(Block::Pending(decoded)).map_err(drop),
+                    Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => job.block,
                 }
             }
+            None => block,
         };
-        let _ = to_caller.send(batch);
-        end
+        let block = match self.caller_decodes {
+            true => match self.caller.try_send(Block::Raw(block)) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(Block::Raw(block))) => block,
+                Err(_) => return Err(()),
+            },
+            false => block,
+        };
+        self.caller
+            .send(Block::Decoded(Decoded::of(&block)))
+            .map_err(drop)
     }
+}
+
+/// Decode a block of lines in order into `f`; returns the bad-line count.
+fn decode(mut block: &[u8], mut f: impl FnMut(TelemetryEvent)) -> u64 {
+    let mut bad_lines = 0;
+    while !block.is_empty() {
+        let line = block;
+        let len = block
+            .skip_until(b'\n')
+            .expect("a slice reads without error");
+        if let Some(event) = parse_line(&line[..len], &mut bad_lines) {
+            f(event);
+        }
+    }
+    bad_lines
 }
 
 /// The tolerant-parsing policy on one line's bytes: a blank line is
@@ -217,7 +347,10 @@ pub fn stream_trace(path: &Path) -> std::io::Result<TraceStream<std::fs::File>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn schema_warning_flags_unknown_and_newer_headers() {
@@ -285,64 +418,186 @@ mod tests {
     #[test]
     fn stream_yields_one_event_at_a_time() {
         let input = "{\"type\":\"dropped\",\"count\":1}\n\nbad\n{\"type\":\"dropped\",\"count\":2}";
-        let mut stream = TraceStream::new(input.as_bytes());
-        assert!(matches!(
-            stream.next().unwrap(),
-            Some(TelemetryEvent::Dropped { count: 1, .. })
-        ));
+        let mut events = Vec::new();
+        let bad = TraceStream::new(input.as_bytes())
+            .for_each(|event| events.push(event))
+            .unwrap();
         // Skips the blank and the bad line; the final unterminated line
         // still parses at end-of-file.
         assert!(matches!(
-            stream.next().unwrap(),
-            Some(TelemetryEvent::Dropped { count: 2, .. })
+            events[..],
+            [
+                TelemetryEvent::Dropped { count: 1, .. },
+                TelemetryEvent::Dropped { count: 2, .. }
+            ]
         ));
-        assert!(stream.next().unwrap().is_none());
-        assert_eq!(stream.bad_lines, 1);
+        assert_eq!(bad, 1);
     }
 
-    /// The wire fixture repeated over many batches, with blank, truncated
+    /// What a read returns: each event encoded, in order, then the
+    /// bad-line count or the I/O error's message.
+    type Outcome = (Vec<String>, Result<u64, String>);
+
+    /// The reference reader: one line at a time through `read_until`,
+    /// blank lines skipped, each other line decoded by `from_json_bytes`
+    /// and counted if that fails. `for_each` must read what this reads.
+    fn line_by_line(input: impl Read) -> Outcome {
+        let mut reader = std::io::BufReader::new(input);
+        let (mut events, mut bad, mut line) = (Vec::new(), 0, Vec::new());
+        loop {
+            line.clear();
+            match reader.read_until(b'\n', &mut line) {
+                Ok(0) => return (events, Ok(bad)),
+                Ok(_) => {}
+                Err(e) => return (events, Err(e.to_string())),
+            }
+            let line = line.trim_ascii();
+            if !line.is_empty() {
+                match TelemetryEvent::from_json_bytes(line) {
+                    Ok(event) => events.push(event.to_json_line()),
+                    Err(_) => bad += 1,
+                }
+            }
+        }
+    }
+
+    /// `for_each` with `decoders` decoders and blocks cut after `block`
+    /// bytes.
+    fn blockwise(input: impl Read + Send, decoders: usize, block: usize) -> Outcome {
+        let mut events = Vec::new();
+        let end = TraceStream::new(input)
+            .for_each_on(decoders, block, |event| events.push(event.to_json_line()));
+        (events, end.map_err(|e| e.to_string()))
+    }
+
+    const FIXTURE: &str = include_str!("../tests/fixtures/wire_v1.jsonl");
+
+    /// One line of test input picked by `word`: a fixture line (every
+    /// event type; LF or CRLF), a blank, a truncated line, a line with
+    /// bad UTF-8 inside a string value, inside a skipped member or
+    /// outside any string, one with good non-ASCII text, or a line of
+    /// about 1 KiB.
+    fn line(word: u64) -> Vec<u8> {
+        let fixture: Vec<&str> = FIXTURE.lines().collect();
+        let good = fixture[(word >> 8) as usize % fixture.len()].as_bytes();
+        let mut line = match (word & 0xff) % 12 {
+            0..=3 => good.to_vec(),
+            4 => [good, b"\r"].concat(),
+            5 => [&b""[..], b"  ", b"\r", b"\t "][(word >> 8) as usize % 4].to_vec(),
+            6 => good[..(word >> 16) as usize % good.len()].to_vec(),
+            7 => b"{\"type\":\"fault\",\"at_ns\":1,\"fault\":\"crash\",\"target\":\"svc:\xff1\",\"active\":true}".to_vec(),
+            8 => b"{\"type\":\"dropped\",\"count\":4,\"x\":[\"\xfe\xff\"]}".to_vec(),
+            9 => b"{\"type\":\"dropped\",\xff\"count\":4}".to_vec(),
+            10 => "{\"type\":\"fault\",\"at_ns\":1,\"fault\":\"crash\",\"target\":\"svc:é\",\"active\":true}".into(),
+            _ => format!(
+                "{{\"type\":\"dropped\",\"count\":{},\"pad\":\"{}\"}}",
+                word >> 40,
+                "x".repeat(1000 + (word >> 20) as usize % 64)
+            )
+            .into(),
+        };
+        line.push(b'\n');
+        line
+    }
+
+    /// Lines picked by `words`; the last one's newline dropped if
+    /// `unterminated`.
+    fn input(words: &[u64], unterminated: bool) -> Vec<u8> {
+        let mut text: Vec<u8> = words.iter().flat_map(|&w| line(w)).collect();
+        if unterminated {
+            text.pop();
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn for_each_reads_what_a_line_reader_reads(
+            words in prop::collection::vec(any::<u64>(), 0..80),
+            unterminated in any::<bool>(),
+            decoders in 1usize..5,
+            block in 1usize..1500,
+        ) {
+            let text = input(&words, unterminated);
+            prop_assert_eq!(blockwise(&text[..], decoders, block), line_by_line(&text[..]));
+        }
+    }
+
+    #[test]
+    fn block_boundaries_fall_at_every_offset_of_a_short_file() {
+        let text = input(
+            &[0, 0x104, 5, 6 << 16 | 6, 7, 8, 9, 10, 0x204, 3 << 8],
+            true,
+        );
+        let expected = line_by_line(&text[..]);
+        assert_eq!(expected.0.len(), 5);
+        assert_eq!(expected.1, Ok(4));
+        for decoders in 1..=3 {
+            for block in 1..=text.len() + 1 {
+                let got = blockwise(&text[..], decoders, block);
+                assert_eq!(got, expected, "{decoders} decoder(s), {block} B blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_longer_than_a_block_is_read_whole() {
+        let long = format!(
+            "{{\"type\":\"dropped\",\"count\":7,\"pad\":\"{}\"}}\n",
+            "y".repeat(2 * BLOCK + 17)
+        );
+        let text = [FIXTURE, &long, FIXTURE, &long].concat();
+        let expected = line_by_line(text.as_bytes());
+        assert!(expected
+            .0
+            .contains(&"{\"type\":\"dropped\",\"count\":7}".to_string()));
+        for decoders in 1..=3 {
+            assert_eq!(blockwise(text.as_bytes(), decoders, BLOCK), expected);
+        }
+        let mut events = 0;
+        let bad = TraceStream::new(text.as_bytes())
+            .for_each(|_| events += 1)
+            .unwrap();
+        assert_eq!((events, Ok(bad)), (expected.0.len(), expected.1));
+    }
+
+    /// The wire fixture repeated over many blocks, with blank, truncated
     /// and non-UTF-8 lines mixed in.
     fn long_trace() -> Vec<u8> {
-        let fixture = include_str!("../tests/fixtures/wire_v1.jsonl");
         let mut text = Vec::new();
         for _ in 0..120 {
-            text.extend_from_slice(fixture.as_bytes());
+            text.extend_from_slice(FIXTURE.as_bytes());
             text.extend_from_slice(b"\n  \n{\"type\":\"dro\n{\"type\":\"dro\xff\xfe\n");
         }
         text
     }
 
-    fn next_loop(input: &[u8]) -> (Vec<TelemetryEvent>, u64) {
-        let mut stream = TraceStream::new(input);
-        let mut events = Vec::new();
-        while let Some(event) = stream.next().unwrap() {
-            events.push(event);
-        }
-        (events, stream.bad_lines)
-    }
-
     #[test]
     fn for_each_yields_what_a_next_loop_yields() {
         let text = long_trace();
-        let (expected, expected_bad) = next_loop(&text);
-        assert!(expected.len() > (READ_AHEAD + 2) * BATCH);
-        assert_eq!(expected_bad, 240);
+        let expected = line_by_line(&text[..]);
+        assert!(text.len() > 3 * BLOCK);
+        assert_eq!(expected.1, Ok(240));
         let mut events = Vec::new();
         let bad = TraceStream::new(&text[..])
-            .for_each(|event| events.push(event))
+            .for_each(|event| events.push(event.to_json_line()))
             .unwrap();
-        assert_eq!(events, expected);
-        assert_eq!(bad, expected_bad);
+        assert_eq!((events, Ok(bad)), expected);
     }
 
-    /// Serves its bytes, then fails every read.
-    struct FailsAfter<'a>(&'a [u8]);
+    /// Serves the first `.1` bytes of `.0`, then fails every read.
+    struct FailsAfter<'a>(&'a [u8], usize);
 
     impl Read for FailsAfter<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.0.is_empty() {
-                true => Err(std::io::Error::other("disk on fire")),
-                false => self.0.read(buf),
+            let n = buf.len().min(self.1);
+            let n = self.0.read(&mut buf[..n])?;
+            self.1 -= n;
+            match n {
+                0 if !buf.is_empty() => Err(std::io::Error::other("disk on fire")),
+                n => Ok(n),
             }
         }
     }
@@ -350,27 +605,62 @@ mod tests {
     #[test]
     fn io_error_reaches_the_caller_after_the_events_before_it() {
         let text = long_trace();
-        let (expected, _) = next_loop(&text);
-        let mut events = Vec::new();
-        let err = TraceStream::new(FailsAfter(&text))
-            .for_each(|event| events.push(event))
-            .unwrap_err();
-        assert_eq!(err.to_string(), "disk on fire");
-        assert_eq!(events, expected);
+        let line_end = text.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let ends = [
+            0,
+            1,
+            line_end - 1,
+            line_end,
+            BLOCK + 5,
+            2 * BLOCK,
+            text.len(),
+        ];
+        for end in ends {
+            let expected = line_by_line(FailsAfter(&text, end));
+            assert_eq!(expected.1, Err("disk on fire".to_string()));
+            for (decoders, block) in [(1, BLOCK), (2, BLOCK), (3, 4096), (2, 7)] {
+                let got = blockwise(FailsAfter(&text, end), decoders, block);
+                assert_eq!(got, expected, "fails after {end} B, {decoders} decoder(s)");
+            }
+        }
+    }
+
+    /// Serves `.0` and raises `.1` when dropped: the reader thread, which
+    /// owns it, has ended.
+    struct Watched<'a>(&'a [u8], Arc<AtomicBool>);
+
+    impl Read for Watched<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl Drop for Watched<'_> {
+        fn drop(&mut self) {
+            self.1.store(true, Ordering::SeqCst);
+        }
     }
 
     #[test]
     fn panicking_callback_unwinds_without_hanging_the_reader() {
         let text = long_trace();
-        let mut seen = 0;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            TraceStream::new(&text[..]).for_each(|_| {
-                seen += 1;
-                assert!(seen < 3, "callback fails on the third event");
-            })
-        }));
-        assert!(result.is_err(), "the callback's panic propagates");
-        assert_eq!(seen, 3);
+        let events = line_by_line(&text[..]).0.len();
+        for decoders in 1..=4 {
+            for fails_at in [1, 3, 1000, events] {
+                let ended = Arc::new(AtomicBool::new(false));
+                let input = Watched(&text, ended.clone());
+                let mut seen = 0;
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    TraceStream::new(input).for_each_on(decoders, 4096, |_| {
+                        seen += 1;
+                        assert!(seen < fails_at, "callback fails on event {fails_at}");
+                    })
+                }));
+                assert!(result.is_err(), "the callback's panic propagates");
+                assert_eq!(seen, fails_at);
+                assert!(ended.load(Ordering::SeqCst), "the reader thread ended");
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,48 @@ use sg_core::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::io::Write as _;
 
+/// A decode error: a boxed message, so that an integer reader's result
+/// stays two words wide and comes back in registers. Errors are built
+/// out of line: the readers are inlined into each event's decoder, and
+/// their error paths would swamp it.
+#[derive(Debug)]
+struct Error(Box<str>);
+
+impl Error {
+    #[cold]
+    #[inline(never)]
+    fn new(message: std::fmt::Arguments<'_>) -> Self {
+        Error(message.to_string().into())
+    }
+}
+
+/// A decode error from a `format!` message.
+macro_rules! fail {
+    ($($message:tt)*) => {
+        Error::new(format_args!($($message)*))
+    };
+}
+
+impl From<String> for Error {
+    #[cold]
+    #[inline(never)]
+    fn from(message: String) -> Self {
+        Error(message.into())
+    }
+}
+
+impl From<&str> for Error {
+    #[cold]
+    #[inline(never)]
+    fn from(message: &str) -> Self {
+        Error(message.into())
+    }
+}
+
 /// A type with a wire form.
 trait Wire<'a>: Sized {
     fn put(&self, out: &mut Vec<u8>);
-    fn get(r: &mut Reader<'a>) -> Result<Self, String>;
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error>;
 
     /// Append as an object member; `member` is the pre-rendered `"key":`.
     fn put_member(&self, member: &str, out: &mut Vec<u8>) {
@@ -32,8 +70,8 @@ trait Wire<'a>: Sized {
     }
 
     /// The value of a member the object does not have.
-    fn absent(key: &str) -> Result<Self, String> {
-        Err(format!("missing field '{key}'"))
+    fn absent(key: &str) -> Result<Self, Error> {
+        Err(fail!("missing field '{key}'"))
     }
 }
 
@@ -41,15 +79,29 @@ trait Wire<'a>: Sized {
 /// no value (`arm` of a metric, `family` of a legacy `dropped`).
 struct Omit<T>(Option<T>);
 
-/// Cursor over one line.
+/// Cursor over one line's bytes. Structure is ASCII, so only string
+/// contents are checked for UTF-8, when [`Reader::string`] reads one.
 struct Reader<'a> {
-    s: &'a str,
+    s: &'a [u8],
     pos: usize,
+}
+
+/// A string's bytes, still borrowed from the line if it was.
+fn bytes(s: Cow<'_, str>) -> Cow<'_, [u8]> {
+    match s {
+        Cow::Borrowed(s) => Cow::Borrowed(s.as_bytes()),
+        Cow::Owned(s) => Cow::Owned(s.into_bytes()),
+    }
+}
+
+/// `bytes` as text, or the decode error for a line that is not UTF-8.
+fn utf8(bytes: &[u8]) -> Result<&str, Error> {
+    std::str::from_utf8(bytes).map_err(|e| e.to_string().into())
 }
 
 impl<'a> Reader<'a> {
     fn peek(&self) -> Option<u8> {
-        self.s.as_bytes().get(self.pos).copied()
+        self.s.get(self.pos).copied()
     }
 
     fn ws(&mut self) {
@@ -64,10 +116,10 @@ impl<'a> Reader<'a> {
         hit
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), Error> {
         match self.eat(b) {
             true => Ok(()),
-            false => Err(format!("expected '{}' at byte {}", b as char, self.pos)),
+            false => Err(fail!("expected '{}' at byte {}", b as char, self.pos)),
         }
     }
 
@@ -75,14 +127,51 @@ impl<'a> Reader<'a> {
     // match compiles to a few integer compares instead of a `bcmp` call.
     #[inline(always)]
     fn literal(&mut self, lit: &str) -> bool {
-        let hit = self.s.as_bytes()[self.pos.min(self.s.len())..].starts_with(lit.as_bytes());
+        let hit = self.s[self.pos.min(self.s.len())..].starts_with(lit.as_bytes());
         self.pos += if hit { lit.len() } else { 0 };
         hit
     }
 
+    /// The unescaped `"type"` value a line opens with, as the encoder
+    /// writes it (`{"type":"`), leaving the cursor after its closing
+    /// quote; `None`, with the cursor moved, for any other opening.
+    fn leading_type(&mut self) -> Option<&'a [u8]> {
+        if !self.literal("{\"type\":\"") {
+            return None;
+        }
+        let start = self.pos;
+        let len = self.s[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        self.pos += len + 1;
+        (self.s[start + len] == b'"').then_some(&self.s[start..start + len])
+    }
+
+    /// The `"type"` of an object not opened as the encoder opens it.
+    /// Leaves the cursor after it if it leads, else back at the first
+    /// member, and says whether a member has been consumed.
+    fn find_type(&mut self) -> Result<(Cow<'a, [u8]>, bool), Error> {
+        self.pos = 0;
+        self.ws();
+        self.expect(b'{')?;
+        let (start, mut first, mut leads) = (self.pos, true, true);
+        let typ = loop {
+            match self.key(&mut first)? {
+                None => return Err("missing field 'type'".into()),
+                Some(key) if key == "type" => break bytes(self.string()?),
+                Some(_) => self.skip(0)?,
+            }
+            leads = false;
+        };
+        if !leads {
+            (self.pos, first) = (start, true);
+        }
+        Ok((typ, first))
+    }
+
     /// Inside an array or object: step to the next element, or consume
     /// `close` and return `false`.
-    fn more(&mut self, first: &mut bool, close: u8) -> Result<bool, String> {
+    fn more(&mut self, first: &mut bool, close: u8) -> Result<bool, Error> {
         self.ws();
         if self.eat(close) {
             return Ok(false);
@@ -96,7 +185,7 @@ impl<'a> Reader<'a> {
 
     /// Inside an object: the next member's key, leaving the cursor on
     /// its value; `None` once the closing `}` is consumed.
-    fn key(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, String> {
+    fn key(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, Error> {
         if !self.more(first, b'}')? {
             return Ok(None);
         }
@@ -109,16 +198,15 @@ impl<'a> Reader<'a> {
 
     /// A string, borrowed from the line unless it has escapes. Lone
     /// surrogates read as U+FFFD.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
-        let (s, bytes, start) = (self.s, self.s.as_bytes(), self.pos);
+        let (bytes, start) = (self.s, self.pos);
         let (mut run, mut owned) = (start, String::new());
         loop {
-            // `"` and `\` are ASCII, so `run..pos` falls on character boundaries.
             match bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
-                    let tail = &s[run..self.pos];
+                    let tail = utf8(&bytes[run..self.pos])?;
                     self.pos += 1;
                     return Ok(if run == start {
                         Cow::Borrowed(tail)
@@ -128,7 +216,7 @@ impl<'a> Reader<'a> {
                     });
                 }
                 Some(b'\\') => {
-                    owned.push_str(&s[run..self.pos]);
+                    owned.push_str(utf8(&bytes[run..self.pos])?);
                     let esc = bytes.get(self.pos + 1).ok_or("unterminated escape")?;
                     self.pos += 2;
                     owned.push(match *esc {
@@ -139,15 +227,15 @@ impl<'a> Reader<'a> {
                         b'r' => '\r',
                         b't' => '\t',
                         b'u' => {
-                            let code = s
+                            let code = bytes
                                 .get(self.pos..self.pos + 4)
-                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| u32::from_str_radix(utf8(h).ok()?, 16).ok())
                                 .ok_or("invalid \\u escape")?;
                             self.pos += 4;
                             char::from_u32(code).unwrap_or('\u{fffd}')
                         }
-                        _ => return Err(format!("unknown escape at byte {}", self.pos - 1)),
+                        _ => return Err(fail!("unknown escape at byte {}", self.pos - 1)),
                     });
                     run = self.pos;
                 }
@@ -157,42 +245,44 @@ impl<'a> Reader<'a> {
     }
 
     /// The longest run of the JSON number alphabet, as `f64` parses it.
-    fn f64(&mut self) -> Result<f64, String> {
+    fn f64(&mut self) -> Result<f64, Error> {
         let start = self.pos;
         while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.peek() {
             self.pos += 1;
         }
-        let parsed = self.s[start..self.pos].parse();
-        parsed.map_err(|_| format!("expected a number at byte {start}"))
+        let parsed = utf8(&self.s[start..self.pos])
+            .ok()
+            .and_then(|t| t.parse().ok());
+        parsed.ok_or_else(|| fail!("expected a number at byte {start}"))
     }
 
     /// An unsigned integer; a fraction, exponent or overflow is an error.
     #[inline(always)]
-    fn u64(&mut self) -> Result<u64, String> {
+    fn u64(&mut self) -> Result<u64, Error> {
         let start = self.pos;
         let mut v = 0u64;
         while let Some(d @ b'0'..=b'9') = self.peek() {
             let next = v
                 .checked_mul(10)
                 .and_then(|v| v.checked_add(u64::from(d - b'0')));
-            v = next.ok_or_else(|| format!("integer at byte {start} overflows"))?;
+            v = next.ok_or_else(|| fail!("integer at byte {start} overflows"))?;
             self.pos += 1;
         }
         if self.pos == start || matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(format!("expected an unsigned integer at byte {start}"));
+            return Err(fail!("expected an unsigned integer at byte {start}"));
         }
         Ok(v)
     }
 
     /// Any value, checked for syntax and dropped.
-    fn skip(&mut self, depth: u32) -> Result<(), String> {
+    fn skip(&mut self, depth: u32) -> Result<(), Error> {
         let close = match self.peek() {
             Some(b'"') => return self.string().map(drop),
             Some(b'-' | b'0'..=b'9') => return self.f64().map(drop),
             Some(b'{') => b'}',
             Some(b'[') => b']',
             Some(b'n' | b't' | b'f') => return Option::<bool>::get(self).map(drop),
-            _ => return Err(format!("expected a value at byte {}", self.pos)),
+            _ => return Err(fail!("expected a value at byte {}", self.pos)),
         };
         // The skipper recurses: hostile input must not pick the stack depth.
         if depth == 32 {
@@ -229,7 +319,8 @@ impl<'a> Wire<'a> for u64 {
     fn put(&self, out: &mut Vec<u8>) {
         put_u64(*self, out);
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    #[inline(always)]
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         r.u64()
     }
 }
@@ -241,13 +332,14 @@ impl<'a> Wire<'a> for i64 {
         }
         put_u64(self.unsigned_abs(), out);
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    #[inline(always)]
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         let (negative, magnitude) = (r.eat(b'-'), r.u64()?);
         let value = match negative {
             true => 0i64.checked_sub_unsigned(magnitude),
             false => i64::try_from(magnitude).ok(),
         };
-        value.ok_or_else(|| format!("{magnitude} does not fit an i64"))
+        value.ok_or_else(|| fail!("{magnitude} does not fit an i64"))
     }
 }
 
@@ -259,7 +351,7 @@ impl<'a> Wire<'a> for f64 {
             out.extend_from_slice(b"null");
         }
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         r.f64()
     }
 }
@@ -268,11 +360,11 @@ impl<'a> Wire<'a> for bool {
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(if *self { b"true" } else { b"false" });
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         let value = r.literal("true");
         match value || r.literal("false") {
             true => Ok(value),
-            false => Err(format!("expected a boolean at byte {}", r.pos)),
+            false => Err(fail!("expected a boolean at byte {}", r.pos)),
         }
     }
 }
@@ -301,7 +393,7 @@ impl<'a> Wire<'a> for Cow<'a, str> {
     fn put(&self, out: &mut Vec<u8>) {
         put_str(self, out);
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         r.string()
     }
 }
@@ -313,7 +405,8 @@ impl<'a, T: Wire<'a>> Wire<'a> for Option<T> {
             None => out.extend_from_slice(b"null"),
         }
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    #[inline(always)]
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         match r.literal("null") {
             true => Ok(None),
             false => T::get(r).map(Some),
@@ -325,7 +418,7 @@ impl<'a, T: Wire<'a>> Wire<'a> for Omit<T> {
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         T::get(r).map(|v| Omit(Some(v)))
     }
     fn put_member(&self, member: &str, out: &mut Vec<u8>) {
@@ -333,7 +426,7 @@ impl<'a, T: Wire<'a>> Wire<'a> for Omit<T> {
             v.put_member(member, out);
         }
     }
-    fn absent(_key: &str) -> Result<Self, String> {
+    fn absent(_key: &str) -> Result<Self, Error> {
         Ok(Omit(None))
     }
 }
@@ -349,7 +442,7 @@ impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
         }
         out.push(b']');
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         r.expect(b'[')?;
         let (mut out, mut first) = (Vec::new(), true);
         while r.more(&mut first, b']')? {
@@ -374,7 +467,7 @@ macro_rules! wire_tuple {
                 )+
                 *out.last_mut().expect("just pushed") = b']';
             }
-            fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+            fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
                 r.expect(b'[')?;
                 let mut first = true;
                 let v = ($(
@@ -403,7 +496,8 @@ macro_rules! wire_as {
                 let $v = self;
                 Wire::put(&$to, out);
             }
-            fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+            #[inline(always)]
+            fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
                 <$w>::get(r).and_then($from)
             }
         }
@@ -411,14 +505,14 @@ macro_rules! wire_as {
 }
 
 /// Look a wire name up among `all` values of an enumeration.
-fn named<T: Copy>(all: &[T], name_of: fn(T) -> &'static str, name: &str) -> Result<T, String> {
+fn named<T: Copy>(all: &[T], name_of: fn(T) -> &'static str, name: &str) -> Result<T, Error> {
     let found = all.iter().copied().find(|&v| name_of(v) == name);
-    found.ok_or_else(|| format!("unknown name '{name}'"))
+    found.ok_or_else(|| fail!("unknown name '{name}'"))
 }
 
 wire_as! {
-    u8 as u64: |v| u64::from(*v), |v| u8::try_from(v).map_err(|_| format!("{v} is not a u8"));
-    u32 as u64: |v| u64::from(*v), |v| u32::try_from(v).map_err(|_| format!("{v} is not a u32"));
+    u8 as u64: |v| u64::from(*v), |v| u8::try_from(v).map_err(|_| fail!("{v} is not a u8"));
+    u32 as u64: |v| u64::from(*v), |v| u32::try_from(v).map_err(|_| fail!("{v} is not a u32"));
     String as Cow<'a, str>: |s| Cow::from(s.as_str()), |s| Ok(s.into_owned());
     SimTime as u64: |t| t.as_nanos(), |v| Ok(SimTime::from_nanos(v));
     SimDuration as u64: |d| d.as_nanos(), |v| Ok(SimDuration::from_nanos(v));
@@ -441,9 +535,9 @@ wire_as! {
         named(&[Spawned, Draining, Retired], ReplicaPhase::name, &s)
     };
     ProfilePhase as Cow<'a, str>: |p| Cow::from(p.name()),
-        |s| ProfilePhase::from_wire(&s).ok_or_else(|| format!("unknown profile phase '{s}'"));
+        |s| ProfilePhase::from_wire(&s).ok_or_else(|| fail!("unknown profile phase '{s}'"));
     ProfileMark as Cow<'a, str>: |m| Cow::from(m.name()),
-        |s| ProfileMark::from_wire(&s).ok_or_else(|| format!("unknown profile mark '{s}'"));
+        |s| ProfileMark::from_wire(&s).ok_or_else(|| fail!("unknown profile mark '{s}'"));
 }
 
 /// Append the declared members and close the object. Each member
@@ -467,10 +561,13 @@ macro_rules! get_members {
         $(if !$first && $r.literal(concat!(",\"", $key, "\":")) {
             $name = Some(<$ty as Wire>::get($r)?);
         })*
-        while let Some(key) = $r.key(&mut $first)? {
-            match &*key {
-                $($key if $name.is_none() => $name = Some(<$ty as Wire>::get($r)?),)*
-                _ => $r.skip(0)?,
+        // An encoder line closes right after its last member.
+        if !$r.eat(b'}') {
+            while let Some(key) = $r.key(&mut $first)? {
+                match &*key {
+                    $($key if $name.is_none() => $name = Some(<$ty as Wire>::get($r)?),)*
+                    _ => $r.skip(0)?,
+                }
             }
         }
         $(let $name = match $name {
@@ -500,14 +597,15 @@ macro_rules! events {
 
         /// Decode the members of a `typ` event; `r` is inside the object
         /// and `first` says whether it has consumed a member yet.
-        fn members(typ: &str, r: &mut Reader<'_>, mut first: bool) -> Result<E, String> {
+        #[inline(always)]
+        fn members(typ: &[u8], r: &mut Reader<'_>, mut first: bool) -> Result<E, Error> {
             match typ {
-                $($typ => {
+                $(t if t == $typ.as_bytes() => {
                     get_members!(r, first; $($members)*);
                     $($finish)*
                     Ok($($shape)*)
                 })*
-                other => Err(format!("unknown event type '{other}'")),
+                other => Err(fail!("unknown event type '{}'", String::from_utf8_lossy(other))),
             }
         }
     };
@@ -615,7 +713,7 @@ impl<'a> Wire<'a> for ScoredAction {
             name: "kind" Cow<str> = Cow::from(self.kind.name()), arg: "arg" u32 = self.kind.arg(),
             reason: "reason" String = self.reason);
     }
-    fn get(r: &mut Reader<'a>) -> Result<Self, String> {
+    fn get(r: &mut Reader<'a>) -> Result<Self, Error> {
         r.expect(b'{')?;
         let mut first = true;
         get_members!(r, first; container: "container" ContainerId, name: "kind" Cow<str>,
@@ -629,25 +727,17 @@ impl<'a> Wire<'a> for ScoredAction {
     }
 }
 
-/// Decode one line. `"type"` leads every line [`encode`] writes, so the
-/// members are read in the same pass; found later, the object is reread.
-pub(crate) fn decode(s: &str) -> Result<E, String> {
+/// Decode one line. `"type"` leads every line [`encode`] writes, so its
+/// value is taken by a prefix compare and the members are read in the
+/// same pass; a type found later (or escaped) is looked up by key and
+/// the object is reread.
+pub(crate) fn decode(s: &[u8]) -> Result<E, String> {
     let mut r = Reader { s, pos: 0 };
-    r.ws();
-    r.expect(b'{')?;
-    let (start, mut first, mut leads) = (r.pos, true, true);
-    let typ = loop {
-        match r.key(&mut first)? {
-            None => return Err("missing field 'type'".into()),
-            Some(key) if key == "type" => break r.string()?,
-            Some(_) => r.skip(0)?,
-        }
-        leads = false;
+    let (typ, first) = match r.leading_type() {
+        Some(typ) => (Cow::Borrowed(typ), false),
+        None => r.find_type().map_err(|e| String::from(e.0))?,
     };
-    if !leads {
-        (r.pos, first) = (start, true);
-    }
-    let event = members(&typ, &mut r, first)?;
+    let event = members(&typ, &mut r, first).map_err(|e| String::from(e.0))?;
     r.ws();
     if r.pos != s.len() {
         return Err(format!("trailing characters at byte {}", r.pos));
