@@ -9,9 +9,9 @@
 //! Reading is **streaming**: [`TraceStream::for_each`] holds a bounded
 //! number of blocks in memory, so a multi-gigabyte `cluster_scale`
 //! export summarizes in constant memory. A reader thread cuts the input
-//! into blocks of whole lines, which are decoded on as many threads as
-//! there are CPUs (at most four), while the callback sees the events in
-//! file order on the caller's thread. [`TailStream`] adds a follow mode (`tail -f`
+//! into blocks of whole lines, which it and, given a second CPU, the
+//! caller decode, while the callback sees the events in file order on
+//! the caller's thread. [`TailStream`] adds a follow mode (`tail -f`
 //! semantics: poll for appended lines, hold partial trailing lines
 //! until their newline arrives) used by `sg-trace watch --tail`.
 
@@ -28,10 +28,6 @@ use std::sync::mpsc::{self, SyncSender, TrySendError};
 const BLOCK: usize = 64 * 1024;
 /// Blocks on their way to the caller, at most.
 const QUEUE: usize = 4;
-/// Most decoding threads, the reader thread and the caller included:
-/// past about this many the caller, who takes every event on one
-/// thread, sets the pace.
-const MAX_DECODERS: usize = 4;
 
 /// Streaming JSONL event reader over any [`Read`]; see
 /// [`TraceStream::for_each`].
@@ -55,74 +51,47 @@ impl<R: Read> TraceStream<R> {
 
     /// Drain the stream through `f`, on the caller's thread and in file
     /// order. A scoped reader thread cuts the input into blocks of whole
-    /// lines, and each block is decoded by whichever decoder is free: a
-    /// spawned worker, the caller when it has run short of blocks, or
-    /// else the reader thread. There are as many decoders as
-    /// [`std::thread::available_parallelism`] reports, at most four; with
-    /// one, the reader thread decodes everything. Returns the bad-line
-    /// count; an I/O error is returned after `f` has seen every event
-    /// before it. Every thread is joined before this returns, also when
-    /// `f` panics.
+    /// lines. Given a second CPU ([`std::thread::available_parallelism`]),
+    /// each block goes raw to the caller, who decodes it, when the
+    /// caller's queue has room, and is else decoded on the reader thread;
+    /// with one CPU the reader thread decodes everything. Returns the
+    /// bad-line count; an I/O error is returned after `f` has seen every
+    /// event before it. The reader thread is joined before this returns,
+    /// also when `f` panics.
     pub fn for_each<F: FnMut(TelemetryEvent)>(self, f: F) -> std::io::Result<u64>
     where
         R: Send,
     {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.for_each_on(cpus.min(MAX_DECODERS), BLOCK, f)
+        self.for_each_on(cpus > 1, BLOCK, f)
     }
 
-    /// [`Self::for_each`] with `decoders` decoders, cutting blocks after
-    /// `block` bytes.
+    /// [`Self::for_each`], with the caller decoding blocks or not, and
+    /// cutting blocks after `block` bytes.
     fn for_each_on<F: FnMut(TelemetryEvent)>(
         self,
-        decoders: usize,
+        caller_decodes: bool,
         block: usize,
         mut f: F,
     ) -> std::io::Result<u64>
     where
         R: Send,
     {
-        // A rendezvous: a job is taken only by a worker waiting for one.
-        let (to_workers, jobs) = mpsc::sync_channel::<Job>(0);
-        let jobs = std::sync::Mutex::new(jobs);
         std::thread::scope(|scope| {
             let (to_caller, blocks) = mpsc::sync_channel(QUEUE);
-            for _ in 2..decoders {
-                let jobs = &jobs;
-                scope.spawn(move || loop {
-                    let job = jobs
-                        .lock()
-                        .expect("no worker panics holding the queue")
-                        .recv();
-                    let Ok(Job { block, to }) = job else { return };
-                    // The caller may have unwound and dropped `to`'s end.
-                    let _ = to.send(Decoded::of(&block));
-                });
-            }
-            let hands = Hands {
-                caller: to_caller,
-                caller_decodes: decoders > 1,
-                workers: (decoders > 2).then_some(to_workers),
-            };
-            let reader = scope.spawn(move || self.deal(block, &hands));
-            // The blocks come in file order. When `f` panics or a worker
-            // has, dropping `blocks` wakes a reader thread blocked on a
-            // full queue; it ends before the scope joins it.
+            let reader = scope.spawn(move || self.deal(block, caller_decodes, &to_caller));
+            // The blocks come in file order. When `f` panics, dropping
+            // `blocks` wakes a reader thread blocked on a full queue; it
+            // ends before the scope joins it.
             let mut bad_lines = 0;
             for block in blocks {
-                let decoded = match block {
-                    Block::Raw(block) => {
-                        bad_lines += decode(&block, &mut f);
-                        continue;
+                match block {
+                    Block::Raw(block) => bad_lines += decode(&block, &mut f),
+                    Block::Decoded { events, bad } => {
+                        bad_lines += bad;
+                        events.into_iter().for_each(&mut f);
                     }
-                    Block::Decoded(decoded) => decoded,
-                    Block::Pending(decoded) => match decoded.recv() {
-                        Ok(decoded) => decoded,
-                        Err(_) => break, // the worker panicked
-                    },
-                };
-                bad_lines += decoded.bad_lines;
-                decoded.events.into_iter().for_each(&mut f);
+                }
             }
             let end = reader.join();
             end.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -134,7 +103,12 @@ impl<R: Read> TraceStream<R> {
     /// hand each one over. Ends at end of input, at an I/O error
     /// (returned once the whole lines read before it are handed over),
     /// or when the caller hangs up.
-    fn deal(mut self, size: usize, hands: &Hands) -> std::io::Result<()> {
+    fn deal(
+        mut self,
+        size: usize,
+        caller_decodes: bool,
+        to_caller: &SyncSender<Block>,
+    ) -> std::io::Result<()> {
         let mut carry = Vec::new();
         loop {
             let mut block = Vec::with_capacity(size + carry.len());
@@ -157,7 +131,7 @@ impl<R: Read> TraceStream<R> {
                 }
             };
             carry = block.split_off(cut);
-            if !block.is_empty() && hands.take(block).is_err() {
+            if !block.is_empty() && hand(to_caller, caller_decodes, block).is_err() {
                 return Ok(()); // the caller unwound
             }
             if let Some(end) = end {
@@ -167,73 +141,33 @@ impl<R: Read> TraceStream<R> {
     }
 }
 
-/// One block's events, in file order, and its count of bad lines.
-struct Decoded {
-    events: Vec<TelemetryEvent>,
-    bad_lines: u64,
-}
-
-impl Decoded {
-    fn of(block: &[u8]) -> Decoded {
-        let mut events = Vec::with_capacity(block.len() / 200 + 1);
-        let bad_lines = decode(block, |event| events.push(event));
-        Decoded { events, bad_lines }
-    }
-}
-
 /// A block on its way to the caller.
 enum Block {
     /// For the caller to decode.
     Raw(Vec<u8>),
-    /// Decoded by the reader thread.
-    Decoded(Decoded),
-    /// Being decoded by a worker, which sends it here.
-    Pending(mpsc::Receiver<Decoded>),
+    /// Decoded by the reader thread: its events in file order, and its
+    /// count of bad lines.
+    Decoded {
+        events: Vec<TelemetryEvent>,
+        bad: u64,
+    },
 }
 
-/// A block for a worker, and where its decoded events go.
-struct Job {
-    block: Vec<u8>,
-    to: SyncSender<Decoded>,
-}
-
-/// Where the reader thread hands its blocks.
-struct Hands {
-    /// The blocks in file order.
-    caller: SyncSender<Block>,
-    /// Whether the caller decodes a block when its queue has room.
-    caller_decodes: bool,
-    /// Workers, if there are any.
-    workers: Option<SyncSender<Job>>,
-}
-
-impl Hands {
-    /// Hand `block` to whoever can decode it soonest: a worker waiting
-    /// for one, else the caller if its queue has room, else this thread.
-    /// `Err` when the caller has hung up.
-    fn take(&self, block: Vec<u8>) -> Result<(), ()> {
-        let block = match &self.workers {
-            Some(workers) => {
-                let (to, decoded) = mpsc::sync_channel(1);
-                match workers.try_send(Job { block, to }) {
-                    Ok(()) => return self.caller.send(Block::Pending(decoded)).map_err(drop),
-                    Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => job.block,
-                }
-            }
-            None => block,
-        };
-        let block = match self.caller_decodes {
-            true => match self.caller.try_send(Block::Raw(block)) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(Block::Raw(block))) => block,
-                Err(_) => return Err(()),
-            },
-            false => block,
-        };
-        self.caller
-            .send(Block::Decoded(Decoded::of(&block)))
-            .map_err(drop)
-    }
+/// Hand `block` to the caller: raw if the caller decodes and its queue
+/// has room, else decoded on this thread. `Err` when the caller has
+/// hung up.
+fn hand(to_caller: &SyncSender<Block>, caller_decodes: bool, block: Vec<u8>) -> Result<(), ()> {
+    let block = match caller_decodes {
+        true => match to_caller.try_send(Block::Raw(block)) {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Full(Block::Raw(block))) => block,
+            Err(_) => return Err(()),
+        },
+        false => block,
+    };
+    let mut events = Vec::with_capacity(block.len() / 200 + 1);
+    let bad = decode(&block, |event| events.push(event));
+    to_caller.send(Block::Decoded { events, bad }).map_err(drop)
 }
 
 /// Decode a block of lines in order into `f`; returns the bad-line count.
@@ -461,12 +395,13 @@ mod tests {
         }
     }
 
-    /// `for_each` with `decoders` decoders and blocks cut after `block`
-    /// bytes.
-    fn blockwise(input: impl Read + Send, decoders: usize, block: usize) -> Outcome {
+    /// `for_each` with the caller decoding blocks or not, and blocks cut
+    /// after `block` bytes.
+    fn blockwise(input: impl Read + Send, caller_decodes: bool, block: usize) -> Outcome {
         let mut events = Vec::new();
-        let end = TraceStream::new(input)
-            .for_each_on(decoders, block, |event| events.push(event.to_json_line()));
+        let end = TraceStream::new(input).for_each_on(caller_decodes, block, |event| {
+            events.push(event.to_json_line())
+        });
         (events, end.map_err(|e| e.to_string()))
     }
 
@@ -517,11 +452,11 @@ mod tests {
         fn for_each_reads_what_a_line_reader_reads(
             words in prop::collection::vec(any::<u64>(), 0..80),
             unterminated in any::<bool>(),
-            decoders in 1usize..5,
+            caller_decodes in any::<bool>(),
             block in 1usize..1500,
         ) {
             let text = input(&words, unterminated);
-            prop_assert_eq!(blockwise(&text[..], decoders, block), line_by_line(&text[..]));
+            prop_assert_eq!(blockwise(&text[..], caller_decodes, block), line_by_line(&text[..]));
         }
     }
 
@@ -534,10 +469,13 @@ mod tests {
         let expected = line_by_line(&text[..]);
         assert_eq!(expected.0.len(), 5);
         assert_eq!(expected.1, Ok(4));
-        for decoders in 1..=3 {
+        for caller_decodes in [false, true] {
             for block in 1..=text.len() + 1 {
-                let got = blockwise(&text[..], decoders, block);
-                assert_eq!(got, expected, "{decoders} decoder(s), {block} B blocks");
+                let got = blockwise(&text[..], caller_decodes, block);
+                assert_eq!(
+                    got, expected,
+                    "caller decodes: {caller_decodes}, {block} B blocks"
+                );
             }
         }
     }
@@ -553,8 +491,8 @@ mod tests {
         assert!(expected
             .0
             .contains(&"{\"type\":\"dropped\",\"count\":7}".to_string()));
-        for decoders in 1..=3 {
-            assert_eq!(blockwise(text.as_bytes(), decoders, BLOCK), expected);
+        for caller_decodes in [false, true] {
+            assert_eq!(blockwise(text.as_bytes(), caller_decodes, BLOCK), expected);
         }
         let mut events = 0;
         let bad = TraceStream::new(text.as_bytes())
@@ -618,9 +556,13 @@ mod tests {
         for end in ends {
             let expected = line_by_line(FailsAfter(&text, end));
             assert_eq!(expected.1, Err("disk on fire".to_string()));
-            for (decoders, block) in [(1, BLOCK), (2, BLOCK), (3, 4096), (2, 7)] {
-                let got = blockwise(FailsAfter(&text, end), decoders, block);
-                assert_eq!(got, expected, "fails after {end} B, {decoders} decoder(s)");
+            for (caller_decodes, block) in [(false, BLOCK), (true, BLOCK), (true, 4096), (true, 7)]
+            {
+                let got = blockwise(FailsAfter(&text, end), caller_decodes, block);
+                assert_eq!(
+                    got, expected,
+                    "fails after {end} B, caller decodes: {caller_decodes}"
+                );
             }
         }
     }
@@ -645,13 +587,13 @@ mod tests {
     fn panicking_callback_unwinds_without_hanging_the_reader() {
         let text = long_trace();
         let events = line_by_line(&text[..]).0.len();
-        for decoders in 1..=4 {
+        for caller_decodes in [false, true] {
             for fails_at in [1, 3, 1000, events] {
                 let ended = Arc::new(AtomicBool::new(false));
                 let input = Watched(&text, ended.clone());
                 let mut seen = 0;
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    TraceStream::new(input).for_each_on(decoders, 4096, |_| {
+                    TraceStream::new(input).for_each_on(caller_decodes, 4096, |_| {
                         seen += 1;
                         assert!(seen < fails_at, "callback fails on event {fails_at}");
                     })

@@ -41,22 +41,6 @@ macro_rules! fail {
     };
 }
 
-impl From<String> for Error {
-    #[cold]
-    #[inline(never)]
-    fn from(message: String) -> Self {
-        Error(message.into())
-    }
-}
-
-impl From<&str> for Error {
-    #[cold]
-    #[inline(never)]
-    fn from(message: &str) -> Self {
-        Error(message.into())
-    }
-}
-
 /// A type with a wire form.
 trait Wire<'a>: Sized {
     fn put(&self, out: &mut Vec<u8>);
@@ -86,17 +70,9 @@ struct Reader<'a> {
     pos: usize,
 }
 
-/// A string's bytes, still borrowed from the line if it was.
-fn bytes(s: Cow<'_, str>) -> Cow<'_, [u8]> {
-    match s {
-        Cow::Borrowed(s) => Cow::Borrowed(s.as_bytes()),
-        Cow::Owned(s) => Cow::Owned(s.into_bytes()),
-    }
-}
-
 /// `bytes` as text, or the decode error for a line that is not UTF-8.
 fn utf8(bytes: &[u8]) -> Result<&str, Error> {
-    std::str::from_utf8(bytes).map_err(|e| e.to_string().into())
+    std::str::from_utf8(bytes).map_err(|e| fail!("{e}"))
 }
 
 impl<'a> Reader<'a> {
@@ -157,8 +133,11 @@ impl<'a> Reader<'a> {
         let (start, mut first, mut leads) = (self.pos, true, true);
         let typ = loop {
             match self.key(&mut first)? {
-                None => return Err("missing field 'type'".into()),
-                Some(key) if key == "type" => break bytes(self.string()?),
+                None => return Err(fail!("missing field 'type'")),
+                Some(key) if key == "type" => match self.string()? {
+                    Cow::Borrowed(typ) => break Cow::Borrowed(typ.as_bytes()),
+                    Cow::Owned(typ) => break Cow::Owned(typ.into_bytes()),
+                },
                 Some(_) => self.skip(0)?,
             }
             leads = false;
@@ -204,7 +183,7 @@ impl<'a> Reader<'a> {
         let (mut run, mut owned) = (start, String::new());
         loop {
             match bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
+                None => return Err(fail!("unterminated string")),
                 Some(b'"') => {
                     let tail = utf8(&bytes[run..self.pos])?;
                     self.pos += 1;
@@ -217,7 +196,9 @@ impl<'a> Reader<'a> {
                 }
                 Some(b'\\') => {
                     owned.push_str(utf8(&bytes[run..self.pos])?);
-                    let esc = bytes.get(self.pos + 1).ok_or("unterminated escape")?;
+                    let esc = bytes
+                        .get(self.pos + 1)
+                        .ok_or_else(|| fail!("unterminated escape"))?;
                     self.pos += 2;
                     owned.push(match *esc {
                         b'"' | b'\\' | b'/' => *esc as char,
@@ -231,7 +212,7 @@ impl<'a> Reader<'a> {
                                 .get(self.pos..self.pos + 4)
                                 .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| u32::from_str_radix(utf8(h).ok()?, 16).ok())
-                                .ok_or("invalid \\u escape")?;
+                                .ok_or_else(|| fail!("invalid \\u escape"))?;
                             self.pos += 4;
                             char::from_u32(code).unwrap_or('\u{fffd}')
                         }
@@ -286,7 +267,7 @@ impl<'a> Reader<'a> {
         };
         // The skipper recurses: hostile input must not pick the stack depth.
         if depth == 32 {
-            return Err("value nested too deeply".into());
+            return Err(fail!("value nested too deeply"));
         }
         self.pos += 1;
         let mut first = true;
@@ -473,7 +454,7 @@ macro_rules! wire_tuple {
                 let v = ($(
                     match r.more(&mut first, b']')? {
                         true => $t::get(r)?,
-                        false => return Err("array too short".into()),
+                        false => return Err(fail!("array too short")),
                     },
                 )+);
                 while r.more(&mut first, b']')? {
@@ -616,7 +597,7 @@ events! {
         at: "at_ns" SimTime, node: "node" NodeId, container: "container" ContainerId,
         origin: "origin" ActionOrigin, name: "kind" Cow<str> = Cow::from(kind.name()),
         arg: "arg" u32 = kind.arg(), outcome: "outcome" ActionOutcome
-    } { let kind = ActionKind::from_wire(&name, arg).ok_or("bad action kind or argument")?; }
+    } { let kind = ActionKind::from_wire(&name, arg).ok_or_else(|| fail!("bad action kind or argument"))?; }
     "alloc" [E::Alloc { at, container, cores, freq_level, freq_ghz }] {
         at: "at_ns" SimTime, container: "container" ContainerId, cores: "cores" u32,
         freq_level: "freq_level" u8, freq_ghz: "freq_ghz" f64
@@ -661,7 +642,7 @@ events! {
         at: "at_ns" SimTime, node: "node" NodeId, container: "container" ContainerId,
         name: "metric" Cow<str> = Cow::from(metric.name()),
         arm: "arm" Omit<u8> = Omit(metric.arm()), value: "value" f64
-    } { let metric = MetricId::from_wire(&name, arm.0).ok_or("unknown metric or arm")?; }
+    } { let metric = MetricId::from_wire(&name, arm.0).ok_or_else(|| fail!("unknown metric or arm"))?; }
     "metrics_meta" [E::MetricsMeta { version, interval_ns }] {
         version: "version" u32, interval_ns: "interval_ns" u64
     } {}
@@ -672,9 +653,10 @@ events! {
         max_ns: "max_ns" u64 = digest.bounds().1, sum_ns: "sum_ns" u64 = digest.bounds().2,
         buckets: "buckets" Vec<(u32, u64)> = digest.bucket_counts().collect::<Vec<_>>()
     } {
-        let digest = LatencyDigest::from_parts(sig_bits, buckets, min_ns, max_ns, sum_ns)?;
+        let digest = LatencyDigest::from_parts(sig_bits, buckets, min_ns, max_ns, sum_ns)
+            .map_err(|e| fail!("{e}"))?;
         if digest.len() != count {
-            return Err("digest bucket counts disagree with 'count'".into());
+            return Err(fail!("digest bucket counts disagree with 'count'"));
         }
     }
     "slo" [E::Slo { at, node, qos_ns, total, bad }] {
@@ -682,7 +664,7 @@ events! {
         bad: "bad" u64
     } {
         if bad > total {
-            return Err("slo 'bad' exceeds 'total'".into());
+            return Err(fail!("slo 'bad' exceeds 'total'"));
         }
     }
     "topk" [E::TopK { at, node, capacity, entries }] {
@@ -718,7 +700,8 @@ impl<'a> Wire<'a> for ScoredAction {
         let mut first = true;
         get_members!(r, first; container: "container" ContainerId, name: "kind" Cow<str>,
             arg: "arg" u32, reason: "reason" String);
-        let kind = ActionKind::from_wire(&name, arg).ok_or("bad action kind or argument")?;
+        let kind = ActionKind::from_wire(&name, arg)
+            .ok_or_else(|| fail!("bad action kind or argument"))?;
         Ok(ScoredAction {
             container,
             kind,
